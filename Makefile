@@ -55,8 +55,10 @@ metrics-smoke:
 # per-packet departure-time digest moved a single bit. Regenerate after
 # an intentional semantic change with:
 #   go test -run TestGoldenTraces -update-golden .
+# It also replays the routing/calibration/analytic bit-identity fixture
+# (testdata/golden/routing_bits.json, TestRoutingBitsFixture).
 golden:
-	$(GO) test -run TestGoldenTraces -count=1 .
+	$(GO) test -run 'TestGoldenTraces|TestRoutingBitsFixture' -count=1 .
 
 # resume-golden proves checkpointed resume is bit-identical: each golden
 # scenario is crashed at an epoch boundary, resumed from its snapshot,

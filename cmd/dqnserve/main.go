@@ -112,7 +112,7 @@ func run(args []string) error {
 	reg := obs.NewRegistry()
 	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: *maxShards, MaxDuration: *maxDur, Quantize: *quant}
 	runner.CacheEvictions = reg.Counter("dqn_runner_cache_evictions_total",
-		"runner cache entries dropped by the LRU bounds (model registry, topo digests)")
+		"runner cache entries dropped by the cache bounds (model registry, named topologies)")
 	if *stateDir != "" {
 		runner.Checkpoints = obs.NewCheckpointMetrics(reg)
 	}

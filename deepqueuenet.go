@@ -48,8 +48,12 @@ type (
 	Graph = topo.Graph
 	// FlowDef names one routed flow.
 	FlowDef = topo.FlowDef
-	// Routing holds forwarding tables and per-flow paths.
+	// Routing holds per-flow paths (Forward/Echo legs, by flow position)
+	// and the forwarding tables they install.
 	Routing = topo.Routing
+	// RouteLeg is one direction of a routed flow: its node sequence and
+	// the egress port taken at each step.
+	RouteLeg = topo.Leg
 	// LinkParams bundles link rate and propagation delay.
 	LinkParams = topo.LinkParams
 	// FatTreeParams is the Table 3 FatTree parameterization.

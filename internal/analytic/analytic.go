@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"deepqueuenet/internal/des"
@@ -123,50 +122,14 @@ func gammaP99(mean, variance float64) float64 {
 	return q
 }
 
-// portKey identifies one egress port.
-type portKey struct{ node, port int }
-
-// portDemand accumulates routed load on one egress port.
-type portDemand struct {
-	lambda float64
-	flows  int
-}
-
-// egressPort resolves the port flow fid takes to leave cur toward next,
-// mirroring the DES walk: switches consult the (flow, in-port)
-// forwarding table; hosts (and any miss) take the first port facing
-// next. Returns -1 if no port connects cur to next.
-func egressPort(g *topo.Graph, rt *topo.Routing, fid, cur, next, inPort int) int {
-	if g.Kinds[cur] == topo.Switch {
-		if p := rt.Lookup(cur, fid, inPort); p >= 0 && p < len(g.Ports[cur]) && g.Ports[cur][p].Peer == next {
-			return p
-		}
-	}
-	for pi, p := range g.Ports[cur] {
-		if p.Peer == next {
-			return pi
-		}
-	}
-	return -1
-}
-
-// legWalk calls fn for every (node, egress port) pair along the node
-// sequence, threading the ingress port the way the forwarding tables
-// expect.
-func legWalk(g *topo.Graph, rt *topo.Routing, fid int, nodes []int, fn func(node, port int) error) error {
-	inPort := -1
-	for i := 0; i+1 < len(nodes); i++ {
-		cur, next := nodes[i], nodes[i+1]
-		p := egressPort(g, rt, fid, cur, next, inPort)
-		if p < 0 {
-			return fmt.Errorf("analytic: flow %d: no port %d -> %d", fid, cur, next)
-		}
-		if err := fn(cur, p); err != nil {
-			return err
-		}
-		inPort = g.Ports[cur][p].PeerPort
-	}
-	return nil
+// portState is the accumulated demand and solved wait of one egress
+// port. Analyze keeps one per directed port of the graph, indexed by the
+// graph's dense port numbering (topo.Graph.PortBase), so the two passes
+// over every flow's legs are array walks.
+type portState struct {
+	lambda float64 // packets/s offered
+	wait   float64 // Kingman mean queueing wait, seconds
+	flows  int32   // flow legs crossing the port; 0 = port unused
 }
 
 // Analyze solves the decomposition. It returns an error wrapping
@@ -190,91 +153,89 @@ func Analyze(in Input) (*Estimate, error) {
 		return nil, fmt.Errorf("analytic: service SCV must be finite and non-negative (got %v)", in.CS2)
 	}
 
-	// Pass 1: accumulate per-egress-port demand over every flow's
-	// forward and echo legs.
-	demand := map[portKey]*portDemand{}
-	accumulate := func(fid int, nodes []int) error {
-		return legWalk(in.G, in.RT, fid, nodes, func(node, port int) error {
-			k := portKey{node, port}
-			d := demand[k]
-			if d == nil {
-				d = &portDemand{}
-				demand[k] = d
-			}
-			d.lambda += in.FlowRate
-			d.flows++
-			return nil
-		})
-	}
-	for _, f := range in.Flows {
-		fwd, ok := in.RT.Paths[f.FlowID]
-		if !ok {
-			return nil, fmt.Errorf("analytic: flow %d has no forward route", f.FlowID)
-		}
-		if err := accumulate(f.FlowID, fwd); err != nil {
-			return nil, err
-		}
-		rev, ok := in.RT.PathsRev[f.FlowID]
-		if !ok {
-			return nil, fmt.Errorf("analytic: flow %d has no echo route", f.FlowID)
-		}
-		if err := accumulate(f.FlowID, rev); err != nil {
-			return nil, err
-		}
+	if in.RT.Graph() != in.G {
+		return nil, errors.New("analytic: routing was computed on a different graph")
 	}
 
-	// Pass 2: solve each loaded port as a G/G/1 queue.
-	est := &Estimate{Paths: map[string]*PathEstimate{}}
-	waits := map[portKey]float64{}
-	for k, d := range demand {
-		link := in.G.Ports[k.node][k.port]
-		if !(link.RateBps > 0) {
-			return nil, fmt.Errorf("analytic: port %d.%d has non-positive rate %v", k.node, k.port, link.RateBps)
+	// Pass 1: accumulate per-egress-port demand over every flow's
+	// forward and echo legs.
+	base := in.G.PortBase()
+	ports := make([]portState, base[len(base)-1])
+	loaded := 0
+	accumulate := func(leg topo.Leg) {
+		for i, port := range leg.Ports {
+			st := &ports[base[leg.Nodes[i]]+port]
+			if st.flows == 0 {
+				loaded++
+			}
+			st.lambda += in.FlowRate
+			st.flows++
 		}
-		mu := link.RateBps / (8 * in.MeanPktBytes)
-		pl := PortLoad{Node: k.node, Port: k.port, Lambda: d.lambda, Mu: mu, Flows: d.flows}
-		if d.lambda > 0 {
-			pl.Rho = d.lambda / mu
-			if pl.Rho >= 1 {
-				return nil, fmt.Errorf("analytic: port %d.%d offered rho %.3f (lambda %.0f pps, mu %.0f pps): %w",
-					k.node, k.port, pl.Rho, d.lambda, mu, ErrUnstable)
+	}
+	for _, f := range in.Flows {
+		fi := in.RT.FlowIndex(f.FlowID)
+		if fi < 0 {
+			return nil, fmt.Errorf("analytic: flow %d has no route", f.FlowID)
+		}
+		accumulate(in.RT.Forward(fi))
+		accumulate(in.RT.Echo(fi))
+	}
+
+	// Pass 2: solve each loaded port as a G/G/1 queue, in (node, port)
+	// order. The solves are independent, so the order only decides which
+	// saturated port an ErrUnstable names and the order of est.Ports.
+	est := &Estimate{
+		Paths: make(map[string]*PathEstimate, len(in.Flows)),
+		Ports: make([]PortLoad, 0, loaded),
+	}
+	for node, links := range in.G.Ports {
+		for port, link := range links {
+			st := &ports[int(base[node])+port]
+			if st.flows == 0 {
+				continue
 			}
-			// Whitt's superposition approximation: merging n
-			// equal-rate renewal streams pulls the aggregate SCV
-			// toward 1 (Poisson) as n grows and utilization falls.
-			ca2 := in.CA2
-			if d.flows > 1 {
-				w := 1 / (1 + 4*(1-pl.Rho)*(1-pl.Rho)*float64(d.flows-1))
-				ca2 = w*in.CA2 + (1 - w)
+			if !(link.RateBps > 0) {
+				return nil, fmt.Errorf("analytic: port %d.%d has non-positive rate %v", node, port, link.RateBps)
 			}
-			wait, err := queueing.KingmanGG1Wait(d.lambda, mu, ca2, in.CS2)
-			if err != nil {
-				return nil, err
-			}
-			pl.WaitSec = wait
-			if in.Buffer > 0 {
-				b, err := queueing.MM1KBlocking(d.lambda, mu, in.Buffer)
+			mu := link.RateBps / (8 * in.MeanPktBytes)
+			pl := PortLoad{Node: node, Port: port, Lambda: st.lambda, Mu: mu, Flows: int(st.flows)}
+			if st.lambda > 0 {
+				pl.Rho = st.lambda / mu
+				if pl.Rho >= 1 {
+					return nil, fmt.Errorf("analytic: port %d.%d offered rho %.3f (lambda %.0f pps, mu %.0f pps): %w",
+						node, port, pl.Rho, st.lambda, mu, ErrUnstable)
+				}
+				// Whitt's superposition approximation: merging n
+				// equal-rate renewal streams pulls the aggregate SCV
+				// toward 1 (Poisson) as n grows and utilization falls.
+				ca2 := in.CA2
+				if st.flows > 1 {
+					w := 1 / (1 + 4*(1-pl.Rho)*(1-pl.Rho)*float64(st.flows-1))
+					ca2 = w*in.CA2 + (1 - w)
+				}
+				wait, err := queueing.KingmanGG1Wait(st.lambda, mu, ca2, in.CS2)
 				if err != nil {
 					return nil, err
 				}
-				pl.Blocking = b
-				if b > est.MaxBlocking {
-					est.MaxBlocking = b
+				pl.WaitSec = wait
+				if in.Buffer > 0 {
+					b, err := queueing.MM1KBlocking(st.lambda, mu, in.Buffer)
+					if err != nil {
+						return nil, err
+					}
+					pl.Blocking = b
+					if b > est.MaxBlocking {
+						est.MaxBlocking = b
+					}
+				}
+				if pl.Rho > est.MaxRho {
+					est.MaxRho = pl.Rho
 				}
 			}
-			if pl.Rho > est.MaxRho {
-				est.MaxRho = pl.Rho
-			}
+			st.wait = pl.WaitSec
+			est.Ports = append(est.Ports, pl)
 		}
-		waits[k] = pl.WaitSec
-		est.Ports = append(est.Ports, pl)
 	}
-	sort.Slice(est.Ports, func(i, j int) bool {
-		if est.Ports[i].Node != est.Ports[j].Node {
-			return est.Ports[i].Node < est.Ports[j].Node
-		}
-		return est.Ports[i].Port < est.Ports[j].Port
-	})
 
 	// Pass 3: sum each path's legs. Per-hop sojourn = queueing wait +
 	// transmission + propagation — exactly the DES composition (host
@@ -287,32 +248,27 @@ func Analyze(in Input) (*Estimate, error) {
 		mean, det, wvar float64
 		hops            int
 	}
-	sumLegs := func(fid int, nodes []int) (acc, error) {
+	sumLeg := func(leg topo.Leg) acc {
 		var a acc
-		err := legWalk(in.G, in.RT, fid, nodes, func(node, port int) error {
-			link := in.G.Ports[node][port]
-			w := waits[portKey{node, port}]
+		for i, port := range leg.Ports {
+			node := leg.Nodes[i]
+			link := &in.G.Ports[node][port]
+			w := ports[base[node]+port].wait
 			det := transPerBit/link.RateBps + link.Delay
 			a.mean += w + det
 			a.det += det
 			a.wvar += w * w
 			a.hops++
-			return nil
-		})
-		return a, err
+		}
+		return a
 	}
 	var meanSum float64
-	var nPaths int
-	for _, f := range in.Flows {
-		fwd, err := sumLegs(f.FlowID, in.RT.Paths[f.FlowID])
-		if err != nil {
-			return nil, err
-		}
-		rev, err := sumLegs(f.FlowID, in.RT.PathsRev[f.FlowID])
-		if err != nil {
-			return nil, err
-		}
-		pe := &PathEstimate{
+	pes := make([]PathEstimate, len(in.Flows))
+	for i, f := range in.Flows {
+		fi := in.RT.FlowIndex(f.FlowID)
+		fwd, rev := sumLeg(in.RT.Forward(fi)), sumLeg(in.RT.Echo(fi))
+		pe := &pes[i]
+		*pe = PathEstimate{
 			Key:         des.PathKey(f.Src, f.Dst),
 			Hops:        fwd.hops,
 			MeanFwdSec:  fwd.mean,
@@ -338,10 +294,9 @@ func Analyze(in Input) (*Estimate, error) {
 			}
 		}
 		meanSum += fwd.mean + rev.mean
-		nPaths++
 	}
-	if nPaths > 0 {
-		est.MeanRTTSec = meanSum / float64(nPaths)
+	if len(in.Flows) > 0 {
+		est.MeanRTTSec = meanSum / float64(len(in.Flows))
 	}
 	return est, nil
 }

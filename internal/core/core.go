@@ -255,9 +255,19 @@ func (s *Sim) genPackets(duration float64) ([]*packet, error) {
 	var pkts []*packet
 	var id uint64
 	for _, f := range s.flows {
-		path := s.RT.Paths[f.FlowID]
-		if len(path) < 2 {
+		fi := s.RT.FlowIndex(f.FlowID)
+		if fi < 0 {
 			return nil, fmt.Errorf("core: flow %d has no routed path", f.FlowID)
+		}
+		// Every packet of the flow crosses the same devices, so they all
+		// share one read-only hop list. The echo leg follows the routed
+		// reverse path: ECMP tie-breaks differ by direction, so it need
+		// not be the reversed forward path (it must match the DES exactly).
+		fwd, echo := s.RT.Forward(fi), s.RT.Echo(fi)
+		hops := s.legHops(make([]hop, 0, len(fwd.Ports)+len(echo.Ports)), fwd)
+		fwdHops := len(hops)
+		if s.Cfg.Echo {
+			hops = s.legHops(hops, echo)
 		}
 		stop := f.Stop
 		if stop <= 0 || stop > duration {
@@ -274,19 +284,7 @@ func (s *Sim) genPackets(duration float64) ([]*packet, error) {
 			p := &packet{
 				id: id, flow: f.FlowID, size: size, class: f.Class,
 				weight: f.Weight, proto: f.Proto, create: t,
-				src: f.Src, dst: f.Dst,
-			}
-			p.hops = s.pathHops(path, f.FlowID)
-			p.fwdHops = len(p.hops)
-			if s.Cfg.Echo {
-				// The echo leg follows the routed reverse path: ECMP
-				// tie-breaks differ by direction, so it need not be the
-				// reversed forward path (it must match the DES exactly).
-				rev := s.RT.PathsRev[f.FlowID]
-				if len(rev) == 0 {
-					rev = reversePath(path)
-				}
-				p.hops = append(p.hops, s.pathHops(rev, f.FlowID)...)
+				src: f.Src, dst: f.Dst, hops: hops, fwdHops: fwdHops,
 			}
 			p.arrive = make([]float64, len(p.hops))
 			p.sojourn = make([]float64, len(p.hops))
@@ -297,41 +295,19 @@ func (s *Sim) genPackets(duration float64) ([]*packet, error) {
 	return pkts, nil
 }
 
-// pathHops expands one direction of a routed node path into device hops:
-// the source host's egress followed by each switch traversal. Hosts have
-// exactly one port (port 0).
-func (s *Sim) pathHops(path []int, flowID int) []hop {
-	hops := make([]hop, 0, len(path)-1)
-	// Source host egress.
-	src := path[0]
-	hostPort := s.G.Ports[src][0]
-	hops = append(hops, hop{
-		device: src, isHost: true, inPort: -1, outPort: 0,
-		rateBps: hostPort.RateBps, linkDelay: hostPort.Delay,
-	})
-	inPort := hostPort.PeerPort
-	for i := 1; i+1 < len(path); i++ {
-		sw := path[i]
-		out := s.RT.Lookup(sw, flowID, inPort)
-		if out < 0 {
-			// Shouldn't happen with validated routing; drop marker.
-			out = 0
-		}
-		port := s.G.Ports[sw][out]
+// legHops appends one routed leg's device hops to hops: the source
+// host's egress followed by each switch traversal, each leaving through
+// the port the routing chose for it.
+func (s *Sim) legHops(hops []hop, leg topo.Leg) []hop {
+	inPort := -1
+	for i, out := range leg.Ports {
+		dev := int(leg.Nodes[i])
+		port := s.G.Ports[dev][out]
 		hops = append(hops, hop{
-			device: sw, isHost: false, inPort: inPort, outPort: out,
+			device: dev, isHost: i == 0, inPort: inPort, outPort: int(out),
 			rateBps: port.RateBps, linkDelay: port.Delay,
 		})
 		inPort = port.PeerPort
 	}
 	return hops
-}
-
-// reversePath reverses a node path (the echo leg).
-func reversePath(path []int) []int {
-	out := make([]int, len(path))
-	for i, n := range path {
-		out[len(path)-1-i] = n
-	}
-	return out
 }

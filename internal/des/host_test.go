@@ -87,7 +87,7 @@ func TestBuildRejectsMultiPortHost(t *testing.T) {
 			t.Fatal("expected panic for multi-port host")
 		}
 	}()
-	Build(g, &topo.Routing{NextPort: map[int]map[topo.PortFlowKey]int{}}, NetConfig{Sched: SchedConfig{Kind: FIFO}})
+	Build(g, &topo.Routing{}, NetConfig{Sched: SchedConfig{Kind: FIFO}})
 }
 
 func TestHostEgressSerializesBursts(t *testing.T) {

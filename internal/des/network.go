@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"strconv"
 
 	"deepqueuenet/internal/metrics"
 	"deepqueuenet/internal/topo"
@@ -111,8 +112,14 @@ func (n *Network) AddFlow(src int, f Flow) {
 // Run advances simulated time to until.
 func (n *Network) Run(until float64) { n.Sim.Run(until) }
 
-// PathKey formats the per-path sample key used by metrics.Compare.
-func PathKey(src, dst int) string { return fmt.Sprintf("%d->%d", src, dst) }
+// PathKey formats the per-path sample key used by metrics.Compare,
+// "src->dst".
+func PathKey(src, dst int) string {
+	var buf [42]byte // two 64-bit decimals with sign, plus the arrow
+	b := strconv.AppendInt(buf[:0], int64(src), 10)
+	b = append(b, "->"...)
+	return string(strconv.AppendInt(b, int64(dst), 10))
+}
 
 // PathDelays extracts per-path delay samples from the recorded
 // deliveries. With rtt true it collects round-trip (echo-leg) records;

@@ -196,31 +196,28 @@ func NewScenario(name string, g *topo.Graph, sched des.SchedConfig, model traffi
 	return s, nil
 }
 
-// calibrate computes the per-flow load from the worst-case link sharing.
+// calibrate computes the per-flow load from the worst-case link sharing:
+// the largest number of flow legs on one directed node-to-node link,
+// counting each flow's forward leg and its reversal as the echo leg.
 func (s *Scenario) calibrate() {
-	type dirLink struct{ a, b int }
-	share := map[dirLink]int{}
-	count := func(path []int) {
-		for i := 0; i+1 < len(path); i++ {
-			share[dirLink{path[i], path[i+1]}]++
+	base, linkOf := s.G.PortBase(), s.G.LinkOf()
+	share := make([]int32, len(linkOf))
+	most := int32(1)
+	count := func(node, port int32) {
+		l := linkOf[base[node]+port]
+		share[l]++
+		if share[l] > most {
+			most = share[l]
 		}
 	}
-	for _, f := range s.Flows {
-		p := s.RT.Paths[f.FlowID]
-		count(p)
-		rev := make([]int, len(p))
-		for i := range p {
-			rev[len(p)-1-i] = p[i]
-		}
-		count(rev) // echo leg
-	}
-	max := 1
-	for _, c := range share {
-		if c > max {
-			max = c
+	for i := range s.Flows {
+		fwd := s.RT.Forward(i)
+		for j, port := range fwd.Ports {
+			count(fwd.Nodes[j], port)
+			count(fwd.Nodes[j+1], int32(s.G.Ports[fwd.Nodes[j]][port].PeerPort))
 		}
 	}
-	s.perFlowLoad = s.Load / float64(max)
+	s.perFlowLoad = s.Load / float64(most)
 }
 
 const (

@@ -54,32 +54,30 @@ type Scenario struct {
 func (s *Scenario) Features() []PathFeature {
 	// Link loads: accumulate every flow's offered load on each directed
 	// link of its forward path, in units of the link's capacity.
-	type dirLink struct{ node, port int }
-	loads := map[dirLink]float64{}
-	share := map[dirLink]int{}
+	base, linkOf := s.G.PortBase(), s.G.LinkOf()
+	loads := make([]float64, len(linkOf))
+	share := make([]int, len(linkOf))
+	forward := func(f topo.FlowDef) topo.Leg {
+		if i := s.RT.FlowIndex(f.FlowID); i >= 0 {
+			return s.RT.Forward(i)
+		}
+		return topo.Leg{}
+	}
 	for _, f := range s.Flows {
-		path := s.RT.Paths[f.FlowID]
-		for i := 0; i+1 < len(path); i++ {
-			port := portToward(s.G, path[i], path[i+1], s.RT, f.FlowID)
-			if port < 0 {
-				continue
-			}
-			l := dirLink{path[i], port}
+		path := forward(f)
+		for i, port := range path.Ports {
+			l := linkOf[base[path.Nodes[i]]+port]
 			loads[l] += s.Loads[f.FlowID]
 			share[l]++
 		}
 	}
 	out := make([]PathFeature, 0, len(s.Flows))
 	for _, f := range s.Flows {
-		path := s.RT.Paths[f.FlowID]
+		path := forward(f)
 		var sum, max, fanin float64
 		n := 0
-		for i := 0; i+1 < len(path); i++ {
-			port := portToward(s.G, path[i], path[i+1], s.RT, f.FlowID)
-			if port < 0 {
-				continue
-			}
-			l := dirLink{path[i], port}
+		for i, port := range path.Ports {
+			l := linkOf[base[path.Nodes[i]]+port]
 			v := loads[l]
 			sum += v
 			if v > max {
@@ -94,43 +92,26 @@ func (s *Scenario) Features() []PathFeature {
 		if n > 0 {
 			mean = sum / float64(n)
 		}
-		pf := PathFeature{Key: pathKey(path)}
+		pf := PathFeature{Key: pathKey(path.Nodes)}
 		pf.Vals = [NumFeatures]float64{
-			s.Loads[f.FlowID],      // offered rate
-			float64(len(path) - 2), // switch hops
-			sum, max, mean,         // aggregated link states
-			fanin,                      // worst-link flow fan-in
-			sum - max,                  // residual congestion signal
-			max * float64(len(path)-2), // depth-weighted bottleneck
+			s.Loads[f.FlowID],            // offered rate
+			float64(len(path.Nodes) - 2), // switch hops
+			sum, max, mean,               // aggregated link states
+			fanin,                            // worst-link flow fan-in
+			sum - max,                        // residual congestion signal
+			max * float64(len(path.Nodes)-2), // depth-weighted bottleneck
 		}
 		out = append(out, pf)
 	}
 	return out
 }
 
-// portToward returns the egress port of node cur along flow flowID
-// toward next, or the host port for hosts.
-func portToward(g *topo.Graph, cur, next int, rt *topo.Routing, flowID int) int {
-	if g.Kinds[cur] == topo.Host {
-		return 0
-	}
-	for pi, p := range g.Ports[cur] {
-		if p.Peer == next {
-			// Verify against routing where installed.
-			return pi
-		}
-	}
-	_ = rt
-	_ = flowID
-	return -1
-}
-
-func pathKey(path []int) string {
+func pathKey(path []int32) string {
 	if len(path) < 2 {
 		return ""
 	}
 	// Mirror des.PathKey's "src->dst" format.
-	return itoa(path[0]) + "->" + itoa(path[len(path)-1])
+	return itoa(int(path[0])) + "->" + itoa(int(path[len(path)-1]))
 }
 
 func itoa(v int) string {

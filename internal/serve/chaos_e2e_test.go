@@ -481,19 +481,23 @@ func TestChaosBrownoutConvertsShedToAnalytic(t *testing.T) {
 		}, g)
 		h := srv.Handler()
 
-		// Saturate: one request parks the worker at the gate, one fills
-		// the single queue slot.
+		// Saturate: one request parks the worker at the gate, then one
+		// fills the single queue slot. The second is sent only once the
+		// worker has taken the first off the queue; sent together, the
+		// second could find the slot still occupied and be shed.
 		var occupiers sync.WaitGroup
-		for i := 0; i < 2; i++ {
+		occupy := func(seed uint64) {
 			occupiers.Add(1)
-			go func(seed uint64) {
+			go func() {
 				defer occupiers.Done()
 				if rec := postSim(h, simBody(seed)); rec.Code != http.StatusOK {
 					t.Errorf("occupier %d: status %d", seed, rec.Code)
 				}
-			}(uint64(100 + i))
+			}()
 		}
+		occupy(100)
 		<-g.started
+		occupy(101)
 		deadline := time.Now().Add(5 * time.Second)
 		for srv.Snapshot().Accepted < 2 {
 			if !time.Now().Before(deadline) {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"deepqueuenet/internal/analytic"
 	"deepqueuenet/internal/guard"
 )
 
@@ -219,6 +220,12 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Kind: "breaker_open"})
 	case errors.Is(err, ErrBadRequest):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Kind: "bad_request"})
+	case errors.Is(err, analytic.ErrUnstable):
+		// The scenario offers some port more than its capacity: a
+		// well-formed request with no steady-state answer, not a server
+		// fault. Reaches clients from the fast tier, which has no lower
+		// rung to fall to.
+		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Kind: "unstable"})
 	case errors.Is(err, guard.ErrDeadline):
 		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error(), Kind: "deadline"})
 	case errors.Is(err, guard.ErrCanceled):

@@ -168,3 +168,48 @@ func postSimBody(h http.Handler, body string) *httptest.ResponseRecorder {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/simulate", strings.NewReader(body)))
 	return rec
 }
+
+// TestUnstableScenarioIs422 is the regression test for saturated
+// scenarios surfacing as server failures: a fidelity:"fast" request whose
+// flow pattern offers some port more than its capacity used to come back
+// as HTTP 500 kind "failure". It is a well-formed request without a
+// steady-state answer: 422 kind "unstable", counted once under failed
+// (the accounting identity holds), with no breaker or run-time estimate
+// touched.
+func TestUnstableScenarioIs422(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, QueueDepth: 1}, &ScenarioRunner{})
+	t.Cleanup(func() { drainServer(t, s) })
+	h := s.Handler()
+
+	// Abilene's flow pattern for seed 10 piles more echo legs onto one
+	// port than the calibration's reversed-forward-path count assumes
+	// (testdata/golden/routing_bits.json records it as unstable).
+	rec := postSimBody(h, `{"topo":"abilene","load":0.7,"seed":10,"fidelity":"fast"}`)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("saturated scenario: status %d, want 422 (body %s)", rec.Code, rec.Body.String())
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatal(err)
+	}
+	if eb.Kind != "unstable" || !strings.Contains(eb.Error, "rho") {
+		t.Fatalf("error body = %+v, want kind unstable naming the saturated port", eb)
+	}
+
+	// The same topology at a seed that fits still answers.
+	rec = postSimBody(h, `{"topo":"abilene","load":0.7,"seed":1,"fidelity":"fast"}`)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-DQN-Fidelity") != "analytic" {
+		t.Fatalf("stable scenario: status %d fidelity %q (body %s)", rec.Code, rec.Header().Get("X-DQN-Fidelity"), rec.Body.String())
+	}
+
+	st := s.Snapshot()
+	if st.Received != 2 || st.Completed != 1 || st.Failed != 1 {
+		t.Fatalf("received %d completed %d failed %d, want 2/1/1", st.Received, st.Completed, st.Failed)
+	}
+	if sum := st.Completed + st.Failed + st.Shed + st.Rejected + st.Canceled + st.Deadline; sum != st.Received {
+		t.Fatalf("accounting identity broken: outcomes sum to %d, received %d", sum, st.Received)
+	}
+	if len(st.Breakers) != 0 || s.OpenBreakers() != 0 || st.AvgRunMs != 0 {
+		t.Fatalf("unstable answer touched breaker/EWMA state: breakers %v avg_run_ms %v", st.Breakers, st.AvgRunMs)
+	}
+}

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
@@ -153,5 +155,59 @@ func TestRegistryLRUBound(t *testing.T) {
 	mr.mu.Unlock()
 	if !newest || oldest || !def {
 		t.Fatalf("LRU order wrong: newest=%v oldest=%v default=%v", newest, oldest, def)
+	}
+}
+
+// TestTopoCacheBound pins the runner's named-topology cache (graph +
+// checkpoint digest, one entry per name) at the registry's entry bound
+// and at its size bound: a client walking distinct topology names cannot
+// grow it, every drop is counted, and a cached name resolves to the same
+// shared graph.
+func TestTopoCacheBound(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := &ScenarioRunner{CacheEvictions: reg.Counter("dqn_runner_cache_evictions_total", "test")}
+	const names = 200
+	for i := 0; i < names; i++ {
+		req := &Request{Topo: fmt.Sprintf("line%d", i+2), Fidelity: "fast"}
+		if _, err := r.Run(context.Background(), req, RunAnalytic); err != nil {
+			t.Fatalf("%s: %v", req.Topo, err)
+		}
+		r.mu.Lock()
+		n, pairs := len(r.topos), 0
+		for _, nt := range r.topos {
+			pairs += nt.g.NumNodes() * nt.g.NumNodes()
+		}
+		r.mu.Unlock()
+		if n > maxModelEntries || pairs > maxCachedTopoPairs {
+			t.Fatalf("after %d names: %d topologies (bound %d), %d node pairs (bound %d)",
+				i+1, n, maxModelEntries, pairs, maxCachedTopoPairs)
+		}
+	}
+	// Every name was inserted once, so whatever is not cached was evicted.
+	if got, want := r.CacheEvictions.Value(), uint64(names-len(r.topos)); got != want || got < names-maxModelEntries {
+		t.Fatalf("evictions = %d, want %d (>= %d)", got, want, names-maxModelEntries)
+	}
+
+	a, err := r.topology("fattree16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.topology("fattree16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("a cached topology name resolved to two different graphs")
+	}
+	if a.topoDigest() == "" || a.topoDigest() != checkpoint.TopoDigest(a.g) {
+		t.Fatal("cached digest disagrees with checkpoint.TopoDigest")
+	}
+	// A graph that cannot fit the size bound even alone is never kept.
+	big, err := r.topology("line2000")
+	if err != nil || big.g.NumNodes()*big.g.NumNodes() <= maxCachedTopoPairs {
+		t.Fatalf("line2000: err %v, %d nodes", err, big.g.NumNodes())
+	}
+	if again, _ := r.topology("line2000"); again == big {
+		t.Fatal("a topology above maxCachedTopoPairs was kept")
 	}
 }

@@ -226,13 +226,39 @@ type ScenarioRunner struct {
 	// concurrent jobs sharing a model coalesce onto one warm worker.
 	Plane *plane.Plane
 	// CacheEvictions, when non-nil, counts runner cache entries dropped
-	// by the LRU bounds (model registry and topology digests).
+	// by the cache bounds (model registry and named topologies).
 	CacheEvictions *obs.Counter
 
 	registry modelRegistry
 
-	mu          sync.Mutex
-	topoDigests map[string]string
+	mu    sync.Mutex
+	topos map[string]*namedTopo
+}
+
+// maxCachedTopoPairs bounds the topology cache by size as well as by
+// count: a graph's compiled routing fabric grows with the square of its
+// node count (about 16 bytes per node pair), so the cached graphs'
+// summed node-pair count is held to what maxModelEntries 256-node
+// topologies would need, roughly 64 MiB. Every topology of the paper's
+// evaluation is far below it (FatTree128 has 208 nodes); a graph too
+// large to fit even alone is rebuilt per request.
+const maxCachedTopoPairs = maxModelEntries * 256 * 256
+
+// namedTopo is one topology of the request grammar, shared by every
+// request that names it: the graph, which carries its own compiled
+// routing fabric, and the checkpoint digest durable jobs need.
+type namedTopo struct {
+	g     *topo.Graph
+	pairs int // NumNodes()², the unit of maxCachedTopoPairs
+
+	digestOnce sync.Once
+	digest     string
+}
+
+// topoDigest returns the graph's checkpoint digest, computed on first use.
+func (t *namedTopo) topoDigest() string {
+	t.digestOnce.Do(func() { t.digest = checkpoint.TopoDigest(t.g) })
+	return t.digest
 }
 
 // entry resolves the warm registry entry for a model path. Cold-start
@@ -306,42 +332,57 @@ func (r *ScenarioRunner) deviceWrap(req *Request) func(int, core.DeviceModel) co
 	}
 }
 
-// topoDigestFor caches the topology digest by topology name (the
-// request grammar is deterministic: one name, one graph). The cache is
-// count-bounded like the registry; past the bound an arbitrary entry is
-// dropped — recomputation is cheap.
-func (r *ScenarioRunner) topoDigestFor(name string, g *topo.Graph) string {
+// topology resolves a topology name through the runner's cache (the
+// request grammar is deterministic: one name, one graph), so a named
+// topology is built and compiled for routing once per process rather
+// than once per request. The cache is bounded in count like the registry
+// and in size by maxCachedTopoPairs; past either bound arbitrary entries
+// are dropped — rebuilding is cheap.
+func (r *ScenarioRunner) topology(name string) (*namedTopo, error) {
 	r.mu.Lock()
-	d, ok := r.topoDigests[name]
+	t := r.topos[name]
 	r.mu.Unlock()
-	if ok {
-		return d
+	if t != nil {
+		return t, nil
 	}
-	d = checkpoint.TopoDigest(g)
+	g, err := experiments.TopoByName(name)
+	if err != nil {
+		return nil, err
+	}
+	t = &namedTopo{g: g, pairs: g.NumNodes() * g.NumNodes()}
+	if t.pairs > maxCachedTopoPairs {
+		return t, nil
+	}
 	r.mu.Lock()
-	if r.topoDigests == nil {
-		r.topoDigests = make(map[string]string)
+	defer r.mu.Unlock()
+	if prev := r.topos[name]; prev != nil {
+		// A concurrent first request won the build; share its graph.
+		return prev, nil
 	}
-	if _, ok := r.topoDigests[name]; !ok && len(r.topoDigests) >= maxModelEntries {
-		for k := range r.topoDigests {
-			delete(r.topoDigests, k)
+	if r.topos == nil {
+		r.topos = make(map[string]*namedTopo)
+	}
+	pairs := t.pairs
+	for _, old := range r.topos {
+		pairs += old.pairs
+	}
+	for k, old := range r.topos {
+		if len(r.topos) < maxModelEntries && pairs <= maxCachedTopoPairs {
 			break
 		}
+		delete(r.topos, k)
+		pairs -= old.pairs
 		if r.CacheEvictions != nil {
 			r.CacheEvictions.Inc()
 		}
 	}
-	r.topoDigests[name] = d
-	r.mu.Unlock()
-	return d
+	r.topos[name] = t
+	return t, nil
 }
 
-// scenario builds and calibrates the scenario a request describes.
-func (r *ScenarioRunner) scenario(req *Request) (*experiments.Scenario, error) {
-	g, err := experiments.TopoByName(req.Topo)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-	}
+// scenario builds and calibrates the scenario a request describes over
+// its (already resolved) topology.
+func (r *ScenarioRunner) scenario(req *Request, g *topo.Graph) (*experiments.Scenario, error) {
 	schedName := req.Sched
 	if schedName == "" {
 		schedName = "fifo"
@@ -391,7 +432,11 @@ func (r *ScenarioRunner) scenario(req *Request) (*experiments.Scenario, error) {
 // Run implements Runner.
 func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*Result, error) {
 	start := time.Now()
-	sc, err := r.scenario(req)
+	nt, err := r.topology(req.Topo)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	sc, err := r.scenario(req, nt.g)
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +499,7 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		}
 		w := &checkpoint.Writer{
 			Path:        req.CheckpointPath,
-			TopoDigest:  r.topoDigestFor(req.Topo, sc.G),
+			TopoDigest:  nt.topoDigest(),
 			ModelDigest: modelDigest,
 			Seed:        sc.Seed,
 			NoSync:      r.NoSyncCheckpoints,

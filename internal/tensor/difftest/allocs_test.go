@@ -54,6 +54,11 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 		{"ExpSlice", func() { tensor.ExpSlice(ys, xs) }},
 		{"SigmoidSlice", func() { tensor.SigmoidSlice(ys, xs) }},
 		{"TanhSlice", func() { tensor.TanhSlice(ys, xs) }},
+		// Length 10 (the trained model's second BLSTM width) ends in a
+		// 2-element remainder past the last full 4-lane group.
+		{"ExpSlice remainder", func() { tensor.ExpSlice(ys[:10], xs[:10]) }},
+		{"SigmoidSlice remainder", func() { tensor.SigmoidSlice(ys[:10], xs[:10]) }},
+		{"TanhSlice remainder", func() { tensor.TanhSlice(ys[:10], xs[:10]) }},
 		{"GatesInto", func() { nn.GatesInto(zr, gb, gc, gh) }},
 		{"QMatMulInto", func() { tensor.QMatMulInto(dstf, af, q) }},
 		{"QMatMulBiasActInto", func() { tensor.QMatMulBiasActInto(dstf, af, q, nil, tensor.ActTanh) }},

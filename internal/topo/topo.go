@@ -11,6 +11,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Kind distinguishes traffic endpoints from forwarding devices.
@@ -32,10 +33,19 @@ type Port struct {
 }
 
 // Graph is a topology: node kinds/names and per-node ordered port lists.
+//
+// Everything about a graph that routing needs and that no flow set can
+// change is compiled once, on first use, into an immutable fabric (see
+// fabric.go). AddNode and Connect discard it, so a graph may still be
+// extended after it has been routed; a graph that is no longer mutated
+// is safe for concurrent Route/Diameter calls.
 type Graph struct {
 	Kinds []Kind
 	Names []string
 	Ports [][]Port
+
+	once sync.Once
+	fab  *fabric
 }
 
 // New returns an empty graph.
@@ -46,6 +56,7 @@ func (g *Graph) AddNode(k Kind, name string) int {
 	g.Kinds = append(g.Kinds, k)
 	g.Names = append(g.Names, name)
 	g.Ports = append(g.Ports, nil)
+	g.once, g.fab = sync.Once{}, nil
 	return len(g.Kinds) - 1
 }
 
@@ -60,6 +71,7 @@ func (g *Graph) Connect(a, b int, rateBps, delay float64) (aPort, bPort int) {
 	bPort = len(g.Ports[b])
 	g.Ports[a] = append(g.Ports[a], Port{Peer: b, PeerPort: bPort, RateBps: rateBps, Delay: delay})
 	g.Ports[b] = append(g.Ports[b], Port{Peer: a, PeerPort: aPort, RateBps: rateBps, Delay: delay})
+	g.once, g.fab = sync.Once{}, nil
 	return aPort, bPort
 }
 
@@ -76,7 +88,13 @@ func (g *Graph) Hosts() []int { return g.ofKind(Host) }
 func (g *Graph) Switches() []int { return g.ofKind(Switch) }
 
 func (g *Graph) ofKind(k Kind) []int {
-	var out []int
+	n := 0
+	for _, kind := range g.Kinds {
+		if kind == k {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
 	for i, kind := range g.Kinds {
 		if kind == k {
 			out = append(out, i)
@@ -98,176 +116,19 @@ func (g *Graph) MaxSwitchDegree() int {
 	return m
 }
 
-// bfs returns hop distances from src over the node graph (-1 when
-// unreachable).
-func (g *Graph) bfs(src int) []int {
-	dist := make([]int, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, p := range g.Ports[u] {
-			if dist[p.Peer] < 0 {
-				dist[p.Peer] = dist[u] + 1
-				queue = append(queue, p.Peer)
-			}
-		}
-	}
-	return dist
-}
-
 // Diameter returns the maximum finite hop distance between any two nodes.
 // This is the IRSA iteration bound of Theorem 3.1.
-func (g *Graph) Diameter() int {
-	d := 0
-	for i := 0; i < g.NumNodes(); i++ {
-		for _, v := range g.bfs(i) {
-			if v > d {
-				d = v
-			}
-		}
-	}
-	return d
-}
+func (g *Graph) Diameter() int { return g.fabric().diameter }
 
 // Connected reports whether every node can reach every other node.
 func (g *Graph) Connected() bool {
-	if g.NumNodes() == 0 {
-		return true
-	}
-	for _, v := range g.bfs(0) {
-		if v < 0 {
+	fb := g.fabric()
+	for _, d := range fb.dist[:fb.n] { // the field toward node 0
+		if d < 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// FlowDef names one unidirectional flow for routing purposes.
-type FlowDef struct {
-	FlowID   int
-	Src, Dst int // host node IDs
-}
-
-// PortFlowKey is the paper's forward(fid, in_port) lookup key (Eq. 6).
-// Keying on the ingress port distinguishes the forward leg from the echo
-// leg when both traverse the same switch.
-type PortFlowKey struct {
-	FlowID int
-	InPort int
-}
-
-// Routing holds per-device forwarding decisions and per-flow paths.
-type Routing struct {
-	// NextPort maps device ID -> (flow, ingress port) -> egress port.
-	// Flows are routed bidirectionally (the echo leg).
-	NextPort map[int]map[PortFlowKey]int
-	// Paths maps flow ID -> forward-direction node sequence (src host,
-	// switches…, dst host).
-	Paths map[int][]int
-	// PathsRev maps flow ID -> echo-leg node sequence (dst host back to
-	// src host). ECMP tie-breaks are direction-dependent, so the reverse
-	// route is not necessarily the reversed forward route.
-	PathsRev map[int][]int
-}
-
-// Lookup returns the egress port for (device, flow, inPort), trying the
-// exact ingress port first and falling back to a wildcard (-1) entry.
-// It returns -1 when no route is installed.
-func (rt *Routing) Lookup(device, flowID, inPort int) int {
-	m := rt.NextPort[device]
-	if m == nil {
-		return -1
-	}
-	if p, ok := m[PortFlowKey{flowID, inPort}]; ok {
-		return p
-	}
-	if p, ok := m[PortFlowKey{flowID, -1}]; ok {
-		return p
-	}
-	return -1
-}
-
-// Route computes shortest-path routes for all flows, in both directions
-// (so echo replies are routable). Equal-cost ties are broken
-// deterministically by a hash of the flow ID, giving per-flow ECMP.
-func (g *Graph) Route(flows []FlowDef) (*Routing, error) {
-	rt := &Routing{NextPort: make(map[int]map[PortFlowKey]int),
-		Paths: make(map[int][]int), PathsRev: make(map[int][]int)}
-	distTo := make(map[int][]int) // dst -> distance field
-	field := func(dst int) []int {
-		if d, ok := distTo[dst]; ok {
-			return d
-		}
-		d := g.bfs(dst)
-		distTo[dst] = d
-		return d
-	}
-	for _, f := range flows {
-		if f.Src == f.Dst {
-			return nil, fmt.Errorf("topo: flow %d has identical endpoints", f.FlowID)
-		}
-		fwd, err := g.routeOne(f.FlowID, f.Src, f.Dst, field(f.Dst), rt)
-		if err != nil {
-			return nil, err
-		}
-		rt.Paths[f.FlowID] = fwd
-		rev, err := g.routeOne(f.FlowID, f.Dst, f.Src, field(f.Src), rt)
-		if err != nil {
-			return nil, err
-		}
-		rt.PathsRev[f.FlowID] = rev
-	}
-	return rt, nil
-}
-
-// routeOne installs next-port entries along one shortest path from src to
-// dst, using dist (the BFS field rooted at dst) for next-hop selection.
-func (g *Graph) routeOne(flowID, src, dst int, dist []int, rt *Routing) ([]int, error) {
-	if dist[src] < 0 {
-		return nil, fmt.Errorf("topo: flow %d: no path %d -> %d", flowID, src, dst)
-	}
-	path := []int{src}
-	cur := src
-	inPort := -1
-	for cur != dst {
-		// Candidate ports that descend the distance field.
-		var cands []int
-		for pi, p := range g.Ports[cur] {
-			if dist[p.Peer] == dist[cur]-1 {
-				cands = append(cands, pi)
-			}
-		}
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("topo: flow %d: dead end at node %d", flowID, cur)
-		}
-		pick := cands[ecmpHash(flowID, cur)%uint64(len(cands))]
-		if g.Kinds[cur] == Switch {
-			m := rt.NextPort[cur]
-			if m == nil {
-				m = make(map[PortFlowKey]int)
-				rt.NextPort[cur] = m
-			}
-			key := PortFlowKey{flowID, inPort}
-			if prev, ok := m[key]; ok && prev != pick {
-				// The forward and echo legs would need conflicting
-				// entries for the same (flow, in-port) state — possible
-				// only on pathological odd-cycle routings. Fail loudly
-				// rather than silently misroute one leg.
-				return nil, fmt.Errorf("topo: flow %d: conflicting forwarding entries at node %d in-port %d (%d vs %d)",
-					flowID, cur, inPort, prev, pick)
-			}
-			m[key] = pick
-		}
-		inPort = g.Ports[cur][pick].PeerPort
-		cur = g.Ports[cur][pick].Peer
-		path = append(path, cur)
-	}
-	return path, nil
 }
 
 // ecmpHash mixes flow ID and node ID into a deterministic ECMP choice.

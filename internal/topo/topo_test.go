@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,16 +112,16 @@ func TestRoutePathsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range flows {
-		path := rt.Paths[f.FlowID]
-		if path[0] != f.Src || path[len(path)-1] != f.Dst {
+	for fi, f := range flows {
+		path := rt.Forward(fi).Nodes
+		if int(path[0]) != f.Src || int(path[len(path)-1]) != f.Dst {
 			t.Fatalf("flow %d path endpoints %v", f.FlowID, path)
 		}
 		// Consecutive nodes must be adjacent.
 		for i := 0; i+1 < len(path); i++ {
 			adj := false
 			for _, p := range g.Ports[path[i]] {
-				if p.Peer == path[i+1] {
+				if p.Peer == int(path[i+1]) {
 					adj = true
 					break
 				}
@@ -201,14 +202,8 @@ func TestRouteDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt2, _ := g.Route(flows)
-	p1, p2 := rt1.Paths[1], rt2.Paths[1]
-	if len(p1) != len(p2) {
-		t.Fatal("nondeterministic path length")
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("nondeterministic routing")
-		}
+	if !slices.Equal(rt1.Forward(0).Nodes, rt2.Forward(0).Nodes) || !slices.Equal(rt1.Echo(0).Nodes, rt2.Echo(0).Nodes) {
+		t.Fatal("nondeterministic routing")
 	}
 }
 
@@ -221,7 +216,7 @@ func TestRouteRejectsSelfFlow(t *testing.T) {
 }
 
 func TestLookupMissing(t *testing.T) {
-	rt := &Routing{NextPort: map[int]map[PortFlowKey]int{}}
+	rt := &Routing{}
 	if p := rt.Lookup(5, 1, 0); p != -1 {
 		t.Fatalf("missing lookup returned %d", p)
 	}
@@ -241,8 +236,7 @@ func TestRouteIsShortest(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dist := g.bfs(hosts[j])
-		return len(rt.Paths[0])-1 == dist[hosts[i]]
+		return len(rt.Forward(0).Ports) == g.fabric().hops(hosts[i], hosts[j])
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -273,12 +267,9 @@ func TestReversePathsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range flows {
-		rev := rt.PathsRev[f.FlowID]
-		if len(rev) == 0 {
-			t.Fatalf("flow %d has no reverse path", f.FlowID)
-		}
-		if rev[0] != f.Dst || rev[len(rev)-1] != f.Src {
+	for fi, f := range flows {
+		rev := rt.Echo(fi).Nodes
+		if int(rev[0]) != f.Dst || int(rev[len(rev)-1]) != f.Src {
 			t.Fatalf("flow %d reverse endpoints %v", f.FlowID, rev)
 		}
 		// The reverse path must be consistent with the installed
@@ -296,8 +287,8 @@ func TestReversePathsValid(t *testing.T) {
 				}
 			}
 			p := g.Ports[cur][out]
-			if p.Peer != rev[i] {
-				t.Fatalf("flow %d: PathsRev disagrees with forwarding at hop %d", f.FlowID, i)
+			if p.Peer != int(rev[i]) {
+				t.Fatalf("flow %d: echo leg disagrees with forwarding at hop %d", f.FlowID, i)
 			}
 			inPort = p.PeerPort
 			cur = p.Peer
@@ -326,5 +317,155 @@ func TestLeafSpine(t *testing.T) {
 		if d != 4 && d != 10 {
 			t.Fatalf("unexpected switch degree %d", d)
 		}
+	}
+}
+
+// Property: the forwarding tables and the stored legs are two views of
+// one routing. At every forwarding hop of every leg, Lookup keyed by the
+// port the leg entered through returns exactly the stored egress port —
+// including where a flow's forward and echo legs cross the same switch
+// through different in-ports and leave by different ports.
+func TestLookupAgreesWithStoredPorts(t *testing.T) {
+	graphs := []*Graph{
+		Line(5, DefaultLAN),
+		Torus2D(3, 3, DefaultLAN),
+		Torus2D(4, 5, DefaultLAN),
+		FatTree(FatTree64, DefaultLAN),
+		LeafSpine(4, 3, 2, DefaultLAN),
+		Abilene(10e9),
+		Geant(10e9),
+	}
+	err := quick.Check(func(seed uint64) bool {
+		r := rng.New(seed)
+		g := graphs[r.Intn(len(graphs))]
+		hosts := g.Hosts()
+		var flows []FlowDef
+		for _, i := range r.Perm(len(hosts)) {
+			if j := r.Intn(len(hosts)); j != i {
+				// Sparse, unordered IDs: positions and IDs must not be confused.
+				flows = append(flows, FlowDef{FlowID: 1000 - 7*len(flows), Src: hosts[i], Dst: hosts[j]})
+			}
+		}
+		rt, err := g.Route(flows)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for fi, f := range flows {
+			if rt.FlowIndex(f.FlowID) != fi {
+				t.Logf("seed %d: FlowIndex(%d) = %d, want %d", seed, f.FlowID, rt.FlowIndex(f.FlowID), fi)
+				return false
+			}
+			for _, leg := range []Leg{rt.Forward(fi), rt.Echo(fi)} {
+				for i, out := range leg.Ports {
+					u := int(leg.Nodes[i])
+					if g.Kinds[u] != Switch {
+						continue
+					}
+					if got := rt.Lookup(u, f.FlowID, g.inPortAt(leg, i)); got != int(out) {
+						t.Logf("seed %d flow %d node %d in-port %d: Lookup %d, stored port %d",
+							seed, f.FlowID, u, g.inPortAt(leg, i), got, out)
+						return false
+					}
+				}
+			}
+		}
+		return rt.FlowIndex(-5) == -1 && rt.Lookup(g.Switches()[0], -5, 0) == -1
+	}, &quick.Config{MaxCount: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A flow that originates at a switch enters it through no port, so it
+// installs a wildcard (-1) entry there: Lookup must answer it for any
+// in-port, while entries installed with an exact in-port answer only
+// that port — and win over the wildcard where both exist.
+func TestLookupExactThenWildcard(t *testing.T) {
+	g := Line(4, DefaultLAN) // switches 0..3, hosts 4..7
+	rt, err := g.Route([]FlowDef{{FlowID: 9, Src: 0, Dst: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := rt.Forward(0)
+	if int(fwd.Nodes[0]) != 0 || g.Kinds[0] != Switch {
+		t.Fatalf("forward leg %v does not start at switch 0", fwd.Nodes)
+	}
+	first := int(fwd.Ports[0])
+	for _, inPort := range []int{-1, 0, 1, 5} {
+		if got := rt.Lookup(0, 9, inPort); got != first {
+			t.Fatalf("origin switch, in-port %d: Lookup %d, want the wildcard's port %d", inPort, got, first)
+		}
+	}
+	// Switch 1 is entered from switch 0: exact entry only.
+	in := g.inPortAt(fwd, 1)
+	if got := rt.Lookup(1, 9, in); got != int(fwd.Ports[1]) {
+		t.Fatalf("switch 1 in-port %d: Lookup %d, want %d", in, got, fwd.Ports[1])
+	}
+	if got := rt.Lookup(1, 9, -1); got != -1 {
+		t.Fatalf("switch 1 has no wildcard entry, Lookup(-1) = %d", got)
+	}
+	// The echo leg re-enters switch 1 from the other side and must be
+	// forwarded back toward switch 0, not onward like the forward leg.
+	echo := rt.Echo(0)
+	for i, u := range echo.Nodes[:len(echo.Ports)] {
+		if u != 1 {
+			continue
+		}
+		ein := g.inPortAt(echo, i)
+		if ein == in {
+			t.Fatalf("echo leg enters switch 1 through the forward leg's in-port %d", in)
+		}
+		if got := rt.Lookup(1, 9, ein); got != int(echo.Ports[i]) || got == int(fwd.Ports[1]) {
+			t.Fatalf("switch 1 echo in-port %d: Lookup %d, want %d (forward leg leaves by %d)",
+				ein, got, echo.Ports[i], fwd.Ports[1])
+		}
+	}
+	// Exact beats wildcard when one device holds both for a flow.
+	both := &Routing{g: g, devOff: []int32{0, 2}, table: []fwdEntry{{flow: 9, inPort: -1, out: 3}, {flow: 9, inPort: 2, out: 1}}}
+	both.tableOnce.Do(func() {})
+	if got := both.Lookup(0, 9, 2); got != 1 {
+		t.Fatalf("exact entry present: Lookup %d, want 1", got)
+	}
+	if got := both.Lookup(0, 9, 0); got != 3 {
+		t.Fatalf("no exact entry: Lookup %d, want the wildcard's 3", got)
+	}
+}
+
+func TestRouteRejectsDuplicateAndUnroutableFlows(t *testing.T) {
+	g := Line(3, DefaultLAN)
+	h := g.Hosts()
+	if _, err := g.Route([]FlowDef{{FlowID: 1, Src: h[0], Dst: h[1]}, {FlowID: 1, Src: h[1], Dst: h[2]}}); err == nil {
+		t.Fatal("duplicate flow IDs accepted: the forwarding tables are keyed by flow ID")
+	}
+	if _, err := g.Route([]FlowDef{{FlowID: 1, Src: h[0], Dst: g.NumNodes()}}); err == nil {
+		t.Fatal("flow to a node outside the graph accepted")
+	}
+	island := g.AddNode(Host, "island")
+	if _, err := g.Route([]FlowDef{{FlowID: 1, Src: h[0], Dst: island}}); err == nil {
+		t.Fatal("flow to an unreachable node accepted")
+	}
+}
+
+// A graph may still grow after it has been routed: AddNode and Connect
+// discard the compiled fabric, so later routes see the new links.
+func TestGraphExtendedAfterRouting(t *testing.T) {
+	g := Line(4, DefaultLAN) // s0-s1-s2-s3
+	h := g.Hosts()
+	flows := []FlowDef{{FlowID: 1, Src: h[0], Dst: h[3]}}
+	rt, err := g.Route(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rt.Forward(0).Ports); got != 5 || g.Diameter() != 5 {
+		t.Fatalf("line4: %d forward hops, diameter %d, want 5 and 5", got, g.Diameter())
+	}
+	g.Connect(0, 3, DefaultLAN.RateBps, DefaultLAN.Delay) // close the ring
+	rt, err = g.Route(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rt.Forward(0).Ports); got != 3 || g.Diameter() != 4 {
+		t.Fatalf("ring: %d forward hops, diameter %d, want 3 and 4", got, g.Diameter())
 	}
 }

@@ -165,23 +165,25 @@ func Analyze(g *topo.Graph, flows []topo.FlowDef, echo bool) (*topo.Routing, Sha
 	if err != nil {
 		return nil, Sharing{}, err
 	}
-	type dirLink struct{ a, b int }
-	share := map[dirLink]int{}
-	count := func(path []int) {
-		for i := 0; i+1 < len(path); i++ {
-			share[dirLink{path[i], path[i+1]}]++
+	base, linkOf := g.PortBase(), g.LinkOf()
+	share := make([]int, len(linkOf))
+	s := Sharing{MaxFlowsPerLink: 1}
+	count := func(leg topo.Leg) {
+		for i, port := range leg.Ports {
+			l := linkOf[base[leg.Nodes[i]]+port]
+			if share[l] == 0 {
+				s.Links++
+			}
+			share[l]++
+			if share[l] > s.MaxFlowsPerLink {
+				s.MaxFlowsPerLink = share[l]
+			}
 		}
 	}
-	for _, f := range flows {
-		count(rt.Paths[f.FlowID])
+	for i := range flows {
+		count(rt.Forward(i))
 		if echo {
-			count(rt.PathsRev[f.FlowID])
-		}
-	}
-	s := Sharing{Links: len(share), MaxFlowsPerLink: 1}
-	for _, c := range share {
-		if c > s.MaxFlowsPerLink {
-			s.MaxFlowsPerLink = c
+			count(rt.Echo(i))
 		}
 	}
 	return rt, s, nil
