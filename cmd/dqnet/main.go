@@ -127,6 +127,17 @@ func withTimeout(ctx context.Context, d time.Duration) (context.Context, context
 	return context.WithTimeout(ctx, d)
 }
 
+// irsaSummary renders how a completed run's fixed-point iteration ended:
+// on ConvergeEps, or at its Theorem 3.1 bound with the delta it
+// plateaued at.
+func irsaSummary(res *core.Result) string {
+	end := "stopped at the bound"
+	if res.Converged {
+		end = "converged"
+	}
+	return fmt.Sprintf("IRSA %d/%d iterations, final delta %.3gs, %s", res.Iterations, res.Bound, res.FinalDelta, end)
+}
+
 // describeRunErr rewraps a context-terminated run error with CLI-level
 // context (partial results, when any, were already printed).
 func describeRunErr(err error) error {
@@ -262,8 +273,7 @@ func cmdSim(ctx context.Context, args []string) error {
 		}
 		return describeRunErr(err)
 	}
-	fmt.Printf("simulated %s in %v (IRSA %d/%d iterations)\n",
-		sc.Name, time.Since(t0).Round(time.Millisecond), res.Iterations, res.Bound)
+	fmt.Printf("simulated %s in %v (%s)\n", sc.Name, time.Since(t0).Round(time.Millisecond), irsaSummary(res))
 	printPathStats(pred)
 	if *printDigest {
 		fmt.Printf("digest %s\n", serve.Digest(res))
@@ -372,9 +382,8 @@ func cmdEval(ctx context.Context, args []string) error {
 		}
 	}
 	sum := metrics.Compare(pred, truth)
-	fmt.Printf("scenario %s: DES %v, DeepQueueNet %v (IRSA %d/%d)\n",
-		sc.Name, desTime.Round(time.Millisecond), dqnTime.Round(time.Millisecond),
-		res.Iterations, res.Bound)
+	fmt.Printf("scenario %s: DES %v, DeepQueueNet %v (%s)\n",
+		sc.Name, desTime.Round(time.Millisecond), dqnTime.Round(time.Millisecond), irsaSummary(res))
 	var allT, allP []float64
 	for _, v := range truth {
 		allT = append(allT, v...)

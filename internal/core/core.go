@@ -63,8 +63,10 @@ type Config struct {
 	Iterations int
 	// NoSEC disables statistical error correction (ablation switch).
 	NoSEC bool
-	// ConvergeEps stops IRSA early when no departure time moves by more
-	// than this (seconds). 0 uses 1 ns.
+	// ConvergeEps stops IRSA early when no arrival estimate moves by
+	// more than this (seconds). 0 uses 1 ns. Undamped runs over exact
+	// device models get there; PTM runs plateau around 1–2 µs and end
+	// at the iteration bound instead (Result.Converged, FinalDelta).
 	ConvergeEps float64
 	// Damping blends each iteration's predicted sojourns with the
 	// previous estimate: s ← Damping·ŝ + (1−Damping)·s. 1 disables
@@ -194,6 +196,13 @@ type Result struct {
 	Iterations   int // IRSA iterations actually executed
 	Diameter     int // topology diameter
 	Bound        int // Theorem 3.1 iteration bound (longest hop sequence)
+	// FinalDelta is the largest change of any per-hop arrival estimate
+	// in the last completed iteration (seconds; 0 if none completed).
+	// Converged reports that it fell to Config.ConvergeEps and ended
+	// the run; false means the run stopped at Bound, was canceled, or
+	// failed.
+	FinalDelta float64
+	Converged  bool
 	// ShardWork is the per-shard compute time accumulated over all
 	// iterations (filled when Config.MeasureShards is set).
 	ShardWork []float64

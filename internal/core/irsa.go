@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,8 +37,9 @@ type portPlan struct {
 // are fixed for a run, so the egress-port grouping never changes across
 // IRSA iterations; building it once removes the per-iteration map
 // rebuild, and the plan-owned buffers give the shard loop its
-// steady-state zero-allocation property. A device belongs to exactly
-// one shard, so its plan is only ever touched by that shard's worker.
+// steady-state zero-allocation property (TestInferDeviceZeroAllocs). A
+// device belongs to exactly one shard, so its plan is only ever touched
+// by that shard's worker.
 type devicePlan struct {
 	isHost bool
 	ports  []portPlan
@@ -91,15 +94,17 @@ func buildPlans(devices []int, byDevice map[int][]entry, pkts []*packet) map[int
 // sortEntriesByArrival orders traversals by the current arrival
 // estimate, breaking ties by packet ID. The (arrive, id) key is a
 // strict total order (IDs are unique), so the result is deterministic
-// regardless of input order.
+// regardless of input order and of the sorting algorithm — which lets
+// this be slices.SortFunc: unlike sort.Slice it neither boxes the slice
+// nor builds a reflection swapper, so the per-port, per-iteration sort
+// allocates nothing.
 func sortEntriesByArrival(es []entry, pkts []*packet) {
-	sort.Slice(es, func(a, b int) bool {
-		pa, pb := pkts[es[a].pkt], pkts[es[b].pkt]
-		ta, tb := pa.arrive[es[a].hop], pb.arrive[es[b].hop]
-		if ta != tb {
-			return ta < tb
+	slices.SortFunc(es, func(a, b entry) int {
+		pa, pb := pkts[a.pkt], pkts[b.pkt]
+		if c := cmp.Compare(pa.arrive[a.hop], pb.arrive[b.hop]); c != 0 {
+			return c
 		}
-		return pa.id < pb.id
+		return cmp.Compare(pa.id, pb.id)
 	})
 }
 
@@ -126,8 +131,14 @@ func growStream(buf []ptm.PacketIn, n int) []ptm.PacketIn {
 
 // Run executes the simulation: TGen, initial inference, and the
 // Iterative Re-Sequencing Algorithm (Algorithm 1). Per Theorem 3.1 at
-// most diameter(G) iterations are needed; Run stops earlier once no
-// departure estimate moves by more than ConvergeEps.
+// most diameter(G) iterations are needed, and Run stops earlier once no
+// arrival estimate moves by more than ConvergeEps. In practice that
+// early stop needs exact device models (hosts, the FIFO fallback) and
+// Damping 1, where each sweep settles one more hop; a damped update
+// only closes on the fixed point by a factor 1−Damping per iteration,
+// and with PTM devices the delta plateaus around 1–2 µs — prediction
+// error fed back through the update — so such runs end at their bound.
+// Result.Converged and Result.FinalDelta say which happened.
 func (s *Sim) Run(duration float64) (*Result, error) {
 	return s.RunContext(context.Background(), duration)
 }
@@ -169,19 +180,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		shards = 1
 	}
 
-	// Index device traversals.
-	byDevice := make(map[int][]entry)
-	for pi, p := range pkts {
-		for hi := range p.hops {
-			d := p.hops[hi].device
-			byDevice[d] = append(byDevice[d], entry{pkt: int32(pi), hop: int32(hi)})
-		}
-	}
-	devices := make([]int, 0, len(byDevice))
-	for d := range byDevice {
-		devices = append(devices, d)
-	}
-	sort.Ints(devices)
+	byDevice, devices := indexTraversals(pkts)
 
 	// Initial inference: sojourn = transmission time only, then propagate
 	// arrival estimates (Algorithm 1's first pass over ingress streams).
@@ -220,7 +219,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		if damping < 1 {
 			// Damped updates converge geometrically rather than in one
 			// sweep per hop; allow extra iterations (the eps check stops
-			// earlier whenever possible).
+			// earlier when the delta gets there — see Run).
 			maxIter += maxIter / 2
 		}
 	}
@@ -240,9 +239,10 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	// finish assembles the (possibly partial) Result from the current
 	// estimates — also the exit path for canceled and failed runs, so
 	// callers get the partial trace alongside the error for diagnosis.
-	iters := 0
+	iters, finalDelta, converged := 0, 0.0, false
 	finish := func(err error) (*Result, error) {
 		res := s.collect(pkts, byDevice, iters, diameter, maxIter)
+		res.FinalDelta, res.Converged = finalDelta, converged
 		if s.Cfg.MeasureShards {
 			res.ShardWork = shardWork
 		}
@@ -269,7 +269,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 			}
 			watchdog.Restore(r.WatchdogTrace, r.WatchdogGrowth)
 			startIter = r.Iter
-			iters = r.Iter
+			iters, finalDelta = r.Iter, r.Delta
 			// Arrival estimates are derived state: recompute them from
 			// the restored sojourns exactly as the uninterrupted run's
 			// last propagate left them.
@@ -349,6 +349,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		}
 
 		delta := propagate(pkts)
+		finalDelta = delta
 		if obs != nil {
 			//dqnlint:allow detguard wall-clock observer instrumentation; timing is reported, never fed back into simulation state
 			obs.ObserveIteration(IterationEvent{Iter: iter, Delta: delta, Duration: time.Since(iterStart), ShardWork: obsWork})
@@ -357,6 +358,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 			return finish(err)
 		}
 		if delta <= eps {
+			converged = true
 			break
 		}
 		if ckptOn && (iters%s.Cfg.EpochEvery == 0 || ctx.Err() != nil) {
@@ -438,6 +440,24 @@ func (s *Sim) inferDeviceGuarded(iter, si, dev int, plan *devicePlan, pkts []*pa
 	}()
 	s.inferDevice(dev, plan, pkts, model, clones)
 	return nil
+}
+
+// indexTraversals groups every packet hop by the device it crosses and
+// returns the groups with the sorted device list.
+func indexTraversals(pkts []*packet) (map[int][]entry, []int) {
+	byDevice := make(map[int][]entry)
+	for pi, p := range pkts {
+		for hi := range p.hops {
+			d := p.hops[hi].device
+			byDevice[d] = append(byDevice[d], entry{pkt: int32(pi), hop: int32(hi)})
+		}
+	}
+	devices := make([]int, 0, len(byDevice))
+	for d := range byDevice {
+		devices = append(devices, d)
+	}
+	sort.Ints(devices)
+	return byDevice, devices
 }
 
 // propagate recomputes per-packet arrival estimates from the current

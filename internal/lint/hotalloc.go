@@ -9,9 +9,9 @@ import (
 
 // HotAlloc is the static form of the PR 3 AllocsPerRun pins: no
 // allocation site may be reachable from the steady-state inference
-// roots — PTM.PredictStreamInto / PTM.PredictDevice /
-// nn.PredictBatchInto and the tensor Into-kernels. The call graph is
-// followed through module interfaces (the nn layer dispatch), panic
+// roots — PTM.PredictStreamInto / PTM.PredictDevice, the networks'
+// Infer (exact and quantized) and the tensor Into-kernels. The call
+// graph is followed through module interfaces (the nn layer dispatch), panic
 // arguments are exempt (failure paths may format errors), and an
 // //dqnlint:allow hotalloc directive on a call site prunes that edge
 // (the grow-path convention: arena growth, session construction).
@@ -26,7 +26,7 @@ var HotAlloc = &Analyzer{
 var hotRootNames = map[string]bool{
 	"PredictStreamInto": true,
 	"PredictDevice":     true,
-	"PredictBatchInto":  true,
+	"Infer":             true,
 }
 
 // hotRoots collects the closure roots: the named prediction entry

@@ -6,71 +6,101 @@ import (
 	"deepqueuenet/internal/tensor"
 )
 
-// Inference fast path: every built-in layer implements inferLayer, a
-// forward pass that (a) writes no layer caches, so a model can be
-// shared read-only across goroutines, and (b) takes every intermediate
-// from a tensor.Arena, so a warmed arena runs a whole window with zero
-// heap allocations. The arithmetic — operation kinds and per-element
-// accumulation order — matches each layer's Forward, so Infer results
-// are bit-identical to Forward results; the golden-trace and
-// infer-equivalence tests enforce that.
+// Inference path. Sequential.Infer is the one forward pass besides the
+// training pair Forward/Backward: it (a) writes no layer caches, so a
+// model can be shared read-only across goroutines, (b) takes every
+// intermediate from a tensor.Arena, so a warmed arena runs a window
+// with zero heap allocations, (c) runs every product on the packed
+// blocked-GEMM kernels against a session's Packs, and (d) computes only
+// the output rows its caller consumes.
 //
-// With a non-nil Packs the dense, LSTM, and attention matmuls run on
-// the packed blocked-GEMM kernels (weights repacked once per session,
-// AVX2 microkernels on amd64). Packed and unpacked paths are
-// bit-identical; only speed differs.
+// Row-range contract. A consumed output row depends on every input row
+// through the row-mixing layers (recurrence, attention, pooling, custom
+// layers), so layers up to and including the last of those see all T
+// rows; the row-wise layers behind it (Dense, Activation, LayerNorm)
+// see hi − lo rows; a model with no row-mixing layer is cut before its
+// first layer. Attention, when it is that last layer, projects queries,
+// scores, softmaxes and mixes only the consumed rows itself. Each
+// surviving row keeps exactly its own operations in its own order — the
+// kernels accumulate every output element on its own — so the range
+// changes cost, never values: Infer(x, lo, hi) is rows [lo, hi) of
+// Forward(x) to the bit (TestInferRowRangeBitwise, the golden traces).
 
-// inferLayer is the allocation-free, cache-free forward pass. pk may be
-// nil (no weight-pack cache: the unpacked kernels are used).
+// inferLayer is a built-in layer's cache-free, allocation-free forward
+// pass over all rows of x.
 type inferLayer interface {
 	infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix
 }
 
-// Infer runs a forward pass for inference only, without a weight-pack
-// cache. The returned matrix is backed by a and valid until a.Reset;
-// copy it out to keep it.
+// rowWise reports whether l maps each input row to the same output row
+// on its own.
+func rowWise(l Layer) bool {
+	switch l.(type) {
+	case *Dense, *Activation, *LayerNorm:
+		return true
+	}
+	return false
+}
+
+// Infer returns rows [lo, hi) of Forward(x), bit for bit, as an
+// (hi−lo)-row matrix backed by a and valid until a.Reset; copy it out
+// to keep it. A model that pools to one row takes the range (0, 1).
+// pk is the caller's weight-pack cache (packed on first use); neither
+// it nor a may be shared across goroutines.
 //
 // Unlike Forward, Infer does not touch layer caches: when every layer
 // is one of the built-in kinds, a single *Sequential may be shared by
-// any number of goroutines each holding its own Arena. A custom Layer
-// type falls back to its Forward (correct, but cache-writing — such a
-// model must not be shared).
-func (s *Sequential) Infer(x *tensor.Matrix, a *tensor.Arena) *tensor.Matrix {
-	return s.InferPacks(x, a, nil)
-}
-
-// InferPacks is Infer with a session-owned weight-pack cache: matmul
-// weights are served from pk (packed on first use) and the blocked
-// kernels run on the packed panels. Results are bit-identical to Infer;
-// pk must not be shared across goroutines.
-func (s *Sequential) InferPacks(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+// any number of goroutines each holding its own Arena and Packs. A
+// custom Layer type falls back to its Forward (correct, but
+// cache-writing — such a model must not be shared).
+func (s *Sequential) Infer(x *tensor.Matrix, lo, hi int, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+	last := -1 // the last row-mixing layer
+	for i, l := range s.Layers {
+		if !rowWise(l) {
+			last = i
+		}
+	}
+	if last < 0 {
+		x = a.Rows(x, lo, hi)
+	}
 	for i := 0; i < len(s.Layers); i++ {
-		if d, ok := s.Layers[i].(*Dense); ok {
-			// Fused dense+activation: one pass over the output rows.
-			act := tensor.ActNone
-			if i+1 < len(s.Layers) {
-				if av, ok := s.Layers[i+1].(*Activation); ok {
-					act = av.actKind()
-					i++
-				}
-			}
-			y := a.NewMatrix(x.Rows, d.Out)
-			if pk != nil {
-				tensor.MatMulPackedBiasActInto(y, x, pk.of(d.w), d.b.W, act)
-			} else {
-				tensor.MatMulBiasActInto(y, x, d.w.W, d.b.W, act)
-			}
+		at := i
+		switch l := s.Layers[i].(type) {
+		case *Dense:
+			y := a.NewMatrix(x.Rows, l.Out)
+			tensor.MatMulPackedBiasActInto(y, x, pk.of(l.w), l.b.W, s.fusedAct(&i))
 			x = y
-			continue
+		case *MultiHeadSelfAttention:
+			if at == last {
+				x = l.inferRows(x, lo, hi, s.fusedAct(&i), a, pk)
+				continue // it took the range itself
+			}
+			x = l.inferRows(x, 0, x.Rows, s.fusedAct(&i), a, pk)
+		case inferLayer:
+			x = l.infer(x, a, pk)
+		default:
+			//dqnlint:allow hotalloc custom-Layer fallback: every built-in layer takes the arena infer path above; Forward's caches only run for user layer types, which the zero-alloc pins never ship
+			x = l.Forward(x)
 		}
-		if il, ok := s.Layers[i].(inferLayer); ok {
-			x = il.infer(x, a, pk)
-			continue
+		if at == last {
+			x = a.Rows(x, lo, hi)
 		}
-		//dqnlint:allow hotalloc custom-Layer fallback: every built-in layer takes the arena infer path above; Forward's caches only run for user layer types, which the zero-alloc pins never ship
-		x = s.Layers[i].Forward(x)
 	}
 	return x
+}
+
+// fusedAct lets a layer that ends in a GEMM (Dense, attention) take a
+// following Activation into that GEMM's epilogue, one pass over the
+// output rows: if layer *i+1 is an Activation it returns its kind and
+// advances *i past it.
+func (s *Sequential) fusedAct(i *int) tensor.ActKind {
+	if *i+1 < len(s.Layers) {
+		if av, ok := s.Layers[*i+1].(*Activation); ok {
+			*i++
+			return av.actKind()
+		}
+	}
+	return tensor.ActNone
 }
 
 // actKind maps the activation name to the fused-kernel enum.
@@ -86,135 +116,106 @@ func (a *Activation) actKind() tensor.ActKind {
 	return tensor.ActNone
 }
 
-func (d *Dense) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	y := a.NewMatrix(x.Rows, d.Out)
-	if pk != nil {
-		tensor.MatMulPackedBiasActInto(y, x, pk.of(d.w), d.b.W, tensor.ActNone)
-	} else {
-		tensor.MatMulBiasActInto(y, x, d.w.W, d.b.W, tensor.ActNone)
-	}
-	return y
-}
-
 func (a *Activation) infer(x *tensor.Matrix, ar *tensor.Arena, _ *Packs) *tensor.Matrix {
 	y := ar.NewMatrix(x.Rows, x.Cols)
 	switch a.Kind {
 	case "tanh":
-		tensor.ApplyInto(y, x, math.Tanh)
-	case "relu":
-		tensor.ApplyInto(y, x, func(v float64) float64 {
-			if v < 0 {
-				return 0
-			}
-			return v
-		})
+		tensor.TanhSlice(y.Data, x.Data)
 	case "sigmoid":
-		tensor.ApplyInto(y, x, sigmoid)
+		tensor.SigmoidSlice(y.Data, x.Data)
+	case "relu":
+		for i, v := range x.Data {
+			if v < 0 {
+				v = 0
+			}
+			y.Data[i] = v
+		}
 	}
 	return y
 }
 
 func (l *LSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	T, H := x.Rows, l.Hidden
-	z := a.NewMatrix(T, 4*H)
-	// All four gate pre-activations for every timestep in one wide GEMM
-	// (the i|f|o|g blocks are columns of the same 4H-wide weight).
-	if wxp := pk.of(l.wx); wxp != nil {
-		tensor.MatMulPackedInto(z, x, wxp)
-	} else {
-		tensor.MatMulInto(z, x, l.wx.W)
-	}
-	hs := a.NewMatrix(T, H)
-	hPrev := a.AllocZero(H)
-	cPrev := a.AllocZero(H)
-	bias := l.b.W.Data
-	for t := 0; t < T; t++ {
-		zr := z.Row(t)
-		tensor.AddVecMatInto(zr, hPrev, l.wh.W)
-		hr := hs.Row(t)
-		GatesInto(zr, bias, cPrev, hr)
-		hPrev = hr
-	}
+	hs := a.NewMatrix(x.Rows, l.Hidden)
+	l.inferInto(hs, 0, false, x, a, pk)
 	return hs
 }
 
+// inferInto runs the recurrence over x — from the last row to the
+// first when rev — and writes h_t into columns [col, col+Hidden) of
+// out's row t. A BLSTM's two directions write the two halves of one
+// output this way: no reversed copy of the input, none of the backward
+// outputs, no concatenation.
+func (l *LSTM) inferInto(out *tensor.Matrix, col int, rev bool, x *tensor.Matrix, a *tensor.Arena, pk *Packs) {
+	T, H := x.Rows, l.Hidden
+	// All four gate pre-activations for every timestep in one wide GEMM
+	// (the i|f|o|g blocks are columns of the same 4H-wide weight).
+	z := a.NewMatrix(T, 4*H)
+	tensor.MatMulPackedInto(z, x, pk.of(l.wx))
+	hPrev := a.AllocZero(H)
+	c := a.AllocZero(H)
+	bias := l.b.W.Data
+	for s := 0; s < T; s++ {
+		t := s
+		if rev {
+			t = T - 1 - s
+		}
+		zr := z.Row(t)
+		tensor.AddVecMatInto(zr, hPrev, l.wh.W)
+		h := out.Row(t)[col : col+H]
+		GatesInto(zr, bias, c, h)
+		hPrev = h
+	}
+}
+
 func (b *BLSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	rx := a.NewMatrix(x.Rows, x.Cols)
-	tensor.ReverseRowsInto(rx, x)
-	yf := b.fwd.infer(x, a, pk)
-	yb := b.bwd.infer(rx, a, pk)
-	ryb := a.NewMatrix(yb.Rows, yb.Cols)
-	tensor.ReverseRowsInto(ryb, yb)
-	out := a.NewMatrix(yf.Rows, yf.Cols+ryb.Cols)
-	tensor.ConcatColsInto(out, yf, ryb)
+	out := a.NewMatrix(x.Rows, 2*b.Hidden)
+	b.fwd.inferInto(out, 0, false, x, a, pk)
+	b.bwd.inferInto(out, b.Hidden, true, x, a, pk)
 	return out
 }
 
-func (m *MultiHeadSelfAttention) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	T := x.Rows
-	var q, k, v *tensor.Matrix
-	if qkvp := pk.qkvOf(m); qkvp != nil {
-		// One wide GEMM computes the Q, K, and V projections against the
-		// fused [wq|wk|wv] pack; the three views are column ranges.
-		qkv := a.NewMatrix(T, 2*m.Heads*m.DK+m.Heads*m.DV)
-		tensor.MatMulPackedInto(qkv, x, qkvp)
-		q = a.NewMatrix(T, m.Heads*m.DK)
-		k = a.NewMatrix(T, m.Heads*m.DK)
-		v = a.NewMatrix(T, m.Heads*m.DV)
-		tensor.ColSliceInto(q, qkv, 0, m.Heads*m.DK)
-		tensor.ColSliceInto(k, qkv, m.Heads*m.DK, 2*m.Heads*m.DK)
-		tensor.ColSliceInto(v, qkv, 2*m.Heads*m.DK, 2*m.Heads*m.DK+m.Heads*m.DV)
-	} else {
-		q = a.NewMatrix(T, m.Heads*m.DK)
-		k = a.NewMatrix(T, m.Heads*m.DK)
-		v = a.NewMatrix(T, m.Heads*m.DV)
-		tensor.MatMulInto(q, x, m.wq.W)
-		tensor.MatMulInto(k, x, m.wk.W)
-		tensor.MatMulInto(v, x, m.wv.W)
-	}
-	concat := a.NewMatrixZero(T, m.Heads*m.DV)
+// inferRows is attention for output rows [lo, hi): queries only for
+// those rows, keys and values for all T. Per head, scores = Q_h·K_hᵀ
+// and context = softmax(scores)·V_h both run on the packed microkernels
+// against per-window packs of K_hᵀ and V_h carved from the arena,
+// reading Q_h out of q and writing the context into concat through the
+// kernels' row strides. Every score and context element accumulates k
+// ascending with one multiply and one add per term, as Forward's
+// MatMulT/MatMul do (they skip zero multiplicands, which cannot change
+// a finite sum's bits — see blocked.go), so the bits agree.
+func (m *MultiHeadSelfAttention) inferRows(x *tensor.Matrix, lo, hi int, act tensor.ActKind, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+	T, R := x.Rows, hi-lo
+	hk, hv := m.Heads*m.DK, m.Heads*m.DV
+	q := a.NewMatrix(R, hk)
+	tensor.MatMulPackedInto(q, a.Rows(x, lo, hi), pk.of(m.wq))
+	kv := a.NewMatrix(T, hk+hv)
+	tensor.MatMulPackedInto(kv, x, pk.kvOf(m))
+	var kt, vp tensor.Packed
+	ktBuf := a.Alloc(tensor.PackedLen(m.DK, T))
+	vBuf := a.Alloc(tensor.PackedLen(T, m.DV))
+	s := a.NewMatrix(R, T)
+	concat := a.NewMatrix(R, hv)
 	scale := 1 / math.Sqrt(float64(m.DK))
-	qh := a.NewMatrix(T, m.DK)
-	kh := a.NewMatrix(T, m.DK)
-	vh := a.NewMatrix(T, m.DV)
-	s := a.NewMatrix(T, T)
-	oh := a.NewMatrix(T, m.DV)
 	for h := 0; h < m.Heads; h++ {
-		tensor.ColSliceInto(qh, q, h*m.DK, (h+1)*m.DK)
-		tensor.ColSliceInto(kh, k, h*m.DK, (h+1)*m.DK)
-		tensor.ColSliceInto(vh, v, h*m.DV, (h+1)*m.DV)
-		tensor.MatMulTInto(s, qh, kh)
+		kt.PackColsT(ktBuf, kv, h*m.DK, m.DK)
+		tensor.MatMulPackedColsInto(s, 0, q, h*m.DK, &kt)
 		s.Scale(scale)
 		tensor.SoftmaxRows(s)
-		tensor.MatMulInto(oh, s, vh)
-		headScatter(concat, oh, h, m.DV)
+		vp.PackCols(vBuf, kv, hk+h*m.DV, m.DV)
+		tensor.MatMulPackedColsInto(concat, h*m.DV, s, 0, &vp)
 	}
-	y := a.NewMatrix(T, m.Out)
-	if wop := pk.of(m.wo); wop != nil {
-		tensor.MatMulPackedBiasActInto(y, concat, wop, m.bo.W, tensor.ActNone)
-	} else {
-		tensor.MatMulBiasActInto(y, concat, m.wo.W, m.bo.W, tensor.ActNone)
-	}
+	y := a.NewMatrix(R, m.Out)
+	tensor.MatMulPackedBiasActInto(y, concat, pk.of(m.wo), m.bo.W, act)
 	return y
 }
 
 func (t *TakeLast) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.Matrix {
-	out := a.NewMatrix(1, x.Cols)
-	copy(out.Row(0), x.Row(x.Rows-1))
-	return out
+	return a.Rows(x, x.Rows-1, x.Rows)
 }
 
 func (t *TakeAt) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.Matrix {
-	i := t.Index
-	if i < 0 {
-		i = 0
-	}
-	if i >= x.Rows {
-		i = x.Rows - 1
-	}
-	out := a.NewMatrix(1, x.Cols)
-	copy(out.Row(0), x.Row(i))
-	return out
+	i := max(0, min(t.Index, x.Rows-1))
+	return a.Rows(x, i, i+1)
 }
 
 func (p *MeanPool) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.Matrix {
@@ -252,29 +253,4 @@ func (l *LayerNorm) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.M
 		}
 	}
 	return y
-}
-
-// PredictBatchInto runs sequential inference over xs, copying each
-// window's output into the pre-shaped matrices of out (out[i] must
-// match the forward output shape of xs[i]). With a warmed arena this
-// performs zero heap allocations — the steady state the IRSA loop runs
-// in, pinned by TestPredictBatchIntoZeroAllocs.
-func PredictBatchInto(model *Sequential, xs, out []*tensor.Matrix, a *tensor.Arena) {
-	if len(out) != len(xs) {
-		panic("nn: PredictBatchInto output length mismatch")
-	}
-	for i, x := range xs {
-		a.Reset()
-		y := model.Infer(x, a)
-		out[i].CopyFrom(y)
-	}
-}
-
-// predictRange infers xs[i] for i ≡ w (mod stride), cloning results out
-// of the worker's arena.
-func predictRange(model *Sequential, xs, out []*tensor.Matrix, w, stride int, a *tensor.Arena) {
-	for i := w; i < len(xs); i += stride {
-		a.Reset()
-		out[i] = model.Infer(xs[i], a).Clone()
-	}
 }

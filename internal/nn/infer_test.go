@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"deepqueuenet/internal/rng"
@@ -10,8 +12,7 @@ import (
 
 // inferTestModel exercises every built-in layer kind, including the
 // dense+activation fusion peephole and the attention/BLSTM paths.
-func inferTestModel(t *testing.T) *Sequential {
-	t.Helper()
+func inferTestModel() *Sequential {
 	r := rng.New(42)
 	return NewSequential(
 		NewDense(6, 12, r),
@@ -27,7 +28,7 @@ func inferTestModel(t *testing.T) *Sequential {
 }
 
 // sparseInput draws a normal input and zeroes every 7th element so the
-// sparsity-skip branches of the kernels are exercised.
+// zero-multiplicand cases of the kernels are exercised.
 func sparseInput(rows, cols int, seed uint64) *tensor.Matrix {
 	x := randInput(seed, rows, cols)
 	for i := 0; i < len(x.Data); i += 7 {
@@ -36,26 +37,133 @@ func sparseInput(rows, cols int, seed uint64) *tensor.Matrix {
 	return x
 }
 
-// TestInferMatchesForwardBitwise is the load-bearing equivalence test:
-// the cache-free arena path must reproduce Forward to the bit, or the
-// golden traces (generated pre-rewrite) would drift.
-func TestInferMatchesForwardBitwise(t *testing.T) {
-	m := inferTestModel(t)
-	a := tensor.NewArena()
-	for trial := uint64(0); trial < 5; trial++ {
-		x := sparseInput(16, 6, 100+trial)
-		want := m.Forward(x)
-		a.Reset()
-		got := m.Infer(x, a)
-		if got.Rows != want.Rows || got.Cols != want.Cols {
-			t.Fatalf("trial %d: shape (%d,%d) != (%d,%d)", trial, got.Rows, got.Cols, want.Rows, want.Cols)
+// withBackends runs fn under every kernel backend combination the build
+// supports (assembly microkernels × vector transcendentals); under
+// -tags purego both are no-ops and the portable path runs four times.
+func withBackends(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	for _, asm := range []bool{false, true} {
+		for _, vec := range []bool{false, true} {
+			t.Run(fmt.Sprintf("asm=%v/vec=%v", asm, vec), func(t *testing.T) {
+				prevAsm, prevVec := tensor.SetAsmKernels(asm), tensor.SetVecKernels(vec)
+				defer func() {
+					tensor.SetAsmKernels(prevAsm)
+					tensor.SetVecKernels(prevVec)
+				}()
+				fn(t)
+			})
 		}
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("trial %d: element %d differs bitwise: infer %v forward %v",
-					trial, i, got.Data[i], want.Data[i])
+	}
+}
+
+// rowRangeCase is one model shape of the row contract: where the last
+// row-mixing layer sits decides how much of a window the range saves.
+type rowRangeCase struct {
+	name string
+	m    *Sequential
+	T    int
+	pool bool // output is one row: the only range is (0, 1)
+}
+
+func rowRangeModels() []rowRangeCase {
+	r := rng.New(7)
+	ptmArch := func(in, heads, dk, dv int) *Sequential {
+		return NewSequential(
+			NewDense(in, 12, r), NewActivation("tanh"),
+			NewBLSTM(12, 16, r), NewBLSTM(32, 10, r),
+			NewMultiHeadSelfAttention(20, 16, heads, dk, dv, r), NewActivation("tanh"),
+			NewDense(16, 1, r))
+	}
+	return []rowRangeCase{
+		{"shipped architecture", ptmArch(15, 2, 8, 8), 32, false},
+		{"T not a multiple of 8", ptmArch(15, 2, 8, 8), 13, false},
+		{"DV 5, DK 3, 3 heads", ptmArch(9, 3, 3, 5), 11, false},
+		{"DV 12 (two value panels)", ptmArch(9, 1, 8, 12), 10, false},
+		{"every layer kind", inferTestModel(), 16, false},
+		{"recurrence behind attention", NewSequential(
+			NewMultiHeadSelfAttention(6, 8, 2, 4, 4, r), NewActivation("tanh"),
+			NewLSTM(8, 5, r), NewLayerNorm(5), NewDense(5, 2, r)), 9, false},
+		{"pooled: takeat", NewSequential(
+			NewDense(6, 8, r), NewBLSTM(8, 4, r), NewTakeAt(3), NewDense(8, 2, r)), 7, true},
+		{"pooled: meanpool", NewSequential(
+			NewLSTM(6, 4, r), NewMeanPool(), NewActivation("sigmoid")), 7, true},
+		{"pooled: takelast", NewSequential(NewLSTM(6, 4, r), NewTakeLast()), 7, true},
+		{"no row-mixing layer", NewSequential(
+			NewDense(6, 8, r), NewActivation("relu"), NewLayerNorm(8), NewDense(8, 3, r)), 9, false},
+	}
+}
+
+// TestInferRowRangeBitwise is the row contract: for every range
+// 0 ≤ lo < hi ≤ T, Infer returns exactly rows [lo, hi) of Forward — the
+// exact path to the bit against the training pass, the quantized twin
+// to the bit against its own full-range result — under every backend.
+// The golden traces (generated before any of the inference paths
+// existed) hang off this equivalence.
+func TestInferRowRangeBitwise(t *testing.T) {
+	withBackends(t, func(t *testing.T) {
+		for _, tc := range rowRangeModels() {
+			x := sparseInput(tc.T, tc.m.Layers[0].Spec().In, 100)
+			want := tc.m.Forward(x)
+			q, err := Quantize(tc.m)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			fx := tensor.NewF32(x.Rows, x.Cols)
+			fx.CopyFromF64(x)
+			fa := tensor.NewArenaF32()
+			qwant := q.Infer(fx, 0, want.Rows, fa)
+			qfull := append([]float32(nil), qwant.Data...)
+
+			a, pk := tensor.NewArena(), NewPacks()
+			outRows := tc.T
+			if tc.pool {
+				outRows = 1
+			}
+			if want.Rows != outRows {
+				t.Fatalf("%s: Forward returned %d rows, want %d", tc.name, want.Rows, outRows)
+			}
+			for lo := 0; lo < outRows; lo++ {
+				for hi := lo + 1; hi <= outRows; hi++ {
+					a.Reset()
+					got := tc.m.Infer(x, lo, hi, a, pk)
+					if got.Rows != hi-lo || got.Cols != want.Cols {
+						t.Fatalf("%s [%d,%d): shape %dx%d, want %dx%d", tc.name, lo, hi, got.Rows, got.Cols, hi-lo, want.Cols)
+					}
+					for i, v := range got.Data {
+						if w := want.Data[lo*want.Cols+i]; math.Float64bits(v) != math.Float64bits(w) {
+							t.Fatalf("%s [%d,%d): element %d differs bitwise: infer %v forward %v", tc.name, lo, hi, i, v, w)
+						}
+					}
+					fa.Reset()
+					qgot := q.Infer(fx, lo, hi, fa)
+					if qgot.Rows != hi-lo || qgot.Cols != want.Cols {
+						t.Fatalf("%s quant [%d,%d): shape %dx%d", tc.name, lo, hi, qgot.Rows, qgot.Cols)
+					}
+					for i, v := range qgot.Data {
+						if w := qfull[lo*want.Cols+i]; math.Float32bits(v) != math.Float32bits(w) {
+							t.Fatalf("%s quant [%d,%d): element %d differs bitwise: %v vs full-range %v", tc.name, lo, hi, i, v, w)
+						}
+					}
+				}
 			}
 		}
+	})
+}
+
+// TestInferRejectsBadRange: a range outside the rows the model produces
+// is a caller bug and panics instead of reading past a window.
+func TestInferRejectsBadRange(t *testing.T) {
+	m := inferTestModel()
+	x := sparseInput(16, 6, 1)
+	for _, rg := range [][2]int{{-1, 4}, {5, 4}, {0, 17}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Infer(%d, %d) on 16 rows did not panic", rg[0], rg[1])
+				}
+			}()
+			m.Infer(x, rg[0], rg[1], tensor.NewArena(), NewPacks())
+		}()
 	}
 }
 
@@ -63,53 +171,75 @@ func TestInferMatchesForwardBitwise(t *testing.T) {
 // arena fast path, which would silently fall back to cache-writing
 // Forward and break model sharing across shards.
 func TestInferLayerCoverage(t *testing.T) {
-	for _, l := range inferTestModel(t).Layers {
-		if _, ok := l.(inferLayer); !ok {
-			t.Errorf("layer %T does not implement the cache-free infer path", l)
-		}
-	}
 	r := rng.New(1)
-	for _, l := range []Layer{NewTakeLast(), NewTakeAt(3), NewMeanPool(), NewLSTM(4, 4, r)} {
-		if _, ok := l.(inferLayer); !ok {
+	layers := append(inferTestModel().Layers, NewTakeLast(), NewTakeAt(3), NewMeanPool(), NewLSTM(4, 4, r))
+	for _, l := range layers {
+		switch l.(type) {
+		case *Dense, *MultiHeadSelfAttention, inferLayer:
+		default:
 			t.Errorf("layer %T does not implement the cache-free infer path", l)
 		}
 	}
 }
 
-// TestPredictBatchMatchesSequential checks the shared-model parallel
-// path against single-threaded Forward.
-func TestPredictBatchMatchesSequential(t *testing.T) {
-	m := inferTestModel(t)
-	xs := make([]*tensor.Matrix, 9)
+// TestInferSharedModelConcurrent: one model, read-only, under several
+// goroutines that each own an arena and a pack cache (the arrangement
+// of ptm.PredictStream's chunk workers); run with -race.
+func TestInferSharedModelConcurrent(t *testing.T) {
+	m := inferTestModel()
+	xs := make([]*tensor.Matrix, 12)
+	want := make([]*tensor.Matrix, len(xs))
 	for i := range xs {
 		xs[i] = sparseInput(16, 6, 300+uint64(i))
+		want[i] = m.Forward(xs[i]).Clone()
 	}
-	want := make([]*tensor.Matrix, len(xs))
-	for i, x := range xs {
-		want[i] = m.Forward(x).Clone()
-	}
-	got := PredictBatch(m, xs, 4)
-	for i := range xs {
-		for j := range want[i].Data {
-			if math.Float64bits(got[i].Data[j]) != math.Float64bits(want[i].Data[j]) {
-				t.Fatalf("sample %d element %d differs bitwise", i, j)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		//dqnlint:allow goguard concurrency hammer: a worker panic crashes the test binary, the failure signal this race test wants
+		go func(w int) {
+			defer wg.Done()
+			a, pk := tensor.NewArena(), NewPacks()
+			for i := w; i < len(xs); i += 4 {
+				a.Reset()
+				got := m.Infer(xs[i], 2, 14, a, pk)
+				for j, v := range got.Data {
+					if math.Float64bits(v) != math.Float64bits(want[i].Data[2+j]) {
+						t.Errorf("sample %d element %d differs bitwise", i, j)
+						return
+					}
+				}
 			}
-		}
+		}(w)
 	}
+	wg.Wait()
 }
 
-// TestPredictBatchIntoZeroAllocs pins the steady-state allocation count
-// of the hot inference loop at exactly zero. AllocsPerRun performs a
-// warm-up call first, which is what fills the arena to peak demand.
-func TestPredictBatchIntoZeroAllocs(t *testing.T) {
-	m := inferTestModel(t)
-	xs := []*tensor.Matrix{sparseInput(16, 6, 1), sparseInput(16, 6, 2)}
-	out := []*tensor.Matrix{tensor.New(16, 1), tensor.New(16, 1)}
-	a := tensor.NewArena()
-	allocs := testing.AllocsPerRun(20, func() {
-		PredictBatchInto(m, xs, out, a)
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictBatchInto allocated %.0f times per run; want 0", allocs)
+// TestInferZeroAllocs pins the steady-state allocation count of a
+// window at exactly zero, exact and quantized. AllocsPerRun performs a
+// warm-up call first, which is what packs the weights and fills the
+// arena to peak demand.
+func TestInferZeroAllocs(t *testing.T) {
+	m := inferTestModel()
+	x := sparseInput(16, 6, 1)
+	a, pk := tensor.NewArena(), NewPacks()
+	if allocs := testing.AllocsPerRun(20, func() {
+		a.Reset()
+		m.Infer(x, 4, 12, a, pk)
+	}); allocs != 0 {
+		t.Fatalf("Infer allocated %.0f times per window; want 0", allocs)
+	}
+	q, err := Quantize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := tensor.NewF32(x.Rows, x.Cols)
+	fx.CopyFromF64(x)
+	fa := tensor.NewArenaF32()
+	if allocs := testing.AllocsPerRun(20, func() {
+		fa.Reset()
+		q.Infer(fx, 4, 12, fa)
+	}); allocs != 0 {
+		t.Fatalf("quantized Infer allocated %.0f times per window; want 0", allocs)
 	}
 }

@@ -129,7 +129,7 @@ func (a *Activation) Forward(x *tensor.Matrix) *tensor.Matrix {
 			return v
 		})
 	case "sigmoid":
-		y.Apply(sigmoid)
+		y.Apply(tensor.Sigmoid)
 	}
 	a.y = y
 	return y
@@ -361,5 +361,3 @@ func (l *LayerNorm) Clone() Layer {
 }
 
 func (l *LayerNorm) Spec() LayerSpec { return LayerSpec{Kind: "layernorm", In: l.Dim} }
-
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }

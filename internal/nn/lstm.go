@@ -69,9 +69,9 @@ func (l *LSTM) Forward(x *tensor.Matrix) *tensor.Matrix {
 		gi, gf, go_, gg := l.gi.Row(t), l.gf.Row(t), l.go_.Row(t), l.gg.Row(t)
 		cr, tcr, hr := l.cs.Row(t), l.tcs.Row(t), l.hs.Row(t)
 		for k := 0; k < H; k++ {
-			gi[k] = sigmoid(zr[k])
-			gf[k] = sigmoid(zr[H+k])
-			go_[k] = sigmoid(zr[2*H+k])
+			gi[k] = tensor.Sigmoid(zr[k])
+			gf[k] = tensor.Sigmoid(zr[H+k])
+			go_[k] = tensor.Sigmoid(zr[2*H+k])
 			gg[k] = math.Tanh(zr[3*H+k])
 			cr[k] = gf[k]*cPrev[k] + gi[k]*gg[k]
 			tcr[k] = math.Tanh(cr[k])

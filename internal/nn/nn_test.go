@@ -199,28 +199,6 @@ func TestSyncFrom(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesSerial(t *testing.T) {
-	model := buildToy(51)
-	r := rng.New(52)
-	xs := make([]*tensor.Matrix, 37)
-	for i := range xs {
-		x := tensor.New(5, 2)
-		for j := range x.Data {
-			x.Data[j] = r.Normal(0, 1)
-		}
-		xs[i] = x
-	}
-	serial := PredictBatch(model, xs, 1)
-	parallel := PredictBatch(model, xs, 4)
-	for i := range serial {
-		for j := range serial[i].Data {
-			if serial[i].Data[j] != parallel[i].Data[j] {
-				t.Fatalf("parallel prediction differs at %d[%d]", i, j)
-			}
-		}
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w - 3)^2 directly through the optimizer.
 	p := &Param{Name: "w", W: tensor.New(1, 1), G: tensor.New(1, 1)}

@@ -22,12 +22,8 @@ func NewPacks() *Packs {
 	return &Packs{m: make(map[any]*tensor.Packed)}
 }
 
-// of returns the packed form of p.W, building it on first use. A nil
-// receiver returns nil (callers fall back to the unpacked kernels).
+// of returns the packed form of p.W, building it on first use.
 func (pk *Packs) of(p *Param) *tensor.Packed {
-	if pk == nil {
-		return nil
-	}
 	if got := pk.m[p]; got != nil {
 		return got
 	}
@@ -37,21 +33,17 @@ func (pk *Packs) of(p *Param) *tensor.Packed {
 	return pp
 }
 
-// qkvOf returns the fused [wq | wk | wv] pack of an attention layer:
-// one In×(2·H·DK + H·DV) panel buffer so the Q, K, and V projections
-// run as a single wide GEMM. Column-concatenating the weights changes
-// nothing numerically — every output element keeps its own dot product.
-func (pk *Packs) qkvOf(m *MultiHeadSelfAttention) *tensor.Packed {
-	if pk == nil {
-		return nil
-	}
+// kvOf returns the fused [wk | wv] pack of an attention layer: one
+// In×(H·DK + H·DV) panel buffer so the key and value projections, which
+// unlike the queries are needed for every row of a window, run as a
+// single wide GEMM. Column-concatenating the weights changes nothing
+// numerically — every output element keeps its own dot product.
+func (pk *Packs) kvOf(m *MultiHeadSelfAttention) *tensor.Packed {
 	if got := pk.m[m]; got != nil {
 		return got
 	}
-	//dqnlint:allow hotalloc pack warm-up: the fused QKV weight concat is built once per session on its first window, then served from the cache
-	cat := tensor.ConcatCols(tensor.ConcatCols(m.wq.W, m.wk.W), m.wv.W)
-	//dqnlint:allow hotalloc pack warm-up: same one-time session warm-up as the concat above
-	pp := tensor.Pack(cat)
+	//dqnlint:allow hotalloc pack warm-up: the fused KV weight concat is built and packed once per session on its first window, then served from the cache
+	pp := tensor.Pack(tensor.ConcatCols(m.wk.W, m.wv.W))
 	pk.m[m] = pp
 	return pp
 }

@@ -25,6 +25,7 @@ type qLayer interface {
 // QuantSequential is an immutable quantized model.
 type QuantSequential struct {
 	layers []qLayer
+	last   int // the last row-mixing layer (see Sequential.Infer), -1 if none
 }
 
 // Quantize builds the quantized form of s. It fails on custom layer
@@ -72,6 +73,14 @@ func Quantize(s *Sequential) (*QuantSequential, error) {
 			return nil, fmt.Errorf("nn: Quantize: no quantized form for layer type %T", l)
 		}
 	}
+	qs.last = -1
+	for i, l := range qs.layers {
+		switch l.(type) {
+		case *qDense, *qAct, *qLayerNorm:
+		default:
+			qs.last = i
+		}
+	}
 	return qs, nil
 }
 
@@ -93,12 +102,24 @@ func quantLSTM(l *LSTM) *qLSTM {
 	}
 }
 
-// Infer runs the quantized forward pass. The returned matrix is backed
-// by a and valid until a.Reset. qs is immutable: concurrent callers
-// each bring their own arena.
-func (qs *QuantSequential) Infer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
-	for _, l := range qs.layers {
+// Infer runs the quantized forward pass for output rows [lo, hi) under
+// Sequential.Infer's row-range contract: the rows are those of the
+// full-range result, bit for bit. The returned matrix is backed by a
+// and valid until a.Reset. qs is immutable: concurrent callers each
+// bring their own arena.
+func (qs *QuantSequential) Infer(x *tensor.MatrixF32, lo, hi int, a *tensor.ArenaF32) *tensor.MatrixF32 {
+	if qs.last < 0 {
+		x = a.Rows(x, lo, hi)
+	}
+	for i, l := range qs.layers {
+		if m, ok := l.(*qMHA); ok && i == qs.last {
+			x = m.qinferRows(x, lo, hi, a)
+			continue // it took the range itself
+		}
 		x = l.qinfer(x, a)
+		if i == qs.last {
+			x = a.Rows(x, lo, hi)
+		}
 	}
 	return x
 }
@@ -134,16 +155,27 @@ type qLSTM struct {
 }
 
 func (l *qLSTM) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
+	hs := a.NewMatrix(x.Rows, l.hidden)
+	l.qinferInto(hs, 0, false, x, a)
+	return hs
+}
+
+// qinferInto is LSTM.inferInto over float32: the recurrence from either
+// end, h_t written into columns [col, col+hidden) of out's row t.
+func (l *qLSTM) qinferInto(out *tensor.MatrixF32, col int, rev bool, x *tensor.MatrixF32, a *tensor.ArenaF32) {
 	T, H := x.Rows, l.hidden
 	z := a.NewMatrix(T, 4*H)
 	tensor.QMatMulInto(z, x, l.wx)
-	hs := a.NewMatrix(T, H)
 	hPrev := a.AllocZero(H)
 	cPrev := a.AllocZero(H)
-	for t := 0; t < T; t++ {
+	for s := 0; s < T; s++ {
+		t := s
+		if rev {
+			t = T - 1 - s
+		}
 		zr := z.Row(t)
 		tensor.QAddVecMatInto(zr, hPrev, l.wh)
-		hr := hs.Row(t)
+		hr := out.Row(t)[col : col+H]
 		// Same structure as the exact path's GatesInto: bias add, the
 		// three sigmoid blocks and the candidate tanh block through the
 		// vectorized slice transcendentals, then the c/h combines.
@@ -162,20 +194,14 @@ func (l *qLSTM) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF3
 		}
 		hPrev = hr
 	}
-	return hs
 }
 
 type qBLSTM struct{ fwd, bwd *qLSTM }
 
 func (b *qBLSTM) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
-	rx := a.NewMatrix(x.Rows, x.Cols)
-	tensor.ReverseRowsF32Into(rx, x)
-	yf := b.fwd.qinfer(x, a)
-	yb := b.bwd.qinfer(rx, a)
-	ryb := a.NewMatrix(yb.Rows, yb.Cols)
-	tensor.ReverseRowsF32Into(ryb, yb)
-	out := a.NewMatrix(yf.Rows, yf.Cols+ryb.Cols)
-	tensor.ConcatColsF32Into(out, yf, ryb)
+	out := a.NewMatrix(x.Rows, 2*b.fwd.hidden)
+	b.fwd.qinferInto(out, 0, false, x, a)
+	b.bwd.qinferInto(out, b.fwd.hidden, true, x, a)
 	return out
 }
 
@@ -187,19 +213,28 @@ type qMHA struct {
 }
 
 func (m *qMHA) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
-	T := x.Rows
+	return m.qinferRows(x, 0, x.Rows, a)
+}
+
+// qinferRows is attention for output rows [lo, hi). The fused Q|K|V
+// projection stays one GEMM over all T rows (the shape the committed
+// quant gates were measured with); scores, softmax, context and the
+// output projection run on the consumed rows only.
+func (m *qMHA) qinferRows(x *tensor.MatrixF32, lo, hi int, a *tensor.ArenaF32) *tensor.MatrixF32 {
+	T, R := x.Rows, hi-lo
 	hk, hv := m.heads*m.dk, m.heads*m.dv
 	qkv := a.NewMatrix(T, 2*hk+hv)
 	tensor.QMatMulInto(qkv, x, m.wqkv)
-	concat := a.NewMatrixZero(T, hv)
+	qrows := a.Rows(qkv, lo, hi)
+	concat := a.NewMatrixZero(R, hv)
 	scale := float32(1 / math.Sqrt(float64(m.dk)))
-	qh := a.NewMatrix(T, m.dk)
+	qh := a.NewMatrix(R, m.dk)
 	kh := a.NewMatrix(T, m.dk)
 	vh := a.NewMatrix(T, m.dv)
-	s := a.NewMatrix(T, T)
-	oh := a.NewMatrix(T, m.dv)
+	s := a.NewMatrix(R, T)
+	oh := a.NewMatrix(R, m.dv)
 	for h := 0; h < m.heads; h++ {
-		tensor.ColSliceF32Into(qh, qkv, h*m.dk, (h+1)*m.dk)
+		tensor.ColSliceF32Into(qh, qrows, h*m.dk, (h+1)*m.dk)
 		tensor.ColSliceF32Into(kh, qkv, hk+h*m.dk, hk+(h+1)*m.dk)
 		tensor.ColSliceF32Into(vh, qkv, 2*hk+h*m.dv, 2*hk+(h+1)*m.dv)
 		tensor.MatMulTF32Into(s, qh, kh)
@@ -208,14 +243,14 @@ func (m *qMHA) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32
 		}
 		tensor.SoftmaxRowsF32(s)
 		tensor.MatMulF32Into(oh, s, vh)
-		for i := 0; i < T; i++ {
+		for i := 0; i < R; i++ {
 			drow := concat.Row(i)
 			for j, v := range oh.Row(i) {
 				drow[h*m.dv+j] += v
 			}
 		}
 	}
-	y := a.NewMatrix(T, m.out)
+	y := a.NewMatrix(R, m.out)
 	tensor.QMatMulBiasActInto(y, concat, m.wo, m.bo, tensor.ActNone)
 	return y
 }

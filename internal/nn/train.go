@@ -222,45 +222,6 @@ func Evaluate(model *Sequential, ds *Dataset) float64 {
 	return sum / float64(n)
 }
 
-// PredictBatch runs forward inference over many chunks in parallel using
-// worker model replicas (the inference analogue of multi-GPU execution),
-// returning the full T×1 output of each chunk.
-func PredictBatch(model *Sequential, xs []*tensor.Matrix, workers int) []*tensor.Matrix {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	out := make([]*tensor.Matrix, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	if workers <= 1 {
-		predictRange(model, xs, out, 0, 1, tensor.NewArena())
-		return out
-	}
-	// Infer is cache-free, so all workers share the model read-only;
-	// each worker owns an arena for its intermediates.
-	var wg sync.WaitGroup
-	panics := make([]*guard.WorkerError, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if we := guard.RecoveredWorker(w, recover()); we != nil {
-					panics[w] = we
-				}
-			}()
-			predictRange(model, xs, out, w, workers, tensor.NewArena())
-		}(w)
-	}
-	wg.Wait()
-	guard.RethrowWorkers(panics)
-	return out
-}
-
 // String summarizes the training result.
 func (r TrainResult) String() string {
 	return fmt.Sprintf("final MSE %.6g over %d recorded steps", r.Final, len(r.Steps))

@@ -321,11 +321,13 @@ func TrainDevice(spec TrainSpec) (*PTM, TrainReport, error) {
 
 	// SEC fitting on validation predictions (residual space, seconds).
 	var preds, truths []float64
-	raw := nn.PredictBatch(p.Net, val.X, cfg.Workers)
-	for i := range raw {
-		for t := val.Lo[i]; t < val.Hi[i]; t++ {
-			preds = append(preds, p.unscaleTarget(raw[i].At(t, 0)))
-			truths = append(truths, p.unscaleTarget(val.Y[i].At(t, 0)))
+	arena, packs := tensor.NewArena(), nn.NewPacks() // packed after training: the weights are final
+	for i, x := range val.X {
+		arena.Reset()
+		y := p.Net.Infer(x, val.Lo[i], val.Hi[i], arena, packs)
+		for t := 0; t < y.Rows; t++ {
+			preds = append(preds, p.unscaleTarget(y.At(t, 0)))
+			truths = append(truths, p.unscaleTarget(val.Y[i].At(val.Lo[i]+t, 0)))
 		}
 	}
 	p.FitSEC(preds, truths)

@@ -15,7 +15,6 @@ import (
 	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/nn"
-	"deepqueuenet/internal/tensor"
 )
 
 // Arch configures the PTM network (Fig. 5 / Table 1). The zero value is
@@ -176,31 +175,41 @@ func TargetInverse(v, backlog, tx float64) float64 {
 // per-egress-port ingress stream (sorted by arrival time), given the
 // egress port line rate. One forward pass covers a whole chunk of
 // packets; predictions are SEC-corrected and clamped below by the packet
-// transmission time. workers > 1 parallelizes across chunks with model
-// replicas.
+// transmission time. workers > 1 spreads the chunks over that many
+// goroutines, each with its own window scratch against the shared
+// read-only network; results are bit-identical at any worker count.
 func (p *PTM) PredictStream(stream []PacketIn, kind des.SchedKind, rateBps float64, workers int) []float64 {
 	if len(stream) == 0 {
 		return nil
 	}
-	if workers <= 1 || p.qnet != nil {
-		// Sequential path: the session reuses flat feature buffers and
-		// the arena behind the cache-free Infer, so steady-state windows
-		// allocate nothing. Bit-identical to the batch path below.
-		out := make([]float64, len(stream))
-		p.predictInto(p.getSession(), out, stream, kind, rateBps)
+	out := make([]float64, len(stream))
+	s := p.getSession()
+	p.window(s, stream, kind, rateBps)
+	// A new name, not workers reassigned: the goroutines below capture
+	// it, and a reassigned parameter is captured by reference — a heap
+	// cell on every call, the sequential ones included.
+	nw := min(workers, len(s.chunks))
+	if nw <= 1 {
+		p.inferChunks(s, s, out, 0, 1)
 		return out
 	}
-	rows, aux := Featurize(stream, kind, p.NumPorts, rateBps)
-	chunks := Chunks(len(stream), p.TimeSteps, p.Margin)
-	xs := make([]*tensor.Matrix, len(chunks))
-	for i, ck := range chunks {
-		xs[i] = ck.Materialize(rows, p.TimeSteps, p.Feat)
+	var wg sync.WaitGroup
+	panics := make([]*guard.WorkerError, nw)
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() {
+				if we := guard.RecoveredWorker(w, recover()); we != nil {
+					panics[w] = we
+				}
+			}()
+			// Chunks tile the stream, so workers write disjoint positions.
+			p.inferChunks(newSession(p.TimeSteps, p.qnet != nil), s, out, w, nw)
+		}(w)
 	}
-	preds := nn.PredictBatch(p.Net, xs, workers)
-	out := make([]float64, len(stream))
-	for ci, ck := range chunks {
-		p.consumeChunk(out, preds[ci], ck, len(stream), aux.Tx, aux.Backlog)
-	}
+	wg.Wait()
+	guard.RethrowWorkers(panics)
 	return out
 }
 

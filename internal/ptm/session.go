@@ -6,16 +6,17 @@ import (
 	"deepqueuenet/internal/tensor"
 )
 
-// session is the reusable scratch state of single-threaded PTM
-// inference: flat feature/aux buffers, the chunk list, one window
-// matrix, and the tensor arena behind the network's cache-free Infer
+// session is the reusable scratch state of PTM inference: flat
+// feature/aux buffers, the chunk list, one window matrix, and the
+// tensor arena and weight packs behind the network's cache-free Infer
 // path. All of it is grow-only, so once a session has seen its largest
 // stream, every further prediction runs with zero heap allocations
 // (pinned by TestPredictStreamIntoZeroAllocs).
 //
 // A session is not goroutine-safe; it is owned by one *PTM and used by
 // its single-threaded prediction paths. Shard-parallel callers give
-// each shard its own model clone (CloneModel), hence its own session.
+// each shard its own model clone (CloneModel), hence its own session;
+// PredictStream's chunk-parallel workers each get a private one.
 type session struct {
 	arena   *tensor.Arena
 	packs   *nn.Packs // weight matrices repacked for the blocked GEMM kernels
@@ -26,11 +27,9 @@ type session struct {
 	x       *tensor.Matrix // TimeSteps × NumFeatures window
 
 	// Quantized-backend scratch (allocated only when the model runs
-	// with WithQuantized): the float32 window, its arena, and a reused
-	// column for reading predictions back out.
+	// with WithQuantized): the float32 window and its arena.
 	fx     *tensor.MatrixF32
 	farena *tensor.ArenaF32
-	ycol   []float64
 }
 
 func newSession(timeSteps int, quant bool) *session {
@@ -38,7 +37,6 @@ func newSession(timeSteps int, quant bool) *session {
 	if quant {
 		s.fx = tensor.NewF32(timeSteps, NumFeatures)
 		s.farena = tensor.NewArenaF32()
-		s.ycol = make([]float64, timeSteps)
 	}
 	return s
 }
@@ -53,11 +51,9 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// predictInto is the allocation-free core of PredictStream: featurize
-// into the session's flat buffers, window the stream, run each window
-// through the arena-backed Infer path, and consume predictions into
-// dst. dst must be len(stream) long.
-func (p *PTM) predictInto(s *session, dst []float64, stream []PacketIn, kind des.SchedKind, rateBps float64) {
+// window featurizes stream into the session's flat buffers and tiles
+// it with chunks.
+func (p *PTM) window(s *session, stream []PacketIn, kind des.SchedKind, rateBps float64) {
 	n := len(stream)
 	s.feats = growFloats(s.feats, n*NumFeatures)
 	s.tx = growFloats(s.tx, n)
@@ -65,49 +61,45 @@ func (p *PTM) predictInto(s *session, dst []float64, stream []PacketIn, kind des
 	featurizeFlat(s.feats, s.tx, s.backlog, stream, kind, p.NumPorts, rateBps)
 	//dqnlint:allow hotalloc grow-only: appends into the session's reused chunk slice; it grows only until the largest stream has been seen
 	s.chunks = chunksAppend(s.chunks[:0], n, p.TimeSteps, p.Margin)
-	for _, ck := range s.chunks {
-		ck.materializeInto(s.x, s.feats, n, p.Feat)
+}
+
+// predictInto is the allocation-free core of every prediction path:
+// featurize, window, and infer the chunks one by one into dst, which
+// must be len(stream) long.
+func (p *PTM) predictInto(s *session, dst []float64, stream []PacketIn, kind des.SchedKind, rateBps float64) {
+	p.window(s, stream, kind, rateBps)
+	p.inferChunks(s, s, dst, 0, 1)
+}
+
+// inferChunks runs chunks w, w+stride, … of the stream windowed in src
+// through s's window scratch (s == src on the single-threaded paths; a
+// chunk-parallel worker reads the shared src and owns s) and consumes
+// their predictions into dst. The network is asked only for the rows a
+// chunk is consumed for — its interior [Lo, Hi), cut at the stream end
+// — which is what makes an interior window cost half a window's
+// attention and head.
+func (p *PTM) inferChunks(s, src *session, dst []float64, w, stride int) {
+	n := len(dst)
+	for i := w; i < len(src.chunks); i += stride {
+		ck := src.chunks[i]
+		ck.materializeInto(s.x, src.feats, n, p.Feat)
+		lo, hi := ck.Lo, min(ck.Hi, n-ck.Start)
 		if p.qnet != nil {
 			// Opt-in quantized backend: same windows, same consume
 			// logic, int8/float32 network in between.
 			s.fx.CopyFromF64(s.x)
 			s.farena.Reset()
-			y := p.qnet.Infer(s.fx, s.farena)
+			y := p.qnet.Infer(s.fx, lo, hi, s.farena)
 			for t := 0; t < y.Rows; t++ {
-				s.ycol[t] = y.At(t, 0)
+				p.consumePred(dst, y.At(t, 0), ck.Start+lo+t, src.tx, src.backlog)
 			}
-			p.consumeChunkVals(dst, s.ycol, ck, n, s.tx, s.backlog)
 			continue
 		}
 		s.arena.Reset()
-		y := p.Net.InferPacks(s.x, s.arena, s.packs)
-		p.consumeChunk(dst, y, ck, n, s.tx, s.backlog)
-	}
-}
-
-// consumeChunk maps one window's raw network outputs to sojourn times:
-// clamp to the modest extrapolation range, SEC-correct in residual
-// space, unscale, and invert the target transform against the packet's
-// deterministic backlog and transmission time.
-func (p *PTM) consumeChunk(dst []float64, y *tensor.Matrix, ck Chunk, n int, tx, backlog []float64) {
-	for t := ck.Lo; t < ck.Hi; t++ {
-		pos := ck.Start + t
-		if pos >= n {
-			break
+		y := p.Net.Infer(s.x, lo, hi, s.arena, s.packs)
+		for t := 0; t < y.Rows; t++ {
+			p.consumePred(dst, y.At(t, 0), ck.Start+lo+t, src.tx, src.backlog)
 		}
-		p.consumePred(dst, y.At(t, 0), pos, tx, backlog)
-	}
-}
-
-// consumeChunkVals is consumeChunk over a pre-extracted prediction
-// column (the quantized path's output, already widened to float64).
-func (p *PTM) consumeChunkVals(dst, col []float64, ck Chunk, n int, tx, backlog []float64) {
-	for t := ck.Lo; t < ck.Hi; t++ {
-		pos := ck.Start + t
-		if pos >= n {
-			break
-		}
-		p.consumePred(dst, col[t], pos, tx, backlog)
 	}
 }
 

@@ -1,11 +1,13 @@
 package ptm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/rng"
+	"deepqueuenet/internal/tensor"
 )
 
 func sessionModel(t *testing.T) *PTM {
@@ -40,19 +42,60 @@ func sojournsBitsEqual(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestPredictStreamIntoMatchesBatchPath: the session fast path and the
-// chunk-parallel PredictBatch path must produce bit-identical sojourns.
-// Streams shrink between calls so stale-buffer reuse would be caught.
-func TestPredictStreamIntoMatchesBatchPath(t *testing.T) {
-	p := sessionModel(t)
-	var dst []float64
-	for i, n := range []int{200, 37, 128, 5, 1} {
-		stream := testStream(n, 50+uint64(i))
-		want := p.PredictStream(stream, des.FIFO, 10e9, 4) // batch path
-		dst = p.PredictStreamInto(dst, stream, des.FIFO, 10e9)
-		sojournsBitsEqual(t, "PredictStreamInto", dst, want)
-		seq := p.PredictStream(stream, des.FIFO, 10e9, 1) // session path
-		sojournsBitsEqual(t, "PredictStream(workers=1)", seq, want)
+// forwardReference predicts a stream the slow, obviously-right way:
+// allocating featurization, every window through the network's full
+// training-pass Forward (the quantized twin through its own full-range
+// pass), and only then the rows each chunk is consumed for.
+func forwardReference(p *PTM, stream []PacketIn, kind des.SchedKind, rateBps float64) []float64 {
+	n := len(stream)
+	rows, aux := Featurize(stream, kind, p.NumPorts, rateBps)
+	out := make([]float64, n)
+	for _, ck := range Chunks(n, p.TimeSteps, p.Margin) {
+		x := ck.Materialize(rows, p.TimeSteps, p.Feat)
+		var col func(t int) float64
+		if p.qnet != nil {
+			fx := tensor.NewF32(x.Rows, x.Cols)
+			fx.CopyFromF64(x)
+			y := p.qnet.Infer(fx, 0, x.Rows, tensor.NewArenaF32())
+			col = func(t int) float64 { return y.At(t, 0) }
+		} else {
+			y := p.Net.Forward(x)
+			col = func(t int) float64 { return y.At(t, 0) }
+		}
+		for t := ck.Lo; t < ck.Hi && ck.Start+t < n; t++ {
+			p.consumePred(out, col(t), ck.Start+t, aux.Tx, aux.Backlog)
+		}
+	}
+	return out
+}
+
+// TestPredictStreamMatchesForwardReference: every prediction path —
+// the session path, the chunk-parallel path, the caller-owned-storage
+// path — asks the network only for the rows it consumes and must still
+// produce the reference's sojourns bit for bit, exact and quantized, at
+// every stream length from one packet to past three windows (short
+// streams, the anchored final chunk, every Lo/Hi the tiling produces).
+// Lengths run downwards so stale-buffer reuse would be caught.
+func TestPredictStreamMatchesForwardReference(t *testing.T) {
+	for _, quant := range []bool{false, true} {
+		p := sessionModel(t)
+		if quant {
+			if err := p.WithQuantized(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var dst []float64
+		for n := 3*p.TimeSteps + 1; n >= 1; n-- {
+			stream := testStream(n, 50+uint64(n))
+			want := forwardReference(p, stream, des.WFQ, 10e9)
+			label := fmt.Sprintf("quant=%v n=%d", quant, n)
+			for _, workers := range []int{1, 3} {
+				got := p.PredictStream(stream, des.WFQ, 10e9, workers)
+				sojournsBitsEqual(t, fmt.Sprintf("%s PredictStream(workers=%d)", label, workers), got, want)
+			}
+			dst = p.PredictStreamInto(dst, stream, des.WFQ, 10e9)
+			sojournsBitsEqual(t, label+" PredictStreamInto", dst, want)
+		}
 	}
 }
 
@@ -94,6 +137,19 @@ func TestPredictStreamIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictStreamInto allocated %.0f times per stream; want 0", allocs)
+	}
+}
+
+// TestPredictStreamAllocatesOnlyItsResult: the allocating entry point
+// owes the heap exactly one object per call, the returned slice — what
+// cmd/dqnbench's ptm_predict_stream gate holds it to.
+func TestPredictStreamAllocatesOnlyItsResult(t *testing.T) {
+	p := sessionModel(t)
+	stream := testStream(150, 9)
+	if allocs := testing.AllocsPerRun(10, func() {
+		p.PredictStream(stream, des.FIFO, 10e9, 1)
+	}); allocs != 1 {
+		t.Fatalf("PredictStream(workers=1) allocated %.0f times per stream; want 1", allocs)
 	}
 }
 

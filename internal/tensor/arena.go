@@ -48,24 +48,38 @@ func (a *Arena) AllocZero(n int) []float64 {
 	return s
 }
 
+// header returns a recycled Matrix header.
+func (a *Arena) header() *Matrix {
+	if a.nhdr == len(a.hdrs) {
+		//dqnlint:allow hotalloc header pool growth: a new Matrix header is minted only until the arena has seen its peak header count, then reused forever
+		a.hdrs = append(a.hdrs, &Matrix{})
+	}
+	a.nhdr++
+	return a.hdrs[a.nhdr-1]
+}
+
 // NewMatrix returns a rows×cols matrix backed by the arena. Its data is
 // uninitialized; kernels that fully overwrite their destination (the
 // *Into family) can use it directly, accumulating kernels should use
 // NewMatrixZero.
 func (a *Arena) NewMatrix(rows, cols int) *Matrix {
-	var m *Matrix
-	if a.nhdr < len(a.hdrs) {
-		m = a.hdrs[a.nhdr]
-	} else {
-		//dqnlint:allow hotalloc header pool growth: a new Matrix header is minted only until the arena has seen its peak header count, then reused forever
-		m = &Matrix{}
-		//dqnlint:allow hotalloc header pool growth: same amortized warm-up as the header mint above
-		a.hdrs = append(a.hdrs, m)
-	}
-	a.nhdr++
+	m := a.header()
 	m.Rows, m.Cols = rows, cols
 	m.Data = a.Alloc(rows * cols)
 	return m
+}
+
+// Rows returns rows [lo, hi) of m as a matrix sharing m's storage (a
+// view, valid as long as m and until Reset): how inference narrows a
+// window to the rows its caller consumes without copying them.
+func (a *Arena) Rows(m *Matrix, lo, hi int) *Matrix {
+	if lo < 0 || lo > hi || hi > m.Rows {
+		panic("tensor: Arena.Rows range " + dimStr(lo, hi) + " of " + shapeStr(m))
+	}
+	v := a.header()
+	v.Rows, v.Cols = hi-lo, m.Cols
+	v.Data = m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]
+	return v
 }
 
 // NewMatrixZero returns a zeroed rows×cols matrix backed by the arena.

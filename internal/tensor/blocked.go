@@ -36,44 +36,42 @@ func SetAsmKernels(enable bool) bool {
 	return prev
 }
 
-// matMulPacked computes dst = a × b with b in packed-panel form
-// (beta = 0, no zero-skip).
-func matMulPacked(dst, a *Matrix, p *Packed) {
-	M, K, N := a.Rows, a.Cols, p.N
-	if M == 0 || N == 0 {
+// matMulPacked computes the m×p.N product a × p (beta = 0, no
+// zero-skip) for operands embedded in wider row-major buffers: row i of
+// a is a[i*as : i*as+p.K], row i of the result dst[i*ds : i*ds+p.N].
+// The microkernels take row strides, so a column block of one matrix
+// multiplies into a column block of another without a copy on either
+// side. Callers have checked that both buffers hold m such rows.
+func matMulPacked(dst []float64, ds int, a []float64, as, m int, p *Packed) {
+	K, N := p.K, p.N
+	if m == 0 || N == 0 {
 		return
 	}
 	np := (N + 7) / 8
-	npFull := N / 8
-	if useAsmKernels && K > 0 && npFull > 0 {
-		i := 0
-		for ; i+4 <= M; i += 4 {
-			for pi := 0; pi < npFull; pi++ {
-				gemm4x8(&dst.Data[i*N+pi*8], N, &a.Data[i*K], K, &p.data[pi*K*8], K)
-			}
-		}
-		for ; i < M; i++ {
-			for pi := 0; pi < npFull; pi++ {
-				gemm1x8(&dst.Data[i*N+pi*8], &a.Data[i*K], &p.data[pi*K*8], K)
-			}
-		}
-		if npFull < np {
-			goPackedRows(dst, a, p, 0, M, npFull, np)
-		}
-		return
+	npFull := 0 // panels the assembly takes: the full ones, when it runs at all
+	if useAsmKernels && K > 0 {
+		npFull = N / 8
 	}
-	goPackedRows(dst, a, p, 0, M, 0, np)
-}
-
-// goPackedRows is the portable packed microkernel: rows [i0, i1),
-// panels [pi0, pi1), 8 accumulators per panel, partial stores for the
-// zero-padded last panel.
-func goPackedRows(dst, a *Matrix, p *Packed, i0, i1, pi0, pi1 int) {
-	K, N := p.K, p.N
-	for i := i0; i < i1; i++ {
-		arow := a.Data[i*K : i*K+K]
-		orow := dst.Data[i*N : i*N+N]
-		for pi := pi0; pi < pi1; pi++ {
+	if npFull > 0 {
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			for pi := 0; pi < npFull; pi++ {
+				gemm4x8(&dst[i*ds+pi*8], ds, &a[i*as], as, &p.data[pi*K*8], K)
+			}
+		}
+		for ; i < m; i++ {
+			for pi := 0; pi < npFull; pi++ {
+				gemm1x8(&dst[i*ds+pi*8], &a[i*as], &p.data[pi*K*8], K)
+			}
+		}
+	}
+	// Portable microkernel for the panels the assembly did not take (the
+	// zero-padded last one, or all of them): 8 accumulators per panel,
+	// partial stores past N.
+	for i := 0; i < m && npFull < np; i++ {
+		arow := a[i*as : i*as+K]
+		orow := dst[i*ds : i*ds+N]
+		for pi := npFull; pi < np; pi++ {
 			var c0, c1, c2, c3, c4, c5, c6, c7 float64
 			panel := p.data[pi*K*8 : (pi+1)*K*8]
 			for k := 0; k < K; k++ {

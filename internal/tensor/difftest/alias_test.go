@@ -42,13 +42,7 @@ func TestAliasPanicSweep(t *testing.T) {
 		{"MatMulPackedBiasActInto dst==a", func() { tensor.MatMulPackedBiasActInto(sq, sq, pk, bias, tensor.ActSigmoid) }},
 		{"AddVecMatInto dst==w", func() { tensor.AddVecMatInto(other.Row(0), row, other) }},
 		{"AddVecMatInto dst==h", func() { tensor.AddVecMatInto(row, row, other) }},
-		{"ReverseRowsInto dst==src", func() { tensor.ReverseRowsInto(sq, sq) }},
-		{"ColSliceInto dst==src", func() { tensor.ColSliceInto(sq, sq, 0, 8) }},
-		{"ConcatColsInto dst==a", func() {
-			wide := tensor.New(8, 16)
-			narrow := &tensor.Matrix{Rows: 8, Cols: 8, Data: wide.Data[:64]}
-			tensor.ConcatColsInto(wide, narrow, other)
-		}},
+		{"MatMulPackedColsInto dst==a", func() { tensor.MatMulPackedColsInto(sq, 0, sq, 0, pk) }},
 		{"QMatMulInto dst==a", func() { tensor.QMatMulInto(sqf, sqf, q) }},
 		{"QMatMulBiasActInto dst==a", func() { tensor.QMatMulBiasActInto(sqf, sqf, q, nil, tensor.ActNone) }},
 		{"QAddVecMatInto dst==h", func() { tensor.QAddVecMatInto(rowf, rowf, q) }},

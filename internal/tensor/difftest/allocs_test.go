@@ -40,6 +40,8 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 	gc := make([]float64, 16)
 	gh := make([]float64, 16)
 	dstT := tensor.New(32, 32)
+	var kt tensor.Packed
+	ktBuf := make([]float64, tensor.PackedLen(8, 32))
 
 	pins := []struct {
 		name string
@@ -51,6 +53,10 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 		{"MatMulTInto", func() { tensor.MatMulTInto(dstT, a, a) }},
 		{"AddVecMatInto", func() { tensor.AddVecMatInto(acc, h, b) }},
 		{"PackFrom reuse", func() { p.PackFrom(b) }},
+		{"PackColsT + MatMulPackedColsInto", func() {
+			kt.PackColsT(ktBuf, a, 0, 8)
+			tensor.MatMulPackedColsInto(dstT, 0, a, 8, &kt)
+		}},
 		{"ExpSlice", func() { tensor.ExpSlice(ys, xs) }},
 		{"SigmoidSlice", func() { tensor.SigmoidSlice(ys, xs) }},
 		{"TanhSlice", func() { tensor.TanhSlice(ys, xs) }},

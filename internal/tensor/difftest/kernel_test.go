@@ -129,6 +129,43 @@ func checkMatMulFamily(t *testing.T, r *rng.Rand, m, k, n int, spice bool) {
 	tensor.MatMulTInto(gotT, a, bt)
 	bitsEqualMat(t, "MatMulTInto", gotT, wantT)
 
+	// Attention's per-window products: a column block of a wider
+	// operand, times a pack carved out of a column block of another
+	// activation matrix, into a column block of a wider destination
+	// whose other columns must survive. Scores (a × btᵀ through a pack
+	// of the transpose) are pinned against MatMulTInto's reference,
+	// context (a × b) against MatMulInto's.
+	embed := func(src *tensor.Matrix, at, pad int) *tensor.Matrix {
+		w := tensor.New(src.Rows, src.Cols+pad)
+		fillRand(r, w, spice)
+		for i := 0; i < src.Rows; i++ {
+			copy(w.Row(i)[at:], src.Row(i))
+		}
+		return w
+	}
+	checkBlock := func(op string, pk *tensor.Packed, wantBlock *tensor.Matrix) {
+		t.Helper()
+		aw := embed(a, 2, 3)
+		dw := embed(wantBlock, 3, 4)
+		for i := 0; i < m; i++ { // poison the block, keep the frame
+			for j := 0; j < n; j++ {
+				dw.Set(i, 3+j, 12345)
+			}
+		}
+		frame := dw.Clone()
+		tensor.MatMulPackedColsInto(dw, 3, aw, 2, pk)
+		for i := 0; i < m; i++ {
+			bitsEqualSlice(t, op, dw.Row(i)[3:3+n], wantBlock.Row(i))
+			bitsEqualSlice(t, op+" frame left", dw.Row(i)[:3], frame.Row(i)[:3])
+			bitsEqualSlice(t, op+" frame right", dw.Row(i)[3+n:], frame.Row(i)[3+n:])
+		}
+	}
+	var kt, vp tensor.Packed
+	kt.PackColsT(make([]float64, tensor.PackedLen(k, n)), embed(bt, 1, 5), 1, k)
+	checkBlock("scores via PackColsT", &kt, wantT)
+	vp.PackCols(make([]float64, tensor.PackedLen(k, n)), embed(b, 4, 6), 4, n)
+	checkBlock("context via PackCols", &vp, want)
+
 	// Fused bias+activation, packed and unpacked, every activation kind.
 	bias := tensor.New(1, n)
 	fillRand(r, bias, spice)
@@ -200,12 +237,17 @@ func TestKernelsRandomLargeShapes(t *testing.T) {
 // output), so the hot path's own dimensions are covered by name.
 func TestPTMLayerShapes(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
-		{32, 14, 12},  // embed dense
-		{32, 12, 64},  // BLSTM1 input GEMM (4*hidden columns)
-		{32, 32, 40},  // BLSTM2 input GEMM
-		{32, 20, 48},  // attention QKV (2*heads*dk + heads*dv)
-		{32, 16, 16},  // attention output
-		{1, 16, 1},    // readout dense
+		{32, 14, 12}, // embed dense
+		{32, 12, 64}, // BLSTM1 input GEMM (4*hidden columns)
+		{32, 32, 40}, // BLSTM2 input GEMM
+		{32, 20, 48}, // attention QKV (2*heads*dk + heads*dv), the quant twin's fused shape
+		{32, 20, 32}, // attention K|V for every row of a window
+		{16, 20, 16}, // attention Q for an interior window's consumed rows
+		{16, 8, 32},  // per-head scores Q_h·K_hᵀ
+		{16, 32, 8},  // per-head context softmax·V_h
+		{16, 16, 16}, // attention output on the consumed rows
+		{32, 16, 16}, // attention output
+		{1, 16, 1},   // readout dense
 	}
 	withBackends(t, func(t *testing.T) {
 		r := rng.New(303)

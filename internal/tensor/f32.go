@@ -75,22 +75,34 @@ func (a *ArenaF32) AllocZero(n int) []float32 {
 	return s
 }
 
+func (a *ArenaF32) header() *MatrixF32 {
+	if a.nhdr == len(a.hdrs) {
+		//dqnlint:allow hotalloc header pool growth: a new header is minted only until the arena has seen its peak header count, then reused forever
+		a.hdrs = append(a.hdrs, &MatrixF32{})
+	}
+	a.nhdr++
+	return a.hdrs[a.nhdr-1]
+}
+
 // NewMatrix returns a rows×cols matrix backed by the arena
 // (uninitialized data).
 func (a *ArenaF32) NewMatrix(rows, cols int) *MatrixF32 {
-	var m *MatrixF32
-	if a.nhdr < len(a.hdrs) {
-		m = a.hdrs[a.nhdr]
-	} else {
-		//dqnlint:allow hotalloc header pool growth: a new header is minted only until the arena has seen its peak header count, then reused forever
-		m = &MatrixF32{}
-		//dqnlint:allow hotalloc header pool growth: same amortized warm-up as the header mint above
-		a.hdrs = append(a.hdrs, m)
-	}
-	a.nhdr++
+	m := a.header()
 	m.Rows, m.Cols = rows, cols
 	m.Data = a.Alloc(rows * cols)
 	return m
+}
+
+// Rows returns rows [lo, hi) of m as a view sharing m's storage (see
+// Arena.Rows).
+func (a *ArenaF32) Rows(m *MatrixF32, lo, hi int) *MatrixF32 {
+	if lo < 0 || lo > hi || hi > m.Rows {
+		panic("tensor: ArenaF32.Rows range out of bounds")
+	}
+	v := a.header()
+	v.Rows, v.Cols = hi-lo, m.Cols
+	v.Data = m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]
+	return v
 }
 
 // NewMatrixZero returns a zeroed rows×cols matrix backed by the arena.
@@ -163,28 +175,6 @@ func ColSliceF32Into(dst, src *MatrixF32, lo, hi int) {
 	}
 	for i := 0; i < src.Rows; i++ {
 		copy(dst.Row(i), src.Row(i)[lo:hi])
-	}
-}
-
-// ReverseRowsF32Into writes src with reversed row order into dst.
-func ReverseRowsF32Into(dst, src *MatrixF32) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: ReverseRowsF32Into shape mismatch")
-	}
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i), src.Row(src.Rows-1-i))
-	}
-}
-
-// ConcatColsF32Into writes [a | b] into dst.
-func ConcatColsF32Into(dst, a, b *MatrixF32) {
-	if a.Rows != b.Rows || dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
-		panic("tensor: ConcatColsF32Into shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		drow := dst.Row(i)
-		copy(drow[:a.Cols], a.Row(i))
-		copy(drow[a.Cols:], b.Row(i))
 	}
 }
 

@@ -86,7 +86,25 @@ func MatMulPackedInto(dst, a *Matrix, p *Packed) {
 	if aliases(dst, a) || (len(dst.Data) > 0 && len(p.data) > 0 && &dst.Data[0] == &p.data[0]) {
 		panic("tensor: MatMulPackedInto destination aliases an input")
 	}
-	matMulPacked(dst, a, p)
+	matMulPacked(dst.Data, p.N, a.Data, p.K, a.Rows, p)
+}
+
+// MatMulPackedColsInto computes dst[:, dc:dc+p.N] = a[:, ac:ac+p.K] × p:
+// a column block of a times a packed operand, written to a column
+// block of dst, every other column of dst left as it was. Attention
+// reads one head's queries out of the joint projection and writes that
+// head's context into the concatenated output this way, slicing
+// neither. dst must have a.Rows rows and must not alias a or the pack.
+func MatMulPackedColsInto(dst *Matrix, dc int, a *Matrix, ac int, p *Packed) {
+	if ac < 0 || ac+p.K > a.Cols || dc < 0 || dc+p.N > dst.Cols || dst.Rows != a.Rows {
+		panic("tensor: MatMulPackedColsInto blocks " + shapeStr(a) + " × packed " + dimStr(p.K, p.N) + " into " + shapeStr(dst))
+	}
+	if aliases(dst, a) || (len(dst.Data) > 0 && len(p.data) > 0 && &dst.Data[0] == &p.data[0]) {
+		panic("tensor: MatMulPackedColsInto destination aliases an input")
+	}
+	if a.Rows > 0 {
+		matMulPacked(dst.Data[dc:], dst.Cols, a.Data[ac:], a.Cols, a.Rows, p)
+	}
 }
 
 // MatMulPackedBiasActInto is MatMulBiasActInto with a packed weight
@@ -104,7 +122,7 @@ func MatMulPackedBiasActInto(dst, a *Matrix, p *Packed, bias *Matrix, act ActKin
 	if aliases(dst, a) || (len(dst.Data) > 0 && len(p.data) > 0 && &dst.Data[0] == &p.data[0]) {
 		panic("tensor: MatMulPackedBiasActInto destination aliases an input")
 	}
-	matMulPacked(dst, a, p)
+	matMulPacked(dst.Data, p.N, a.Data, p.K, a.Rows, p)
 	for i := 0; i < dst.Rows; i++ {
 		orow := dst.Row(i)
 		if bias != nil {
@@ -231,58 +249,5 @@ func HadamardInto(dst, a, b *Matrix) {
 	}
 	for i, av := range a.Data {
 		dst.Data[i] = av * b.Data[i]
-	}
-}
-
-// ApplyInto computes dst[i] = f(src[i]). dst aliasing src is safe.
-func ApplyInto(dst, src *Matrix, f func(float64) float64) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(shapeErr("ApplyInto", dst, src))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// ReverseRowsInto writes src with reversed row order into dst. dst must
-// not alias src.
-func ReverseRowsInto(dst, src *Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(shapeErr("ReverseRowsInto", dst, src))
-	}
-	checkNoAlias("ReverseRowsInto", dst, src, nil)
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i), src.Row(src.Rows-1-i))
-	}
-}
-
-// ConcatColsInto writes [a | b] into dst. dst must not alias a or b.
-func ConcatColsInto(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(shapeErr("ConcatColsInto", a, b))
-	}
-	if dst.Rows != a.Rows || dst.Cols != a.Cols+b.Cols {
-		panic(shapeErr("ConcatColsInto dst", dst, a))
-	}
-	checkNoAlias("ConcatColsInto", dst, a, b)
-	for i := 0; i < a.Rows; i++ {
-		drow := dst.Row(i)
-		copy(drow[:a.Cols], a.Row(i))
-		copy(drow[a.Cols:], b.Row(i))
-	}
-}
-
-// ColSliceInto copies columns [lo, hi) of src into dst (src.Rows ×
-// (hi-lo)). dst must not alias src.
-func ColSliceInto(dst, src *Matrix, lo, hi int) {
-	if lo < 0 || hi > src.Cols || lo > hi {
-		panic("tensor: ColSliceInto column range out of bounds")
-	}
-	if dst.Rows != src.Rows || dst.Cols != hi-lo {
-		panic(shapeErr("ColSliceInto dst", dst, src))
-	}
-	checkNoAlias("ColSliceInto", dst, src, nil)
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i), src.Row(i)[lo:hi])
 	}
 }

@@ -25,37 +25,63 @@ func Pack(b *Matrix) *Packed {
 	return p
 }
 
+// PackedLen is the panel-buffer length of a K×N pack.
+func PackedLen(k, n int) int { return (n + 7) / 8 * k * 8 }
+
 // PackFrom repacks b into p, reusing p's backing storage when it is
 // large enough.
 func (p *Packed) PackFrom(b *Matrix) {
-	K, N := b.Rows, b.Cols
-	np := (N + 7) / 8
-	need := np * K * 8
+	need := PackedLen(b.Rows, b.Cols)
 	if cap(p.data) < need {
 		//dqnlint:allow hotalloc pack warm-up: a panel buffer is minted once per session/weight shape and reused across every window after
 		p.data = make([]float64, need)
 	}
-	p.data = p.data[:need]
-	p.K, p.N = K, N
-	for pi := 0; pi < np; pi++ {
-		lo := pi * 8
-		hi := lo + 8
-		if hi > N {
-			hi = N
-		}
-		base := pi * K * 8
+	p.PackCols(p.data[:need], b, 0, b.Cols)
+}
+
+// PackCols packs columns [c0, c0+n) of src — a src.Rows×n operand —
+// into buf, which must be PackedLen(src.Rows, n) long and backs p from
+// here on. It is the per-window form: buf is arena scratch and p a
+// stack header, so packing an activation block allocates nothing.
+func (p *Packed) PackCols(buf []float64, src *Matrix, c0, n int) {
+	K := src.Rows
+	if c0 < 0 || n < 0 || c0+n > src.Cols || len(buf) != PackedLen(K, n) {
+		panic("tensor: PackCols column range or buffer length")
+	}
+	p.K, p.N, p.data = K, n, buf
+	for lo := 0; lo < n; lo += 8 {
+		w := min(8, n-lo)
+		panel := buf[lo*K : (lo+8)*K]
 		for k := 0; k < K; k++ {
-			row := b.Row(k)
-			dst := p.data[base+k*8 : base+k*8+8]
-			copy(dst, row[lo:hi])
-			for z := hi - lo; z < 8; z++ {
-				dst[z] = 0
-			}
+			dst := panel[k*8 : k*8+8]
+			copy(dst, src.Data[k*src.Cols+c0+lo:][:w])
+			clear(dst[w:])
 		}
 	}
 }
 
-// panel returns the pi-th packed panel (K rows × 8 lanes).
-func (p *Packed) panel(pi int) []float64 {
-	return p.data[pi*p.K*8 : (pi+1)*p.K*8]
+// PackColsT packs the transpose of columns [c0, c0+k) of src — a
+// k×src.Rows operand — so that an a × bᵀ product (attention's Q·Kᵀ)
+// runs on the packed kernels. buf as in PackCols.
+func (p *Packed) PackColsT(buf []float64, src *Matrix, c0, k int) {
+	n := src.Rows
+	if c0 < 0 || k < 0 || c0+k > src.Cols || len(buf) != PackedLen(k, n) {
+		panic("tensor: PackColsT column range or buffer length")
+	}
+	p.K, p.N, p.data = k, n, buf
+	if k == 0 {
+		return
+	}
+	for j := 0; j < (n+7)/8*8; j++ { // one lane per source row, zero-padded to whole panels
+		lane := buf[(j/8)*k*8+j%8:]
+		if j >= n {
+			for kk := 0; kk < k; kk++ {
+				lane[kk*8] = 0
+			}
+			continue
+		}
+		for kk, v := range src.Data[j*src.Cols+c0:][:k] {
+			lane[kk*8] = v
+		}
+	}
 }
