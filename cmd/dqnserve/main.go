@@ -51,7 +51,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("dqnserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	modelPath := fs.String("model", "", "default trained device model (empty: synthetic smoke-test model)")
-	quant := fs.Bool("quant", false, "serve every model on the int8-weight quantized inference backend (faster, accuracy-gated; default is the bit-exact float path)")
 	workers := fs.Int("workers", 2, "concurrent simulation jobs")
 	queueDepth := fs.Int("queue", 8, "admission queue depth beyond in-flight jobs")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-job deadline")
@@ -62,7 +61,6 @@ func run(args []string) error {
 	brownout := fs.Bool("brownout", false, "answer overloaded or deadline-short requests at reduced fidelity (quantized or analytic) instead of shedding; fidelity \"exact\" requests are never browned out")
 	planeOn := fs.Bool("plane", true, "route device inference through the shared cross-request batching plane (warm per-model workers, bit-identical results)")
 	planeBatch := fs.Int("plane-batch", 16, "plane micro-batch size: flush when this many device calls have coalesced")
-	planeDelayUs := fs.Int("plane-delay-us", 0, "plane micro-batch deadline in µs: wait at most this long for a batch to fill (0: natural batching, no added latency)")
 	brThreshold := fs.Int("breaker-threshold", 5, "consecutive failures that open a model-path breaker")
 	brCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before half-open probes")
 	brProbes := fs.Int("breaker-probes", 2, "successful probes required to close a breaker")
@@ -99,18 +97,9 @@ func run(args []string) error {
 		}
 		fmt.Println("no -model given: serving a synthetic (untrained) 8-port model for smoke testing")
 	}
-	if *quant {
-		// Quantize the default model eagerly, before the runner can serve
-		// a request, so no goroutine ever observes it mid-switch. Request
-		// models quantize on their cache-miss load via runner.Quantize.
-		if err := model.WithQuantized(); err != nil {
-			return fmt.Errorf("-quant: %w", err)
-		}
-		fmt.Println("quantized inference backend enabled (int8 weights, float32 activations)")
-	}
 
 	reg := obs.NewRegistry()
-	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: *maxShards, MaxDuration: *maxDur, Quantize: *quant}
+	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: *maxShards, MaxDuration: *maxDur}
 	runner.CacheEvictions = reg.Counter("dqn_runner_cache_evictions_total",
 		"runner cache entries dropped by the cache bounds (model registry, named topologies)")
 	if *stateDir != "" {
@@ -118,14 +107,10 @@ func run(args []string) error {
 	}
 	var pl *plane.Plane
 	if *planeOn {
-		pl = plane.New(plane.Config{
-			MaxBatch: *planeBatch,
-			MaxDelay: time.Duration(*planeDelayUs) * time.Microsecond,
-			Metrics:  plane.NewMetrics(reg),
-		})
+		pl = plane.New(plane.Config{MaxBatch: *planeBatch, Metrics: plane.NewMetrics(reg)})
 		defer pl.Close()
 		runner.Plane = pl
-		fmt.Printf("shared inference plane enabled (batch=%d delay=%dµs)\n", *planeBatch, *planeDelayUs)
+		fmt.Printf("shared inference plane enabled (batch=%d)\n", *planeBatch)
 	}
 	var jobRunner serve.Runner = runner
 	if *chaosPanic > 0 || *chaosNaN > 0 || *chaosLatency > 0 || *chaosCancel > 0 {

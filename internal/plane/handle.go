@@ -32,9 +32,6 @@ func (p *Plane) Wrap(inner core.DeviceModel, tag string) *Handle {
 	return &Handle{p: p, inner: inner, tag: tag}
 }
 
-// Inner returns the wrapped model.
-func (h *Handle) Inner() core.DeviceModel { return h.inner }
-
 // PredictStream implements core.DeviceModel by submitting a single-port
 // device call.
 func (h *Handle) PredictStream(stream []ptm.PacketIn, kind des.SchedKind, rateBps float64, _ int) []float64 {

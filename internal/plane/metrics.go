@@ -2,27 +2,14 @@ package plane
 
 import "deepqueuenet/internal/obs"
 
-// flushReason tells why a micro-batch left the queue.
-type flushReason int
-
+// Why a micro-batch left the queue (the dqn_batch_flushes_total reason
+// label).
 const (
 	// flushDrain: the queue ran dry — natural batching, no added wait.
-	flushDrain flushReason = iota
+	flushDrain = "drain"
 	// flushSize: the batch reached MaxBatch calls.
-	flushSize
-	// flushDeadline: the MaxDelay micro-batch deadline expired.
-	flushDeadline
+	flushSize = "size"
 )
-
-func (r flushReason) String() string {
-	switch r {
-	case flushSize:
-		return "size"
-	case flushDeadline:
-		return "deadline"
-	}
-	return "drain"
-}
 
 // Metrics are the plane's pre-registered dqn_batch_* handles. Every
 // counter on the flush path is a pre-created atomic handle, matching
@@ -35,7 +22,7 @@ type Metrics struct {
 	// Coalesced counts calls that shared their flush with at least one
 	// other call — the cross-request batching the plane exists for.
 	Coalesced *obs.Counter
-	// Flushes counts micro-batch flushes by reason (drain/size/deadline).
+	// Flushes counts micro-batch flushes by reason (drain/size).
 	Flushes map[string]*obs.Counter
 	// BatchSize observes calls per flush.
 	BatchSize *obs.Histogram
@@ -60,16 +47,16 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Calls: reg.Counter("dqn_batch_calls_total", "device prediction calls submitted to the inference plane"),
 		Coalesced: reg.Counter("dqn_batch_coalesced_total",
 			"plane calls that shared a micro-batch flush with at least one other call"),
-		Flushes:   make(map[string]*obs.Counter, 3),
+		Flushes:   make(map[string]*obs.Counter, 2),
 		BatchSize: reg.Histogram("dqn_batch_size", "device calls per micro-batch flush", batchSizeBuckets),
 		BatchSeconds: reg.Histogram("dqn_batch_seconds",
 			"execution wall time per micro-batch flush", batchSecBuckets),
 		WorkersStarted:  reg.Counter("dqn_batch_workers_started_total", "warm per-model plane workers spawned"),
 		WorkerEvictions: reg.Counter("dqn_batch_worker_evictions_total", "warm plane workers retired by the LRU bound"),
 	}
-	for _, r := range []flushReason{flushDrain, flushSize, flushDeadline} {
-		m.Flushes[r.String()] = reg.Counter("dqn_batch_flushes_total",
-			"micro-batch flushes by trigger", obs.L("reason", r.String()))
+	for _, r := range []string{flushDrain, flushSize} {
+		m.Flushes[r] = reg.Counter("dqn_batch_flushes_total",
+			"micro-batch flushes by trigger", obs.L("reason", r))
 	}
 	return m
 }
@@ -84,12 +71,12 @@ func (m *Metrics) bindPlane(p *Plane) {
 }
 
 // observeFlush records one flush.
-func (m *Metrics) observeFlush(batch []*call, reason flushReason, elapsedSec float64) {
+func (m *Metrics) observeFlush(batch []*call, reason string, elapsedSec float64) {
 	m.Calls.Add(uint64(len(batch)))
 	if len(batch) > 1 {
 		m.Coalesced.Add(uint64(len(batch)))
 	}
-	m.Flushes[reason.String()].Inc()
+	m.Flushes[reason].Inc()
 	m.BatchSize.Observe(float64(len(batch)))
 	m.BatchSeconds.Observe(elapsedSec)
 }

@@ -8,9 +8,11 @@
 // plane inverts that: one long-lived worker goroutine per distinct
 // model owns one warm clone and serves device-batched predictions for
 // every job that shares the model. Jobs submit a call and park; the
-// worker drains the queue into micro-batches and flushes at
-// max(batch >= MaxBatch, deadline <= MaxDelay), or immediately when the
-// queue runs dry (natural batching — an idle plane adds no latency).
+// worker drains the queue into micro-batches and flushes when the batch
+// reaches MaxBatch or the queue runs dry (natural batching — an idle
+// plane adds no latency). A worker runs a batch's calls one after
+// another on one model, so holding a batch back to let it fill could
+// not make any call finish sooner; there is no such wait.
 //
 // Results are bit-identical to private-shard inference by construction:
 // PTM prediction is history-independent (a session is reusable scratch,
@@ -40,14 +42,6 @@ type Config struct {
 	// MaxBatch flushes a micro-batch when it reaches this many device
 	// calls. <= 0 uses 16.
 	MaxBatch int
-	// MaxDelay is the adaptive micro-batch deadline: after the first
-	// call of a batch arrives, the worker waits at most this long for
-	// the batch to fill before flushing. 0 disables the wait entirely
-	// (natural batching: drain whatever is queued, run, repeat) — the
-	// right default on a saturated single machine, where batches form
-	// while the worker is busy and an artificial delay only adds
-	// latency.
-	MaxDelay time.Duration
 	// QueueDepth bounds each worker's pending-call queue; submitters
 	// block (backpressure) when it is full. <= 0 uses 256.
 	QueueDepth int
@@ -213,8 +207,7 @@ func (p *Plane) evictLocked() {
 	}
 }
 
-// run is the worker loop: block for one call, drain greedily, optionally
-// wait out the micro-batch deadline, flush.
+// run is the worker loop: block for one call, drain greedily, flush.
 func (p *Plane) run(w *worker) {
 	defer p.wg.Done()
 	var model core.DeviceModel // lazily cloned warm model
@@ -238,23 +231,6 @@ func (p *Plane) run(w *worker) {
 				break drain
 			}
 		}
-		if p.cfg.MaxDelay > 0 && len(batch) < p.cfg.MaxBatch {
-			timer := time.NewTimer(p.cfg.MaxDelay)
-		wait:
-			for len(batch) < p.cfg.MaxBatch {
-				select {
-				case c2, ok := <-w.ch:
-					if !ok {
-						break wait
-					}
-					batch = append(batch, c2)
-				case <-timer.C:
-					reason = flushDeadline
-					break wait
-				}
-			}
-			timer.Stop()
-		}
 		if len(batch) >= p.cfg.MaxBatch {
 			reason = flushSize
 		}
@@ -268,7 +244,7 @@ func (p *Plane) run(w *worker) {
 // flush runs one micro-batch on the worker's warm model, completing
 // each call as its device finishes so low-latency submitters never wait
 // on the whole batch.
-func (p *Plane) flush(model core.DeviceModel, batch []*call, reason flushReason) {
+func (p *Plane) flush(model core.DeviceModel, batch []*call, reason string) {
 	start := time.Now()
 	for _, c := range batch {
 		runCall(model, c)
@@ -301,19 +277,17 @@ func runCall(model core.DeviceModel, c *call) {
 			c.panicked = r
 		}
 	}()
-	if dp, ok := model.(core.DevicePredictor); ok {
-		dp.PredictDevice(c.ports, c.kind)
-		return
-	}
-	for i := range c.ports {
-		ps := &c.ports[i]
-		ps.Out = append(ps.Out[:0], model.PredictStream(ps.Stream, c.kind, ps.RateBps, 1)...)
-	}
+	predict(model, c.ports, c.kind)
 }
 
 // predictInline is the closed-plane fallback: clone, predict, discard.
 func predictInline(key core.DeviceModel, ports []ptm.PortStream, kind des.SchedKind) {
-	model := key.CloneModel()
+	predict(key.CloneModel(), ports, kind)
+}
+
+// predict fills every port's Out slice on model, device-batched when
+// the model supports it.
+func predict(model core.DeviceModel, ports []ptm.PortStream, kind des.SchedKind) {
 	if dp, ok := model.(core.DevicePredictor); ok {
 		dp.PredictDevice(ports, kind)
 		return

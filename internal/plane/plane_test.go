@@ -123,30 +123,19 @@ func (f *fakeModel) callCount() int {
 	return f.calls
 }
 
-// TestFlushOnDeadline pins the deadline trigger: with MaxDelay set and a
-// batch that never fills, the micro-batch deadline expires and the flush
-// is attributed to "deadline". With MaxDelay zero the same lone call is
-// a "drain" flush.
-func TestFlushOnDeadline(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	p := New(Config{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Metrics: m})
+// TestFlushOnDrain pins natural batching: a lone call on an idle plane
+// flushes at once, attributed to "drain", and the reason label has no
+// other value than drain and size.
+func TestFlushOnDrain(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	p := New(Config{MaxBatch: 8, Metrics: m})
 	p.Predict(&fakeModel{}, onePort(3), des.FIFO, "lone")
 	p.Close()
-	if got := m.Flushes["deadline"].Value(); got != 1 {
-		t.Fatalf("deadline flushes = %d, want 1", got)
-	}
-
-	reg2 := obs.NewRegistry()
-	m2 := NewMetrics(reg2)
-	p2 := New(Config{MaxBatch: 8, Metrics: m2})
-	p2.Predict(&fakeModel{}, onePort(3), des.FIFO, "lone")
-	p2.Close()
-	if got := m2.Flushes["drain"].Value(); got != 1 {
+	if got := m.Flushes["drain"].Value(); got != 1 {
 		t.Fatalf("drain flushes = %d, want 1", got)
 	}
-	if got := m2.Flushes["deadline"].Value(); got != 0 {
-		t.Fatalf("deadline flushes = %d, want 0 with MaxDelay=0", got)
+	if len(m.Flushes) != 2 || m.Flushes["size"] == nil {
+		t.Fatalf("flush reasons = %v, want exactly drain and size", m.Flushes)
 	}
 }
 

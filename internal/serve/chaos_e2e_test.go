@@ -5,8 +5,9 @@ package serve_test
 // HTTP traffic while internal/chaos injects shard panics, NaN outputs,
 // latency, and mid-run cancels at material rates. The server must
 // survive every fault, answer only well-defined statuses, open and
-// recover circuit breakers, shed with 429 + Retry-After, drain cleanly,
-// and — with chaos disabled — reproduce engine digests bit for bit.
+// recover circuit breakers, shed with 429 + Retry-After, and drain
+// cleanly. lifecycle_test.go holds the contract (digests, fidelity,
+// accounting) every feature combination must meet.
 
 import (
 	"context"
@@ -23,9 +24,7 @@ import (
 
 	"deepqueuenet/internal/chaos"
 	"deepqueuenet/internal/core"
-	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/guard"
-	"deepqueuenet/internal/plane"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/serve"
 )
@@ -377,186 +376,6 @@ func TestChaosCancelSurfacesAsCanceled(t *testing.T) {
 	}
 }
 
-// TestChaosOffDigestBitIdentical: with every rate zero the chaos
-// wrappers are identities — a served run reproduces a direct engine
-// run's delivery digest bit for bit, and repeated serves agree.
-func TestChaosOffDigestBitIdentical(t *testing.T) {
-	model := testModel(t)
-	inj := chaos.New(chaos.Config{Seed: 1}) // all rates zero
-	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: 2}
-	runner.WrapDevice = inj.WrapDevice
-	srv := mustServe(t, serve.Config{Workers: 2, QueueDepth: 2, RetryMax: -1}, inj.WrapRunner(runner))
-	defer func() {
-		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Drain(dctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	}()
-
-	req := &serve.Request{Topo: "line4", Duration: 0.0002, Shards: 2, Seed: 9}
-	res1, err := srv.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := srv.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Digest == "" || res1.Digest != res2.Digest {
-		t.Fatalf("served digests disagree: %q vs %q", res1.Digest, res2.Digest)
-	}
-
-	// Direct engine run of the identical scenario.
-	g, err := experiments.TopoByName("line4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := experiments.SchedByName("fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := experiments.TrafficByName("poisson")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := experiments.NewScenario("line4/fifo/poisson", g, sched, tm, 0.5, 0.0002, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, res, err := sc.RunDQNCfgCtx(context.Background(), model, core.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := serve.Digest(res); res1.Digest != want {
-		t.Fatalf("served digest %q != direct engine digest %q: the serving layer perturbed the simulation", res1.Digest, want)
-	}
-	if res1.Mode != "model" || res1.Degraded {
-		t.Fatalf("chaos-off run must be a clean model run: %+v", res1)
-	}
-}
-
-// gateRunner holds model-tier runs at a gate until released while
-// delegating the analytic tier to the real runner — the deterministic
-// saturation used by the brownout drill: with the single worker parked
-// at the gate and the queue full, every further arrival is a would-be
-// 429.
-type gateRunner struct {
-	next    serve.Runner
-	gate    chan struct{}
-	started chan struct{}
-}
-
-func (g *gateRunner) Run(ctx context.Context, req *serve.Request, mode serve.RunMode) (*serve.Result, error) {
-	if mode == serve.RunAnalytic {
-		return g.next.Run(ctx, req, mode)
-	}
-	select {
-	case g.started <- struct{}{}:
-	default:
-	}
-	select {
-	case <-g.gate:
-	case <-ctx.Done():
-		return nil, guard.FromContext(ctx.Err())
-	}
-	return g.next.Run(ctx, req, mode)
-}
-
-// TestChaosBrownoutConvertsShedToAnalytic drives an identical overload
-// burst against a shedding server and a brownout server: the brownout
-// run must convert every would-be 429 into a reduced-fidelity 200 — at
-// least doubling the completed count — while fidelity "exact" clients
-// are still shed rather than silently degraded.
-func TestChaosBrownoutConvertsShedToAnalytic(t *testing.T) {
-	const burst = 10
-	run := func(brownout bool) serve.Stats {
-		g := &gateRunner{
-			next:    &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2},
-			gate:    make(chan struct{}),
-			started: make(chan struct{}, 4),
-		}
-		srv := mustServe(t, serve.Config{
-			Workers: 1, QueueDepth: 1, RetryMax: -1, Brownout: brownout,
-		}, g)
-		h := srv.Handler()
-
-		// Saturate: one request parks the worker at the gate, then one
-		// fills the single queue slot. The second is sent only once the
-		// worker has taken the first off the queue; sent together, the
-		// second could find the slot still occupied and be shed.
-		var occupiers sync.WaitGroup
-		occupy := func(seed uint64) {
-			occupiers.Add(1)
-			go func() {
-				defer occupiers.Done()
-				if rec := postSim(h, simBody(seed)); rec.Code != http.StatusOK {
-					t.Errorf("occupier %d: status %d", seed, rec.Code)
-				}
-			}()
-		}
-		occupy(100)
-		<-g.started
-		occupy(101)
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.Snapshot().Accepted < 2 {
-			if !time.Now().Before(deadline) {
-				t.Fatal("queue never filled")
-			}
-			time.Sleep(time.Millisecond)
-		}
-
-		// The burst: the server is saturated, so each of these would shed.
-		var wg sync.WaitGroup
-		for i := 0; i < burst; i++ {
-			wg.Add(1)
-			go func(seed uint64) {
-				defer wg.Done()
-				rec := postSim(h, simBody(seed))
-				switch {
-				case brownout && rec.Code != http.StatusOK:
-					t.Errorf("brownout burst seed %d: status %d body %s", seed, rec.Code, rec.Body.String())
-				case brownout && rec.Header().Get("X-DQN-Fidelity") != "analytic":
-					t.Errorf("brownout burst seed %d: X-DQN-Fidelity %q, want analytic", seed, rec.Header().Get("X-DQN-Fidelity"))
-				case !brownout && rec.Code != http.StatusTooManyRequests:
-					t.Errorf("shed burst seed %d: status %d, want 429", seed, rec.Code)
-				}
-			}(uint64(200 + i))
-		}
-		wg.Wait()
-
-		// Even under brownout, a fidelity "exact" client prefers the 429.
-		exact := postSim(h, `{"topo":"line4","duration":0.0002,"fidelity":"exact","seed":300}`)
-		if exact.Code != http.StatusTooManyRequests {
-			t.Errorf("exact-only under overload: status %d, want 429", exact.Code)
-		}
-
-		close(g.gate)
-		occupiers.Wait()
-		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Drain(dctx); err != nil {
-			t.Fatalf("drain: %v", err)
-		}
-		return srv.Snapshot()
-	}
-
-	shedBase := run(false)
-	browned := run(true)
-	if shedBase.Completed != 2 || shedBase.Shed != burst+1 {
-		t.Errorf("shed baseline: completed %d shed %d, want 2 and %d", shedBase.Completed, shedBase.Shed, burst+1)
-	}
-	if browned.Completed < 2*shedBase.Completed {
-		t.Errorf("brownout completed %d < 2x shed baseline %d", browned.Completed, shedBase.Completed)
-	}
-	if browned.Brownouts != burst || browned.Fidelity["analytic"] != burst {
-		t.Errorf("brownout run: brownouts %d fidelity %v, want %d analytic answers", browned.Brownouts, browned.Fidelity, burst)
-	}
-	if browned.Fidelity["exact"] != 2 || browned.Shed != 1 {
-		t.Errorf("brownout run: fidelity %v shed %d — occupiers must stay exact and the exact-only probe must shed", browned.Fidelity, browned.Shed)
-	}
-}
-
 // analyticDown wraps a runner so the analytic tier always errors — the
 // fault that forces the ladder past analytic onto its final rung.
 type analyticDown struct{ next serve.Runner }
@@ -717,105 +536,5 @@ func TestChaosKillRestartResumeStorm(t *testing.T) {
 	}
 	if st.Completed != uint64(crashed) {
 		t.Errorf("restarted process completed %d jobs, want the %d crashed ones", st.Completed, crashed)
-	}
-}
-
-// TestChaosStormBatchedDigestsBitIdentical is the inference-plane
-// acceptance drill: concurrent traffic runs through the shared
-// cross-request batching plane while chaos injects shard panics and
-// NaN outputs, and every exact-fidelity success must still reproduce
-// the plane-less, chaos-less direct engine digest bit for bit. Faults
-// fire in the submitting shard (above the plane handle), so retries
-// recover them without ever corrupting the shared warm workers.
-func TestChaosStormBatchedDigestsBitIdentical(t *testing.T) {
-	model := testModel(t)
-
-	// Reference digests: direct engine runs, no plane, no chaos.
-	g, err := experiments.TopoByName("line4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := experiments.SchedByName("fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := experiments.TrafficByName("poisson")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const seeds = 4
-	want := make(map[uint64]string, seeds)
-	for seed := uint64(1); seed <= seeds; seed++ {
-		sc, err := experiments.NewScenario("line4/fifo/poisson", g, sched, tm, 0.5, 0.0002, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, res, err := sc.RunDQNCfgCtx(context.Background(), model, core.Config{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[seed] = serve.Digest(res)
-	}
-
-	inj := chaos.New(chaos.Config{Seed: 11, PanicRate: 0.01, NaNRate: 0.01})
-	pl := plane.New(plane.Config{MaxBatch: 8})
-	defer pl.Close()
-	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: 2, Plane: pl}
-	runner.WrapDevice = inj.WrapDevice
-	srv := mustServe(t, serve.Config{
-		Workers: 4, QueueDepth: 16, RetryMax: 6, RetryBase: time.Millisecond,
-		Breaker: serve.BreakerConfig{Threshold: 1 << 30}, // digests, not breaker behavior, under test
-		Plane:   pl,
-	}, inj.WrapRunner(runner))
-	defer func() {
-		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Drain(dctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	}()
-
-	const perSeed = 4
-	var succeeded atomic.Uint64
-	errCh := make(chan error, 3*seeds*perSeed)
-	// Up to three storm waves: a wave can lose every request to
-	// exhausted retries under sustained faults, but any SUCCESS in any
-	// wave must carry the exact reference digest.
-	for wave := 0; wave < 3 && succeeded.Load() == 0; wave++ {
-		var wg sync.WaitGroup
-		for seed := uint64(1); seed <= seeds; seed++ {
-			for i := 0; i < perSeed; i++ {
-				wg.Add(1)
-				go func(seed uint64) {
-					defer wg.Done()
-					req := &serve.Request{Topo: "line4", Duration: 0.0002, Shards: 2, Seed: seed, Fidelity: "exact"}
-					res, err := srv.Submit(context.Background(), req)
-					if err != nil {
-						return // exhausted retries under chaos: acceptable, just not a success
-					}
-					if res.Mode != "model" || res.Degraded {
-						errCh <- fmt.Errorf("seed %d: exact-fidelity success ran as %q degraded=%v", seed, res.Mode, res.Degraded)
-						return
-					}
-					if res.Digest != want[seed] {
-						errCh <- fmt.Errorf("seed %d: batched digest %q != direct engine digest %q", seed, res.Digest, want[seed])
-						return
-					}
-					succeeded.Add(1)
-				}(seed)
-			}
-		}
-		wg.Wait()
-	}
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	if succeeded.Load() == 0 {
-		t.Fatal("no request succeeded under the chaos storm; digest claim untested")
-	}
-	// Traffic must actually have flowed through the plane.
-	if calls, _ := pl.BatchStats(); calls == 0 {
-		t.Fatal("plane saw no flushes: the batched path was not exercised")
 	}
 }

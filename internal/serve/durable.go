@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"deepqueuenet/internal/checkpoint"
 )
 
 // Job statuses. pending and interrupted are recoverable: a restarted
@@ -116,35 +118,15 @@ func (st *jobStore) checkpointPath(id string) string {
 	return filepath.Join(st.dir, "ckpt", id+".ckpt")
 }
 
-// put atomically replaces the record file (write temp + rename, same
-// discipline as checkpoint.Save).
+// put atomically replaces the record file (temp file, fsync, rename:
+// checkpoint.Save's discipline, so a crash leaves the previous record
+// or the new one, never a torn file).
 func (st *jobStore) put(rec *JobRecord) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("serve: marshal job record: %w", err)
 	}
-	path := st.recordPath(rec.ID)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".rec-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: persist job record: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: persist job record: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: persist job record: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: persist job record: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := checkpoint.Save(st.recordPath(rec.ID), data, false); err != nil {
 		return fmt.Errorf("serve: persist job record: %w", err)
 	}
 	return nil

@@ -1,74 +1,53 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// maxEstimatorKeys bounds the per-topology estimate table: the topology
-// name comes off the wire, so without a bound a client could grow the
-// map without limit (the same rule as maxBreakerPathLabels). Overflow
-// keys share one "other" slot.
-const maxEstimatorKeys = 64
-
-// runEstimator keeps an EWMA (α = 1/8) of exact-run wall time keyed by
-// topology name — the scenario dimension that dominates job cost. The
-// brownout router compares a job's remaining deadline against this
-// estimate to decide whether exact fidelity can still finish in time.
+// runEstimator keeps the server's run-time estimates, each an EWMA
+// (α = 1/8) of engine wall time: one over every engine run, which
+// drives Retry-After, and one per topology name — the scenario
+// dimension that dominates job cost — over successful exact runs, which
+// the rung choice compares a job's remaining deadline against.
 type runEstimator struct {
-	mu     sync.Mutex
-	byTopo map[string]*atomic.Int64
+	all    atomic.Int64
+	byTopo wireKeyed[*atomic.Int64]
 }
 
-// handle returns (creating on first use) the EWMA cell for a topology.
-func (e *runEstimator) handle(topoName string) *atomic.Int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.byTopo == nil {
-		e.byTopo = make(map[string]*atomic.Int64)
+// observe folds one engine run's wall time into the overall estimate
+// and, when it was a successful exact run, into its topology's.
+func (e *runEstimator) observe(topoName string, d time.Duration, exactOK bool) {
+	ewma(&e.all, d)
+	if exactOK {
+		ewma(e.byTopo.get(topoName, func(string) *atomic.Int64 { return new(atomic.Int64) }), d)
 	}
-	h, ok := e.byTopo[topoName]
-	if ok {
-		return h
-	}
-	if len(e.byTopo) >= maxEstimatorKeys {
-		topoName = "other"
-		if h, ok = e.byTopo[topoName]; ok {
-			return h
-		}
-	}
-	h = new(atomic.Int64)
-	e.byTopo[topoName] = h
-	return h
 }
 
-// observe folds one exact-run duration into the topology's EWMA.
-func (e *runEstimator) observe(topoName string, d time.Duration) {
-	h := e.handle(topoName)
+// ewma folds d into cell; the first observation seeds it.
+func ewma(cell *atomic.Int64, d time.Duration) {
 	for {
-		old := h.Load()
+		old := cell.Load()
 		next := int64(d)
 		if old != 0 {
 			next = old + (int64(d)-old)/8
 		}
-		if h.CompareAndSwap(old, next) {
+		if cell.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// estimate returns the expected exact run time for a topology, or 0
-// when nothing has been observed yet.
+// average is the expected wall time of an engine run, 0 before the
+// first one.
+func (e *runEstimator) average() time.Duration { return time.Duration(e.all.Load()) }
+
+// estimate is the expected exact run time for a topology: its own
+// history when it has one, the overall average otherwise, 0 when no
+// engine run has finished yet.
 func (e *runEstimator) estimate(topoName string) time.Duration {
-	e.mu.Lock()
-	h, ok := e.byTopo[topoName]
-	if !ok {
-		h = e.byTopo["other"]
+	if cell, ok := e.byTopo.lookup(topoName); ok {
+		return time.Duration(cell.Load())
 	}
-	e.mu.Unlock()
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.Load())
+	return e.average()
 }

@@ -138,9 +138,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if res.Fidelity != "" {
-		w.Header().Set("X-DQN-Fidelity", res.Fidelity)
-	}
+	w.Header().Set("X-DQN-Fidelity", res.Fidelity)
 	if res.BreakerOpen || res.Mode == "degraded-fifo" {
 		w.Header().Set("X-DQN-Degraded", "breaker-open")
 	}
@@ -259,7 +257,7 @@ func (s *Server) readiness() readiness {
 			"analytic": "available", "fifo": "available",
 		},
 		OpenBreakers: s.OpenBreakers(),
-		Brownout:     s.BrownoutEnabled(),
+		Brownout:     s.cfg.Brownout,
 	}
 	if r.OpenBreakers > 0 {
 		// The model-backed tiers are impaired for at least one model

@@ -8,29 +8,21 @@ import (
 )
 
 // jobOutcomes are the terminal dispositions of a received request.
-// Exactly one fires per request, so across the registry
-//
-//	dqn_requests_received_total ==
-//	    Σ dqn_requests_total{outcome=*}
-//
-// holds at every quiescent point — the same single-sited accounting
-// invariant /stats asserts, and what the chaos e2e reconciles between
-// the two endpoints.
+// Server.account increments exactly one per request, so
+// dqn_requests_received_total == Σ dqn_requests_total{outcome=*} at
+// every quiescent point.
 var jobOutcomes = []string{"completed", "failed", "shed", "rejected", "canceled", "deadline"}
 
-// fidelityTiers are the degradation-ladder rungs. Every completed
-// request is answered by exactly one tier, so
-//
-//	Σ dqn_fidelity_total{tier=*} == dqn_requests_total{outcome="completed"}
-//
-// holds at every quiescent point; /stats exposes the same counts under
-// "fidelity" and the chaos e2e reconciles the two.
+// fidelityTiers are the degradation-ladder rungs. Server.account counts
+// a completed request under the one tier that answered it, so
+// Σ dqn_fidelity_total{tier=*} == dqn_requests_total{outcome="completed"}.
 var fidelityTiers = []string{"exact", "quant", "analytic", "fifo"}
 
-// serverMetrics holds the serve layer's pre-registered metric handles.
-// Everything on the job path (Submit/serveJob) is a pre-created atomic
-// handle: no registry lock, no allocation — the serve_saturation
-// allocs/op gate stays untouched.
+// serverMetrics holds the serve layer's pre-registered metric handles —
+// the server's only event counts: /stats (Server.Snapshot) reads these
+// same handles, so it cannot disagree with /metrics. Everything on the
+// job path is a pre-created atomic handle: no registry lock, no
+// allocation.
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -54,15 +46,7 @@ type serverMetrics struct {
 
 	httpMu   sync.Mutex
 	httpReqs map[string]*obs.Counter // keyed path + "\x00" + code
-
-	pathMu     sync.Mutex
-	labelPaths map[string]bool // breaker paths granted their own label series
 }
-
-// maxBreakerPathLabels caps the per-model breaker label cardinality:
-// the model key comes off the wire, so without a bound a client could
-// mint one metric series per junk model name (the PR 5 rule).
-const maxBreakerPathLabels = 64
 
 // jobBuckets cover the serve job latency range: sub-millisecond cache
 // hits through multi-second saturated runs.
@@ -103,24 +87,20 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"completed requests by degradation-ladder tier; sums to dqn_requests_total{outcome=completed}",
 			obs.L("tier", tier))
 	}
+	flag := func(on bool) float64 {
+		if on {
+			return 1
+		}
+		return 0
+	}
 	reg.GaugeFunc("dqn_brownout_enabled", "1 while deadline/overload brownout is configured on",
-		func() float64 {
-			if s.cfg.Brownout {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return flag(s.cfg.Brownout) })
 	reg.GaugeFunc("dqn_queue_depth", "jobs waiting in the admission queue",
 		func() float64 { return float64(len(s.queue)) })
 	reg.GaugeFunc("dqn_inflight", "jobs currently executing",
-		func() float64 { return float64(s.stats.inflight.Load()) })
+		func() float64 { return float64(s.inflight.Load()) })
 	reg.GaugeFunc("dqn_draining", "1 while the server is draining",
-		func() float64 {
-			if s.draining.Load() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return flag(s.draining.Load()) })
 	return m
 }
 
@@ -138,27 +118,13 @@ func (m *serverMetrics) httpRequest(path string, code int) {
 	c.Inc()
 }
 
-// breakerMetrics registers the per-path breaker series and returns the
+// breakerMetrics registers one breaker's series and returns the
 // transition hook for NewBreaker. Counters are pre-created here so the
 // hook — which runs under the breaker's mutex — never touches the
-// registry lock.
+// registry lock. path is a Server.breakers slot key, so the label's
+// cardinality is bounded by maxWireKeys (breakers past the bound share
+// one breaker, hence one series).
 func (m *serverMetrics) breakerMetrics(path string, b *Breaker) func(from, to BreakerState) {
-	// Bound the label value: the first maxBreakerPathLabels distinct
-	// model keys get their own series; the rest collapse to "other"
-	// (transition counters sum across collapsed breakers; the state
-	// gauge reflects the most recently registered one).
-	m.pathMu.Lock()
-	if m.labelPaths == nil {
-		m.labelPaths = make(map[string]bool)
-	}
-	if !m.labelPaths[path] {
-		if len(m.labelPaths) >= maxBreakerPathLabels {
-			path = "other"
-		} else {
-			m.labelPaths[path] = true
-		}
-	}
-	m.pathMu.Unlock()
 	trans := map[BreakerState]*obs.Counter{}
 	for _, st := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
 		trans[st] = m.reg.Counter("dqn_breaker_transitions_total",

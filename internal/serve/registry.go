@@ -9,10 +9,10 @@ import (
 	"deepqueuenet/internal/ptm"
 )
 
-// maxModelEntries bounds the warm model registry, mirroring the 64-key
-// circuit-breaker label bound: the two structures grow with the same
-// request field (the model path), so they share one budget.
-const maxModelEntries = maxBreakerPathLabels
+// maxModelEntries bounds the warm model registry, mirroring the breaker
+// table's bound: the two structures grow with the same request field
+// (the model path), so they share one budget.
+const maxModelEntries = maxWireKeys
 
 // modelRegistry is the warm model registry: one entry per model path,
 // holding the loaded base model and every lazily derived read-only

@@ -9,7 +9,7 @@ import (
 // clearing through the HTTP worker pool.
 func TestRetryAfterWorkerPoolRegime(t *testing.T) {
 	s := &Server{cfg: Config{Workers: 2}, queue: make(chan *job, 8)}
-	s.avgRunNs.Store(int64(4 * time.Second))
+	s.estimator.all.Store(int64(4 * time.Second))
 	for i := 0; i < 3; i++ {
 		s.queue <- &job{}
 	}
@@ -30,7 +30,7 @@ func TestRetryAfterWorkerPoolRegime(t *testing.T) {
 // calls to clear at the measured batch latency.
 func TestRetryAfterPlaneRegime(t *testing.T) {
 	s := &Server{cfg: Config{Workers: 2}, queue: make(chan *job, 8)}
-	s.avgRunNs.Store(int64(time.Second)) // pool estimate: 1×1s/2 = 0.5s → floor 1s
+	s.estimator.all.Store(int64(time.Second)) // pool estimate: 1×1s/2 = 0.5s → floor 1s
 
 	// 40 pending calls at 8 calls/flush and 1s/flush: (40/8 + 1) × 1s = 6s.
 	s.planeStats = func() (int, float64, float64) { return 40, 1.0, 8 }
@@ -43,7 +43,7 @@ func TestRetryAfterPlaneRegime(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.queue <- &job{}
 	}
-	s.avgRunNs.Store(int64(4 * time.Second)) // pool: (7+1)×4s/2 = 16s
+	s.estimator.all.Store(int64(4 * time.Second)) // pool: (7+1)×4s/2 = 16s
 	if got := s.RetryAfter(); got != 16*time.Second {
 		t.Fatalf("pool-bound RetryAfter = %v, want 16s", got)
 	}

@@ -213,13 +213,6 @@ type ScenarioRunner struct {
 	// NoSyncCheckpoints skips the per-snapshot fsync (tests and
 	// benchmarks on tmpfs).
 	NoSyncCheckpoints bool
-	// Quantize switches freshly loaded request models to the int8
-	// quantized inference backend. It is applied once, on the cache-miss
-	// path, so every request for a path sees the same backend. The
-	// DefaultModel is NOT quantized here — quantize it before handing it
-	// to the runner (cmd/dqnserve does this under -quant) so there is no
-	// mutation after the runner starts serving.
-	Quantize bool
 	// Plane, when non-nil, routes every device prediction through the
 	// shared cross-request inference plane: the resolved model is
 	// wrapped in a plane handle (innermost, below WrapDevice) so all
@@ -277,11 +270,6 @@ func (r *ScenarioRunner) entry(path string) (*modelEntry, error) {
 		m, err := ptm.Load(path)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", errModelInvalid, err)
-		}
-		if r.Quantize {
-			if err := m.WithQuantized(); err != nil {
-				return nil, fmt.Errorf("%w: quantize: %w", errModelInvalid, err)
-			}
 		}
 		return m, nil
 	})

@@ -3,11 +3,20 @@
 // bounded worker pool behind a bounded admission queue, propagates
 // per-request deadlines, sheds load with Retry-After when the queue is
 // full, contains repeated model failures behind per-model-path circuit
-// breakers (reusing the engine's degraded-FIFO fallback while open),
-// retries transient faults with exponential backoff and jitter, and
-// drains in-flight jobs on shutdown. The failure taxonomy is
-// internal/guard's: shard panics, divergence, cancellation, deadlines,
-// and breaker-open states all stay inspectable with errors.Is/As.
+// breakers (answering from the analytic tier, then the engine's
+// degraded-FIFO fallback, while open), retries transient faults with
+// exponential backoff and jitter, and drains in-flight jobs on
+// shutdown. The failure taxonomy is internal/guard's: shard panics,
+// divergence, cancellation, deadlines, and breaker-open states all stay
+// inspectable with errors.Is/As.
+//
+// Every received request — HTTP, Submit, or a durable record recovered
+// at start-up — goes through the same four steps: admit (validate,
+// drain gate, deadline), choose (situation → ordered rung plan), run
+// (walk the plan until a rung answers) and account, which is reached
+// exactly once per request, so received = completed + failed + shed +
+// rejected + canceled + deadline and Σ fidelity tiers = completed hold
+// by construction. DESIGN.md §8 has the pipeline and the decision table.
 package serve
 
 import (
@@ -15,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,36 +179,6 @@ type job struct {
 	rec *JobRecord
 }
 
-// finish delivers the outcome exactly once.
-func (j *job) finish(res *Result, err error) {
-	j.done <- jobOutcome{res, err}
-}
-
-// counters is the server's monotonic event counts (atomics; exported
-// snapshot via Stats).
-type counters struct {
-	received  atomic.Uint64 // simulate requests seen
-	accepted  atomic.Uint64 // admitted into the queue
-	completed atomic.Uint64 // finished successfully (incl. degraded)
-	failed    atomic.Uint64 // finished with a non-context error
-	shed      atomic.Uint64 // refused with 429 (queue full)
-	rejected  atomic.Uint64 // refused with 503 (draining)
-	retries   atomic.Uint64 // transient-failure re-executions
-	canceled  atomic.Uint64 // jobs ended by cancellation
-	deadline  atomic.Uint64 // jobs ended by deadline
-	degraded  atomic.Uint64 // jobs rerouted down the ladder by an open breaker
-	brownouts atomic.Uint64 // jobs answered below exact fidelity under pressure
-	panics    atomic.Uint64 // worker-level recovered panics
-	inflight  atomic.Int64  // jobs currently executing
-
-	// Per-tier completion counts: exactly one increments per completed
-	// request, so their sum equals completed at every quiescent point.
-	fidExact    atomic.Uint64
-	fidQuant    atomic.Uint64
-	fidAnalytic atomic.Uint64
-	fidFIFO     atomic.Uint64
-}
-
 // Server owns the worker pool, admission queue, breakers, and stats.
 // Build with New, serve HTTP through Handler, stop with Drain.
 type Server struct {
@@ -209,7 +190,7 @@ type Server struct {
 	wg     sync.WaitGroup
 	jobWG  sync.WaitGroup // tracks admitted-but-unfinished jobs
 
-	// drainMu orders jobWG.Add against Drain's jobWG.Wait: Submit
+	// drainMu orders jobWG.Add against Drain's jobWG.Wait: admit
 	// increments under the read lock only after seeing draining false,
 	// and Drain flips the flag under the write lock before waiting, so
 	// no Add can start from a zero counter while Wait runs.
@@ -217,8 +198,7 @@ type Server struct {
 	draining  atomic.Bool
 	drainOnce sync.Once
 
-	breakerMu sync.Mutex
-	breakers  map[string]*Breaker
+	breakers wireKeyed[*Breaker] // by Request.modelKey
 
 	jitterMu sync.Mutex
 	jitter   *rng.Rand
@@ -230,10 +210,9 @@ type Server struct {
 	activeMu sync.Mutex
 	active   map[string]context.CancelFunc
 
-	stats     counters
-	met       *serverMetrics
-	avgRunNs  atomic.Int64 // EWMA of job wall time, drives Retry-After
-	estimator runEstimator // per-topology EWMA of exact run time, drives brownout
+	met       *serverMetrics // every event count; /stats and /metrics both read it
+	inflight  atomic.Int64   // jobs currently executing
+	estimator runEstimator   // engine run-time EWMAs: Retry-After and the rung choice
 
 	// planeStats reads the shared inference plane's live state (pending
 	// calls, EWMA flush seconds, EWMA batch size) for the Retry-After
@@ -249,12 +228,11 @@ type Server struct {
 func New(cfg Config, runner Runner) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		runner:   runner,
-		queue:    make(chan *job, cfg.QueueDepth),
-		closed:   make(chan struct{}),
-		breakers: make(map[string]*Breaker),
-		jitter:   rng.New(cfg.Seed),
+		cfg:    cfg,
+		runner: runner,
+		queue:  make(chan *job, cfg.QueueDepth),
+		closed: make(chan struct{}),
+		jitter: rng.New(cfg.Seed),
 	}
 	if p := cfg.Plane; p != nil {
 		s.planeStats = func() (int, float64, float64) {
@@ -287,17 +265,16 @@ func New(cfg Config, runner Runner) (*Server, error) {
 }
 
 // recoverJobs re-enqueues the previous process's unfinished jobs, in ID
-// order. Each goes through the normal admission accounting (received,
-// accepted, terminal outcome), so the terminal-accounting invariant
-// holds per process even across restarts. Runs under jobWG so Drain
-// waits for recovery to settle.
+// order. Each is a received request of this process and goes through
+// the same lifecycle as a live one. Runs under jobWG so Drain waits for
+// recovery to settle.
 func (s *Server) recoverJobs(recs []*JobRecord) {
 	defer s.jobWG.Done()
 	defer func() {
 		if we := guard.RecoveredWorker(-1, recover()); we != nil {
 			// A recovery panic must not kill the server; unrecovered
 			// records stay on disk for the next process.
-			s.stats.panics.Add(1)
+			s.met.panics.Inc()
 		}
 	}()
 	for _, rec := range recs {
@@ -315,63 +292,53 @@ func (s *Server) recoverJobs(recs []*JobRecord) {
 }
 
 // resubmit runs one recovered record through admission. The original
-// client is gone, so the job runs under a fresh deadline and its result
-// lands in the record (retrievable via GET /jobs/{id}).
+// client is gone, so the job runs under a fresh deadline, nobody waits
+// on its done channel, and its result lands in the record (retrievable
+// via GET /jobs/{id}). Unlike a live submit it waits for a queue slot:
+// recovery must not shed what a previous process already accepted.
 func (s *Server) resubmit(rec *JobRecord) {
-	s.stats.received.Add(1)
-	s.met.received.Inc()
-	s.drainMu.RLock()
-	if s.draining.Load() {
-		s.drainMu.RUnlock()
-		return // still recoverable; not counted as rejected
+	jctx, cancel, err := s.admit(context.Background(), rec.Request)
+	if err != nil {
+		return // rejected by the drain gate; the record stays recoverable
 	}
-	s.jobWG.Add(1)
-	s.drainMu.RUnlock()
-	jctx, cancel := context.WithTimeout(context.Background(), s.timeoutFor(rec.Request))
 	j := &job{req: rec.Request, ctx: jctx, cancel: cancel, done: make(chan jobOutcome, 1), id: rec.ID, rec: rec}
 	s.registerActive(j)
 	select {
 	case s.queue <- j:
-		s.stats.accepted.Add(1)
 		s.met.accepted.Inc()
 	case <-s.closed:
-		s.unregisterActive(j)
 		cancel()
+		s.settle(j, plan{}, nil, ErrDraining)
 		s.jobWG.Done()
 	}
-	// Nobody waits on j.done; the worker's finish lands in the buffered
-	// channel and the record carries the outcome.
 }
 
-// registerActive and unregisterActive maintain the drain-cancel set.
+// registerActive and unregisterActive maintain the drain-cancel set of
+// durable jobs (the only ones with an id).
 func (s *Server) registerActive(j *job) {
-	if s.store == nil || j.id == "" {
-		return
+	if j.id != "" {
+		s.activeMu.Lock()
+		s.active[j.id] = j.cancel
+		s.activeMu.Unlock()
 	}
-	s.activeMu.Lock()
-	s.active[j.id] = j.cancel
-	s.activeMu.Unlock()
 }
 
 func (s *Server) unregisterActive(j *job) {
-	if s.store == nil || j.id == "" {
-		return
+	if j.id != "" {
+		s.activeMu.Lock()
+		delete(s.active, j.id)
+		s.activeMu.Unlock()
 	}
-	s.activeMu.Lock()
-	delete(s.active, j.id)
-	s.activeMu.Unlock()
 }
 
-// worker pulls jobs until the server closes. Each job runs behind
-// serveJob's panic isolation; this outer recover is the last line that
-// keeps a worker goroutine from taking down the process.
+// worker pulls jobs until the server closes. Runner panics are
+// contained per attempt (Server.attempt); this outer recover is the
+// last line that keeps a worker goroutine from taking down the process.
 func (s *Server) worker(i int) {
 	defer s.wg.Done()
 	defer func() {
 		if we := guard.RecoveredWorker(i, recover()); we != nil {
-			// Unreachable in practice (serveJob recovers per-job), but a
-			// panic here must still not kill the process.
-			s.stats.panics.Add(1)
+			s.met.panics.Inc()
 		}
 	}()
 	for {
@@ -379,7 +346,7 @@ func (s *Server) worker(i int) {
 		case <-s.closed:
 			return
 		case j := <-s.queue:
-			s.serveJob(i, j)
+			s.serveJob(j)
 		}
 	}
 }
@@ -387,98 +354,93 @@ func (s *Server) worker(i int) {
 // Submit admits a request and blocks until its job finishes or ctx
 // ends. It is the transport-independent core of POST /simulate: HTTP
 // handlers and benchmarks call it directly. The returned error is one
-// of: nil, ErrShed, ErrDraining, ErrBadRequest, a guard error
-// (ErrCanceled/ErrDeadline/ShardError/DivergenceError/WorkerError), or
-// a runner failure.
+// of: nil, ErrShed, ErrDraining, ErrBreakerOpen, ErrBadRequest, a guard
+// error (ErrCanceled/ErrDeadline/ShardError/DivergenceError/
+// WorkerError), or a runner failure.
 func (s *Server) Submit(ctx context.Context, req *Request) (*Result, error) {
 	res, _, err := s.SubmitJob(ctx, req)
 	return res, err
 }
 
-// SubmitJob is Submit plus the job's durable ID ("" when the server has
-// no StateDir or the job was refused at admission). A client holding
-// the ID can retrieve the job's final record through GET /jobs/{id}
-// even if its own connection dies mid-run — including across a server
-// restart.
-func (s *Server) SubmitJob(ctx context.Context, req *Request) (*Result, string, error) {
-	s.stats.received.Add(1)
+// admit is the lifecycle's first step, shared by live submits and
+// recovered records: count the request received, validate it, pass the
+// drain gate, and put it under its deadline. A non-nil error is the
+// request's terminal outcome, already accounted; on success the caller
+// owes one jobWG.Done once the request has been accounted.
+func (s *Server) admit(ctx context.Context, req *Request) (context.Context, context.CancelFunc, error) {
 	s.met.received.Inc()
 	if !req.fidelityValid() {
-		s.stats.failed.Add(1)
-		s.met.outcomes["failed"].Inc()
-		return nil, "", badRequestf("fidelity %q not one of exact|auto|fast", req.Fidelity)
+		err := badRequestf("fidelity %q not one of exact|auto|fast", req.Fidelity)
+		s.account(nil, plan{}, nil, err)
+		return nil, nil, err
 	}
 	s.drainMu.RLock()
 	if s.draining.Load() {
 		s.drainMu.RUnlock()
-		s.stats.rejected.Add(1)
-		s.met.outcomes["rejected"].Inc()
-		return nil, "", ErrDraining
+		s.account(nil, plan{}, nil, ErrDraining)
+		return nil, nil, ErrDraining
 	}
 	s.jobWG.Add(1)
 	s.drainMu.RUnlock()
 	jctx, cancel := context.WithTimeout(ctx, s.timeoutFor(req))
+	return jctx, cancel, nil
+}
+
+// SubmitJob is Submit plus the job's durable ID ("" when the server has
+// no StateDir or the request never reached the queue). A client holding
+// the ID can retrieve the job's final record through GET /jobs/{id}
+// even if its own connection dies mid-run — including across a server
+// restart.
+func (s *Server) SubmitJob(ctx context.Context, req *Request) (*Result, string, error) {
+	jctx, cancel, err := s.admit(ctx, req)
+	if err != nil {
+		return nil, "", err
+	}
 	defer cancel()
-	if req.Fidelity == "fast" {
-		// The fast tier skips the queue, the workers, and the model: the
-		// analytic estimate answers inline in O(µs). No durable record —
-		// the answer outlives the request by nothing.
-		res, err := s.runner.Run(jctx, req, RunAnalytic)
-		s.countInline(res, err)
-		s.jobWG.Done()
-		return res, "", err
-	}
-	j := &job{req: req, ctx: jctx, cancel: cancel, done: make(chan jobOutcome, 1)}
-	if s.store != nil {
-		// Persist the admission record before the job can reach a
-		// worker: a crash between here and completion leaves a
-		// recoverable record, never an invisible job.
-		j.id = s.store.newID()
-		j.rec = &JobRecord{ID: j.id, Request: req, Status: JobPending}
-		if err := s.store.put(j.rec); err != nil {
-			s.jobWG.Done()
-			s.stats.failed.Add(1)
-			s.met.outcomes["failed"].Inc()
-			return nil, "", err
-		}
-		s.registerActive(j)
-	}
-	select {
-	case s.queue <- j:
-		s.stats.accepted.Add(1)
-		s.met.accepted.Inc()
-	default:
+	queueFull := false
+	if req.Fidelity != "fast" {
+		j := &job{req: req, ctx: jctx, cancel: cancel, done: make(chan jobOutcome, 1)}
 		if s.store != nil {
-			s.unregisterActive(j)
-			s.store.remove(j.id)
-		}
-		if s.cfg.Brownout && !req.exactOnly() {
-			// Overload brownout: the queue is full, but an analytic
-			// answer costs microseconds — convert the would-be 429 into
-			// a reduced-fidelity 200. Shed only if the analytic tier
-			// itself cannot answer (e.g. a saturated scenario).
-			if res, err := s.runner.Run(jctx, req, RunAnalytic); err == nil {
-				s.stats.brownouts.Add(1)
-				s.met.brownouts.Inc()
-				s.countInline(res, nil)
+			// Persist the admission record before the job can reach a
+			// worker: a crash between here and completion leaves a
+			// recoverable record, never an invisible job.
+			j.id = s.store.newID()
+			j.rec = &JobRecord{ID: j.id, Request: req, Status: JobPending}
+			if err := s.store.put(j.rec); err != nil {
+				s.account(nil, plan{}, nil, err)
 				s.jobWG.Done()
-				return res, "", nil
+				return nil, "", err
+			}
+			s.registerActive(j)
+		}
+		select {
+		case s.queue <- j:
+			s.met.accepted.Inc()
+			select {
+			case out := <-j.done:
+				return out.res, j.id, out.err
+			case <-jctx.Done():
+				// Still queued (or the submitter gave up first): the worker
+				// will observe the dead context, finish the job cheaply, and
+				// account it; the buffered done channel means nobody blocks.
+				return nil, j.id, guard.FromContext(jctx.Err())
+			}
+		default:
+			queueFull = true
+			if s.store != nil {
+				s.unregisterActive(j)
+				s.store.remove(j.id)
 			}
 		}
-		s.jobWG.Done()
-		s.stats.shed.Add(1)
-		s.met.outcomes["shed"].Inc()
-		return nil, "", ErrShed
 	}
-	select {
-	case out := <-j.done:
-		return out.res, j.id, out.err
-	case <-jctx.Done():
-		// Still queued (or the submitter gave up first): the worker will
-		// observe the dead context, finish the job cheaply, and do the
-		// stats accounting; the buffered done channel means nobody blocks.
-		return nil, j.id, guard.FromContext(jctx.Err())
-	}
+	// Inline: the fast tier skips the queue, the workers, the model and
+	// the durable record (the answer outlives the request by nothing);
+	// a full queue browns out to the same µs-scale answer or sheds.
+	p := choose(req, s.cfg.Brownout, AdmitNormal, queueFull, 0, 0)
+	res, err := s.run(jctx, req, p, nil, false)
+	s.account(nil, p, res, err)
+	s.jobWG.Done()
+	return res, "", err
 }
 
 // timeoutFor clamps the request's deadline into the server's envelope.
@@ -493,137 +455,24 @@ func (s *Server) timeoutFor(req *Request) time.Duration {
 	return d
 }
 
-// serveJob executes one admitted job: breaker consultation, retry loop,
-// stat accounting — inside per-job panic isolation so no request can
-// kill a worker.
-func (s *Server) serveJob(worker int, j *job) {
-	defer s.jobWG.Done()
-	defer s.unregisterActive(j)
-	s.stats.inflight.Add(1)
-	defer s.stats.inflight.Add(-1)
-	defer func() {
-		if we := guard.RecoveredWorker(worker, recover()); we != nil {
-			s.stats.panics.Add(1)
-			s.met.panics.Inc()
-			s.stats.failed.Add(1)
-			s.met.outcomes["failed"].Inc()
-			s.recordOutcome(j, nil, we)
-			j.finish(nil, we)
-		}
-	}()
-	if err := j.ctx.Err(); err != nil {
-		// Canceled while queued; the submitter is already gone.
-		gerr := guard.FromContext(err)
-		s.countCtxErr(gerr)
-		s.recordOutcome(j, nil, gerr)
-		j.finish(nil, gerr)
-		return
-	}
-	if s.store != nil && j.rec != nil {
-		// Durable job: hand the runner its checkpoint location and last
-		// known progress through serve-internal request fields. The
-		// request is copied so the caller's value stays untouched.
-		req := *j.req
-		req.CheckpointPath = s.store.checkpointPath(j.id)
-		req.CheckpointEvery = s.cfg.CheckpointEvery
-		req.LastProgress = j.rec.Progress
-		j.req = &req
-	}
-	start := s.cfg.Now()
-	br := s.breakerFor(j.req.modelKey())
-	admission := br.Allow(start)
-
-	var res *Result
-	var err error
-	if admission == AdmitDegraded {
-		// Breaker open: walk the ladder instead of hammering the
-		// suspect model — analytic first, exact FIFO serialization only
-		// when the analytic tier itself cannot answer.
-		s.stats.degraded.Add(1)
-		s.met.degraded.Inc()
-		res, err = s.degradedAnswer(j, br, start)
-	} else {
-		mode := s.brownoutMode(j, admission)
-		answered := false
-		if mode == RunAnalytic {
-			// Deadline brownout: not enough time left for an engine
-			// run. The analytic answer never judges the model, so the
-			// breaker is untouched.
-			if ares, aerr := s.runner.Run(j.ctx, j.req, RunAnalytic); aerr == nil {
-				ares.Attempts = 1
-				res, answered = ares, true
-			} else {
-				// Analytic tier errored; take our chances at full
-				// fidelity — the outcome is what it would have been
-				// without brownout.
-				mode = RunExact
-			}
-		}
-		if !answered {
-			var attempts int
-			res, attempts, err = s.runWithRetry(j, mode)
-			if res != nil {
-				res.Attempts = attempts
-			}
-			switch {
-			case breakerWorthy(err):
-				br.Record(admission == AdmitProbe, err, s.cfg.Now())
-			case err == nil:
-				br.Record(admission == AdmitProbe, nil, s.cfg.Now())
-			case admission == AdmitProbe:
-				// Context-terminated or bad-request probes judge nothing;
-				// hand the probe slot back so the breaker can try again.
-				br.ReleaseProbe()
-			}
-			// Context-terminated and bad requests charge nobody.
-			elapsed := s.cfg.Now().Sub(start)
-			s.observeRun(elapsed)
-			if err == nil && mode == RunExact {
-				s.estimator.observe(j.req.Topo, elapsed)
-			}
-		}
-		if err == nil && mode != RunExact {
-			s.stats.brownouts.Add(1)
-			s.met.brownouts.Inc()
-		}
-	}
-	switch {
-	case err == nil:
-		s.stats.completed.Add(1)
-		s.met.outcomes["completed"].Inc()
-		s.countFidelity(res)
-	case errors.Is(err, guard.ErrCanceled) || errors.Is(err, guard.ErrDeadline):
-		s.countCtxErr(err)
-	default:
-		s.stats.failed.Add(1)
-		s.met.outcomes["failed"].Inc()
-	}
-	s.recordOutcome(j, res, err)
-	j.finish(res, err)
+// plan is the outcome of the choose step: the ladder rungs to try, in
+// order, until one answers.
+type plan struct {
+	rungs []RunMode // one of the read-only rung lists below
+	// refuse, when set, is what the request ends with if no rung answers
+	// (none listed, or all errored); otherwise the last rung's error is.
+	refuse      error
+	pressure    bool // shaped by overload or a short deadline: an answer below exact is a brownout
+	breakerOpen bool // rerouted by an open breaker: counted degraded, the answer carries the breaker's reason
 }
 
-// degradedAnswer serves a job whose model breaker is open. Fidelity
-// "exact" clients asked never to be degraded, so they get the breaker
-// error; everyone else gets the analytic estimate, falling to the
-// exact FIFO-serialization rung only when the analytic tier errors
-// (saturated scenario, malformed demand).
-func (s *Server) degradedAnswer(j *job, br *Breaker, start time.Time) (*Result, error) {
-	if j.req.exactOnly() {
-		return nil, fmt.Errorf("%w: %w", ErrBreakerOpen, br.Err())
-	}
-	res, err := s.runner.Run(j.ctx, j.req, RunAnalytic)
-	if err != nil {
-		res, err = s.runner.Run(j.ctx, j.req, RunFIFO)
-		// The FIFO rung is a real engine run; let it feed Retry-After.
-		s.observeRun(s.cfg.Now().Sub(start))
-	}
-	if res != nil {
-		res.Attempts = 1
-		res.BreakerOpen = true
-		res.DegradedReason = br.Err().Error()
-	}
-	return res, err
-}
+var (
+	rungsExact         = []RunMode{RunExact}
+	rungsQuant         = []RunMode{RunQuant}
+	rungsAnalytic      = []RunMode{RunAnalytic}
+	rungsAnalyticExact = []RunMode{RunAnalytic, RunExact}
+	rungsAnalyticFIFO  = []RunMode{RunAnalytic, RunFIFO}
+)
 
 // quantCostFactor is the assumed run-time ratio of the quantized
 // backend to the exact backend: with remaining deadline between
@@ -631,116 +480,245 @@ func (s *Server) degradedAnswer(j *job, br *Breaker, start time.Time) (*Result, 
 // where exact would not.
 const quantCostFactor = 0.85
 
-// brownoutMode picks the ladder rung for an admitted job. Exact unless
-// brownout is enabled, the client allows degradation, the job carries a
-// deadline, and the topology's run-time estimate says exact cannot
-// finish in the time remaining. Probes always run exact: their whole
-// point is to judge the model path.
-func (s *Server) brownoutMode(j *job, admission Admission) RunMode {
-	if !s.cfg.Brownout || admission == AdmitProbe || j.req.exactOnly() {
-		return RunExact
+// choose is the lifecycle's second step and the only place a fidelity
+// rung is picked, from the whole situation: what the client asked for,
+// whether brownout is configured, the breaker's admission, whether the
+// queue refused the job, and the time left against the topology's
+// exact-run estimate (0 when unknown). DESIGN.md §8 tabulates it.
+func choose(req *Request, brownout bool, adm Admission, queueFull bool, remaining, estimate time.Duration) plan {
+	// ladder: may pressure move this request below exact fidelity?
+	ladder := brownout && !req.exactOnly()
+	switch {
+	case req.Fidelity == "fast":
+		return plan{rungs: rungsAnalytic}
+	case queueFull && ladder:
+		// An analytic answer costs microseconds: convert the would-be 429
+		// into a reduced-fidelity 200, shedding only if the analytic tier
+		// itself cannot answer (e.g. a saturated scenario).
+		return plan{rungs: rungsAnalytic, refuse: ErrShed, pressure: true}
+	case queueFull:
+		return plan{refuse: ErrShed}
+	case adm == AdmitDegraded && req.exactOnly():
+		// The client opted out of the ladder; there is nothing left to
+		// answer with.
+		return plan{refuse: ErrBreakerOpen, breakerOpen: true}
+	case adm == AdmitDegraded:
+		// Do not hammer the suspect model: analytic first, the exact FIFO
+		// serialization only when the analytic tier cannot answer.
+		return plan{rungs: rungsAnalyticFIFO, breakerOpen: true}
+	case adm == AdmitProbe || !ladder || estimate <= 0 || remaining >= estimate:
+		// Probes always run exact: their whole point is to judge the
+		// model path.
+		return plan{rungs: rungsExact}
+	case float64(remaining) >= quantCostFactor*float64(estimate):
+		return plan{rungs: rungsQuant, pressure: true}
+	default:
+		// Not enough time left for an engine run. Should the analytic
+		// tier error, take our chances at full fidelity — the outcome is
+		// what it would have been without brownout.
+		return plan{rungs: rungsAnalyticExact, pressure: true}
 	}
-	deadline, ok := j.ctx.Deadline()
-	if !ok {
-		return RunExact
-	}
-	remaining := deadline.Sub(s.cfg.Now())
-	est := s.estimator.estimate(j.req.Topo)
-	if est <= 0 {
-		est = time.Duration(s.avgRunNs.Load())
-	}
-	if est <= 0 || remaining >= est {
-		return RunExact
-	}
-	if float64(remaining) >= quantCostFactor*float64(est) {
-		return RunQuant
-	}
-	return RunAnalytic
 }
 
-// countInline accounts one inline-answered request (fast tier or
-// admission brownout) with the same terminal bookkeeping as serveJob.
-func (s *Server) countInline(res *Result, err error) {
+// serveJob takes one queued job through choose, run and account.
+func (s *Server) serveJob(j *job) {
+	defer s.jobWG.Done()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	if err := j.ctx.Err(); err != nil {
+		// Canceled while queued; the submitter is already gone.
+		s.settle(j, plan{}, nil, guard.FromContext(err))
+		return
+	}
+	req := j.req
+	if j.rec != nil {
+		// Durable job: hand the runner its checkpoint location and last
+		// known progress through serve-internal request fields. The
+		// request is copied so the caller's value stays untouched.
+		durable := *req
+		durable.CheckpointPath = s.store.checkpointPath(j.id)
+		durable.CheckpointEvery = s.cfg.CheckpointEvery
+		durable.LastProgress = j.rec.Progress
+		req = &durable
+	}
+	now := s.cfg.Now()
+	br := s.breakerFor(req.modelKey())
+	adm := br.Allow(now)
+	deadline, _ := j.ctx.Deadline()
+	p := choose(req, s.cfg.Brownout, adm, false, deadline.Sub(now), s.estimator.estimate(req.Topo))
+	res, err := s.run(j.ctx, req, p, br, adm == AdmitProbe)
+	s.settle(j, p, res, err)
+}
+
+// settle ends a queued job: account it, release its drain-cancel slot,
+// and wake the submitter, in that order — a client holding its answer
+// already finds it in /stats.
+func (s *Server) settle(j *job, p plan, res *Result, err error) {
+	s.account(j.rec, p, res, err)
+	s.unregisterActive(j)
+	j.done <- jobOutcome{res, err}
+}
+
+// run is the lifecycle's third step: walk the plan until a rung
+// answers. Model rungs (exact, quant) retry transient failures and
+// report to the breaker — as its probe when probe is set; the analytic
+// and FIFO rungs never judge the model. br is nil for inline plans,
+// which list no model rung.
+func (s *Server) run(ctx context.Context, req *Request, p plan, br *Breaker, probe bool) (*Result, error) {
+	var res *Result
+	err := p.refuse
+	start := s.cfg.Now()
+	for _, mode := range p.rungs {
+		attempts := 1
+		if mode == RunExact || mode == RunQuant {
+			res, attempts, err = s.retry(ctx, req, mode)
+			if err == nil || breakerWorthy(err) {
+				br.Record(probe, err, s.cfg.Now())
+			} else if probe {
+				// Context-terminated or bad-request probes judge nothing;
+				// hand the probe slot back so the breaker can try again.
+				br.ReleaseProbe()
+			}
+		} else {
+			res, err = s.attempt(ctx, req, mode)
+		}
+		if mode != RunAnalytic {
+			// An engine run, whatever its outcome, feeds Retry-After; a
+			// successful exact one also its topology's estimate.
+			elapsed := s.cfg.Now().Sub(start)
+			s.met.jobSeconds.Observe(elapsed.Seconds())
+			s.estimator.observe(req.Topo, elapsed, err == nil && mode == RunExact)
+		}
+		if res != nil {
+			res.Attempts = attempts
+		}
+		if err == nil {
+			// The server knows which rung it ran: header, body and
+			// counter tier are this one value.
+			res.Fidelity = mode.Fidelity()
+			break
+		}
+	}
+	switch {
+	case err == nil && p.breakerOpen:
+		res.BreakerOpen = true
+		if open := br.Err(); open != nil {
+			res.DegradedReason = open.Error()
+		}
+	case err != nil && p.refuse != nil:
+		res, err = nil, p.refuse
+		if p.breakerOpen {
+			err = fmt.Errorf("%w: %w", err, br.Err())
+		}
+	}
+	return res, err
+}
+
+// attempt is the server's one call into the runner, behind panic
+// isolation: a panicking runner becomes a *guard.WorkerError — transient
+// and breaker-worthy like a shard panic — instead of killing a worker
+// or an HTTP handler.
+func (s *Server) attempt(ctx context.Context, req *Request, mode RunMode) (res *Result, err error) {
+	defer func() {
+		if we := guard.RecoveredWorker(0, recover()); we != nil {
+			s.met.panics.Inc()
+			res, err = nil, we
+		}
+	}()
+	return s.runner.Run(ctx, req, mode)
+}
+
+// retry attempts one model rung, retrying transient failures with
+// exponential backoff + jitter while the deadline lasts. It returns the
+// number of attempts made.
+func (s *Server) retry(ctx context.Context, req *Request, mode RunMode) (*Result, int, error) {
+	for attempts := 1; ; attempts++ {
+		res, err := s.attempt(ctx, req, mode)
+		if err == nil || !transient(err) || attempts > s.cfg.RetryMax {
+			return res, attempts, err
+		}
+		t := time.NewTimer(s.backoff(attempts - 1))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			// Out of time mid-backoff: the transient error is what the
+			// caller should see, joined with the deadline state.
+			return res, attempts, errors.Join(guard.FromContext(ctx.Err()), err)
+		case <-t.C:
+		}
+		s.met.retries.Inc()
+	}
+}
+
+// account is the lifecycle's last step, reached exactly once per
+// received request: it is the only code that moves the outcome,
+// fidelity, brownout and degraded counters and the only code that
+// writes a durable record's terminal state. err classifies the
+// outcome; rec is nil unless the request is a queued durable job.
+func (s *Server) account(rec *JobRecord, p plan, res *Result, err error) {
+	outcome := "failed"
 	switch {
 	case err == nil:
-		s.stats.completed.Add(1)
-		s.met.outcomes["completed"].Inc()
-		s.countFidelity(res)
-	case errors.Is(err, guard.ErrCanceled) || errors.Is(err, guard.ErrDeadline):
-		s.countCtxErr(err)
-	default:
-		s.stats.failed.Add(1)
-		s.met.outcomes["failed"].Inc()
+		outcome = "completed"
+		s.met.fidelity[res.Fidelity].Inc()
+		if p.pressure && res.Fidelity != RunExact.Fidelity() {
+			s.met.brownouts.Inc()
+		}
+	case errors.Is(err, ErrShed):
+		outcome = "shed"
+	case errors.Is(err, ErrDraining):
+		outcome = "rejected"
+	case errors.Is(err, guard.ErrDeadline):
+		outcome = "deadline"
+	case errors.Is(err, guard.ErrCanceled):
+		outcome = "canceled"
+	}
+	s.met.outcomes[outcome].Inc()
+	if p.breakerOpen {
+		s.met.degraded.Inc()
+	}
+	if rec != nil {
+		s.record(rec, res, err)
 	}
 }
 
-// countFidelity buckets one completed request by the ladder tier that
-// answered it; the four tier counts sum to completed.
-func (s *Server) countFidelity(res *Result) {
-	tier := ""
-	if res != nil {
-		tier = res.Fidelity
-	}
-	switch tier {
-	case "quant":
-		s.stats.fidQuant.Add(1)
-	case "analytic":
-		s.stats.fidAnalytic.Add(1)
-	case "fifo":
-		s.stats.fidFIFO.Add(1)
-	default:
-		// Exact runs and any runner that predates the Fidelity field.
-		tier = "exact"
-		s.stats.fidExact.Add(1)
-	}
-	s.met.fidelity[tier].Inc()
-}
-
-// recordOutcome persists a durable job's terminal (or recoverable)
-// state. The disposition decides the checkpoint's fate:
+// record persists a durable job's terminal (or recoverable) state. The
+// disposition decides the checkpoint's fate:
 //
 //   - success, deadline, non-drain cancel, plain failure → terminal
 //     record; the checkpoint is deleted (nothing will resume it).
-//   - injected crash (guard.ErrCrash) or cancellation during drain →
-//     the record goes interrupted and the checkpoint stays: this is
-//     simulated/real process death, and the next server resumes it.
+//   - injected crash (guard.ErrCrash), cancellation during drain, or a
+//     drain that closed the server before the job ran → the record goes
+//     interrupted and the checkpoint stays: this is simulated/real
+//     process death, and the next server resumes it.
 //   - breaker-worthy failure → the record is parked with its checkpoint
 //     kept for inspection; it is not retried automatically, because the
 //     failure charged the model's breaker and retrying a parked job
 //     would hammer a suspect model from the recovery path.
-func (s *Server) recordOutcome(j *job, res *Result, err error) {
-	if s.store == nil || j.rec == nil {
-		return
-	}
-	rec := j.rec
+func (s *Server) record(rec *JobRecord, res *Result, err error) {
 	if res != nil && res.Iterations > rec.Progress {
 		rec.Progress = res.Iterations
+	}
+	rec.Error = ""
+	if err != nil {
+		rec.Error = err.Error()
 	}
 	keepCheckpoint := false
 	switch {
 	case err == nil:
 		rec.Status = JobCompleted
 		rec.Result = res
-		rec.Error = ""
-	case errors.Is(err, guard.ErrCrash):
+	case errors.Is(err, guard.ErrCrash), errors.Is(err, ErrDraining),
+		errors.Is(err, guard.ErrCanceled) && s.draining.Load():
 		rec.Status = JobInterrupted
-		rec.Error = err.Error()
-		keepCheckpoint = true
-		s.met.interrupted.Inc()
-	case errors.Is(err, guard.ErrCanceled) && s.draining.Load():
-		rec.Status = JobInterrupted
-		rec.Error = err.Error()
 		keepCheckpoint = true
 		s.met.interrupted.Inc()
 	case errors.Is(err, guard.ErrCanceled):
 		rec.Status = JobCanceled
-		rec.Error = err.Error()
 	case errors.Is(err, guard.ErrDeadline):
 		rec.Status = JobDeadline
-		rec.Error = err.Error()
 	case breakerWorthy(err):
 		rec.Status = JobParked
-		rec.Error = err.Error()
 		keepCheckpoint = true
 		s.met.parked.Inc()
 		// A parked dead letter still carries a reduced-fidelity answer:
@@ -748,47 +726,20 @@ func (s *Server) recordOutcome(j *job, res *Result, err error) {
 		// a principled result instead of nothing. The job's terminal
 		// accounting stays "failed" — this is advisory data on the
 		// record, not a completed request.
-		if ares, aerr := s.runner.Run(context.Background(), j.req, RunAnalytic); aerr == nil {
+		if ares, aerr := s.attempt(context.Background(), rec.Request, RunAnalytic); aerr == nil {
 			ares.DegradedReason = err.Error()
 			rec.Result = ares
 		}
 	default:
 		rec.Status = JobFailed
-		rec.Error = err.Error()
 	}
 	if !keepCheckpoint {
-		s.store.removeCheckpoint(j.id)
+		s.store.removeCheckpoint(rec.ID)
 	}
 	// A failed record write loses durability, not correctness: the
 	// in-memory outcome still reaches the submitter.
 	//dqnlint:allow errdiscard record write failure loses durability only; the in-memory outcome still reaches the submitter
 	_ = s.store.put(rec)
-}
-
-// runWithRetry executes the job's runner call at the given ladder
-// rung, retrying transient failures with exponential backoff + jitter
-// while the deadline lasts.
-func (s *Server) runWithRetry(j *job, mode RunMode) (*Result, int, error) {
-	attempts := 0
-	for {
-		res, err := s.runner.Run(j.ctx, j.req, mode)
-		attempts++
-		if err == nil || !transient(err) || attempts > s.cfg.RetryMax {
-			return res, attempts, err
-		}
-		delay := s.backoff(attempts - 1)
-		t := time.NewTimer(delay)
-		select {
-		case <-j.ctx.Done():
-			t.Stop()
-			// Out of time mid-backoff: the transient error is what the
-			// caller should see, joined with the deadline state.
-			return res, attempts, errors.Join(guard.FromContext(j.ctx.Err()), err)
-		case <-t.C:
-		}
-		s.stats.retries.Add(1)
-		s.met.retries.Inc()
-	}
 }
 
 // backoff computes the delay before retry attempt n (0-based):
@@ -813,9 +764,6 @@ func (s *Server) backoff(attempt int) time.Duration {
 // testing, provably do), while context errors, bad requests, and
 // invalid models are deterministic.
 func transient(err error) bool {
-	if err == nil {
-		return false
-	}
 	if errors.Is(err, guard.ErrCanceled) || errors.Is(err, guard.ErrDeadline) {
 		return false
 	}
@@ -829,68 +777,33 @@ func transient(err error) bool {
 // path's circuit breaker: inference faults and invalid models do;
 // cancellations, deadlines, and bad requests do not.
 func breakerWorthy(err error) bool {
-	if err == nil {
-		return false
-	}
 	return transient(err) || errors.Is(err, errModelInvalid)
 }
 
-// countCtxErr buckets a context-termination error.
-func (s *Server) countCtxErr(err error) {
-	if errors.Is(err, guard.ErrDeadline) {
-		s.stats.deadline.Add(1)
-		s.met.outcomes["deadline"].Inc()
-	} else {
-		s.stats.canceled.Add(1)
-		s.met.outcomes["canceled"].Inc()
-	}
-}
-
 // breakerFor returns (creating on first use) the breaker of one model
-// path.
-func (s *Server) breakerFor(path string) *Breaker {
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
-	b, ok := s.breakers[path]
-	if !ok {
-		b = NewBreaker(path, s.cfg.Breaker)
-		b.onTransition = s.met.breakerMetrics(path, b)
-		s.breakers[path] = b
-	}
-	return b
+// key; keys past maxWireKeys share one breaker.
+func (s *Server) breakerFor(key string) *Breaker {
+	return s.breakers.get(key, func(slot string) *Breaker {
+		b := NewBreaker(slot, s.cfg.Breaker)
+		b.onTransition = s.met.breakerMetrics(slot, b)
+		return b
+	})
 }
 
 // Metrics returns the registry the server's series live in — the
 // backing store of GET /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
 
-// observeRun feeds the job-duration EWMA (α = 1/8) behind Retry-After.
-func (s *Server) observeRun(d time.Duration) {
-	s.met.jobSeconds.Observe(d.Seconds())
-	for {
-		old := s.avgRunNs.Load()
-		var next int64
-		if old == 0 {
-			next = int64(d)
-		} else {
-			next = old + (int64(d)-old)/8
-		}
-		if s.avgRunNs.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // RetryAfter estimates how long a shed client should wait before
 // retrying: the time for the current backlog to clear through the
 // worker pool — or, with a shared inference plane attached, through
 // the plane's warm workers if that is slower — clamped to [1s, 60s].
 func (s *Server) RetryAfter() time.Duration {
-	avg := time.Duration(s.avgRunNs.Load())
+	avg := s.estimator.average()
 	if avg <= 0 {
 		avg = time.Second
 	}
-	backlog := len(s.queue) + int(s.stats.inflight.Load())
+	backlog := len(s.queue) + int(s.inflight.Load())
 	est := avg * time.Duration(backlog+1) / time.Duration(s.cfg.Workers)
 	if s.planeStats != nil {
 		if depth, sec, size := s.planeStats(); sec > 0 && size >= 1 {
@@ -919,7 +832,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // (readiness goes false, /simulate answers 503), waits for every
 // already-admitted job — queued and in-flight — to finish, then stops
 // the workers. If ctx expires first, remaining workers are stopped
-// anyway and still-queued jobs are failed with ErrDraining; the error
+// anyway and still-queued jobs end rejected with ErrDraining; the error
 // is then ctx's. Drain is idempotent; concurrent calls all wait.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
@@ -928,10 +841,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	if s.store != nil {
 		// Durable mode: interrupt every admitted job now. Each running
 		// engine finishes its in-flight iteration, persists a final
-		// snapshot, and returns guard.ErrCanceled; recordOutcome sees
-		// draining and marks the record interrupted, so the next process
-		// resumes exactly where this one stopped — all inside the drain
-		// budget instead of waiting out long runs.
+		// snapshot, and returns guard.ErrCanceled; record sees draining
+		// and marks the record interrupted, so the next process resumes
+		// exactly where this one stopped — all inside the drain budget
+		// instead of waiting out long runs.
 		s.activeMu.Lock()
 		cancels := make([]context.CancelFunc, 0, len(s.active))
 		for _, cancel := range s.active {
@@ -946,7 +859,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	go func() {
 		defer func() {
 			if we := guard.RecoveredWorker(0, recover()); we != nil {
-				s.stats.panics.Add(1) // keep the drain waiter from killing the process
+				s.met.panics.Inc() // keep the drain waiter from killing the process
 			}
 		}()
 		s.jobWG.Wait()
@@ -959,51 +872,42 @@ func (s *Server) Drain(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.drainOnce.Do(func() { close(s.closed) })
-	if err != nil {
-		// Timed out: fail whatever is still queued so submitters unblock.
-		for {
-			select {
-			case j := <-s.queue:
-				if s.store != nil && j.rec != nil {
-					// Never ran: the record stays recoverable for the
-					// next process.
-					j.rec.Status = JobInterrupted
-					//dqnlint:allow errdiscard a failed write leaves the last durable status, which is still recoverable
-					_ = s.store.put(j.rec)
-					s.met.interrupted.Inc()
-					s.unregisterActive(j)
-				}
-				j.finish(nil, ErrDraining)
-				s.jobWG.Done()
-			default:
-				s.wg.Wait()
-				return err
-			}
+sweep:
+	for err != nil {
+		// Timed out: whatever is still queued never ran. Settle it so
+		// submitters unblock; a durable record stays recoverable for the
+		// next process.
+		select {
+		case j := <-s.queue:
+			s.settle(j, plan{}, nil, ErrDraining)
+			s.jobWG.Done()
+		default:
+			break sweep
 		}
 	}
 	s.wg.Wait()
-	return nil
+	return err
 }
 
 // Stats is the observable server state (/stats payload).
 type Stats struct {
-	Received  uint64         `json:"received"`
-	Accepted  uint64         `json:"accepted"`
-	Completed uint64         `json:"completed"`
-	Failed    uint64         `json:"failed"`
-	Shed      uint64         `json:"shed"`
-	Rejected  uint64         `json:"rejected"`
-	Retries   uint64         `json:"retries"`
-	Canceled  uint64         `json:"canceled"`
-	Deadline  uint64         `json:"deadline_exceeded"`
-	Degraded  uint64         `json:"degraded"`
-	Brownouts uint64         `json:"brownouts"`
-	Panics    uint64         `json:"panics"`
-	InFlight  int64          `json:"in_flight"`
-	Queued    int            `json:"queued"`
-	Workers   int            `json:"workers"`
-	Queue     int            `json:"queue_depth"`
-	Draining  bool           `json:"draining"`
+	Received  uint64 `json:"received"`          // simulate requests seen
+	Accepted  uint64 `json:"accepted"`          // admitted into the queue
+	Completed uint64 `json:"completed"`         // finished successfully (incl. degraded)
+	Failed    uint64 `json:"failed"`            // finished with a non-context error
+	Shed      uint64 `json:"shed"`              // refused with 429 (queue full)
+	Rejected  uint64 `json:"rejected"`          // refused with 503 (draining)
+	Retries   uint64 `json:"retries"`           // transient-failure re-executions
+	Canceled  uint64 `json:"canceled"`          // ended by cancellation
+	Deadline  uint64 `json:"deadline_exceeded"` // ended by deadline
+	Degraded  uint64 `json:"degraded"`          // rerouted down the ladder by an open breaker
+	Brownouts uint64 `json:"brownouts"`         // answered below exact fidelity under pressure
+	Panics    uint64 `json:"panics"`            // recovered runner and goroutine panics
+	InFlight  int64  `json:"in_flight"`
+	Queued    int    `json:"queued"`
+	Workers   int    `json:"workers"`
+	Queue     int    `json:"queue_depth"`
+	Draining  bool   `json:"draining"`
 	// Fidelity counts completed requests by degradation-ladder tier;
 	// the four values sum to Completed. BrownoutEnabled mirrors
 	// Config.Brownout so orchestrators can tell "will answer at reduced
@@ -1014,60 +918,40 @@ type Stats struct {
 	Breakers        []BreakerStats    `json:"breakers,omitempty"`
 }
 
-// Snapshot collects the current stats.
+// Snapshot reads the counter handles GET /metrics renders.
 func (s *Server) Snapshot() Stats {
+	m := s.met
 	st := Stats{
-		Received:  s.stats.received.Load(),
-		Accepted:  s.stats.accepted.Load(),
-		Completed: s.stats.completed.Load(),
-		Failed:    s.stats.failed.Load(),
-		Shed:      s.stats.shed.Load(),
-		Rejected:  s.stats.rejected.Load(),
-		Retries:   s.stats.retries.Load(),
-		Canceled:  s.stats.canceled.Load(),
-		Deadline:  s.stats.deadline.Load(),
-		Degraded:  s.stats.degraded.Load(),
-		Brownouts: s.stats.brownouts.Load(),
-		Panics:    s.stats.panics.Load(),
-		InFlight:  s.stats.inflight.Load(),
-		Queued:    len(s.queue),
-		Workers:   s.cfg.Workers,
-		Queue:     s.cfg.QueueDepth,
-		Draining:  s.draining.Load(),
-		Fidelity: map[string]uint64{
-			"exact":    s.stats.fidExact.Load(),
-			"quant":    s.stats.fidQuant.Load(),
-			"analytic": s.stats.fidAnalytic.Load(),
-			"fifo":     s.stats.fidFIFO.Load(),
-		},
+		Received:        m.received.Value(),
+		Accepted:        m.accepted.Value(),
+		Completed:       m.outcomes["completed"].Value(),
+		Failed:          m.outcomes["failed"].Value(),
+		Shed:            m.outcomes["shed"].Value(),
+		Rejected:        m.outcomes["rejected"].Value(),
+		Retries:         m.retries.Value(),
+		Canceled:        m.outcomes["canceled"].Value(),
+		Deadline:        m.outcomes["deadline"].Value(),
+		Degraded:        m.degraded.Value(),
+		Brownouts:       m.brownouts.Value(),
+		Panics:          m.panics.Value(),
+		InFlight:        s.inflight.Load(),
+		Queued:          len(s.queue),
+		Workers:         s.cfg.Workers,
+		Queue:           s.cfg.QueueDepth,
+		Draining:        s.draining.Load(),
+		Fidelity:        make(map[string]uint64, len(m.fidelity)),
 		BrownoutEnabled: s.cfg.Brownout,
-		AvgRunMs:        float64(s.avgRunNs.Load()) / float64(time.Millisecond),
+		AvgRunMs:        float64(s.estimator.average()) / float64(time.Millisecond),
 	}
-	s.breakerMu.Lock()
-	paths := make([]string, 0, len(s.breakers))
-	for p := range s.breakers {
-		paths = append(paths, p)
+	for tier, c := range m.fidelity {
+		st.Fidelity[tier] = c.Value()
 	}
-	s.breakerMu.Unlock()
-	sortStrings(paths)
-	for _, p := range paths {
-		st.Breakers = append(st.Breakers, s.breakerFor(p).Stats())
+	for _, b := range s.breakers.values() {
+		st.Breakers = append(st.Breakers, b.Stats())
 	}
+	slices.SortFunc(st.Breakers, func(a, b BreakerStats) int { return strings.Compare(a.Path, b.Path) })
 	return st
 }
-
-// sortStrings is an allocation-light insertion sort; breaker sets are
-// tiny (one per model path).
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// Durable reports whether the server persists job state (StateDir set).
-func (s *Server) Durable() bool { return s.store != nil }
 
 // Job loads a durable job's record by ID. It returns an error when the
 // server is not durable, the ID is malformed, or no such record exists.
@@ -1081,13 +965,11 @@ func (s *Server) Job(id string) (*JobRecord, error) {
 	return s.store.get(id)
 }
 
-// OpenBreakers counts model paths whose breaker is currently open —
+// OpenBreakers counts model keys whose breaker is currently open —
 // the number of model identities being answered at reduced fidelity.
 func (s *Server) OpenBreakers() int {
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
 	n := 0
-	for _, b := range s.breakers {
+	for _, b := range s.breakers.values() {
 		if b.State() == BreakerOpen {
 			n++
 		}
@@ -1095,13 +977,10 @@ func (s *Server) OpenBreakers() int {
 	return n
 }
 
-// BrownoutEnabled reports whether deadline/overload brownout is on.
-func (s *Server) BrownoutEnabled() bool { return s.cfg.Brownout }
-
-// BreakerFor exposes the breaker of a model path for tests and
-// operational tooling (nil when that path has never been requested).
-func (s *Server) BreakerFor(path string) *Breaker {
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
-	return s.breakers[path]
+// BreakerFor exposes the breaker a request for this model key would
+// meet, for tests and operational tooling (nil when no request has
+// created it yet).
+func (s *Server) BreakerFor(key string) *Breaker {
+	b, _ := s.breakers.lookup(key)
+	return b
 }

@@ -3,9 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,20 +83,6 @@ func drainServer(t *testing.T, s *Server) {
 	}
 }
 
-// waitQueued spins until the admission queue holds n jobs. The
-// deadline is generous: under -race with the full suite running in
-// parallel, goroutine scheduling can stall for seconds.
-func waitQueued(t *testing.T, s *Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for len(s.queue) < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if len(s.queue) < n {
-		t.Fatalf("queue depth %d, want >= %d", len(s.queue), n)
-	}
-}
-
 func TestSubmitRunsJob(t *testing.T) {
 	r := &stubRunner{fn: func(context.Context, *Request, RunMode, int) (*Result, error) {
 		return okResult("model"), nil
@@ -113,89 +100,6 @@ func TestSubmitRunsJob(t *testing.T) {
 	if st.Completed != 1 || st.Accepted != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-}
-
-func TestShedWhenQueueFull(t *testing.T) {
-	b := newBlockingRunner()
-	s := mustNew(t, Config{Workers: 1, QueueDepth: 1, RetryMax: -1}, b)
-	defer drainServer(t, s)
-	defer b.Release() // runs before the drain defer (LIFO), unblocking it
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	submit := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer func() {
-				if we := guard.RecoveredWorker(i, recover()); we != nil {
-					errs[i] = we
-				}
-				wg.Done()
-			}()
-			_, errs[i] = s.Submit(context.Background(), &Request{})
-		}()
-	}
-	// First request occupies the worker; only then submit the second so
-	// it is guaranteed a queue slot (submitting both concurrently races
-	// the second enqueue against the worker's dequeue of the first, and
-	// losing that race sheds it).
-	submit(0)
-	<-b.started // worker picked up request 1
-	submit(1)
-	waitQueued(t, s, 1)
-	// Third request must shed.
-	if _, err := s.Submit(context.Background(), &Request{}); !errors.Is(err, ErrShed) {
-		t.Fatalf("want ErrShed, got %v", err)
-	}
-	if got := s.Snapshot().Shed; got != 1 {
-		t.Fatalf("shed count %d, want 1", got)
-	}
-	b.Release()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d failed: %v", i, err)
-		}
-	}
-}
-
-func TestShedHTTP429WithRetryAfter(t *testing.T) {
-	b := newBlockingRunner()
-	s := mustNew(t, Config{Workers: 1, QueueDepth: 1, RetryMax: -1}, b)
-	defer drainServer(t, s)
-	defer b.Release()
-	h := s.Handler()
-
-	var wg sync.WaitGroup
-	submit := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer func() {
-				if we := guard.RecoveredWorker(i, recover()); we != nil {
-					t.Error(we)
-				}
-				wg.Done()
-			}()
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/simulate", strings.NewReader(`{}`)))
-		}()
-	}
-	// Occupy the worker first, then the queue slot (see
-	// TestShedWhenQueueFull for why these must not race).
-	submit(0)
-	<-b.started
-	submit(1)
-	waitQueued(t, s, 1)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/simulate", strings.NewReader(`{}`)))
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("429 must carry Retry-After")
-	}
-	b.Release()
-	wg.Wait()
 }
 
 func TestDeadlinePropagates(t *testing.T) {
@@ -463,5 +367,106 @@ func TestBreakerProbeReleaseOnNeutralOutcome(t *testing.T) {
 	br.Record(true, nil, clk.Now())
 	if br.State() != BreakerClosed {
 		t.Fatalf("state %v, want closed", br.State())
+	}
+}
+
+// TestChoose pins the decision table of the lifecycle's choose step:
+// situation → rung plan, and what the plan is charged as.
+func TestChoose(t *testing.T) {
+	const est = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name      string
+		fidelity  string
+		brownout  bool
+		adm       Admission
+		queueFull bool
+		remaining time.Duration
+		want      plan
+	}{
+		{name: "fast answers analytic", fidelity: "fast", want: plan{rungs: rungsAnalytic}},
+		{name: "fast ignores a full queue", fidelity: "fast", queueFull: true, want: plan{rungs: rungsAnalytic}},
+		{name: "plenty of time runs exact", brownout: true, remaining: time.Second, want: plan{rungs: rungsExact}},
+		{name: "full queue sheds", queueFull: true, want: plan{refuse: ErrShed}},
+		{name: "full queue browns out", brownout: true, queueFull: true,
+			want: plan{rungs: rungsAnalytic, refuse: ErrShed, pressure: true}},
+		{name: "full queue never browns out exact", fidelity: "exact", brownout: true, queueFull: true,
+			want: plan{refuse: ErrShed}},
+		{name: "open breaker walks analytic then fifo", adm: AdmitDegraded, remaining: time.Second,
+			want: plan{rungs: rungsAnalyticFIFO, breakerOpen: true}},
+		{name: "open breaker refuses exact", fidelity: "exact", adm: AdmitDegraded, remaining: time.Second,
+			want: plan{refuse: ErrBreakerOpen, breakerOpen: true}},
+		{name: "open breaker outranks a short deadline", brownout: true, adm: AdmitDegraded, remaining: time.Millisecond,
+			want: plan{rungs: rungsAnalyticFIFO, breakerOpen: true}},
+		{name: "short deadline without brownout runs exact", remaining: time.Millisecond, want: plan{rungs: rungsExact}},
+		{name: "short deadline never moves exact", fidelity: "exact", brownout: true, remaining: time.Millisecond,
+			want: plan{rungs: rungsExact}},
+		{name: "probe runs exact whatever the deadline", brownout: true, adm: AdmitProbe, remaining: time.Millisecond,
+			want: plan{rungs: rungsExact}},
+		{name: "quant still fits", brownout: true, remaining: 90 * time.Millisecond,
+			want: plan{rungs: rungsQuant, pressure: true}},
+		{name: "nothing fits: analytic, exact if it errors", fidelity: "auto", brownout: true, remaining: 50 * time.Millisecond,
+			want: plan{rungs: rungsAnalyticExact, pressure: true}},
+	} {
+		got := choose(&Request{Fidelity: tc.fidelity}, tc.brownout, tc.adm, tc.queueFull, tc.remaining, est)
+		if !slices.Equal(got.rungs, tc.want.rungs) || got.refuse != tc.want.refuse ||
+			got.pressure != tc.want.pressure || got.breakerOpen != tc.want.breakerOpen {
+			t.Errorf("%s: plan %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	// No history: a short deadline cannot be judged, so exact runs.
+	if got := choose(&Request{}, true, AdmitNormal, false, time.Millisecond, 0); !slices.Equal(got.rungs, rungsExact) {
+		t.Errorf("no estimate: plan %+v, want exact", got)
+	}
+}
+
+// TestDeadlineBrownoutWalksThePlan drives the deadline-short plans end
+// to end: with an exact-run estimate far above the request's deadline
+// the job is answered analytic and counted a brownout, and when the
+// analytic tier errors the same plan falls through to an exact run that
+// is not one.
+func TestDeadlineBrownoutWalksThePlan(t *testing.T) {
+	var analyticDown atomic.Bool
+	r := &stubRunner{fn: func(_ context.Context, _ *Request, mode RunMode, _ int) (*Result, error) {
+		if mode == RunAnalytic && analyticDown.Load() {
+			return nil, errors.New("analytic tier down")
+		}
+		return okResult(mode.String()), nil
+	}}
+	s := mustNew(t, Config{Workers: 1, QueueDepth: 1, RetryMax: -1, Brownout: true}, r)
+	defer drainServer(t, s)
+	s.estimator.observe("line4", time.Hour, true)
+
+	res, err := s.Submit(context.Background(), &Request{Topo: "line4", TimeoutMs: 1000})
+	if err != nil || res.Fidelity != "analytic" {
+		t.Fatalf("deadline-short job: %+v, %v; want an analytic answer", res, err)
+	}
+	analyticDown.Store(true)
+	res, err = s.Submit(context.Background(), &Request{Topo: "line4", TimeoutMs: 1000})
+	if err != nil || res.Fidelity != "exact" {
+		t.Fatalf("analytic tier down: %+v, %v; want the exact fallback", res, err)
+	}
+	if st := s.Snapshot(); st.Brownouts != 1 || st.Fidelity["analytic"] != 1 || st.Fidelity["exact"] != 1 {
+		t.Fatalf("brownouts %d fidelity %v, want one analytic brownout and one plain exact answer", st.Brownouts, st.Fidelity)
+	}
+}
+
+// TestWireKeyedStateBounded: the model name comes off the wire, so the
+// breaker table — and with it the /stats rows and breaker series — must
+// stop growing at maxWireKeys+1 however many names a client invents.
+func TestWireKeyedStateBounded(t *testing.T) {
+	s := okServer(t, Config{})
+	for i := 0; i < 200; i++ {
+		if _, err := s.Submit(context.Background(), &Request{Model: fmt.Sprintf("junk-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.Snapshot().Breakers); n > maxWireKeys+1 {
+		t.Fatalf("%d breakers after 200 model names, want <= %d", n, maxWireKeys+1)
+	}
+	if s.BreakerFor("junk-0").Stats().Path != "junk-0" {
+		t.Fatal("an early model key lost its own breaker")
+	}
+	if a, b := s.BreakerFor("junk-150"), s.BreakerFor("never-seen"); a != b || a.Stats().Path != overflowKey {
+		t.Fatalf("overflow keys must share the %q breaker, got %v and %v", overflowKey, a.Stats(), b.Stats())
 	}
 }
