@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for `make fuzz`; raise for longer local campaigns.
 FUZZTIME ?= 15s
 
-.PHONY: build test race vet lint lint-fix-report check golden resume-golden analytic-gates bench bench-check metrics-smoke fuzz
+.PHONY: build test race vet lint lint-fix-report check golden resume-golden analytic-gates bench-smoke metrics-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -43,8 +43,8 @@ lint-fix-report:
 # suite under the race detector (the shard fan-out and DLib are the
 # concurrency-bearing paths it watches), the golden-trace determinism
 # digests, the analytic-tier accuracy gates, the /metrics consistency
-# smoke, and the benchmark regression gate.
-check: vet lint race golden resume-golden analytic-gates metrics-smoke bench-check
+# smoke, and the repository benchmark smoke.
+check: vet lint race golden resume-golden analytic-gates metrics-smoke bench-smoke
 
 # metrics-smoke drives a request through the full dqnserve handler
 # stack and asserts /metrics exposes counters consistent with /stats.
@@ -75,26 +75,23 @@ resume-golden:
 analytic-gates:
 	$(GO) test -run TestAnalyticAccuracyGates -count=1 .
 
-# bench runs the reproducible perf harness (cmd/dqnbench) and refreshes
-# BENCH_pr10.json in place, preserving its recorded "before" baseline.
-# Since PR 5 the e2e benchmarks run with an EngineObserver attached;
-# since PR 6 an e2e_fattree16_ckpt variant prices epoch checkpointing
-# and serve_saturation reports p50/p99 request latency; since PR 8 a
-# quantized predict-stream variant and per-layer GEMM microbenches
-# price the blocked/quantized kernels; since PR 9 a
-# serve_saturation_brownout variant prices the graceful-degradation
-# ladder's overload brownout (tier breakdown included); since PR 10 a
-# serve_saturation_batched variant prices the shared inference plane and
-# serve_concurrency_sweep records completed req/s vs client count.
-bench:
-	$(GO) run ./cmd/dqnbench -out BENCH_pr10.json
-
-# bench-check reruns the harness and fails on a >15% ns/op or any
-# allocs/op regression against the committed BENCH_pr10.json (carried
-# forward from BENCH_pr9; the PR 10 plane keeps the plain serve path's
-# alloc profile intact, which the gate continues to hold the line on).
-bench-check:
-	$(GO) run ./cmd/dqnbench -check BENCH_pr10.json
+# bench-smoke builds the repository benchmark (benchmark/, named by
+# BENCHMARK.json) against the current tree and runs every workload for a
+# few seconds. It measures nothing: it fails when a workload no longer
+# verifies its own output (digests, causality, accounting identity) or
+# any operation fails, so drift between the benchmark and the internal
+# APIs it calls is caught before anyone measures with it. Performance is
+# judged by paired benchmark/run.sh runs of parent and change. The loop
+# lists every workload BENCHMARK.json names as workload:seconds; CI's
+# benchmark-smoke job runs this target.
+bench-smoke:
+	@mkdir -p .bench_build; set -e; \
+	for ws in offline_fattree16:3 offline_abilene:3 serve_exact_closed:3 serve_fast_closed:2 serve_overload_open:3; do \
+		w=$${ws%%:*}; out=.bench_build/smoke-$$w.out; \
+		bash benchmark/run.sh --workload $$w --seconds $${ws##*:} --trace 0 | tee $$out; \
+		tail -n 1 $$out | grep -q '"correct":true' || { echo "bench-smoke: $$w did not verify" >&2; exit 1; }; \
+		tail -n 1 $$out | grep -q '"failed":0[,}]' || { echo "bench-smoke: $$w had failed operations" >&2; exit 1; }; \
+	done
 
 # microbench runs the plain go test benchmarks (no regression gate).
 microbench:

@@ -12,9 +12,7 @@
 //
 //	dqnlint [flags] [module-root]
 //
-// -sarif emits SARIF 2.1.0 for GitHub code scanning; -baseline filters
-// findings recorded in a committed baseline file (incremental
-// adoption); -write-baseline records the current findings as that file.
+// -sarif emits SARIF 2.1.0 for GitHub code scanning.
 //
 // Exit status: 0 when no diagnostics, 1 when any non-allowlisted
 // diagnostic fires, 2 on usage or load errors.
@@ -39,14 +37,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("dqnlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array")
-		sarifOut  = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (GitHub code scanning)")
-		enable    = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable   = fs.String("disable", "", "comma-separated analyzers to skip")
-		tests     = fs.Bool("tests", false, "also lint in-package _test.go files")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		baseline  = fs.String("baseline", "", "filter findings recorded in this baseline file")
-		writeBase = fs.String("write-baseline", "", "record current findings to this baseline file and exit 0")
+		jsonOut  = fs.Bool("json", false, "emit diagnostics as a JSON array")
+		sarifOut = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (GitHub code scanning)")
+		enable   = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable  = fs.String("disable", "", "comma-separated analyzers to skip")
+		tests    = fs.Bool("tests", false, "also lint in-package _test.go files")
+		list     = fs.Bool("list", false, "list analyzers and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: dqnlint [flags] [module-root]\n")
@@ -91,23 +87,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	diags := lint.Lint(mod, analyzers)
-
-	if *writeBase != "" {
-		if err := lint.WriteBaseline(*writeBase, mod.Dir, diags); err != nil {
-			fmt.Fprintln(stderr, "dqnlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "dqnlint: recorded %d finding(s) to %s\n", len(diags), *writeBase)
-		return 0
-	}
-	if *baseline != "" {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "dqnlint:", err)
-			return 2
-		}
-		diags = base.Filter(mod.Dir, diags)
-	}
 
 	switch {
 	case *sarifOut:

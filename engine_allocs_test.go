@@ -1,0 +1,71 @@
+package deepqueuenet
+
+// Allocation ceiling for one warm end-to-end engine run: scenario
+// packets, per-run plans and the result are allocated once per run, and
+// everything below them (sessions, arenas, plan buffers) is reused. A
+// reuse bug shows up here as hundreds of extra allocations per run long
+// before it shows up as wall time. The zero-allocation pins on the
+// inference path itself live beside it (ptm, nn, tensor/difftest).
+
+import (
+	"path/filepath"
+	"testing"
+
+	"deepqueuenet/internal/checkpoint"
+	"deepqueuenet/internal/core"
+	"deepqueuenet/internal/des"
+	"deepqueuenet/internal/experiments"
+	"deepqueuenet/internal/obs"
+	"deepqueuenet/internal/ptm"
+)
+
+// TestEngineRunAllocs runs the quickstart golden scenario (line4,
+// Poisson 0.4, 0.5 ms, Shards=2, observer attached) on a warm model and
+// scenario, once without and once with an epoch sink writing a snapshot
+// at every IRSA iteration. Each ceiling is the measured count plus 5 %
+// (4065 and 4218 per run, with and without -race, when this test was
+// added): goroutine scheduling may move the count by a few allocations,
+// a reuse bug moves it by hundreds.
+func TestEngineRunAllocs(t *testing.T) {
+	gc := goldenCases()[0]
+	model, err := ptm.Synthetic(goldenArch, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gc.graph()
+	sc, err := experiments.NewScenario(gc.name, g, des.SchedConfig{Kind: des.FIFO}, gc.traffic, gc.load, gc.dur, gc.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		sink     bool
+		measured float64
+	}{
+		{name: "no-sink", sink: false, measured: 4065},
+		{name: "epoch-sink", sink: true, measured: 4218},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.Config{Shards: 2, Observer: obs.NewEngineObserver(obs.NewRegistry())}
+			if tc.sink {
+				w := &checkpoint.Writer{
+					Path:       filepath.Join(t.TempDir(), "run.ckpt"),
+					TopoDigest: checkpoint.TopoDigest(g),
+					Seed:       gc.seed,
+					NoSync:     true,
+				}
+				cfg.EpochSink, cfg.EpochEvery = w.Sink(), 1
+			}
+			run := func() {
+				if _, _, err := sc.RunDQNCfg(model, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := testing.AllocsPerRun(3, run)
+			t.Logf("%s: %.0f allocations per run", tc.name, got)
+			if ceiling := tc.measured * 1.05; got > ceiling {
+				t.Fatalf("%s: %.0f allocations per warm run, ceiling %.0f (measured %.0f)", tc.name, got, ceiling, tc.measured)
+			}
+		})
+	}
+}

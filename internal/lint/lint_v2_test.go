@@ -3,7 +3,6 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -288,49 +287,5 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("result %d startLine = %d, want %d", i,
 				r.Locations[0].PhysicalLocation.Region.StartLine, diags[i].Line)
 		}
-	}
-}
-
-// TestBaselineRoundTrip checks write → load → filter: recorded findings
-// are absorbed up to their count, new findings survive.
-func TestBaselineRoundTrip(t *testing.T) {
-	root := string(filepath.Separator) + filepath.Join("repo", "root")
-	dup := Diagnostic{Analyzer: "hotalloc", File: filepath.Join(root, "a", "a.go"), Line: 5, Message: "make allocates"}
-	other := Diagnostic{Analyzer: "locksafe", File: filepath.Join(root, "b", "b.go"), Line: 9, Message: "held across sleep"}
-	recorded := []Diagnostic{dup, dup, other}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, root, recorded); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	var entries []BaselineEntry
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatalf("baseline file is not valid JSON: %v", err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("want 2 aggregated entries, got %d: %v", len(entries), entries)
-	}
-	if entries[0].Count != 2 || entries[0].File != "a/a.go" {
-		t.Fatalf("dup entry = %+v, want count 2 and repo-relative file", entries[0])
-	}
-
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if got := base.Filter(root, recorded); len(got) != 0 {
-		t.Fatalf("recorded findings should be fully absorbed, got %v", got)
-	}
-	// A third identical finding exceeds the recorded count of 2.
-	if got := base.Filter(root, []Diagnostic{dup, dup, dup}); len(got) != 1 {
-		t.Fatalf("count budget should leave exactly the overflow finding, got %v", got)
-	}
-	fresh := Diagnostic{Analyzer: "crashsafe", File: filepath.Join(root, "c", "c.go"), Line: 1, Message: "raw WriteFile"}
-	if got := base.Filter(root, []Diagnostic{dup, fresh}); len(got) != 1 || got[0].Analyzer != "crashsafe" {
-		t.Fatalf("new finding must survive the baseline, got %v", got)
 	}
 }

@@ -141,15 +141,22 @@ func TestPredictStreamIntoZeroAllocs(t *testing.T) {
 }
 
 // TestPredictStreamAllocatesOnlyItsResult: the allocating entry point
-// owes the heap exactly one object per call, the returned slice — what
-// cmd/dqnbench's ptm_predict_stream gate holds it to.
+// owes the heap exactly one object per call, the returned slice, on the
+// exact and on the quantized backend alike.
 func TestPredictStreamAllocatesOnlyItsResult(t *testing.T) {
-	p := sessionModel(t)
 	stream := testStream(150, 9)
-	if allocs := testing.AllocsPerRun(10, func() {
-		p.PredictStream(stream, des.FIFO, 10e9, 1)
-	}); allocs != 1 {
-		t.Fatalf("PredictStream(workers=1) allocated %.0f times per stream; want 1", allocs)
+	for _, quant := range []bool{false, true} {
+		p := sessionModel(t)
+		if quant {
+			if err := p.WithQuantized(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			p.PredictStream(stream, des.FIFO, 10e9, 1)
+		}); allocs != 1 {
+			t.Fatalf("PredictStream(workers=1, quantized=%v) allocated %.0f times per stream; want 1", quant, allocs)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +26,7 @@ import (
 	"deepqueuenet/internal/chaos"
 	"deepqueuenet/internal/core"
 	"deepqueuenet/internal/guard"
+	"deepqueuenet/internal/plane"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/serve"
 )
@@ -82,6 +84,21 @@ func scrapeValue(t *testing.T, exposition, series string) uint64 {
 	return 0
 }
 
+// chaosStorm starts six concurrent clients, each posting n /simulate
+// requests with fresh seeds to h, adds them to wg and hands every
+// response to check.
+func chaosStorm(h http.Handler, wg *sync.WaitGroup, seed *atomic.Uint64, n int, check func(*httptest.ResponseRecorder)) {
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				check(postSim(h, simBody(seed.Add(1))))
+			}
+		}()
+	}
+}
+
 // TestChaosStormServerSurvives is the headline drill: sustained
 // concurrent traffic with every fault kind injected at >= 1% rates. The
 // process must not die, every response must be a well-defined status,
@@ -112,19 +129,12 @@ func TestChaosStormServerSurvives(t *testing.T) {
 	var wg sync.WaitGroup
 	var seed atomic.Uint64
 	storm := func(n int) {
-		for g := 0; g < 6; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					rec := postSim(h, simBody(seed.Add(1)))
-					count(rec.Code)
-					if rec.Code == http.StatusTooManyRequests && rec.Header().Get("Retry-After") == "" {
-						t.Error("429 without Retry-After")
-					}
-				}
-			}()
-		}
+		chaosStorm(h, &wg, &seed, n, func(rec *httptest.ResponseRecorder) {
+			count(rec.Code)
+			if rec.Code == http.StatusTooManyRequests && rec.Header().Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+		})
 	}
 	storm(15)
 	wg.Wait()
@@ -235,6 +245,81 @@ func TestChaosStormServerSurvives(t *testing.T) {
 	}
 	if rec2 := postSim(h, simBody(0)); rec2.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain simulate: %d, want 503", rec2.Code)
+	}
+}
+
+// TestChaosSoakNoLeaks drives the chaos storm (shard panics and NaN
+// outputs injected, plane on, brownout on) for several rounds after one
+// warm-up round. Once the server is quiet after each round, it must hold
+// no more goroutines than after warm-up, and the live heap must stay
+// within a fixed margin of the warm-up heap: a leaked waiter, timer,
+// plane call or retained result grows with every round.
+func TestChaosSoakNoLeaks(t *testing.T) {
+	const (
+		rounds    = 4
+		perClient = 4
+		// Heap growth allowed over warm-up. A round leaves none that
+		// survives a GC (±0.1 MiB measured); a request retaining its
+		// engine result or scenario crosses this within the soak.
+		heapSlack = 2 << 20
+	)
+	inj := chaos.New(chaos.Config{Seed: 13, PanicRate: 0.004, NaNRate: 0.004})
+	pl := plane.New(plane.Config{MaxBatch: 8})
+	defer pl.Close()
+	runner := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, Plane: pl}
+	runner.WrapDevice = inj.WrapDevice
+	srv := mustServe(t, serve.Config{
+		Workers: 3, QueueDepth: 2, Brownout: true, Plane: pl,
+		RetryMax: 1, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond,
+		// An open breaker would answer every later request analytically
+		// and take the engine and the plane out of the soak.
+		Breaker: serve.BreakerConfig{Threshold: 1 << 30},
+		Seed:    13,
+	}, inj.WrapRunner(runner))
+	h := srv.Handler()
+
+	var seed atomic.Uint64
+	round := func() {
+		var wg sync.WaitGroup
+		chaosStorm(h, &wg, &seed, perClient, func(*httptest.ResponseRecorder) {})
+		wg.Wait()
+	}
+	heapInuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+
+	round()
+	baseG, baseHeap := runtime.NumGoroutine(), heapInuse()
+	for r := 1; r <= rounds; r++ {
+		round()
+		g := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); g > baseG && time.Now().Before(deadline); g = runtime.NumGoroutine() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if g > baseG {
+			t.Fatalf("round %d: %d goroutines once quiet, %d after warm-up", r, g, baseG)
+		}
+		heap := heapInuse()
+		t.Logf("round %d: %d goroutines (warm-up %d), HeapInuse %d B (warm-up %d B)", r, g, baseG, heap, baseHeap)
+		if heap > baseHeap+heapSlack {
+			t.Fatalf("round %d: HeapInuse %d B after GC, warm-up %d B + slack %d B", r, heap, baseHeap, heapSlack)
+		}
+	}
+	if inj.Count(chaos.FaultPanic) == 0 || inj.Count(chaos.FaultNaN) == 0 {
+		t.Errorf("faults injected: panic %d, NaN %d; want both", inj.Count(chaos.FaultPanic), inj.Count(chaos.FaultNaN))
+	}
+	st := srv.Snapshot()
+	assertBalanced(t, st)
+	if st.Fidelity["exact"] == 0 || st.Brownouts == 0 {
+		t.Errorf("exact answers %d, brownouts %d; the soak must exercise both", st.Fidelity["exact"], st.Brownouts)
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Drain(dctx); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 
