@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for `make fuzz`; raise for longer local campaigns.
 FUZZTIME ?= 15s
 
-.PHONY: build test race vet lint lint-fix-report check golden resume-golden analytic-gates bench-smoke metrics-smoke fuzz
+.PHONY: build test race vet lint lint-fix-report check purego golden resume-golden analytic-gates bench-smoke metrics-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo-specific analyzers — the per-file checks (float
-# equality, determinism, goroutine hygiene, error discards, cancellation
-# polling) plus the flow-aware suite (hot-path allocations, lock
-# discipline, atomic field hygiene, checkpoint durability, metric label
-# cardinality) — over the tree including _test.go files. Exits non-zero
-# on any diagnostic not suppressed by a //dqnlint:allow directive.
+# lint runs the six repo-specific analyzers — floateq, detguard,
+# goguard and errdiscard per file, hotalloc and locksafe over the
+# cross-package call graph — over the tree including _test.go files.
+# Exits non-zero on any diagnostic not suppressed by a //dqnlint:allow
+# directive.
 lint:
 	$(GO) run ./cmd/dqnlint -tests .
 
@@ -41,10 +40,18 @@ lint-fix-report:
 
 # check is the CI gate: go vet, the repo's own analyzers, the full
 # suite under the race detector (the shard fan-out and DLib are the
-# concurrency-bearing paths it watches), the golden-trace determinism
-# digests, the analytic-tier accuracy gates, the /metrics consistency
-# smoke, and the repository benchmark smoke.
-check: vet lint race golden resume-golden analytic-gates metrics-smoke bench-smoke
+# concurrency-bearing paths it watches), the kernel suites on the
+# portable build, the golden-trace determinism digests, the
+# analytic-tier accuracy gates, the /metrics consistency smoke, and the
+# repository benchmark smoke.
+check: vet lint race purego golden resume-golden analytic-gates metrics-smoke bench-smoke
+
+# purego runs the kernel-bearing packages on the portable build, where
+# the assembly and vector kernels are not compiled in at all; the
+# default build reaches the portable kernels only by switching the
+# others off at run time.
+purego:
+	$(GO) test -tags purego -count=1 ./internal/tensor/difftest ./internal/tensor ./internal/nn ./internal/ptm
 
 # metrics-smoke drives a request through the full dqnserve handler
 # stack and asserts /metrics exposes counters consistent with /stats.

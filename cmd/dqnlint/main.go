@@ -1,12 +1,10 @@
-// Command dqnlint runs the repository's static-analysis suite: ten
+// Command dqnlint runs the repository's static-analysis suite: six
 // analyzers enforcing the invariants DeepQueueNet's correctness rests
-// on but the compiler cannot check — the five per-file checks from
-// PR 2 (IRSA bit-determinism, float-safe numeric kernels, goroutine
-// panic isolation, intact error chains, bounded cancellation latency)
-// and five cross-package flow-aware checks (zero-alloc hot path, lock
-// discipline, atomic field hygiene, checkpoint durability, metric
-// label cardinality). It is stdlib-only and wired into `make lint` /
-// `make check`.
+// on but the compiler cannot check — four per-file checks (IRSA
+// bit-determinism, float-safe numeric kernels, goroutine panic
+// isolation, intact error chains) and two cross-package flow-aware
+// checks (zero-alloc hot path, lock discipline). It is stdlib-only and
+// wired into `make lint` / `make check`.
 //
 // Usage:
 //

@@ -58,7 +58,7 @@ func run(args []string) error {
 	maxShards := fs.Int("max-shards", 8, "cap on per-request inference shards")
 	maxDur := fs.Float64("max-duration", 0.01, "cap on simulated seconds per request")
 	retries := fs.Int("retries", 2, "retry budget for transient job failures")
-	brownout := fs.Bool("brownout", false, "answer overloaded or deadline-short requests at reduced fidelity (quantized or analytic) instead of shedding; fidelity \"exact\" requests are never browned out")
+	brownout := fs.Bool("brownout", false, "answer overloaded or deadline-short requests at reduced fidelity (analytic) instead of shedding; fidelity \"exact\" requests are never browned out")
 	planeOn := fs.Bool("plane", true, "route device inference through the shared cross-request batching plane (warm per-model workers, bit-identical results)")
 	planeBatch := fs.Int("plane-batch", 16, "plane micro-batch size: flush when this many device calls have coalesced")
 	brThreshold := fs.Int("breaker-threshold", 5, "consecutive failures that open a model-path breaker")

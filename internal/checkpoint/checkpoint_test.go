@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"deepqueuenet/internal/atomicfile"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/topo"
@@ -184,7 +185,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
 	s := sample()
-	if err := Save(path, Encode(s), true); err != nil {
+	if err := atomicfile.WriteFile(path, Encode(s), 0o600, true); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	got, err := Load(path)
@@ -197,7 +198,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 	// Overwrite with a later epoch; the file must hold exactly the new
 	// snapshot and no temp files may linger.
 	s.Iter = 9
-	if err := Save(path, Encode(s), true); err != nil {
+	if err := atomicfile.WriteFile(path, Encode(s), 0o600, true); err != nil {
 		t.Fatalf("second Save: %v", err)
 	}
 	got, err = Load(path)

@@ -7,50 +7,14 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"time"
 
+	"deepqueuenet/internal/atomicfile"
 	"deepqueuenet/internal/core"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/topo"
 )
-
-// Save atomically persists encoded snapshot bytes: write to a
-// temporary file in the same directory, fsync (unless noSync), and
-// rename over path. A crash at any point leaves either the previous
-// snapshot or none — never a torn file.
-func Save(path string, data []byte, noSync bool) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: create temp in %s: %w", dir, err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("checkpoint: write %s: %w", tmpName, err)
-	}
-	if !noSync {
-		if err := tmp.Sync(); err != nil {
-			cleanup()
-			return fmt.Errorf("checkpoint: sync %s: %w", tmpName, err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: close %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: rename into %s: %w", path, err)
-	}
-	return nil
-}
 
 // Load reads and decodes a snapshot file, refusing files over MaxSize
 // before reading a byte of payload.
@@ -152,7 +116,7 @@ func (w *Writer) Sink() core.EpochSink {
 			Sojourns:       st.Sojourns,
 		}
 		w.buf = appendEncode(w.buf[:0], &w.snap)
-		if err := Save(w.Path, w.buf, w.NoSync); err != nil {
+		if err := atomicfile.WriteFile(w.Path, w.buf, 0o600, w.NoSync); err != nil {
 			if w.Metrics != nil {
 				w.Metrics.SnapshotFailures.Inc()
 			}

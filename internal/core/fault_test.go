@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,17 +45,52 @@ func (m *inflatingModel) CloneModel() DeviceModel { return m }
 func (m *inflatingModel) Ports() int              { return 0 }
 func (m *inflatingModel) Validate() error         { return nil }
 
-// cancelingModel cancels the run's context during its first prediction
-// and counts calls, modeling a cancellation that lands mid-iteration.
-type cancelingModel struct {
+// cancelRun is the shared state of one canceled run's device models: the
+// first device call cancels the run's context (a cancellation landing
+// mid-iteration), every later call records whether the cancel had
+// already landed when it began, and as the run's Observer it learns which
+// shard inferred each device.
+type cancelRun struct {
+	ctx    context.Context
 	cancel context.CancelFunc
 	calls  atomic.Int64
+
+	mu    sync.Mutex
+	late  []int       // devices whose call began after the cancel
+	shard map[int]int // device → the shard that inferred it
+}
+
+func (r *cancelRun) ObserveIteration(IterationEvent) {}
+
+func (r *cancelRun) ObserveInference(ev InferenceEvent) {
+	r.mu.Lock()
+	r.shard[ev.Device] = ev.Shard
+	r.mu.Unlock()
+}
+
+// cancelingModel is one switch's device model under a cancelRun. It takes
+// the batched DevicePredictor path, so each call is one device inference.
+type cancelingModel struct {
+	run *cancelRun
+	dev int
+}
+
+func (m *cancelingModel) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
+	r := m.run
+	if r.ctx.Err() != nil {
+		r.mu.Lock()
+		r.late = append(r.late, m.dev) //dqnlint:allow hotalloc test double: not the pinned inference path
+		r.mu.Unlock()
+	}
+	if r.calls.Add(1) == 1 {
+		r.cancel()
+	}
+	for i := range ports {
+		ports[i].Out = m.PredictStream(ports[i].Stream, kind, ports[i].RateBps, 1) //dqnlint:allow hotalloc test double: not the pinned inference path
+	}
 }
 
 func (m *cancelingModel) PredictStream(stream []ptm.PacketIn, _ des.SchedKind, rateBps float64, _ int) []float64 {
-	if m.calls.Add(1) == 1 {
-		m.cancel()
-	}
 	out := make([]float64, len(stream))
 	for i := range out {
 		out[i] = float64(stream[i].Size*8) / rateBps
@@ -127,16 +163,35 @@ func TestShardPanicIsolatedMeasureShards(t *testing.T) {
 	}
 }
 
+// TestCancellationStopsWithinOneIteration pins RunContext's cancellation
+// latency at both grains: the run ends inside the iteration the cancel
+// lands in, and within it every shard starts at most one further device
+// inference — the one that may already have been past its context poll.
+// Eight switches over two shards leave each shard several devices that
+// would still run if the per-device poll were lost.
 func TestCancellationStopsWithinOneIteration(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	m := &cancelingModel{cancel: cancel}
-	sim, hosts := lineSim(t, Config{
+	run := &cancelRun{ctx: ctx, cancel: cancel, shard: map[int]int{}}
+	g := topo.Line(8, topo.DefaultLAN)
+	hosts := g.Hosts()
+	rt, err := g.Route([]topo.FlowDef{{FlowID: 1, Src: hosts[0], Dst: hosts[7]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(g, rt, Config{
 		Sched:      des.SchedConfig{Kind: des.FIFO},
 		Iterations: 100,
-		DeviceFor:  func(int) DeviceModel { return m },
+		Shards:     2,
+		Model:      tinyModel(4),
+		Observer:   run,
+		DeviceFor:  func(sw int) DeviceModel { return &cancelingModel{run: run, dev: sw} },
 	})
-	addTestFlow(sim, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[7],
+		Gen: traffic.NewReplay([]float64{1e-6, 1e-6, 1e-6, 1e-6}, []int{100, 200, 100, 200}, true)})
 	res, err := sim.RunContext(ctx, 0.001)
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("want guard.ErrCanceled, got %v", err)
@@ -149,6 +204,15 @@ func TestCancellationStopsWithinOneIteration(t *testing.T) {
 	}
 	if res.Iterations > 2 {
 		t.Fatalf("cancel mid-iteration 0 ran %d iterations, want <= 2 of 100", res.Iterations)
+	}
+	late := map[int]int{} // shard → device calls begun after the cancel
+	for _, d := range run.late {
+		late[run.shard[d]]++
+	}
+	for si, n := range late {
+		if n > 1 {
+			t.Errorf("shard %d started %d device inferences after the cancel, want at most 1 (late devices %v)", si, n, run.late)
+		}
 	}
 }
 

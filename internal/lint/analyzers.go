@@ -5,22 +5,17 @@ import (
 	"go/types"
 )
 
-// Analyzers returns every dqnlint analyzer in stable order: the five
-// per-file syntactic checks from PR 2 and the five cross-package,
-// flow-aware checks (hot-path allocations, lock discipline, atomic
-// field hygiene, checkpoint durability, metric label cardinality).
+// Analyzers returns every dqnlint analyzer in stable order: the four
+// per-file syntactic checks and the two cross-package, flow-aware
+// checks (hot-path allocations, lock discipline).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatEq,
 		DetGuard,
 		GoGuard,
 		ErrDiscard,
-		CtxCheck,
 		HotAlloc,
 		LockSafe,
-		AtomicSafe,
-		CrashSafe,
-		ObsLabel,
 	}
 }
 
@@ -67,6 +62,14 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return obj
 	}
 	return nil
+}
+
+// identObj returns the object an identifier uses or defines.
+func identObj(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Uses[id]; o != nil {
+		return o
+	}
+	return info.Defs[id]
 }
 
 // isBuiltinCall reports whether the call invokes a language builtin

@@ -2,24 +2,20 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sync"
 )
 
 // Context carries the cross-package facts shared by every analyzer pass
-// of one Lint run: the call graph, the atomic-field set, and the
-// hot-path reachability closure. Facts are built lazily behind
-// sync.Once so a run that never needs one never pays for it, and the
-// parallel per-package passes can all share a single computation.
+// of one Lint run: the call graph and the hot-path reachability
+// closure. Facts are built lazily behind sync.Once so a run that never
+// needs one never pays for it, and the parallel per-package passes can
+// all share a single computation.
 type Context struct {
 	All []*Package
 
 	graphOnce sync.Once
 	graph     *CallGraph
-
-	atomicOnce sync.Once
-	atomics    map[*types.Var]token.Position
 
 	hotOnce sync.Once
 	hot     map[*types.Func]string // reachable fn -> root it is reached from

@@ -68,8 +68,8 @@ type Pass struct {
 	// All is every loaded module package, for cross-package resolution
 	// (goguard follows call chains into other packages).
 	All []*Package
-	// Ctx holds the shared cross-package facts (call graph, atomic
-	// fields, hot-path closure) built once per Lint run.
+	// Ctx holds the shared cross-package facts (call graph, hot-path
+	// closure) built once per Lint run.
 	Ctx *Context
 
 	analyzer *Analyzer

@@ -183,8 +183,8 @@ func TestWatches(t *testing.T) {
 	if !FloatEq.Watches("internal/linalg") {
 		t.Error("floateq must watch internal/linalg")
 	}
-	if !CtxCheck.Watches("internal/core") || CtxCheck.Watches("internal/des") {
-		t.Error("ctxcheck watches exactly internal/core")
+	if !DetGuard.Watches("internal/core") || DetGuard.Watches("internal/serve") {
+		t.Error("detguard watches the simulation packages only")
 	}
 }
 

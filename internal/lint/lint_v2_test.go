@@ -80,89 +80,6 @@ func Sleepy() {
 }
 `,
 	},
-	{
-		analyzer: "atomicsafe",
-		pkgDir:   "internal/serve",
-		bad: `package serve
-
-import "sync/atomic"
-
-type stats struct{ hits uint64 }
-
-var s stats
-
-func Inc() { atomic.AddUint64(&s.hits, 1) }
-
-func Read() uint64 { return s.hits }
-`,
-		allowed: `package serve
-
-import "sync/atomic"
-
-type stats struct{ hits uint64 }
-
-var s stats
-
-func Inc() { atomic.AddUint64(&s.hits, 1) }
-
-//dqnlint:allow atomicsafe scratch test justification
-func Read() uint64 { return s.hits }
-`,
-	},
-	{
-		analyzer: "crashsafe",
-		pkgDir:   "internal/checkpoint",
-		bad: `package checkpoint
-
-import "os"
-
-func Save(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
-}
-`,
-		allowed: `package checkpoint
-
-import "os"
-
-func Save(path string, data []byte) error {
-	//dqnlint:allow crashsafe scratch test justification
-	return os.WriteFile(path, data, 0o644)
-}
-`,
-	},
-	{
-		analyzer: "obslabel",
-		pkgDir:   "internal/obs",
-		bad: `package obs
-
-import "net/http"
-
-type Label struct{ Key, Value string }
-
-func L(k, v string) Label { return Label{Key: k, Value: v} }
-
-func record(name string, ls ...Label) {}
-
-func Handle(r *http.Request) {
-	record("req", L("path", r.URL.Path))
-}
-`,
-		allowed: `package obs
-
-import "net/http"
-
-type Label struct{ Key, Value string }
-
-func L(k, v string) Label { return Label{Key: k, Value: v} }
-
-func record(name string, ls ...Label) {}
-
-func Handle(r *http.Request) {
-	//dqnlint:allow obslabel scratch test justification
-	record("req", L("path", r.URL.Path))
-}
-`,
-	},
 }
 
 // TestV2AllowSuppression proves each flow-aware analyzer both fires on

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"deepqueuenet/internal/atomicfile"
 	"deepqueuenet/internal/rng"
 	"deepqueuenet/internal/tensor"
 )
@@ -235,44 +235,7 @@ func (s *Sequential) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(path, data)
-}
-
-// atomicWriteFile is the temp+fsync+rename durable write (the PR 6
-// checkpoint rule; duplicated here because checkpoint imports ptm,
-// which imports nn).
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".nn-*.tmp")
-	if err != nil {
-		return fmt.Errorf("nn: create temp in %s: %w", dir, err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("nn: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("nn: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("nn: close %s: %w", tmpName, err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("nn: chmod %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("nn: rename into %s: %w", path, err)
-	}
-	return nil
+	return atomicfile.WriteFile(path, data, 0o644, false)
 }
 
 // Load reads a model from a file written by Save.

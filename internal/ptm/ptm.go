@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 
+	"deepqueuenet/internal/atomicfile"
 	"deepqueuenet/internal/dbscan"
 	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/guard"
@@ -390,43 +390,7 @@ func (p *PTM) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(path, data)
-}
-
-// atomicWriteFile is the temp+fsync+rename durable write (the PR 6
-// checkpoint rule; duplicated here because checkpoint imports ptm).
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ptm-*.tmp")
-	if err != nil {
-		return fmt.Errorf("ptm: create temp in %s: %w", dir, err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return fmt.Errorf("ptm: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("ptm: sync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ptm: close %s: %w", tmpName, err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ptm: chmod %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ptm: rename into %s: %w", path, err)
-	}
-	return nil
+	return atomicfile.WriteFile(path, data, 0o644, false)
 }
 
 // Load reads a PTM from a file. Read, decode, and validation failures

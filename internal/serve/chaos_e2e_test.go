@@ -217,7 +217,7 @@ func TestChaosStormServerSurvives(t *testing.T) {
 	// The fidelity ladder must reconcile too: exactly one tier answered
 	// each completed request, and /metrics agrees with /stats per tier.
 	var fidSum uint64
-	for _, tier := range []string{"exact", "quant", "analytic", "fifo"} {
+	for _, tier := range []string{"exact", "analytic", "fifo"} {
 		got := scrapeValue(t, exp, fmt.Sprintf(`dqn_fidelity_total{tier="%s"}`, tier))
 		if got != st.Fidelity[tier] {
 			t.Errorf("/metrics fidelity %s = %d, /stats = %d", tier, got, st.Fidelity[tier])

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"sync"
 
-	"deepqueuenet/internal/checkpoint"
+	"deepqueuenet/internal/atomicfile"
 )
 
 // Job statuses. pending and interrupted are recoverable: a restarted
@@ -118,15 +118,14 @@ func (st *jobStore) checkpointPath(id string) string {
 	return filepath.Join(st.dir, "ckpt", id+".ckpt")
 }
 
-// put atomically replaces the record file (temp file, fsync, rename:
-// checkpoint.Save's discipline, so a crash leaves the previous record
-// or the new one, never a torn file).
+// put atomically replaces the record file (atomicfile.WriteFile: a
+// crash leaves the previous record or the new one, never a torn file).
 func (st *jobStore) put(rec *JobRecord) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("serve: marshal job record: %w", err)
 	}
-	if err := checkpoint.Save(st.recordPath(rec.ID), data, false); err != nil {
+	if err := atomicfile.WriteFile(st.recordPath(rec.ID), data, 0o600, false); err != nil {
 		return fmt.Errorf("serve: persist job record: %w", err)
 	}
 	return nil

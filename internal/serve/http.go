@@ -37,7 +37,7 @@ import (
 //	breaker open          200 analytic (FIFO if analytic errors) +
 //	                      X-DQN-Degraded; 503 for fidelity "exact"
 //
-// Every 200 carries X-DQN-Fidelity: exact|quant|analytic|fifo — the
+// Every 200 carries X-DQN-Fidelity: exact|analytic|fifo — the
 // degradation-ladder tier that produced the answer.
 
 // errorBody is the JSON error envelope.
@@ -253,18 +253,16 @@ func (s *Server) readiness() readiness {
 	r := readiness{
 		Status: "ready",
 		Tiers: map[string]string{
-			"exact": "available", "quant": "available",
-			"analytic": "available", "fifo": "available",
+			"exact": "available", "analytic": "available", "fifo": "available",
 		},
 		OpenBreakers: s.OpenBreakers(),
 		Brownout:     s.cfg.Brownout,
 	}
 	if r.OpenBreakers > 0 {
-		// The model-backed tiers are impaired for at least one model
-		// path; the server still answers, one rung down.
+		// The model-backed tier is impaired for at least one model path;
+		// the server still answers, one rung down.
 		r.Status = "degraded"
 		r.Tiers["exact"] = "breaker-open"
-		r.Tiers["quant"] = "breaker-open"
 	}
 	return r
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 
 	"deepqueuenet/internal/checkpoint"
@@ -15,11 +14,11 @@ import (
 const maxModelEntries = maxWireKeys
 
 // modelRegistry is the warm model registry: one entry per model path,
-// holding the loaded base model and every lazily derived read-only
-// variant (int8-quantized, SEC-stripped, content digest). Entries are
-// shared across all concurrent requests — a model is loaded once,
-// quantized once, digested once, no matter how many cold-start requests
-// race for it — and the entry count is LRU-bounded at maxModelEntries.
+// holding the loaded base model and its lazily derived read-only
+// variants (SEC-stripped, content digest). Entries are shared across
+// all concurrent requests — a model is loaded once, stripped once,
+// digested once, no matter how many cold-start requests race for it —
+// and the entry count is LRU-bounded at maxModelEntries.
 type modelRegistry struct {
 	mu      sync.Mutex
 	clock   uint64
@@ -51,12 +50,11 @@ type modelEntry struct {
 
 	mu     sync.Mutex
 	digest string
-	quant  *ptm.PTM
-	// noSEC maps a parent variant (base or quant) to its SEC-stripped
-	// clone. Resolving NoSEC here — instead of per shard inside the
-	// engine — keeps a request's model a stable identity, which the
-	// inference plane keys its warm workers on.
-	noSEC map[*ptm.PTM]*ptm.PTM
+	// noSEC is the base model's SEC-stripped clone. Resolving NoSEC here
+	// — instead of per shard inside the engine — keeps a request's model
+	// a stable identity, which the inference plane keys its warm workers
+	// on.
+	noSEC *ptm.PTM
 }
 
 // entry returns the warm entry for path, invoking load exactly once per
@@ -135,46 +133,19 @@ func (mr *modelRegistry) len() int {
 	return len(mr.entries)
 }
 
-// quantized returns the entry's int8-quantized variant: the base model
-// itself when it is already quantized, otherwise a clone built exactly
-// once — the exact model is never mutated, so RunExact stays
-// bit-identical with the ladder installed. A failed build is not
-// cached.
-func (e *modelEntry) quantized() (*ptm.PTM, error) {
-	if e.base.Quantized() {
-		return e.base, nil
+// withoutSEC returns the base model with the SEC residual bins
+// stripped, building the clone at most once. A base with no bins is
+// returned as-is.
+func (e *modelEntry) withoutSEC() *ptm.PTM {
+	if len(e.base.SECBins) == 0 {
+		return e.base
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.quant != nil {
-		return e.quant, nil
-	}
-	q := e.base.Clone()
-	if err := q.WithQuantized(); err != nil {
-		return nil, fmt.Errorf("%w: quantize: %w", errModelInvalid, err)
-	}
-	e.quant = q
-	return q, nil
-}
-
-// withoutSEC returns parent with the SEC residual bins stripped,
-// building the clone at most once per parent variant. A parent with no
-// bins is returned as-is.
-func (e *modelEntry) withoutSEC(parent *ptm.PTM) *ptm.PTM {
-	if len(parent.SECBins) == 0 {
-		return parent
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v := e.noSEC[parent]; v != nil {
-		return v
-	}
-	v := parent.WithoutSEC()
 	if e.noSEC == nil {
-		e.noSEC = make(map[*ptm.PTM]*ptm.PTM, 2)
+		e.noSEC = e.base.WithoutSEC()
 	}
-	e.noSEC[parent] = v
-	return v
+	return e.noSEC
 }
 
 // baseDigest returns the SHA-256 identity of the entry's base model,

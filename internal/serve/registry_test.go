@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/checkpoint"
+	"deepqueuenet/internal/dbscan"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
@@ -27,16 +28,16 @@ func registryTestModel(t *testing.T) *ptm.PTM {
 // TestRegistryColdStartSingleflight hammers one path with 32 concurrent
 // cold-start requesters and verifies the model is loaded exactly once,
 // every caller gets the same entry, and the lazily derived variants
-// (quantized, SEC-stripped, digest) are each built exactly once too.
-// Run under -race this also proves the registry's locking discipline.
+// (SEC-stripped, digest) are each built exactly once too. Run under
+// -race this also proves the registry's locking discipline.
 func TestRegistryColdStartSingleflight(t *testing.T) {
 	base := registryTestModel(t)
+	base.SECBins = []dbscan.Bin{{Lo: 0, Hi: 1, MeanValue: 0.5}}
 	var loads atomic.Int64
 	mr := &modelRegistry{}
 
 	const goroutines = 32
 	entries := make([]*modelEntry, goroutines)
-	quants := make([]*ptm.PTM, goroutines)
 	nosecs := make([]*ptm.PTM, goroutines)
 	digests := make([]string, goroutines)
 	var wg sync.WaitGroup
@@ -58,13 +59,7 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 				return
 			}
 			entries[i] = e
-			q, err := e.quantized()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			quants[i] = q
-			nosecs[i] = e.withoutSEC(e.base)
+			nosecs[i] = e.withoutSEC()
 			d, err := e.baseDigest()
 			if err != nil {
 				t.Error(err)
@@ -82,9 +77,6 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 		if entries[i] != entries[0] {
 			t.Fatalf("goroutine %d got a different entry", i)
 		}
-		if quants[i] != quants[0] {
-			t.Fatalf("goroutine %d got a different quantized variant", i)
-		}
 		if nosecs[i] != nosecs[0] {
 			t.Fatalf("goroutine %d got a different SEC-stripped variant", i)
 		}
@@ -92,11 +84,11 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 			t.Fatalf("goroutine %d got a different digest", i)
 		}
 	}
-	if quants[0] == base {
-		t.Fatal("quantized variant aliases the exact base model")
+	if nosecs[0] == base || len(nosecs[0].SECBins) != 0 {
+		t.Fatal("SEC-stripped variant aliases the base model or kept its bins")
 	}
-	if base.Quantized() {
-		t.Fatal("registry mutated the base model while quantizing")
+	if len(base.SECBins) != 1 {
+		t.Fatal("registry mutated the base model while stripping SEC")
 	}
 }
 

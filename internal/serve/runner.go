@@ -69,10 +69,9 @@ type Request struct {
 	//   "exact" — full-fidelity model runs only; a breaker-open or
 	//             brownout condition fails the request instead of
 	//             answering at reduced fidelity.
-	//   "auto"  — (also "") the server may walk the ladder: quantized
-	//             or analytic answers under deadline pressure or
-	//             overload, analytic (then FIFO) when the breaker is
-	//             open.
+	//   "auto"  — (also "") the server may walk the ladder: analytic
+	//             answers under deadline pressure or overload,
+	//             analytic (then FIFO) when the breaker is open.
 	//   "fast"  — answer analytically right away, skipping the queue
 	//             and the model entirely (O(µs), no per-packet trace).
 	Fidelity string `json:"fidelity,omitempty"`
@@ -119,13 +118,12 @@ type Result struct {
 	Bound      int     `json:"bound"`
 	MeanRTTUs  float64 `json:"mean_rtt_us"`
 	P99RTTUs   float64 `json:"p99_rtt_us"`
-	// Mode is "model" for exact PTM-driven runs, "model-quant" for the
-	// int8-quantized backend, "analytic" for the queueing-theory
-	// estimate, and "degraded-fifo" for the exact FIFO-serialization
-	// rung.
+	// Mode is "model" for exact PTM-driven runs, "analytic" for the
+	// queueing-theory estimate, and "degraded-fifo" for the exact
+	// FIFO-serialization rung.
 	Mode string `json:"mode"`
 	// Fidelity is the degradation-ladder tier that produced the answer:
-	// "exact", "quant", "analytic", or "fifo" (mirrors X-DQN-Fidelity).
+	// "exact", "analytic", or "fifo" (mirrors X-DQN-Fidelity).
 	Fidelity string `json:"fidelity,omitempty"`
 	// BreakerOpen reports that an open circuit breaker rerouted this
 	// job down the ladder (the X-DQN-Degraded condition).
@@ -155,9 +153,6 @@ type RunMode int
 const (
 	// RunExact runs the full float64 device model.
 	RunExact RunMode = iota
-	// RunQuant runs the int8-quantized inference backend — same engine,
-	// cheaper arithmetic, accuracy bounded by the quant golden gates.
-	RunQuant
 	// RunAnalytic answers from the queueing-theory decomposition
 	// (internal/analytic): O(µs), path statistics only, no trace.
 	RunAnalytic
@@ -171,8 +166,6 @@ func (m RunMode) Fidelity() string {
 	switch m {
 	case RunExact:
 		return "exact"
-	case RunQuant:
-		return "quant"
 	case RunAnalytic:
 		return "analytic"
 	case RunFIFO:
@@ -275,28 +268,22 @@ func (r *ScenarioRunner) entry(path string) (*modelEntry, error) {
 	})
 }
 
-// resolve returns the device model one request runs at the given rung,
-// from the warm registry: the base model, its int8-quantized variant,
-// and SEC-stripped variants are each built once per path and shared
-// read-only across every concurrent request. NoSEC is resolved here
-// rather than per shard inside the engine (bit-identical — the same
-// clone the engine would build, built once), so a request's model is a
-// stable identity the inference plane can key its warm workers on.
-func (r *ScenarioRunner) resolve(req *Request, mode RunMode) (*ptm.PTM, *modelEntry, error) {
+// resolve returns the device model one request runs, from the warm
+// registry: the base model and its SEC-stripped variant are each built
+// once per path and shared read-only across every concurrent request.
+// NoSEC is resolved here rather than per shard inside the engine
+// (bit-identical — the same clone the engine would build, built once),
+// so a request's model is a stable identity the inference plane can key
+// its warm workers on.
+func (r *ScenarioRunner) resolve(req *Request) (*ptm.PTM, *modelEntry, error) {
 	e, err := r.entry(req.Model)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := e.base
-	if mode == RunQuant {
-		if m, err = e.quantized(); err != nil {
-			return nil, nil, err
-		}
-	}
 	if req.NoSEC {
-		m = e.withoutSEC(m)
+		return e.withoutSEC(), e, nil
 	}
-	return m, e, nil
+	return e.base, e, nil
 }
 
 // deviceWrap composes the per-run device wrapper: the shared plane
@@ -470,7 +457,7 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		// FIFO-serialization operator.
 		cfg.DeviceFor = func(int) core.DeviceModel { return nil }
 	default:
-		model, ent, err = r.resolve(req, mode)
+		model, ent, err = r.resolve(req)
 		if err != nil {
 			return nil, err
 		}
@@ -550,13 +537,9 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		Digest:      Digest(res),
 		ElapsedMs:   float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	switch mode {
-	case RunFIFO:
+	out.Mode = "model"
+	if mode == RunFIFO {
 		out.Mode = "degraded-fifo"
-	case RunQuant:
-		out.Mode = "model-quant"
-	default:
-		out.Mode = "model"
 	}
 	out.Fidelity = mode.Fidelity()
 	if res.Degraded() {

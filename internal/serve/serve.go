@@ -83,9 +83,9 @@ type Config struct {
 	// Brownout enables deadline-aware fidelity degradation: when the
 	// admission queue would shed a request, or a job's remaining
 	// deadline is below the estimated exact run time for its topology,
-	// the server answers from a cheaper ladder rung (quantized model or
-	// analytic estimate) instead of returning 429 or running into the
-	// deadline. Requests with fidelity "exact" are never browned out.
+	// the server answers from the analytic tier instead of returning
+	// 429 or running into the deadline. Requests with fidelity "exact"
+	// are never browned out.
 	Brownout bool
 	// Plane, when non-nil, is the shared cross-request inference plane.
 	// The server folds its queue depth and measured batch latency into
@@ -468,17 +468,10 @@ type plan struct {
 
 var (
 	rungsExact         = []RunMode{RunExact}
-	rungsQuant         = []RunMode{RunQuant}
 	rungsAnalytic      = []RunMode{RunAnalytic}
 	rungsAnalyticExact = []RunMode{RunAnalytic, RunExact}
 	rungsAnalyticFIFO  = []RunMode{RunAnalytic, RunFIFO}
 )
-
-// quantCostFactor is the assumed run-time ratio of the quantized
-// backend to the exact backend: with remaining deadline between
-// quantCostFactor·estimate and estimate the quantized tier still fits
-// where exact would not.
-const quantCostFactor = 0.85
 
 // choose is the lifecycle's second step and the only place a fidelity
 // rung is picked, from the whole situation: what the client asked for,
@@ -510,8 +503,6 @@ func choose(req *Request, brownout bool, adm Admission, queueFull bool, remainin
 		// Probes always run exact: their whole point is to judge the
 		// model path.
 		return plan{rungs: rungsExact}
-	case float64(remaining) >= quantCostFactor*float64(estimate):
-		return plan{rungs: rungsQuant, pressure: true}
 	default:
 		// Not enough time left for an engine run. Should the analytic
 		// tier error, take our chances at full fidelity — the outcome is
@@ -560,8 +551,8 @@ func (s *Server) settle(j *job, p plan, res *Result, err error) {
 }
 
 // run is the lifecycle's third step: walk the plan until a rung
-// answers. Model rungs (exact, quant) retry transient failures and
-// report to the breaker — as its probe when probe is set; the analytic
+// answers. The model rung (exact) retries transient failures and
+// reports to the breaker — as its probe when probe is set; the analytic
 // and FIFO rungs never judge the model. br is nil for inline plans,
 // which list no model rung.
 func (s *Server) run(ctx context.Context, req *Request, p plan, br *Breaker, probe bool) (*Result, error) {
@@ -570,7 +561,7 @@ func (s *Server) run(ctx context.Context, req *Request, p plan, br *Breaker, pro
 	start := s.cfg.Now()
 	for _, mode := range p.rungs {
 		attempts := 1
-		if mode == RunExact || mode == RunQuant {
+		if mode == RunExact {
 			res, attempts, err = s.retry(ctx, req, mode)
 			if err == nil || breakerWorthy(err) {
 				br.Record(probe, err, s.cfg.Now())
@@ -909,7 +900,7 @@ type Stats struct {
 	Queue     int    `json:"queue_depth"`
 	Draining  bool   `json:"draining"`
 	// Fidelity counts completed requests by degradation-ladder tier;
-	// the four values sum to Completed. BrownoutEnabled mirrors
+	// the three values sum to Completed. BrownoutEnabled mirrors
 	// Config.Brownout so orchestrators can tell "will answer at reduced
 	// fidelity" from "will shed".
 	Fidelity        map[string]uint64 `json:"fidelity"`

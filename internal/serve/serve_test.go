@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -402,8 +403,8 @@ func TestChoose(t *testing.T) {
 			want: plan{rungs: rungsExact}},
 		{name: "probe runs exact whatever the deadline", brownout: true, adm: AdmitProbe, remaining: time.Millisecond,
 			want: plan{rungs: rungsExact}},
-		{name: "quant still fits", brownout: true, remaining: 90 * time.Millisecond,
-			want: plan{rungs: rungsQuant, pressure: true}},
+		{name: "just short of the estimate: analytic, exact if it errors", brownout: true, remaining: 90 * time.Millisecond,
+			want: plan{rungs: rungsAnalyticExact, pressure: true}},
 		{name: "nothing fits: analytic, exact if it errors", fidelity: "auto", brownout: true, remaining: 50 * time.Millisecond,
 			want: plan{rungs: rungsAnalyticExact, pressure: true}},
 	} {
@@ -462,6 +463,24 @@ func TestWireKeyedStateBounded(t *testing.T) {
 	}
 	if n := len(s.Snapshot().Breakers); n > maxWireKeys+1 {
 		t.Fatalf("%d breakers after 200 model names, want <= %d", n, maxWireKeys+1)
+	}
+	// The breaker label families are the request-fed series of /metrics
+	// (the HTTP path label is bounded by route, TestUnknownRouteBounded).
+	var exp strings.Builder
+	if err := s.Metrics().WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"dqn_breaker_state{", "dqn_breaker_transitions_total{"} {
+		paths := map[string]bool{}
+		for _, line := range strings.Split(exp.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, family+`path="`); ok {
+				paths[rest[:strings.IndexByte(rest, '"')]] = true
+			}
+		}
+		if len(paths) < maxWireKeys || len(paths) > maxWireKeys+1 || !paths[overflowKey] {
+			t.Fatalf("%s series carry %d path labels (overflow %v), want %d..%d including %q",
+				family, len(paths), paths[overflowKey], maxWireKeys, maxWireKeys+1, overflowKey)
+		}
 	}
 	if s.BreakerFor("junk-0").Stats().Path != "junk-0" {
 		t.Fatal("an early model key lost its own breaker")
