@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for `make fuzz`; raise for longer local campaigns.
 FUZZTIME ?= 15s
 
-.PHONY: build test race vet lint lint-fix-report check purego golden resume-golden analytic-gates bench-smoke metrics-smoke fuzz
+.PHONY: build test race vet lint check purego golden resume-golden analytic-gates bench-smoke metrics-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -27,16 +27,6 @@ vet:
 # directive.
 lint:
 	$(GO) run ./cmd/dqnlint -tests .
-
-# lint-fix-report emits the machine-readable diagnostic list to
-# lint_report.json for triage tooling. Diagnostics (exit 1) are not a
-# failure here, but a broken driver or unloadable tree (exit >= 2) is —
-# a silent half-written report must not look like a clean run.
-lint-fix-report:
-	@$(GO) run ./cmd/dqnlint -tests -json . > lint_report.json; \
-	st=$$?; \
-	if [ $$st -ge 2 ]; then echo "dqnlint failed (exit $$st)"; exit $$st; fi; \
-	echo "wrote lint_report.json"
 
 # check is the CI gate: go vet, the repo's own analyzers, the full
 # suite under the race detector (the shard fan-out and DLib are the
@@ -99,10 +89,6 @@ bench-smoke:
 		tail -n 1 $$out | grep -q '"correct":true' || { echo "bench-smoke: $$w did not verify" >&2; exit 1; }; \
 		tail -n 1 $$out | grep -q '"failed":0[,}]' || { echo "bench-smoke: $$w had failed operations" >&2; exit 1; }; \
 	done
-
-# microbench runs the plain go test benchmarks (no regression gate).
-microbench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # fuzz runs each native fuzz target for FUZZTIME. Go allows one -fuzz
 # pattern per invocation, so the targets run back to back; seed corpora

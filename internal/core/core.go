@@ -1,6 +1,7 @@
 // Package core is DeepQueueNet itself: the packet-stream and device
 // models of §3.2, network composition with one-to-one topology
-// correspondence (SInit, §3.1), the forwarding-tensor PFM (Eqs. 6–7), the
+// correspondence (SInit, §3.1), the PFM (Eqs. 6–7) as each device's
+// egress-port grouping of the packets routed through it, the
 // PTM-driven device operators, and the IRSA execution engine (SRun,
 // §3.2.4) with shard-parallel inference — the CPU analogue of the paper's
 // multi-GPU model parallelism (Fig. 11).
@@ -130,7 +131,7 @@ type hop struct {
 	linkDelay float64 // propagation delay after this device
 }
 
-// packet is one simulated packet with its full, PFM-determined path.
+// packet is one simulated packet with its full, routing-determined path.
 type packet struct {
 	id     uint64
 	flow   int

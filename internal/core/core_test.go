@@ -226,53 +226,6 @@ func TestHostEgressExactness(t *testing.T) {
 	}
 }
 
-func TestForwardingTensorEquivalence(t *testing.T) {
-	r := rng.New(11)
-	forward := func(fid, inPort int) int {
-		if fid == 0 {
-			return -1 // unroutable flow: dropped
-		}
-		return (fid + inPort) % 4
-	}
-	ingress := make([][]StreamPkt, 4)
-	tm := 0.0
-	id := uint64(0)
-	for i := range ingress {
-		n := 5 + r.Intn(20)
-		for k := 0; k < n; k++ {
-			tm += r.Exp(1e5)
-			id++
-			ingress[i] = append(ingress[i], StreamPkt{
-				PID: id, FID: r.Intn(5), Len: 64 + r.Intn(1400), InPort: i, Time: tm})
-		}
-	}
-	ft := BuildForwardingTensor(ingress, forward)
-	a := ft.Apply(ingress)
-	b := ForwardDirect(ingress, forward)
-	for j := 0; j < 4; j++ {
-		if len(a[j]) != len(b[j]) {
-			t.Fatalf("port %d: %d vs %d packets", j, len(a[j]), len(b[j]))
-		}
-		for k := range a[j] {
-			if a[j][k] != b[j][k] {
-				t.Fatalf("port %d packet %d differs", j, k)
-			}
-		}
-	}
-	// Tensor is 0/1 with at most one egress per (i, k).
-	for i := 0; i < ft.K; i++ {
-		for k := 0; k < ft.N; k++ {
-			sum := 0
-			for j := 0; j < ft.K; j++ {
-				sum += int(ft.At(i, j, k))
-			}
-			if sum > 1 {
-				t.Fatalf("packet (%d,%d) forwarded to %d ports", i, k, sum)
-			}
-		}
-	}
-}
-
 func TestPartitionDevicesBalance(t *testing.T) {
 	devices := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	work := func(d int) int { return d + 1 }

@@ -64,8 +64,9 @@ func buildPlans(devices []int, byDevice map[int][]entry, pkts []*packet) map[int
 			plans[d] = pl
 			continue
 		}
-		// Group traversals by egress port (the PFM already mixed ingress
-		// streams; Delay() applies per egress stream, Eq. 7).
+		// Group traversals by egress port: this grouping is the PFM's
+		// ingress-to-egress mixing (Eq. 7), and Delay() applies per
+		// egress stream.
 		byPort := make(map[int][]entry)
 		for _, e := range es {
 			out := pkts[e.pkt].hops[e.hop].outPort

@@ -319,7 +319,6 @@ func (t *tagQueue) pop() float64 {
 	}
 	return v
 }
-func (t *tagQueue) len() int { return len(t.items) - t.head }
 
 // NewWFQ returns a weighted-fair-queueing scheduler with the given
 // positive per-class weights.

@@ -56,9 +56,6 @@ func (s *Switch) ConnectPort(out int, n Node, inPort int) {
 	s.peers[out] = portRef{node: n, inPort: inPort}
 }
 
-// Scheduler returns the scheduler of egress port i (for monitoring).
-func (s *Switch) Scheduler(i int) Scheduler { return s.egress[i].sched }
-
 // Receive implements Node: forward the packet and enqueue it at the
 // egress port server.
 func (s *Switch) Receive(p *Packet, inPort int) {

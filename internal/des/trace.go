@@ -127,16 +127,3 @@ func (c *Collector) Devices() []int {
 	sort.Ints(ids)
 	return ids
 }
-
-// TotalVisits returns the number of completed (non-dropped) visits.
-func (c *Collector) TotalVisits() int {
-	n := 0
-	for _, vs := range c.ByDevice {
-		for _, v := range vs {
-			if !v.Dropped {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -35,7 +35,8 @@ func TestTopoByName(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	for _, bad := range []string{"", "ring5", "lineX", "torus3", "torusAxB", "leafspine2x2"} {
+	for _, bad := range []string{"", "ring5", "lineX", "line1", "torus3", "torusAxB", "leafspine2x2",
+		"torus0x3", "torus1x1", "star1", "star-1", "leafspine0x1x1", "dumbbell0"} {
 		if _, err := TopoByName(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}

@@ -297,17 +297,11 @@ func (s *Scenario) RunDQNCfg(model *ptm.PTM, cfg core.Config) (metrics.PathSampl
 	return samples, res, nil
 }
 
-// RunDQNCtx is RunDQN with cooperative cancellation. Unlike RunDQN, a
-// canceled or failed run still returns the partial samples and Result
-// assembled from the estimates at the point of failure, alongside the
-// error (matching guard.ErrCanceled / guard.ErrDeadline for
+// RunDQNCfgCtx is RunDQNCfg with cooperative cancellation. Unlike
+// RunDQNCfg, a canceled or failed run still returns the partial samples
+// and Result assembled from the estimates at the point of failure,
+// alongside the error (matching guard.ErrCanceled / guard.ErrDeadline for
 // context-terminated runs).
-func (s *Scenario) RunDQNCtx(ctx context.Context, model *ptm.PTM, shards int, noSEC bool) (metrics.PathSamples, *core.Result, error) {
-	return s.RunDQNCfgCtx(ctx, model, core.Config{Shards: shards, NoSEC: noSEC})
-}
-
-// RunDQNCfgCtx is RunDQNCfg with cooperative cancellation and partial
-// results on error (see RunDQNCtx).
 func (s *Scenario) RunDQNCfgCtx(ctx context.Context, model *ptm.PTM, cfg core.Config) (metrics.PathSamples, *core.Result, error) {
 	cfg.Sched = s.Sched
 	cfg.Echo = true

@@ -11,26 +11,29 @@ import (
 )
 
 // TopoByName builds a topology from a command-line name: line<N>,
-// torus<R>x<C>, fattree16/64/128, abilene, geant, star<N>, dumbbell<N>.
+// torus<R>x<C>, fattree16/64/128, abilene, geant, star<N>, dumbbell<N>,
+// leafspine<L>x<S>x<H>. A name whose sizes the builder rejects (torus0x3,
+// star1, …) is an error, not a panic: every size goes through the
+// error-returning topo.Build* forms.
 func TopoByName(name string) (*topo.Graph, error) {
 	l := strings.ToLower(name)
 	switch {
 	case l == "abilene":
-		return topo.Abilene(topo.DefaultLAN.RateBps), nil
+		return topo.BuildAbilene(topo.DefaultLAN.RateBps)
 	case l == "geant":
-		return topo.Geant(topo.DefaultLAN.RateBps), nil
+		return topo.BuildGeant(topo.DefaultLAN.RateBps)
 	case l == "fattree16":
-		return topo.FatTree(topo.FatTree16, topo.DefaultLAN), nil
+		return topo.BuildFatTree(topo.FatTree16, topo.DefaultLAN)
 	case l == "fattree64":
-		return topo.FatTree(topo.FatTree64, topo.DefaultLAN), nil
+		return topo.BuildFatTree(topo.FatTree64, topo.DefaultLAN)
 	case l == "fattree128":
-		return topo.FatTree(topo.FatTree128, topo.DefaultLAN), nil
+		return topo.BuildFatTree(topo.FatTree128, topo.DefaultLAN)
 	case strings.HasPrefix(l, "line"):
 		n, err := strconv.Atoi(l[4:])
-		if err != nil || n < 2 {
+		if err != nil {
 			return nil, fmt.Errorf("experiments: bad line topology %q", name)
 		}
-		return topo.Line(n, topo.DefaultLAN), nil
+		return topo.BuildLine(n, topo.DefaultLAN)
 	case strings.HasPrefix(l, "torus"):
 		parts := strings.Split(l[5:], "x")
 		if len(parts) != 2 {
@@ -41,13 +44,13 @@ func TopoByName(name string) (*topo.Graph, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("experiments: bad torus topology %q", name)
 		}
-		return topo.Torus2D(r, c, topo.DefaultLAN), nil
+		return topo.BuildTorus2D(r, c, topo.DefaultLAN)
 	case strings.HasPrefix(l, "star"):
 		n, err := strconv.Atoi(l[4:])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: bad star topology %q", name)
 		}
-		return topo.Star(n, topo.DefaultLAN), nil
+		return topo.BuildStar(n, topo.DefaultLAN)
 	case strings.HasPrefix(l, "leafspine"):
 		// leafspine<L>x<S>x<H>: L leaves, S spines, H hosts per leaf.
 		parts := strings.Split(l[9:], "x")
@@ -60,13 +63,13 @@ func TopoByName(name string) (*topo.Graph, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("experiments: bad leaf-spine topology %q", name)
 		}
-		return topo.LeafSpine(lv, sp, hp, topo.DefaultLAN), nil
+		return topo.BuildLeafSpine(lv, sp, hp, topo.DefaultLAN)
 	case strings.HasPrefix(l, "dumbbell"):
 		n, err := strconv.Atoi(l[8:])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: bad dumbbell topology %q", name)
 		}
-		return topo.Dumbbell(n, topo.DefaultLAN, topo.DefaultLAN.RateBps/10), nil
+		return topo.BuildDumbbell(n, topo.DefaultLAN, topo.DefaultLAN.RateBps/10)
 	}
 	return nil, fmt.Errorf("experiments: unknown topology %q", name)
 }

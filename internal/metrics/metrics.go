@@ -345,55 +345,6 @@ func Compare(pred, truth PathSamples) Summary {
 	return CompareStats(pred.Stats(), truth.Stats())
 }
 
-// FlowSummary aggregates per-flow delivery statistics: completion
-// counts, delay moments, and tail latency. Flow-level views are the
-// "new metric applied to the output trace without retraining" the
-// paper's packet-level visibility enables.
-type FlowSummary struct {
-	FlowID    int
-	Packets   int
-	MeanDelay float64
-	P99Delay  float64
-	MaxDelay  float64
-	// Span is the time from first send to last receive (a proxy for
-	// flow completion time of the observed window).
-	Span float64
-}
-
-// FlowStats reduces (sendTime, recvTime) pairs per flow into summaries.
-// delays maps flow ID to parallel slices of send and receive times.
-func FlowStats(sends, recvs map[int][]float64) []FlowSummary {
-	var out []FlowSummary
-	for fid, s := range sends {
-		r := recvs[fid]
-		if len(s) == 0 || len(s) != len(r) {
-			continue
-		}
-		d := make([]float64, len(s))
-		firstSend, lastRecv := s[0], r[0]
-		maxD := 0.0
-		for i := range s {
-			d[i] = r[i] - s[i]
-			if d[i] > maxD {
-				maxD = d[i]
-			}
-			if s[i] < firstSend {
-				firstSend = s[i]
-			}
-			if r[i] > lastRecv {
-				lastRecv = r[i]
-			}
-		}
-		out = append(out, FlowSummary{
-			FlowID: fid, Packets: len(s),
-			MeanDelay: Mean(d), P99Delay: Percentile(d, 99), MaxDelay: maxD,
-			Span: lastRecv - firstSend,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FlowID < out[j].FlowID })
-	return out
-}
-
 // PearsonPathwise returns the Pearson correlation (with 95% CI) between
 // predicted and ground-truth per-path average RTTs — the Appendix C
 // metric (Tables 8–10). The stat selector picks which statistic to

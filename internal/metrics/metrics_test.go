@@ -232,29 +232,3 @@ func TestMeanVariance(t *testing.T) {
 		t.Fatalf("variance = %v", v)
 	}
 }
-
-func TestFlowStats(t *testing.T) {
-	sends := map[int][]float64{1: {0, 1, 2}, 2: {0.5}}
-	recvs := map[int][]float64{1: {0.5, 1.4, 2.3}, 2: {1.5}}
-	fs := FlowStats(sends, recvs)
-	if len(fs) != 2 || fs[0].FlowID != 1 || fs[1].FlowID != 2 {
-		t.Fatalf("flows %+v", fs)
-	}
-	if fs[0].Packets != 3 {
-		t.Fatalf("packets %d", fs[0].Packets)
-	}
-	if math.Abs(fs[0].MeanDelay-0.4) > 1e-12 {
-		t.Fatalf("mean delay %v", fs[0].MeanDelay)
-	}
-	if math.Abs(fs[0].Span-2.3) > 1e-12 {
-		t.Fatalf("span %v", fs[0].Span)
-	}
-	if math.Abs(fs[1].MeanDelay-1.0) > 1e-12 {
-		t.Fatalf("flow2 mean %v", fs[1].MeanDelay)
-	}
-	// Mismatched lengths are skipped.
-	bad := FlowStats(map[int][]float64{3: {1, 2}}, map[int][]float64{3: {1}})
-	if len(bad) != 0 {
-		t.Fatal("mismatched flow not skipped")
-	}
-}

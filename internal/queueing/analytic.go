@@ -18,42 +18,6 @@ func MM1MeanSojourn(lambda, mu float64) (float64, error) {
 	return 1 / (mu - lambda), nil
 }
 
-// MM1QueueLenPMF returns P(N = n) = (1−ρ)ρⁿ for the M/M/1 queue.
-func MM1QueueLenPMF(lambda, mu float64, n int) (float64, error) {
-	if err := checkStable(lambda, mu); err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, nil
-	}
-	rho := lambda / mu
-	return (1 - rho) * math.Pow(rho, float64(n)), nil
-}
-
-// MD1MeanWait returns the Pollaczek–Khinchine mean waiting time for
-// deterministic service: W = ρ/(2µ(1−ρ)).
-func MD1MeanWait(lambda, mu float64) (float64, error) {
-	if err := checkStable(lambda, mu); err != nil {
-		return 0, err
-	}
-	rho := lambda / mu
-	return rho / (2 * mu * (1 - rho)), nil
-}
-
-// MG1MeanWait returns the Pollaczek–Khinchine mean waiting time for
-// general service with the given squared coefficient of variation of
-// service times: W = (1+C²)/2 · ρ/(µ(1−ρ)).
-func MG1MeanWait(lambda, mu, scv float64) (float64, error) {
-	if err := checkStable(lambda, mu); err != nil {
-		return 0, err
-	}
-	if err := checkSCV(scv); err != nil {
-		return 0, err
-	}
-	rho := lambda / mu
-	return (1 + scv) / 2 * rho / (mu * (1 - rho)), nil
-}
-
 // MM1KBlocking returns the Erlang loss of the finite M/M/1/K queue:
 // P(N = K) = (1−ρ)ρᴷ / (1−ρ^{K+1}) (ρ ≠ 1), the probability an arrival
 // is dropped.

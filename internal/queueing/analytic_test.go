@@ -11,46 +11,13 @@ import (
 )
 
 func TestMM1Formulas(t *testing.T) {
-	// ρ = 0.5: E[T] = 1/(µ−λ) = 0.002; P(0) = 0.5.
+	// ρ = 0.5: E[T] = 1/(µ−λ) = 0.002.
 	et, err := MM1MeanSojourn(500, 1000)
 	if err != nil || math.Abs(et-0.002) > 1e-12 {
 		t.Fatalf("E[T] %v %v", et, err)
 	}
-	p0, _ := MM1QueueLenPMF(500, 1000, 0)
-	if math.Abs(p0-0.5) > 1e-12 {
-		t.Fatalf("P(0) %v", p0)
-	}
-	sum := 0.0
-	for n := 0; n < 200; n++ {
-		p, _ := MM1QueueLenPMF(500, 1000, n)
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("PMF sums to %v", sum)
-	}
 	if _, err := MM1MeanSojourn(2, 1); err == nil {
 		t.Fatal("unstable accepted")
-	}
-}
-
-func TestMD1IsHalfOfMM1Wait(t *testing.T) {
-	// M/M/1 wait = ρ/(µ(1−ρ)); M/D/1 wait is exactly half.
-	lambda, mu := 600.0, 1000.0
-	wd, err := MD1MeanWait(lambda, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg, err := MG1MeanWait(lambda, mu, 1) // SCV 1 = exponential
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wg-2*wd) > 1e-12 {
-		t.Fatalf("M/D/1 %v vs M/G/1(C²=1) %v", wd, wg)
-	}
-	// M/G/1 with SCV 0 equals M/D/1.
-	w0, _ := MG1MeanWait(lambda, mu, 0)
-	if math.Abs(w0-wd) > 1e-15 {
-		t.Fatalf("PK with C²=0: %v vs %v", w0, wd)
 	}
 }
 

@@ -48,12 +48,6 @@ func TestHostileRates(t *testing.T) {
 			}
 			v, err := MM1MeanSojourn(tc.lambda, tc.mu)
 			check("MM1MeanSojourn", v, err)
-			v, err = MM1QueueLenPMF(tc.lambda, tc.mu, 1)
-			check("MM1QueueLenPMF", v, err)
-			v, err = MD1MeanWait(tc.lambda, tc.mu)
-			check("MD1MeanWait", v, err)
-			v, err = MG1MeanWait(tc.lambda, tc.mu, 1)
-			check("MG1MeanWait", v, err)
 			v, err = KingmanGG1Wait(tc.lambda, tc.mu, 1, 1)
 			check("KingmanGG1Wait", v, err)
 			if tc.name != "unstable equal" && tc.name != "unstable over" {
@@ -68,12 +62,9 @@ func TestHostileRates(t *testing.T) {
 }
 
 // TestHostileSCV: NaN, Inf, and negative squared coefficients of
-// variation must be rejected by the general-service forms.
+// variation must be rejected by the general-service form.
 func TestHostileSCV(t *testing.T) {
 	for _, scv := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
-		if v, err := MG1MeanWait(500, 1000, scv); err == nil {
-			t.Errorf("MG1MeanWait accepted SCV %v (returned %v)", scv, v)
-		}
 		if v, err := KingmanGG1Wait(500, 1000, scv, 0); err == nil {
 			t.Errorf("KingmanGG1Wait accepted Ca² %v (returned %v)", scv, v)
 		}

@@ -19,14 +19,6 @@ func New(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// State returns the generator's current internal state. Together with
-// SetState it makes the stream checkpointable: a generator restored
-// with SetState(State()) continues the exact same variate sequence.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a state previously captured with State.
-func (r *Rand) SetState(s uint64) { r.state = s }
-
 // Split derives an independent generator from r. The derived stream is
 // decorrelated from the parent by mixing in a large odd constant.
 func (r *Rand) Split() *Rand {
@@ -108,62 +100,6 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 		u = r.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Poisson returns a Poisson variate with the given mean, using Knuth's
-// method for small means and a normal approximation for large ones.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		n := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Gamma returns a gamma variate with the given shape and scale, using
-// the Marsaglia–Tsang method (with Ahrens-style boost for shape < 1).
-func (r *Rand) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Gamma with non-positive parameter")
-	}
-	if shape < 1 {
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.Normal(0, 1)
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
 }
 
 // Choice returns a random index weighted by the non-negative weights.

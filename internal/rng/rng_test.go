@@ -84,37 +84,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(19)
-	for _, mean := range []float64{0.5, 3, 20, 100} {
-		n := 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / float64(n)
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("poisson(%v) mean %v", mean, got)
-		}
-	}
-}
-
-func TestGammaMean(t *testing.T) {
-	r := New(23)
-	for _, tc := range []struct{ shape, scale float64 }{{0.5, 2}, {2, 3}, {9, 0.5}} {
-		n := 100000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += r.Gamma(tc.shape, tc.scale)
-		}
-		want := tc.shape * tc.scale
-		got := sum / float64(n)
-		if math.Abs(got-want) > 0.03*want+0.01 {
-			t.Fatalf("gamma(%v,%v) mean %v, want %v", tc.shape, tc.scale, got, want)
-		}
-	}
-}
-
 func TestParetoMinimum(t *testing.T) {
 	r := New(29)
 	for i := 0; i < 10000; i++ {

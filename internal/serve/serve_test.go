@@ -144,20 +144,40 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 }
 
 func TestBadRequestNotRetriedNotBreakerCharged(t *testing.T) {
-	r := &stubRunner{fn: func(context.Context, *Request, RunMode, int) (*Result, error) {
+	stub := &stubRunner{fn: func(context.Context, *Request, RunMode, int) (*Result, error) {
 		return nil, badRequestf("no such topo")
 	}}
-	s := mustNew(t, Config{Workers: 1, QueueDepth: 1, Breaker: BreakerConfig{Threshold: 1}}, r)
-	defer drainServer(t, s)
-	_, err := s.Submit(context.Background(), &Request{Topo: "nope"})
-	if !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("want ErrBadRequest, got %v", err)
-	}
-	if r.callCount() != 1 {
-		t.Fatalf("bad request retried: %d calls", r.callCount())
-	}
-	if st := s.BreakerFor("default").State(); st != BreakerClosed {
-		t.Fatalf("bad request charged the breaker: %v", st)
+	// torus0x3 parses as a topology name; the builder rejects its size,
+	// which must reach the server as ErrBadRequest, not as a panic.
+	scenario := &stubRunner{fn: func(ctx context.Context, req *Request, mode RunMode, _ int) (*Result, error) {
+		return (&ScenarioRunner{}).Run(ctx, req, mode)
+	}}
+	for _, tc := range []struct {
+		r   *stubRunner
+		req Request
+	}{
+		{stub, Request{Topo: "nope"}},
+		{scenario, Request{Topo: "torus0x3"}},
+		{scenario, Request{Topo: "torus0x3", Fidelity: "fast"}},
+	} {
+		name := tc.req.Topo + "/" + tc.req.Fidelity
+		calls := tc.r.callCount()
+		s := mustNew(t, Config{Workers: 1, QueueDepth: 1, Breaker: BreakerConfig{Threshold: 1}}, tc.r)
+		_, err := s.Submit(context.Background(), &tc.req)
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: want ErrBadRequest, got %v", name, err)
+		}
+		if n := tc.r.callCount() - calls; n != 1 {
+			t.Fatalf("%s: bad request retried: %d calls", name, n)
+		}
+		if st := s.Snapshot(); st.Retries != 0 || st.Panics != 0 {
+			t.Fatalf("%s: %d retries, %d panics", name, st.Retries, st.Panics)
+		}
+		// The fast tier never consults a breaker, so it may not exist.
+		if b := s.BreakerFor("default"); b != nil && b.State() != BreakerClosed {
+			t.Fatalf("%s: bad request charged the breaker: %v", name, b.State())
+		}
+		drainServer(t, s)
 	}
 }
 

@@ -223,31 +223,3 @@ func MatMulBiasActInto(dst, a, w, bias *Matrix, act ActKind) {
 		applyAct(orow, act)
 	}
 }
-
-// AddInto computes dst = a + b element-wise. dst aliasing a (or b) is
-// safe: each element is read before it is written.
-func AddInto(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(shapeErr("AddInto", a, b))
-	}
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic(shapeErr("AddInto dst", dst, a))
-	}
-	for i, av := range a.Data {
-		dst.Data[i] = av + b.Data[i]
-	}
-}
-
-// HadamardInto computes dst = a ⊙ b element-wise. dst aliasing a or b
-// is safe.
-func HadamardInto(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(shapeErr("HadamardInto", a, b))
-	}
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic(shapeErr("HadamardInto dst", dst, a))
-	}
-	for i, av := range a.Data {
-		dst.Data[i] = av * b.Data[i]
-	}
-}

@@ -56,16 +56,6 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 			dt := New(s.n, s.m)
 			MatMulTInto(dt, a, bt)
 			bitsEqual(t, "MatMulTInto", dt, MatMulT(a, bt))
-
-			c := sparseMat(r, s.n, s.k)
-			sum := New(s.n, s.k)
-			AddInto(sum, a, c)
-			bitsEqual(t, "AddInto", sum, Add(a, c))
-
-			had := New(s.n, s.k)
-			HadamardInto(had, a, c)
-			bitsEqual(t, "HadamardInto", had, Hadamard(a, c))
-
 		}
 	}
 }
@@ -118,23 +108,20 @@ func TestMatMulBiasActIntoMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestIntoAliasingSafe: the element-wise kernels document dst == src as
-// safe; prove it.
+// TestIntoAliasingSafe: the element-wise slice kernels document dst == x
+// as safe; prove it.
 func TestIntoAliasingSafe(t *testing.T) {
-	r := rng.New(9)
-	a := sparseMat(r, 6, 5)
-	b := sparseMat(r, 6, 5)
-
-	want := Add(a, b)
-	dst := a.Clone()
-	AddInto(dst, dst, b)
-	bitsEqual(t, "AddInto(dst==a)", dst, want)
-
-	want = Hadamard(a, b)
-	dst = a.Clone()
-	HadamardInto(dst, dst, b)
-	bitsEqual(t, "HadamardInto(dst==a)", dst, want)
-
+	a := sparseMat(rng.New(9), 6, 5)
+	for _, k := range []struct {
+		name string
+		f    func(dst, x []float64)
+	}{{"ExpSlice", ExpSlice}, {"SigmoidSlice", SigmoidSlice}, {"TanhSlice", TanhSlice}} {
+		want := New(a.Rows, a.Cols)
+		k.f(want.Data, a.Data)
+		dst := a.Clone()
+		k.f(dst.Data, dst.Data)
+		bitsEqual(t, k.name+"(dst==x)", dst, want)
+	}
 }
 
 // TestIntoAliasingRejected: kernels that read their inputs after

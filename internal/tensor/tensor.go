@@ -1,8 +1,8 @@
 // Package tensor provides the dense float64 matrix operations that the
-// neural-network library (internal/nn) and the forwarding-tensor model
-// (internal/core) are built on. Matrices are row-major and sized
-// dynamically; all operations check shapes and panic on mismatch, since a
-// shape error is always a programming bug rather than a runtime condition.
+// neural-network library (internal/nn) is built on. Matrices are
+// row-major and sized dynamically; all operations check shapes and panic
+// on mismatch, since a shape error is always a programming bug rather
+// than a runtime condition.
 package tensor
 
 import (
@@ -136,26 +136,6 @@ func TMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// AddMatMul accumulates a × b into out (out += a×b).
-func AddMatMul(out, a, b *Matrix) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(shapeErr("AddMatMul", a, b))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
 // AddTMatMul accumulates aᵀ × b into out.
 func AddTMatMul(out, a, b *Matrix) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
@@ -188,18 +168,6 @@ func Transpose(m *Matrix) *Matrix {
 	return out
 }
 
-// Add returns a + b.
-func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(shapeErr("Add", a, b))
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -222,18 +190,6 @@ func (m *Matrix) Apply(f func(float64) float64) {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}
-}
-
-// Hadamard returns the element-wise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(shapeErr("Hadamard", a, b))
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] *= v
-	}
-	return out
 }
 
 // SoftmaxRows applies softmax independently to each row of m in place.
@@ -296,15 +252,6 @@ func ReverseRows(m *Matrix) *Matrix {
 		copy(out.Row(i), m.Row(m.Rows-1-i))
 	}
 	return out
-}
-
-// Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	sum := 0.0
-	for _, v := range m.Data {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
 }
 
 func shapeErr(op string, a, b *Matrix) string {

@@ -64,24 +64,13 @@ func TestTMatMulConsistency(t *testing.T) {
 	}
 }
 
-func TestAddMatMulAccumulates(t *testing.T) {
-	r := rng.New(3)
-	a := randMat(r, 3, 4)
-	b := randMat(r, 4, 5)
-	out := randMat(r, 3, 5)
-	want := Add(out, MatMul(a, b))
-	AddMatMul(out, a, b)
-	if !matEq(out, want, 1e-12) {
-		t.Fatal("AddMatMul mismatch")
-	}
-}
-
 func TestAddTMatMulAccumulates(t *testing.T) {
 	r := rng.New(4)
 	a := randMat(r, 4, 3)
 	b := randMat(r, 4, 5)
 	out := randMat(r, 3, 5)
-	want := Add(out, TMatMul(a, b))
+	want := out.Clone()
+	AddInPlace(want, TMatMul(a, b))
 	AddTMatMul(out, a, b)
 	if !matEq(out, want, 1e-12) {
 		t.Fatal("AddTMatMul mismatch")
@@ -144,16 +133,6 @@ func TestReverseRows(t *testing.T) {
 	}
 	if !matEq(ReverseRows(rev), m, 0) {
 		t.Fatal("double reverse is not identity")
-	}
-}
-
-func TestHadamard(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	got := Hadamard(a, b)
-	want := FromRows([][]float64{{5, 12}, {21, 32}})
-	if !matEq(got, want, 0) {
-		t.Fatalf("hadamard %v", got.Data)
 	}
 }
 

@@ -59,9 +59,6 @@ type Routing struct {
 // Graph returns the graph the routes were computed on.
 func (rt *Routing) Graph() *Graph { return rt.g }
 
-// NumFlows returns the number of routed flows.
-func (rt *Routing) NumFlows() int { return len(rt.flowIDs) }
-
 // FlowIndex returns the position of flowID in the flow set Route was
 // given, or -1 when the flow was not routed.
 func (rt *Routing) FlowIndex(flowID int) int {

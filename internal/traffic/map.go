@@ -17,15 +17,6 @@ type MAP struct {
 	D0, D1 [][]float64
 }
 
-// NewMAP validates and returns a MAP.
-func NewMAP(d0, d1 [][]float64) (*MAP, error) {
-	m := &MAP{D0: d0, D1: d1}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // ExampleMAP2 is the MAP(2) representation from Appendix B.3 (mean rate
 // 4800 packets/s).
 func ExampleMAP2() *MAP {

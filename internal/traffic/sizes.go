@@ -68,28 +68,3 @@ func (e *ExpSize) Next() int {
 
 // Mean implements SizeModel.
 func (e *ExpSize) Mean() float64 { return e.MeanBytes }
-
-// EmpiricalSize samples uniformly from observed sizes (trace-driven).
-type EmpiricalSize struct {
-	Sizes []int
-	R     *rng.Rand
-	mean  float64
-}
-
-// NewEmpiricalSize builds a size model from observations.
-func NewEmpiricalSize(sizes []int, r *rng.Rand) *EmpiricalSize {
-	if len(sizes) == 0 {
-		panic("traffic: empty empirical size set")
-	}
-	sum := 0.0
-	for _, s := range sizes {
-		sum += float64(s)
-	}
-	return &EmpiricalSize{Sizes: sizes, R: r, mean: sum / float64(len(sizes))}
-}
-
-// Next implements SizeModel.
-func (e *EmpiricalSize) Next() int { return e.Sizes[e.R.Intn(len(e.Sizes))] }
-
-// Mean implements SizeModel.
-func (e *EmpiricalSize) Mean() float64 { return e.mean }
