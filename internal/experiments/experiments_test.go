@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -34,11 +35,38 @@ func TestTopoByName(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if n, err := TopoNodes(name); err != nil || n != g.NumNodes() {
+			t.Fatalf("%s: TopoNodes %d (%v), the builder made %d", name, n, err, g.NumNodes())
+		}
 	}
 	for _, bad := range []string{"", "ring5", "lineX", "line1", "torus3", "torusAxB", "leafspine2x2",
 		"torus0x3", "torus1x1", "star1", "star-1", "leafspine0x1x1", "dumbbell0"} {
 		if _, err := TopoByName(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
+		}
+	}
+}
+
+// TestTopoNodesFromTheNameAlone pins the counts of names too large to
+// build, including sizes whose node count overflows an int.
+func TestTopoNodesFromTheNameAlone(t *testing.T) {
+	for name, want := range map[string]int{
+		"line20000":                        40000,
+		"star100000000":                    100000001,
+		"torus100000x100000":               20000000000,
+		"leafspine1000x10x1000":            1001010,
+		"dumbbell4611686018427387904":      math.MaxInt,
+		"torus9223372036854775807x3":       math.MaxInt,
+		"leafspine3x9223372036854775807x1": math.MaxInt,
+		"torus-3x-3":                       0,
+	} {
+		if got, err := TopoNodes(name); err != nil || got != want {
+			t.Errorf("%s: %d nodes (%v), want %d", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"ring5", "lineX", "torus3", "line99999999999999999999"} {
+		if _, err := TopoNodes(bad); err == nil {
+			t.Errorf("%q accepted", bad)
 		}
 	}
 }

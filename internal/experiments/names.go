@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -16,62 +17,121 @@ import (
 // star1, …) is an error, not a panic: every size goes through the
 // error-returning topo.Build* forms.
 func TopoByName(name string) (*topo.Graph, error) {
+	t, err := parseTopoName(name)
+	if err != nil {
+		return nil, err
+	}
+	return t.build()
+}
+
+// TopoNodes returns the node count of the topology TopoByName would
+// build for name, from the name alone: nothing is built, so a caller can
+// refuse an oversized name before its builder allocates. Absurd sizes
+// saturate at math.MaxInt instead of wrapping around.
+func TopoNodes(name string) (int, error) {
+	t, err := parseTopoName(name)
+	return t.nodes, err
+}
+
+// parsedTopo is a topology name resolved to its node count and its
+// builder. The node formulas mirror the topo builders and live only here.
+type parsedTopo struct {
+	nodes int
+	build func() (*topo.Graph, error)
+}
+
+// parseTopoName parses a name of the TopoByName grammar.
+func parseTopoName(name string) (parsedTopo, error) {
 	l := strings.ToLower(name)
+	lan := topo.DefaultLAN
+	fatTree := func(p topo.FatTreeParams) parsedTopo {
+		// t² core switches; per cluster t aggregation and t ToR switches,
+		// each ToR with its servers.
+		t := p.NumToRsAndUplinks
+		return parsedTopo{t*t + p.NumClusters*(2*t+t*p.NumServersPerRack),
+			func() (*topo.Graph, error) { return topo.BuildFatTree(p, lan) }}
+	}
+	// sizes parses the 'x'-separated sizes after a kind's prefix.
+	sizes := func(prefix string, n int) ([]int, error) {
+		parts := strings.Split(l[len(prefix):], "x")
+		if len(parts) != n {
+			return nil, fmt.Errorf("experiments: bad %s topology %q", prefix, name)
+		}
+		v := make([]int, n)
+		for i, p := range parts {
+			var err error
+			if v[i], err = strconv.Atoi(p); err != nil {
+				return nil, fmt.Errorf("experiments: bad %s topology %q", prefix, name)
+			}
+		}
+		return v, nil
+	}
 	switch {
 	case l == "abilene":
-		return topo.BuildAbilene(topo.DefaultLAN.RateBps)
+		// One switch and one host per PoP.
+		return parsedTopo{2 * 11, func() (*topo.Graph, error) { return topo.BuildAbilene(lan.RateBps) }}, nil
 	case l == "geant":
-		return topo.BuildGeant(topo.DefaultLAN.RateBps)
+		return parsedTopo{2 * 22, func() (*topo.Graph, error) { return topo.BuildGeant(lan.RateBps) }}, nil
 	case l == "fattree16":
-		return topo.BuildFatTree(topo.FatTree16, topo.DefaultLAN)
+		return fatTree(topo.FatTree16), nil
 	case l == "fattree64":
-		return topo.BuildFatTree(topo.FatTree64, topo.DefaultLAN)
+		return fatTree(topo.FatTree64), nil
 	case l == "fattree128":
-		return topo.BuildFatTree(topo.FatTree128, topo.DefaultLAN)
+		return fatTree(topo.FatTree128), nil
 	case strings.HasPrefix(l, "line"):
-		n, err := strconv.Atoi(l[4:])
+		v, err := sizes("line", 1)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: bad line topology %q", name)
+			return parsedTopo{}, err
 		}
-		return topo.BuildLine(n, topo.DefaultLAN)
+		return parsedTopo{satMul(2, v[0]), func() (*topo.Graph, error) { return topo.BuildLine(v[0], lan) }}, nil
 	case strings.HasPrefix(l, "torus"):
-		parts := strings.Split(l[5:], "x")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("experiments: bad torus topology %q", name)
-		}
-		r, err1 := strconv.Atoi(parts[0])
-		c, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("experiments: bad torus topology %q", name)
-		}
-		return topo.BuildTorus2D(r, c, topo.DefaultLAN)
-	case strings.HasPrefix(l, "star"):
-		n, err := strconv.Atoi(l[4:])
+		v, err := sizes("torus", 2)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: bad star topology %q", name)
+			return parsedTopo{}, err
 		}
-		return topo.BuildStar(n, topo.DefaultLAN)
+		return parsedTopo{satMul(2, satMul(v[0], v[1])),
+			func() (*topo.Graph, error) { return topo.BuildTorus2D(v[0], v[1], lan) }}, nil
+	case strings.HasPrefix(l, "star"):
+		v, err := sizes("star", 1)
+		if err != nil {
+			return parsedTopo{}, err
+		}
+		return parsedTopo{satAdd(v[0], 1), func() (*topo.Graph, error) { return topo.BuildStar(v[0], lan) }}, nil
 	case strings.HasPrefix(l, "leafspine"):
 		// leafspine<L>x<S>x<H>: L leaves, S spines, H hosts per leaf.
-		parts := strings.Split(l[9:], "x")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("experiments: bad leaf-spine topology %q (want leafspineLxSxH)", name)
-		}
-		lv, err1 := strconv.Atoi(parts[0])
-		sp, err2 := strconv.Atoi(parts[1])
-		hp, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("experiments: bad leaf-spine topology %q", name)
-		}
-		return topo.BuildLeafSpine(lv, sp, hp, topo.DefaultLAN)
-	case strings.HasPrefix(l, "dumbbell"):
-		n, err := strconv.Atoi(l[8:])
+		v, err := sizes("leafspine", 3)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: bad dumbbell topology %q", name)
+			return parsedTopo{}, fmt.Errorf("%w (want leafspineLxSxH)", err)
 		}
-		return topo.BuildDumbbell(n, topo.DefaultLAN, topo.DefaultLAN.RateBps/10)
+		return parsedTopo{satAdd(v[1], satMul(v[0], satAdd(v[2], 1))),
+			func() (*topo.Graph, error) { return topo.BuildLeafSpine(v[0], v[1], v[2], lan) }}, nil
+	case strings.HasPrefix(l, "dumbbell"):
+		v, err := sizes("dumbbell", 1)
+		if err != nil {
+			return parsedTopo{}, err
+		}
+		return parsedTopo{satAdd(satMul(2, v[0]), 2),
+			func() (*topo.Graph, error) { return topo.BuildDumbbell(v[0], lan, lan.RateBps/10) }}, nil
 	}
-	return nil, fmt.Errorf("experiments: unknown topology %q", name)
+	return parsedTopo{}, fmt.Errorf("experiments: unknown topology %q", name)
+}
+
+// satMul and satAdd multiply and add sizes, saturating at math.MaxInt.
+// A negative size counts as zero: its builder rejects it anyway.
+func satMul(a, b int) int {
+	a, b = max(a, 0), max(b, 0)
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+func satAdd(a, b int) int {
+	a, b = max(a, 0), max(b, 0)
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // SchedByName parses a scheduler spec: fifo, sp<classes>, or

@@ -1,13 +1,11 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 
-	"deepqueuenet/internal/atomicfile"
 	"deepqueuenet/internal/rng"
+	"deepqueuenet/internal/strictjson"
 	"deepqueuenet/internal/tensor"
 )
 
@@ -126,31 +124,33 @@ func Build(specs []LayerSpec, seed uint64) (*Sequential, error) {
 			layers = append(layers, NewLayerNorm(sp.In))
 		case "meanpool":
 			layers = append(layers, NewMeanPool())
+		case "act:tanh", "act:relu", "act:sigmoid":
+			layers = append(layers, NewActivation(sp.Kind[len("act:"):]))
 		default:
-			if len(sp.Kind) > 4 && sp.Kind[:4] == "act:" {
-				layers = append(layers, NewActivation(sp.Kind[4:]))
-				continue
-			}
 			return nil, fmt.Errorf("nn: unknown layer kind %q", sp.Kind)
 		}
 	}
 	return NewSequential(layers...), nil
 }
 
-// savedModel is the on-disk JSON representation of a model.
-type savedModel struct {
+// SavedModel is the file form of a model: its layer specs and, in
+// Params order, each parameter's weights.
+type SavedModel struct {
 	Specs   []LayerSpec `json:"specs"`
 	Weights [][]float64 `json:"weights"`
 }
 
-// Marshal serializes the model architecture and weights to JSON.
-func (s *Sequential) Marshal() ([]byte, error) {
-	sm := savedModel{Specs: s.Specs()}
+// Saved returns the file form of the model, with copies of its weights.
+func (s *Sequential) Saved() SavedModel {
+	sm := SavedModel{Specs: s.Specs()}
 	for _, p := range s.Params() {
 		sm.Weights = append(sm.Weights, append([]float64(nil), p.W.Data...))
 	}
-	return json.Marshal(sm)
+	return sm
 }
+
+// Marshal serializes the model architecture and weights to JSON.
+func (s *Sequential) Marshal() ([]byte, error) { return json.Marshal(s.Saved()) }
 
 // maxLoadParams caps the scalar parameter count a loaded model may
 // request: 1<<26 floats (512 MiB) is an order of magnitude beyond the
@@ -197,16 +197,63 @@ func checkSpecBudget(specs []LayerSpec) error {
 	return nil
 }
 
-// Unmarshal reconstructs a model from Marshal output. Unknown fields
-// are rejected so a corrupted or foreign file fails loudly at load
-// time, and spec dimensions are budget-checked before any allocation.
-func Unmarshal(data []byte) (*Sequential, error) {
-	var sm savedModel
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sm); err != nil {
-		return nil, fmt.Errorf("nn: decoding model: %w", err)
-	}
+var (
+	savedModelKeys = []string{"specs", "weights"}
+	layerSpecKeys  = []string{"kind", "in", "out", "hidden", "heads", "dk", "dv", "index"}
+)
+
+// ReadSavedModel reads the object Marshal writes from r, with the strict
+// model-file reader: unknown, repeated or case-folded keys and malformed
+// numbers are errors.
+func ReadSavedModel(r *strictjson.Reader) (SavedModel, error) {
+	var sm SavedModel
+	err := r.Object(savedModelKeys, func(key string) error {
+		if key == "specs" {
+			return r.Array(func() error {
+				sp, err := readLayerSpec(r)
+				sm.Specs = append(sm.Specs, sp)
+				return err
+			})
+		}
+		return r.Array(func() error {
+			w, err := r.Floats(nil)
+			sm.Weights = append(sm.Weights, w)
+			return err
+		})
+	})
+	return sm, err
+}
+
+// readLayerSpec reads one LayerSpec object.
+func readLayerSpec(r *strictjson.Reader) (LayerSpec, error) {
+	var sp LayerSpec
+	err := r.Object(layerSpecKeys, func(key string) (err error) {
+		switch key {
+		case "kind":
+			sp.Kind, err = r.String()
+		case "in":
+			sp.In, err = r.Int()
+		case "out":
+			sp.Out, err = r.Int()
+		case "hidden":
+			sp.Hidden, err = r.Int()
+		case "heads":
+			sp.Heads, err = r.Int()
+		case "dk":
+			sp.DK, err = r.Int()
+		case "dv":
+			sp.DV, err = r.Int()
+		case "index":
+			sp.Index, err = r.Int()
+		}
+		return err
+	})
+	return sp, err
+}
+
+// Model builds the model sm describes and loads its weights. The spec
+// dimensions are budget-checked before Build allocates anything.
+func (sm *SavedModel) Model() (*Sequential, error) {
 	if err := checkSpecBudget(sm.Specs); err != nil {
 		return nil, err
 	}
@@ -227,22 +274,16 @@ func Unmarshal(data []byte) (*Sequential, error) {
 	return m, nil
 }
 
-// Save writes the model to a file atomically: temp file in the
-// destination directory, fsync, then rename. A crash mid-save leaves
-// the previous model (or nothing) — never a torn file.
-func (s *Sequential) Save(path string) error {
-	data, err := s.Marshal()
-	if err != nil {
-		return err
+// Unmarshal reconstructs a model from Marshal output: one strict pass of
+// ReadSavedModel, nothing but whitespace after the object, then Model.
+func Unmarshal(data []byte) (*Sequential, error) {
+	r := strictjson.NewReader(data)
+	sm, err := ReadSavedModel(r)
+	if err == nil {
+		err = r.End()
 	}
-	return atomicfile.WriteFile(path, data, 0o644, false)
-}
-
-// Load reads a model from a file written by Save.
-func Load(path string) (*Sequential, error) {
-	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nn: decoding model: %w", err)
 	}
-	return Unmarshal(data)
+	return sm.Model()
 }

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -102,12 +104,11 @@ func TestWorkerCountDoesNotChangeGradientMath(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	model := buildToy(21)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.json")
-	if err := model.Save(path); err != nil {
+	data, err := model.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	loaded, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +124,63 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}
-
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte("not json")); err == nil {
 		t.Fatal("expected error")
 	}
 	if _, err := Unmarshal([]byte(`{"specs":[{"kind":"wat"}],"weights":[]}`)); err == nil {
 		t.Fatal("expected error for unknown layer kind")
+	}
+	// An unknown activation used to reach NewActivation's panic.
+	if _, err := Unmarshal([]byte(`{"specs":[{"kind":"act:wat"}],"weights":[]}`)); err == nil {
+		t.Fatal("expected error for unknown activation")
+	}
+}
+
+// referenceUnmarshal is the encoding/json decode Unmarshal replaced,
+// kept as the oracle the strict reader is compared against.
+func referenceUnmarshal(data []byte) (*Sequential, error) {
+	var sm SavedModel
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sm); err != nil {
+		return nil, err
+	}
+	return sm.Model()
+}
+
+// TestUnmarshalMatchesReference decodes the net of every committed model
+// file, PTMs and the RouteNet baseline alike, with Unmarshal and with the
+// encoding/json reference and requires identical Marshal bytes.
+func TestUnmarshalMatchesReference(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "models", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed models found: %v", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Net json.RawMessage `json:"net"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		got, err := Unmarshal(doc.Net)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		want, err := referenceUnmarshal(doc.Net)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", f, err)
+		}
+		gb, _ := got.Marshal()
+		wb, _ := want.Marshal()
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("%s: Marshal bytes differ from the reference decode", f)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package ptm
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"deepqueuenet/internal/des"
@@ -29,4 +31,29 @@ func BenchmarkPredictStream(b *testing.B) {
 		p.PredictStream(stream, des.FIFO, 10e9, 1)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1000), "ns/pkt")
+}
+
+// BenchmarkLoad loads the benchmark's default model with Load and with
+// the encoding/json reference decode it replaced, in one process.
+func BenchmarkLoad(b *testing.B) {
+	path := filepath.Join("..", "..", "models", "switch8-std.ptm.json")
+	reference := func(path string) (*PTM, error) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return referenceUnmarshal(data)
+	}
+	for _, c := range []struct {
+		name string
+		load func(string) (*PTM, error)
+	}{{"strict", Load}, {"reference", reference}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.load(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package ptm
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,15 +44,22 @@ func TestLoadRejectsCorruptedJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Load(path)
-	if err == nil {
-		t.Fatal("truncated model file must be rejected")
-	}
-	if !strings.Contains(err.Error(), path) {
-		t.Fatalf("error must carry the file path: %v", err)
+	for name, bad := range map[string][]byte{
+		"truncated": data[:len(data)/2],
+		// A concatenated or torn write: a whole model, then the start of
+		// another. encoding/json's Decoder stopped after the first value.
+		"trailing bytes": append(append([]byte(nil), data...), " {"...),
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(path)
+		if err == nil {
+			t.Fatalf("%s model file must be rejected", name)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: error must carry the file path: %v", name, err)
+		}
 	}
 }
 
@@ -153,7 +161,8 @@ func TestLegacyFileWithoutSchemaLoads(t *testing.T) {
 
 func TestShippedModelsStillLoad(t *testing.T) {
 	// Regression guard: the pre-versioning models shipped in models/
-	// must pass the new strict decoding and validation.
+	// must pass the strict decoding and validation, and decode to the
+	// same model as the encoding/json reference, byte for byte.
 	dir := filepath.Join("..", "..", "models")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -164,8 +173,23 @@ func TestShippedModelsStillLoad(t *testing.T) {
 		if !strings.HasSuffix(e.Name(), ".ptm.json") {
 			continue
 		}
-		if _, err := Load(filepath.Join(dir, e.Name())); err != nil {
+		path := filepath.Join(dir, e.Name())
+		m, err := Load(path)
+		if err != nil {
 			t.Fatalf("shipped model %s: %v", e.Name(), err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := referenceUnmarshal(raw)
+		if err != nil {
+			t.Fatalf("shipped model %s: reference: %v", e.Name(), err)
+		}
+		got, _ := m.Marshal()
+		want, _ := ref.Marshal()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("shipped model %s: Marshal bytes differ from the reference decode", e.Name())
 		}
 		loaded++
 	}

@@ -1,7 +1,6 @@
 package ptm
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/nn"
+	"deepqueuenet/internal/strictjson"
 )
 
 // Arch configures the PTM network (Fig. 5 / Table 1). The zero value is
@@ -262,40 +262,125 @@ const SchemaVersion = 1
 
 // savedPTM is the JSON form of a PTM.
 type savedPTM struct {
-	Version   int             `json:"schema,omitempty"`
-	Net       json.RawMessage `json:"net"`
-	Feat      *MinMax         `json:"feat"`
-	TargetMin float64         `json:"target_min"`
-	TargetMax float64         `json:"target_max"`
-	TimeSteps int             `json:"time_steps"`
-	Margin    int             `json:"margin"`
-	NumPorts  int             `json:"num_ports"`
-	SECBins   []dbscan.Bin    `json:"sec_bins,omitempty"`
+	Version   int           `json:"schema,omitempty"`
+	Net       nn.SavedModel `json:"net"`
+	Feat      *MinMax       `json:"feat"`
+	TargetMin float64       `json:"target_min"`
+	TargetMax float64       `json:"target_max"`
+	TimeSteps int           `json:"time_steps"`
+	Margin    int           `json:"margin"`
+	NumPorts  int           `json:"num_ports"`
+	SECBins   []dbscan.Bin  `json:"sec_bins,omitempty"`
 }
 
 // Marshal serializes the PTM to JSON.
 func (p *PTM) Marshal() ([]byte, error) {
-	netData, err := p.Net.Marshal()
-	if err != nil {
-		return nil, err
-	}
 	return json.Marshal(savedPTM{
 		Version: SchemaVersion,
-		Net:     netData, Feat: p.Feat,
+		Net:     p.Net.Saved(), Feat: p.Feat,
 		TargetMin: p.TargetMin, TargetMax: p.TargetMax,
 		TimeSteps: p.TimeSteps, Margin: p.Margin,
 		NumPorts: p.NumPorts, SECBins: p.SECBins,
 	})
 }
 
-// Unmarshal reconstructs a PTM from Marshal output. Unknown fields and
-// unsupported schema versions are rejected; the decoded model is
-// structurally validated before being returned.
-func Unmarshal(data []byte) (*PTM, error) {
+// The keys of each object of the file form, exactly as Marshal writes
+// them (dbscan.Bin has no JSON tags, so its keys are its field names).
+var (
+	savedPTMKeys = []string{"schema", "net", "feat", "target_min", "target_max",
+		"time_steps", "margin", "num_ports", "sec_bins"}
+	minMaxKeys = []string{"min", "max"}
+	binKeys    = []string{"Lo", "Hi", "MeanValue", "Count"}
+)
+
+// readSavedPTM decodes a whole model file in one pass of the strict
+// model-file reader; the net object goes to nn.ReadSavedModel on the way.
+func readSavedPTM(data []byte) (*savedPTM, error) {
+	r := strictjson.NewReader(data)
 	var sp savedPTM
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
+	hasNet := false
+	err := r.Object(savedPTMKeys, func(key string) (err error) {
+		switch key {
+		case "schema":
+			sp.Version, err = r.Int()
+		case "net":
+			sp.Net, err = nn.ReadSavedModel(r)
+			hasNet = true
+		case "feat":
+			sp.Feat, err = readMinMax(r)
+		case "target_min":
+			sp.TargetMin, err = r.Float()
+		case "target_max":
+			sp.TargetMax, err = r.Float()
+		case "time_steps":
+			sp.TimeSteps, err = r.Int()
+		case "margin":
+			sp.Margin, err = r.Int()
+		case "num_ports":
+			sp.NumPorts, err = r.Int()
+		case "sec_bins":
+			err = r.Array(func() error {
+				b, err := readBin(r)
+				sp.SECBins = append(sp.SECBins, b)
+				return err
+			})
+		}
+		return err
+	})
+	if err == nil {
+		err = r.End()
+	}
+	if err == nil && !hasNet {
+		err = errors.New("missing field \"net\"")
+	}
+	return &sp, err
+}
+
+// readMinMax reads a feature scaler object, or null for none.
+func readMinMax(r *strictjson.Reader) (*MinMax, error) {
+	if r.Null() {
+		return nil, nil
+	}
+	m := &MinMax{}
+	err := r.Object(minMaxKeys, func(key string) (err error) {
+		if key == "min" {
+			m.Min, err = r.Floats(nil)
+		} else {
+			m.Max, err = r.Floats(nil)
+		}
+		return err
+	})
+	return m, err
+}
+
+// readBin reads one SEC bin object.
+func readBin(r *strictjson.Reader) (dbscan.Bin, error) {
+	var b dbscan.Bin
+	err := r.Object(binKeys, func(key string) (err error) {
+		switch key {
+		case "Lo":
+			b.Lo, err = r.Float()
+		case "Hi":
+			b.Hi, err = r.Float()
+		case "MeanValue":
+			b.MeanValue, err = r.Float()
+		case "Count":
+			b.Count, err = r.Int()
+		}
+		return err
+	})
+	return b, err
+}
+
+// Unmarshal reconstructs a PTM from Marshal output. The file is read in
+// one strict pass (internal/strictjson): unknown fields, trailing data
+// and malformed numbers are rejected. Unsupported schema versions are
+// rejected, the network's spec dimensions are budget-checked before any
+// weight matrix is allocated, and the decoded model is structurally
+// validated before being returned.
+func Unmarshal(data []byte) (*PTM, error) {
+	sp, err := readSavedPTM(data)
+	if err != nil {
 		return nil, fmt.Errorf("ptm: decoding model: %w", err)
 	}
 	if sp.Version > SchemaVersion {
@@ -305,7 +390,7 @@ func Unmarshal(data []byte) (*PTM, error) {
 	if sp.TimeSteps <= 0 {
 		return nil, errors.New("ptm: invalid saved model: non-positive window size")
 	}
-	net, err := nn.Unmarshal(sp.Net)
+	net, err := sp.Net.Model()
 	if err != nil {
 		return nil, err
 	}

@@ -194,12 +194,16 @@ func TestTopoCacheBound(t *testing.T) {
 	if a.topoDigest() == "" || a.topoDigest() != checkpoint.TopoDigest(a.g) {
 		t.Fatal("cached digest disagrees with checkpoint.TopoDigest")
 	}
-	// A graph that cannot fit the size bound even alone is never kept.
-	big, err := r.topology("line2000")
-	if err != nil || big.g.NumNodes()*big.g.NumNodes() <= maxCachedTopoPairs {
-		t.Fatalf("line2000: err %v, %d nodes", err, big.g.NumNodes())
+	// A graph too large for the size bound even alone is refused from its
+	// name as a bad request, before its builder runs, and never cached.
+	req := &Request{Topo: "line2000", Fidelity: "fast"} // 4000 nodes
+	if _, err := r.Run(context.Background(), req, RunAnalytic); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("line2000: want ErrBadRequest, got %v", err)
 	}
-	if again, _ := r.topology("line2000"); again == big {
-		t.Fatal("a topology above maxCachedTopoPairs was kept")
+	r.mu.Lock()
+	_, cached := r.topos["line2000"]
+	r.mu.Unlock()
+	if cached {
+		t.Fatal("a topology above maxTopoNodes was cached")
 	}
 }

@@ -221,14 +221,18 @@ type ScenarioRunner struct {
 	topos map[string]*namedTopo
 }
 
+// maxTopoNodes is the largest named topology the runner builds. A graph's
+// compiled routing fabric grows with the square of its node count, so a
+// request naming a bigger one is a bad request, refused from the name
+// alone before any builder runs. Every topology of the paper's evaluation
+// is far below it (FatTree128 has 208 nodes).
+const maxTopoNodes = 2048
+
 // maxCachedTopoPairs bounds the topology cache by size as well as by
-// count: a graph's compiled routing fabric grows with the square of its
-// node count (about 16 bytes per node pair), so the cached graphs'
-// summed node-pair count is held to what maxModelEntries 256-node
-// topologies would need, roughly 64 MiB. Every topology of the paper's
-// evaluation is far below it (FatTree128 has 208 nodes); a graph too
-// large to fit even alone is rebuilt per request.
-const maxCachedTopoPairs = maxModelEntries * 256 * 256
+// count: the cached graphs' summed node-pair count (about 16 bytes per
+// pair of routing fabric) is held to what one maxTopoNodes graph, or
+// maxModelEntries 256-node ones, would need, roughly 64 MiB.
+const maxCachedTopoPairs = maxTopoNodes * maxTopoNodes
 
 // namedTopo is one topology of the request grammar, shared by every
 // request that names it: the graph, which carries its own compiled
@@ -310,9 +314,10 @@ func (r *ScenarioRunner) deviceWrap(req *Request) func(int, core.DeviceModel) co
 // topology resolves a topology name through the runner's cache (the
 // request grammar is deterministic: one name, one graph), so a named
 // topology is built and compiled for routing once per process rather
-// than once per request. The cache is bounded in count like the registry
-// and in size by maxCachedTopoPairs; past either bound arbitrary entries
-// are dropped — rebuilding is cheap.
+// than once per request. A name over maxTopoNodes is refused before it is
+// built. The cache is bounded in count like the registry and in size by
+// maxCachedTopoPairs; past either bound arbitrary entries are dropped —
+// rebuilding is cheap.
 func (r *ScenarioRunner) topology(name string) (*namedTopo, error) {
 	r.mu.Lock()
 	t := r.topos[name]
@@ -320,14 +325,18 @@ func (r *ScenarioRunner) topology(name string) (*namedTopo, error) {
 	if t != nil {
 		return t, nil
 	}
+	n, err := experiments.TopoNodes(name)
+	if err != nil {
+		return nil, err
+	}
+	if n > maxTopoNodes {
+		return nil, fmt.Errorf("topology %q has %d nodes; the server builds at most %d", name, n, maxTopoNodes)
+	}
 	g, err := experiments.TopoByName(name)
 	if err != nil {
 		return nil, err
 	}
 	t = &namedTopo{g: g, pairs: g.NumNodes() * g.NumNodes()}
-	if t.pairs > maxCachedTopoPairs {
-		return t, nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prev := r.topos[name]; prev != nil {

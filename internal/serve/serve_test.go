@@ -159,13 +159,22 @@ func TestBadRequestNotRetriedNotBreakerCharged(t *testing.T) {
 		{stub, Request{Topo: "nope"}},
 		{scenario, Request{Topo: "torus0x3"}},
 		{scenario, Request{Topo: "torus0x3", Fidelity: "fast"}},
+		// Over maxTopoNodes: refused from the name, before the O(n²)
+		// routing fabric of 2 200 or 40 000 nodes is built.
+		{scenario, Request{Topo: "line1100", Fidelity: "fast"}},
+		{scenario, Request{Topo: "line20000", Fidelity: "fast"}},
+		{scenario, Request{Topo: "line20000"}},
 	} {
 		name := tc.req.Topo + "/" + tc.req.Fidelity
 		calls := tc.r.callCount()
 		s := mustNew(t, Config{Workers: 1, QueueDepth: 1, Breaker: BreakerConfig{Threshold: 1}}, tc.r)
+		start := time.Now()
 		_, err := s.Submit(context.Background(), &tc.req)
 		if !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("%s: want ErrBadRequest, got %v", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s: a bad request took %v to refuse", name, d)
 		}
 		if n := tc.r.callCount() - calls; n != 1 {
 			t.Fatalf("%s: bad request retried: %d calls", name, n)
