@@ -101,3 +101,4 @@ fuzz:
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzMatMulKernels -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzQuantRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/analytic -fuzz FuzzAnalyticScenario -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/experiments -fuzz FuzzSpecBuild -fuzztime $(FUZZTIME) -run '^$$'

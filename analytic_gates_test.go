@@ -29,8 +29,6 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/analytic"
-	"deepqueuenet/internal/des"
-	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/metrics"
 )
 
@@ -47,11 +45,7 @@ func analyticGatesPath() string {
 // against the DES ground truth on one golden case.
 func analyticAccuracy(t *testing.T, gc goldenCase) analyticGate {
 	t.Helper()
-	sc, err := experiments.NewScenario(gc.name, gc.graph(), des.SchedConfig{Kind: des.FIFO},
-		gc.traffic, gc.load, gc.dur, gc.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := gc.scenario(t)
 	est, err := analytic.FromScenario(sc)
 	if err != nil {
 		t.Fatalf("%s: analytic decomposition failed on a golden scenario: %v", gc.name, err)

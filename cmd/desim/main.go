@@ -18,27 +18,17 @@ import (
 )
 
 func main() {
-	topoName := flag.String("topo", "line4", "topology (lineN, torusRxC, fattree16/64/128, abilene, geant)")
-	schedName := flag.String("sched", "fifo", "scheduler (fifo, spN, wfq:w1,w2, wrr:…, drr:…)")
-	trafficName := flag.String("traffic", "poisson", "traffic model (poisson, onoff, map, bc, anarchy)")
-	load := flag.Float64("load", 0.5, "target load of the most-shared link")
-	dur := flag.Float64("dur", 0.001, "simulated seconds")
-	seed := flag.Uint64("seed", 42, "seed")
+	var spec experiments.Spec
+	spec.RegisterFlags(flag.CommandLine)
 	tracePath := flag.String("trace", "", "write per-device visit trace (CSV)")
 	flag.Parse()
 
-	g, err := experiments.TopoByName(*topoName)
-	fatal(err)
-	sched, err := experiments.SchedByName(*schedName)
-	fatal(err)
-	tm, err := experiments.TrafficByName(*trafficName)
-	fatal(err)
-	sc, err := experiments.NewScenario(*topoName, g, sched, tm, *load, *dur, *seed)
+	sc, err := spec.Build()
 	fatal(err)
 
 	t0 := time.Now()
 	net := sc.BuildDESNetwork()
-	net.Run(*dur + 1)
+	net.Run(sc.Duration + 1)
 	elapsed := time.Since(t0)
 
 	samples := net.PathDelays(true)
@@ -47,7 +37,7 @@ func main() {
 		total += len(v)
 	}
 	fmt.Printf("simulated %s for %.4fs: %d RTT samples, %d events, wall %v\n",
-		*topoName, *dur, total, net.Sim.Processed(), elapsed.Round(time.Millisecond))
+		sc.Name, sc.Duration, total, net.Sim.Processed(), elapsed.Round(time.Millisecond))
 
 	keys := make([]string, 0, len(samples))
 	for k := range samples {

@@ -150,33 +150,15 @@ func describeRunErr(err error) error {
 	return err
 }
 
-// scenarioFlags builds a Scenario from common CLI flags.
-func scenarioFlags(fs *flag.FlagSet) (mk func() (*experiments.Scenario, error), modelPath *string, shards *int, quant *bool) {
-	topoName := fs.String("topo", "line4", "topology (lineN, torusRxC, fattree16/64/128, abilene, geant)")
-	schedName := fs.String("sched", "fifo", "scheduler (fifo, spN, wfq:w1,w2, wrr:…, drr:…)")
-	trafficName := fs.String("traffic", "poisson", "traffic model (poisson, onoff, map, bc, anarchy)")
-	load := fs.Float64("load", 0.5, "target load of the most-shared link")
-	dur := fs.Float64("dur", 0.001, "simulated seconds")
-	seed := fs.Uint64("seed", 42, "seed")
+// runFlags declares the flags sim and eval share: the scenario spec's
+// six and the device model, shard count and inference backend.
+func runFlags(fs *flag.FlagSet) (spec *experiments.Spec, modelPath *string, shards *int, quant *bool) {
+	spec = new(experiments.Spec)
+	spec.RegisterFlags(fs)
 	modelPath = fs.String("model", "", "trained device model (required for sim/eval)")
 	shards = fs.Int("shards", 4, "parallel inference shards")
 	quant = fs.Bool("quant", false, "use the int8-weight quantized inference backend (faster, accuracy-gated; default is the bit-exact float path)")
-	mk = func() (*experiments.Scenario, error) {
-		g, err := experiments.TopoByName(*topoName)
-		if err != nil {
-			return nil, err
-		}
-		sched, err := experiments.SchedByName(*schedName)
-		if err != nil {
-			return nil, err
-		}
-		tm, err := experiments.TrafficByName(*trafficName)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.NewScenario(*topoName, g, sched, tm, *load, *dur, *seed)
-	}
-	return mk, modelPath, shards, quant
+	return spec, modelPath, shards, quant
 }
 
 // loadModel resolves the -model flag: a trained model file, or the
@@ -194,7 +176,7 @@ var synthArch = ptm.Arch{TimeSteps: 32, Margin: 8, Embed: 12, BLSTM1: 16, BLSTM2
 
 func cmdSim(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
-	mk, modelPath, shards, quant := scenarioFlags(fs)
+	spec, modelPath, shards, quant := runFlags(fs)
 	tracePath := fs.String("trace", "", "write per-device packet traces (CSV)")
 	timeout := fs.Duration("timeout", 0, "wall-clock run deadline (0 = none; ^C always cancels)")
 	obsSummary := fs.Bool("obs-summary", false, "print engine telemetry (delta trace, shard work, metrics) after the run")
@@ -218,7 +200,7 @@ func cmdSim(ctx context.Context, args []string) error {
 			return fmt.Errorf("-quant: %w", err)
 		}
 	}
-	sc, err := mk()
+	sc, err := spec.Build()
 	if err != nil {
 		return err
 	}
@@ -304,7 +286,7 @@ func cmdSim(ctx context.Context, args []string) error {
 
 func cmdEval(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
-	mk, modelPath, shards, quant := scenarioFlags(fs)
+	spec, modelPath, shards, quant := runFlags(fs)
 	perDevice := fs.Bool("perdevice", false, "print per-switch sojourn comparison")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the DQN run (0 = none; ^C always cancels)")
 	obsSummary := fs.Bool("obs-summary", false, "print engine telemetry (delta trace, shard work, metrics) after the run")
@@ -328,7 +310,7 @@ func cmdEval(ctx context.Context, args []string) error {
 			}
 		}
 	}
-	sc, err := mk()
+	sc, err := spec.Build()
 	if err != nil {
 		return err
 	}

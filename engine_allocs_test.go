@@ -13,8 +13,6 @@ import (
 
 	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/core"
-	"deepqueuenet/internal/des"
-	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
 )
@@ -32,11 +30,7 @@ func TestEngineRunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gc.graph()
-	sc, err := experiments.NewScenario(gc.name, g, des.SchedConfig{Kind: des.FIFO}, gc.traffic, gc.load, gc.dur, gc.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := gc.scenario(t)
 	for _, tc := range []struct {
 		name     string
 		sink     bool
@@ -50,8 +44,8 @@ func TestEngineRunAllocs(t *testing.T) {
 			if tc.sink {
 				w := &checkpoint.Writer{
 					Path:       filepath.Join(t.TempDir(), "run.ckpt"),
-					TopoDigest: checkpoint.TopoDigest(g),
-					Seed:       gc.seed,
+					TopoDigest: checkpoint.TopoDigest(sc.G),
+					Seed:       gc.spec.Seed,
 					NoSync:     true,
 				}
 				cfg.EpochSink, cfg.EpochEvery = w.Sink(), 1

@@ -25,8 +25,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"deepqueuenet/internal/des"
-	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/metrics"
 	"deepqueuenet/internal/ptm"
 )
@@ -46,11 +44,7 @@ func exactGatesPath() string {
 // DES ground truth on one golden case.
 func exactAccuracy(t *testing.T, gc goldenCase, model *ptm.PTM) exactGate {
 	t.Helper()
-	sc, err := experiments.NewScenario(gc.name, gc.graph(), des.SchedConfig{Kind: des.FIFO},
-		gc.traffic, gc.load, gc.dur, gc.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := gc.scenario(t)
 	truth := sc.RunDES()
 	pred, _, err := sc.RunDQN(model, 1, false)
 	if err != nil {

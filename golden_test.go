@@ -24,12 +24,9 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/core"
-	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
-	"deepqueuenet/internal/topo"
-	"deepqueuenet/internal/traffic"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden digests")
@@ -39,26 +36,29 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden di
 var goldenArch = ptm.Arch{TimeSteps: 32, Margin: 8, Embed: 12, BLSTM1: 16, BLSTM2: 10, Heads: 2, DK: 8, DV: 8, HeadOut: 16}
 
 type goldenCase struct {
-	name    string
-	graph   func() *topo.Graph
-	traffic traffic.Model
-	load    float64
-	dur     float64
-	seed    uint64
+	name string
+	spec experiments.Spec
 }
 
 func goldenCases() []goldenCase {
 	return []goldenCase{
 		// The quickstart example's 4-switch line.
-		{name: "quickstart", graph: func() *topo.Graph { return topo.Line(4, topo.DefaultLAN) },
-			traffic: traffic.ModelPoisson, load: 0.4, dur: 0.0005, seed: 7},
+		{"quickstart", experiments.Spec{Topo: "line4", Traffic: "poisson", Load: 0.4, Duration: 0.0005, Seed: 7}},
 		// The fattree example's FatTree16 fabric under MAP traffic.
-		{name: "fattree", graph: func() *topo.Graph { return topo.FatTree(topo.FatTree16, topo.DefaultLAN) },
-			traffic: traffic.ModelMAP, load: 0.5, dur: 0.0002, seed: 11},
+		{"fattree", experiments.Spec{Topo: "fattree16", Traffic: "map", Load: 0.5, Duration: 0.0002, Seed: 11}},
 		// The wan example's Abilene backbone under BC-like traffic.
-		{name: "wan", graph: func() *topo.Graph { return topo.Abilene(10e9) },
-			traffic: traffic.ModelBCLike, load: 0.12, dur: 0.002, seed: 17},
+		{"wan", experiments.Spec{Topo: "abilene", Traffic: "bc", Load: 0.12, Duration: 0.002, Seed: 17}},
 	}
+}
+
+// scenario builds the case's FIFO scenario.
+func (gc goldenCase) scenario(t *testing.T) *experiments.Scenario {
+	t.Helper()
+	sc, err := gc.spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // deliveryDigest hashes the full delivery trace bit-exactly: packet
@@ -100,12 +100,7 @@ func runGoldenCaseCfg(t *testing.T, gc goldenCase, cfg core.Config) *core.Result
 
 func runGoldenCaseModel(t *testing.T, gc goldenCase, cfg core.Config, model *ptm.PTM) *core.Result {
 	t.Helper()
-	sc, err := experiments.NewScenario(gc.name, gc.graph(), des.SchedConfig{Kind: des.FIFO},
-		gc.traffic, gc.load, gc.dur, gc.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, res, err := sc.RunDQNCfg(model, cfg)
+	_, res, err := gc.scenario(t).RunDQNCfg(model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,12 @@ func TestTopoByName(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n, err := TopoNodes(name); err != nil || n != g.NumNodes() {
-			t.Fatalf("%s: TopoNodes %d (%v), the builder made %d", name, n, err, g.NumNodes())
+		if pt, err := parseTopoName(name); err != nil || pt.nodes != g.NumNodes() {
+			t.Fatalf("%s: the name counts %d nodes (%v), the builder made %d", name, pt.nodes, err, g.NumNodes())
 		}
 	}
 	for _, bad := range []string{"", "ring5", "lineX", "line1", "torus3", "torusAxB", "leafspine2x2",
-		"torus0x3", "torus1x1", "star1", "star-1", "leafspine0x1x1", "dumbbell0"} {
+		"torus0x3", "torus1x1", "star1", "star-1", "leafspine0x1x1", "dumbbell0", "line2049"} {
 		if _, err := TopoByName(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}
@@ -60,12 +60,12 @@ func TestTopoNodesFromTheNameAlone(t *testing.T) {
 		"leafspine3x9223372036854775807x1": math.MaxInt,
 		"torus-3x-3":                       0,
 	} {
-		if got, err := TopoNodes(name); err != nil || got != want {
-			t.Errorf("%s: %d nodes (%v), want %d", name, got, err, want)
+		if pt, err := parseTopoName(name); err != nil || pt.nodes != want {
+			t.Errorf("%s: %d nodes (%v), want %d", name, pt.nodes, err, want)
 		}
 	}
 	for _, bad := range []string{"ring5", "lineX", "torus3", "line99999999999999999999"} {
-		if _, err := TopoNodes(bad); err == nil {
+		if _, err := parseTopoName(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}
@@ -88,7 +88,7 @@ func TestSchedByName(t *testing.T) {
 	if err != nil || c.Kind != des.DRR || len(c.Weights) != 3 {
 		t.Fatalf("drr: %+v %v", c, err)
 	}
-	for _, bad := range []string{"", "lifo", "wfq:", "wfq:0", "wfq:a,b", "spx"} {
+	for _, bad := range []string{"", "lifo", "wfq:", "wfq:0", "wfq:a,b", "wfq:nan", "wfq:inf", "spx", "sp0", "sp-2"} {
 		if _, err := SchedByName(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}

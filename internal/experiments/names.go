@@ -11,30 +11,32 @@ import (
 	"deepqueuenet/internal/traffic"
 )
 
+// MaxTopoNodes is the largest topology TopoByName builds. A graph's
+// compiled routing fabric grows with the square of its node count, so a
+// larger name is refused from the name alone, before any builder runs.
+// Every topology of the paper's evaluation is far below it (FatTree128
+// has 208 nodes).
+const MaxTopoNodes = 2048
+
 // TopoByName builds a topology from a command-line name: line<N>,
 // torus<R>x<C>, fattree16/64/128, abilene, geant, star<N>, dumbbell<N>,
-// leafspine<L>x<S>x<H>. A name whose sizes the builder rejects (torus0x3,
-// star1, …) is an error, not a panic: every size goes through the
-// error-returning topo.Build* forms.
+// leafspine<L>x<S>x<H>, of at most MaxTopoNodes nodes. A name whose sizes
+// the builder rejects (torus0x3, star1, …) is an error, not a panic:
+// every size goes through the error-returning topo.Build* forms.
 func TopoByName(name string) (*topo.Graph, error) {
 	t, err := parseTopoName(name)
 	if err != nil {
 		return nil, err
 	}
+	if t.nodes > MaxTopoNodes {
+		return nil, fmt.Errorf("experiments: topology %q has %d nodes, more than %d", name, t.nodes, MaxTopoNodes)
+	}
 	return t.build()
 }
 
-// TopoNodes returns the node count of the topology TopoByName would
-// build for name, from the name alone: nothing is built, so a caller can
-// refuse an oversized name before its builder allocates. Absurd sizes
-// saturate at math.MaxInt instead of wrapping around.
-func TopoNodes(name string) (int, error) {
-	t, err := parseTopoName(name)
-	return t.nodes, err
-}
-
 // parsedTopo is a topology name resolved to its node count and its
-// builder. The node formulas mirror the topo builders and live only here.
+// builder. The node formulas mirror the topo builders and live only here;
+// absurd sizes saturate at math.MaxInt instead of wrapping around.
 type parsedTopo struct {
 	nodes int
 	build func() (*topo.Graph, error)
@@ -134,8 +136,9 @@ func satAdd(a, b int) int {
 	return a + b
 }
 
-// SchedByName parses a scheduler spec: fifo, sp<classes>, or
-// wfq:w1,w2[,w3…] / wrr:… / drr:… with comma-separated weights.
+// SchedByName parses a scheduler spec: fifo, sp<classes> (at least one
+// class; a bare "sp" is two), or wfq:w1,w2[,w3…] / wrr:… / drr:… with
+// comma-separated positive, finite weights.
 func SchedByName(name string) (des.SchedConfig, error) {
 	l := strings.ToLower(name)
 	switch {
@@ -145,7 +148,7 @@ func SchedByName(name string) (des.SchedConfig, error) {
 		n := 2
 		if len(l) > 2 {
 			v, err := strconv.Atoi(l[2:])
-			if err != nil {
+			if err != nil || v < 1 {
 				return des.SchedConfig{}, fmt.Errorf("experiments: bad SP spec %q", name)
 			}
 			n = v
@@ -164,7 +167,7 @@ func SchedByName(name string) (des.SchedConfig, error) {
 		var ws []float64
 		for _, p := range strings.Split(l[4:], ",") {
 			v, err := strconv.ParseFloat(p, 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
 				return des.SchedConfig{}, fmt.Errorf("experiments: bad weight %q in %q", p, name)
 			}
 			ws = append(ws, v)

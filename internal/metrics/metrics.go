@@ -232,32 +232,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return Percentile(c.sorted, q*100)
 }
 
-// Points returns (x, F(x)) pairs suitable for plotting, thinned to at most
-// maxPoints entries (maxPoints <= 0 means no thinning). The last sample is
-// always included, so the plot always reaches F(x) = 1.
-func (c *CDF) Points(maxPoints int) (xs, ps []float64) {
-	n := len(c.sorted)
-	step := 1
-	if maxPoints > 0 && n > maxPoints {
-		// Ceiling division: a truncating n/maxPoints understeps and can
-		// emit up to twice the requested points (e.g. n=199, max=100 gave
-		// step 1 → 199 points).
-		step = (n + maxPoints - 1) / maxPoints
-	}
-	// Walk backwards from the final sample so it is always emitted (a
-	// forward walk drops it whenever (n-1) % step != 0), then reverse
-	// into ascending plot order.
-	for i := n - 1; i >= 0; i -= step {
-		xs = append(xs, c.sorted[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	for l, r := 0, len(xs)-1; l < r; l, r = l+1, r-1 {
-		xs[l], xs[r] = xs[r], xs[l]
-		ps[l], ps[r] = ps[r], ps[l]
-	}
-	return xs, ps
-}
-
 // Jitter returns the per-packet jitter series for an ordered sequence of
 // per-packet delays belonging to one flow: |d_i - d_{i-1}|.
 func Jitter(delays []float64) []float64 {

@@ -5,60 +5,6 @@ import (
 	"testing"
 )
 
-// TestCDFPointsContract is the regression test for the Points thinning
-// bug: the old truncating step could emit up to 2x maxPoints entries
-// (n=199, max=100 → step 1 → 199 points) and silently drop the final
-// sample, so plots never reached F(x)=1.
-func TestCDFPointsContract(t *testing.T) {
-	for _, tc := range []struct{ n, max int }{
-		{1, 1}, {2, 1}, {5, 2}, {100, 100}, {101, 100}, {199, 100},
-		{200, 100}, {201, 100}, {1000, 7}, {1000, 100}, {3, 10},
-	} {
-		samples := make([]float64, tc.n)
-		for i := range samples {
-			samples[i] = float64(i)
-		}
-		c, err := NewCDF(samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs, ps := c.Points(tc.max)
-		if len(xs) != len(ps) {
-			t.Fatalf("n=%d max=%d: len(xs)=%d != len(ps)=%d", tc.n, tc.max, len(xs), len(ps))
-		}
-		if len(xs) > tc.max {
-			t.Fatalf("n=%d max=%d: emitted %d points, contract is at most %d", tc.n, tc.max, len(xs), tc.max)
-		}
-		if len(xs) == 0 {
-			t.Fatalf("n=%d max=%d: no points", tc.n, tc.max)
-		}
-		if last := xs[len(xs)-1]; last != samples[tc.n-1] {
-			t.Fatalf("n=%d max=%d: last x = %v, want final sample %v", tc.n, tc.max, last, samples[tc.n-1])
-		}
-		if p := ps[len(ps)-1]; p != 1.0 {
-			t.Fatalf("n=%d max=%d: final p = %v, want exactly 1", tc.n, tc.max, p)
-		}
-		for i := 1; i < len(xs); i++ {
-			if xs[i] <= xs[i-1] || ps[i] <= ps[i-1] {
-				t.Fatalf("n=%d max=%d: points not strictly increasing at %d", tc.n, tc.max, i)
-			}
-		}
-	}
-}
-
-func TestCDFPointsNoThinning(t *testing.T) {
-	c, err := NewCDF([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, max := range []int{0, -1, 3, 100} {
-		xs, _ := c.Points(max)
-		if len(xs) != 3 {
-			t.Fatalf("max=%d: got %d points, want all 3", max, len(xs))
-		}
-	}
-}
-
 // TestNaNInputsDeterministic is the regression test for NaN poisoning:
 // NaN breaks sort's ordering, so the old code returned
 // permutation-dependent results. Now NaN in, NaN out (or an error).

@@ -261,19 +261,7 @@ func TestClosedPlaneFallsBackInline(t *testing.T) {
 // trace.
 func goldenRun(t *testing.T, model *ptm.PTM, shards int, wrap func(int, core.DeviceModel) core.DeviceModel) []des.Delivery {
 	t.Helper()
-	g, err := experiments.TopoByName("line4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := experiments.SchedByName("fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := experiments.TrafficByName("poisson")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := experiments.NewScenario("line4/fifo/poisson", g, sched, tm, 0.5, 0.0002, 7)
+	sc, err := experiments.Spec{Topo: "line4", Duration: 0.0002, Seed: 7}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,12 +163,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeRequest reads one Request from a size-capped body. A body over
-// Config.MaxBodyBytes maps to 413, malformed JSON or trailing garbage
-// after the object to 400 (a second document would otherwise be
-// silently ignored, masking client bugs).
+// Config.MaxBodyBytes maps to 413, malformed JSON, an unknown field or
+// trailing garbage after the object to 400: a misspelt field or a second
+// document would otherwise be silently ignored, masking client bugs.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError

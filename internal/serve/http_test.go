@@ -83,6 +83,34 @@ func TestTrailingGarbageIs400(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldIs400: a misspelt field used to be dropped, so
+// {"laod":0.9} ran at the default load, and a client still sending the
+// retired "nosec" field silently got SEC. Both are 400 bad_request now,
+// refused before admission.
+func TestUnknownFieldIs400(t *testing.T) {
+	s := okServer(t, Config{})
+	h := s.Handler()
+	for _, body := range []string{
+		`{"topo":"line4","laod":0.9}`,
+		`{"topo":"line4","nosec":true}`,
+	} {
+		rec := postSimBody(h, body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400 (body %s)", body, rec.Code, rec.Body.String())
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Kind != "bad_request" || !strings.Contains(eb.Error, "unknown field") {
+			t.Fatalf("body %s: error body %+v, want kind bad_request naming the unknown field", body, eb)
+		}
+	}
+	if st := s.Snapshot(); st.Received != 0 {
+		t.Fatalf("unknown fields must be refused before admission; received = %d", st.Received)
+	}
+}
+
 func TestMalformedJSONIs400(t *testing.T) {
 	s := okServer(t, Config{})
 	rec := postSimBody(s.Handler(), `{"topo":`)

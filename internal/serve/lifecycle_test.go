@@ -84,21 +84,9 @@ func (c *cellRunner) Run(ctx context.Context, req *serve.Request, mode serve.Run
 // engine — no server, no runner, no plane, no chaos — once per seed.
 func directDigests(t *testing.T, model *ptm.PTM, seeds []uint64) map[uint64]string {
 	t.Helper()
-	g, err := experiments.TopoByName("line4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := experiments.SchedByName("fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := experiments.TrafficByName("poisson")
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := make(map[uint64]string, len(seeds))
 	for _, seed := range seeds {
-		sc, err := experiments.NewScenario("line4/fifo/poisson", g, sched, tm, 0.5, 0.0002, seed)
+		sc, err := experiments.Spec{Topo: "line4", Duration: 0.0002, Seed: seed}.Build()
 		if err != nil {
 			t.Fatal(err)
 		}

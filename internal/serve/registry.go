@@ -14,11 +14,10 @@ import (
 const maxModelEntries = maxWireKeys
 
 // modelRegistry is the warm model registry: one entry per model path,
-// holding the loaded base model and its lazily derived read-only
-// variants (SEC-stripped, content digest). Entries are shared across
-// all concurrent requests — a model is loaded once, stripped once,
-// digested once, no matter how many cold-start requests race for it —
-// and the entry count is LRU-bounded at maxModelEntries.
+// holding the loaded base model and its lazily computed content digest.
+// Entries are shared across all concurrent requests — a model is loaded
+// once and digested once, no matter how many cold-start requests race
+// for it — and the entry count is LRU-bounded at maxModelEntries.
 type modelRegistry struct {
 	mu      sync.Mutex
 	clock   uint64
@@ -39,10 +38,10 @@ type modelLoad struct {
 	err  error
 }
 
-// modelEntry holds the resolved variants of one model path. base is
-// immutable after construction; variants are built at most once under
-// the entry lock (concurrent requesters of the same variant block on
-// the one build instead of each cloning the model).
+// modelEntry holds one model path's loaded model, immutable after
+// construction and shared read-only, so a request's model is a stable
+// identity the inference plane can key its warm workers on. The digest is
+// computed at most once under the entry lock.
 type modelEntry struct {
 	used uint64 // LRU stamp, maintained under modelRegistry.mu
 
@@ -50,11 +49,6 @@ type modelEntry struct {
 
 	mu     sync.Mutex
 	digest string
-	// noSEC is the base model's SEC-stripped clone. Resolving NoSEC here
-	// — instead of per shard inside the engine — keeps a request's model
-	// a stable identity, which the inference plane keys its warm workers
-	// on.
-	noSEC *ptm.PTM
 }
 
 // entry returns the warm entry for path, invoking load exactly once per
@@ -101,9 +95,9 @@ func (mr *modelRegistry) entry(path string, evict *obs.Counter, load func() (*pt
 
 // evictLocked drops least-recently-used entries beyond maxModelEntries.
 // The default-model entry ("") is exempt: it is the hot path and costs
-// nothing to load, but its derived variants are worth keeping warm.
-// Requests already holding an evicted entry keep using it safely — all
-// of its models are immutable.
+// nothing to load, but its digest is worth keeping warm.
+// Requests already holding an evicted entry keep using it safely — its
+// model is immutable.
 func (mr *modelRegistry) evictLocked() {
 	for len(mr.entries) > maxModelEntries {
 		var victimKey string
@@ -133,25 +127,8 @@ func (mr *modelRegistry) len() int {
 	return len(mr.entries)
 }
 
-// withoutSEC returns the base model with the SEC residual bins
-// stripped, building the clone at most once. A base with no bins is
-// returned as-is.
-func (e *modelEntry) withoutSEC() *ptm.PTM {
-	if len(e.base.SECBins) == 0 {
-		return e.base
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.noSEC == nil {
-		e.noSEC = e.base.WithoutSEC()
-	}
-	return e.noSEC
-}
-
 // baseDigest returns the SHA-256 identity of the entry's base model,
-// computed once. Checkpoint compatibility is keyed on the base digest
-// even for NoSEC runs — exactly as when SEC stripping happened inside
-// the engine.
+// computed once. Checkpoint compatibility is keyed on it.
 func (e *modelEntry) baseDigest() (string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/checkpoint"
-	"deepqueuenet/internal/dbscan"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
@@ -27,18 +26,15 @@ func registryTestModel(t *testing.T) *ptm.PTM {
 
 // TestRegistryColdStartSingleflight hammers one path with 32 concurrent
 // cold-start requesters and verifies the model is loaded exactly once,
-// every caller gets the same entry, and the lazily derived variants
-// (SEC-stripped, digest) are each built exactly once too. Run under
-// -race this also proves the registry's locking discipline.
+// every caller gets the same entry and the same lazily computed digest.
+// Run under -race this also proves the registry's locking discipline.
 func TestRegistryColdStartSingleflight(t *testing.T) {
 	base := registryTestModel(t)
-	base.SECBins = []dbscan.Bin{{Lo: 0, Hi: 1, MeanValue: 0.5}}
 	var loads atomic.Int64
 	mr := &modelRegistry{}
 
 	const goroutines = 32
 	entries := make([]*modelEntry, goroutines)
-	nosecs := make([]*ptm.PTM, goroutines)
 	digests := make([]string, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -59,7 +55,6 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 				return
 			}
 			entries[i] = e
-			nosecs[i] = e.withoutSEC()
 			d, err := e.baseDigest()
 			if err != nil {
 				t.Error(err)
@@ -77,18 +72,12 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 		if entries[i] != entries[0] {
 			t.Fatalf("goroutine %d got a different entry", i)
 		}
-		if nosecs[i] != nosecs[0] {
-			t.Fatalf("goroutine %d got a different SEC-stripped variant", i)
-		}
 		if digests[i] != digests[0] {
 			t.Fatalf("goroutine %d got a different digest", i)
 		}
 	}
-	if nosecs[0] == base || len(nosecs[0].SECBins) != 0 {
-		t.Fatal("SEC-stripped variant aliases the base model or kept its bins")
-	}
-	if len(base.SECBins) != 1 {
-		t.Fatal("registry mutated the base model while stripping SEC")
+	if entries[0].base != base {
+		t.Fatal("the entry does not hold the loaded model")
 	}
 }
 
@@ -204,6 +193,6 @@ func TestTopoCacheBound(t *testing.T) {
 	_, cached := r.topos["line2000"]
 	r.mu.Unlock()
 	if cached {
-		t.Fatal("a topology above maxTopoNodes was cached")
+		t.Fatal("a topology above experiments.MaxTopoNodes was cached")
 	}
 }

@@ -42,26 +42,20 @@ var errModelInvalid = errors.New("serve: device model invalid")
 // Request is one what-if simulation query, the JSON body of POST
 // /simulate. Zero fields take server-side defaults.
 type Request struct {
-	// Topo names the topology (experiments.TopoByName grammar:
-	// lineN, torusRxC, fattree16/64/128, abilene, geant, ...).
-	Topo string `json:"topo"`
-	// Sched names the per-switch scheduler ("fifo", "sp2", "wfq:9,1", ...).
-	Sched string `json:"sched,omitempty"`
-	// Traffic names the arrival model (poisson, onoff, map, bc, anarchy).
-	Traffic string `json:"traffic,omitempty"`
-	// Load is the target utilization of the most-shared link, (0, 1).
-	Load float64 `json:"load,omitempty"`
-	// Duration is the simulated horizon in seconds.
+	// Topo, Sched, Traffic, Load, Duration and Seed are the fields of an
+	// experiments.Spec, with its grammar, defaults and bounds; the server
+	// adds only its MaxDuration cap.
+	Topo     string  `json:"topo"`
+	Sched    string  `json:"sched,omitempty"`
+	Traffic  string  `json:"traffic,omitempty"`
+	Load     float64 `json:"load,omitempty"`
 	Duration float64 `json:"duration,omitempty"`
-	// Seed seeds the scenario's traffic generators.
-	Seed uint64 `json:"seed,omitempty"`
+	Seed     uint64  `json:"seed,omitempty"`
 	// Shards is the number of parallel inference shards for this job.
 	Shards int `json:"shards,omitempty"`
 	// Model is the device-model path this job runs against; "" uses the
 	// server's default model. The circuit breaker is keyed on this.
 	Model string `json:"model,omitempty"`
-	// NoSEC disables statistical error correction.
-	NoSEC bool `json:"nosec,omitempty"`
 	// TimeoutMs bounds the job's wall-clock runtime; 0 uses the server
 	// default, and values above the server maximum are clamped.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
@@ -221,18 +215,11 @@ type ScenarioRunner struct {
 	topos map[string]*namedTopo
 }
 
-// maxTopoNodes is the largest named topology the runner builds. A graph's
-// compiled routing fabric grows with the square of its node count, so a
-// request naming a bigger one is a bad request, refused from the name
-// alone before any builder runs. Every topology of the paper's evaluation
-// is far below it (FatTree128 has 208 nodes).
-const maxTopoNodes = 2048
-
 // maxCachedTopoPairs bounds the topology cache by size as well as by
 // count: the cached graphs' summed node-pair count (about 16 bytes per
-// pair of routing fabric) is held to what one maxTopoNodes graph, or
-// maxModelEntries 256-node ones, would need, roughly 64 MiB.
-const maxCachedTopoPairs = maxTopoNodes * maxTopoNodes
+// pair of routing fabric) is held to what one experiments.MaxTopoNodes
+// graph, or maxModelEntries 256-node ones, would need, roughly 64 MiB.
+const maxCachedTopoPairs = experiments.MaxTopoNodes * experiments.MaxTopoNodes
 
 // namedTopo is one topology of the request grammar, shared by every
 // request that names it: the graph, which carries its own compiled
@@ -272,24 +259,6 @@ func (r *ScenarioRunner) entry(path string) (*modelEntry, error) {
 	})
 }
 
-// resolve returns the device model one request runs, from the warm
-// registry: the base model and its SEC-stripped variant are each built
-// once per path and shared read-only across every concurrent request.
-// NoSEC is resolved here rather than per shard inside the engine
-// (bit-identical — the same clone the engine would build, built once),
-// so a request's model is a stable identity the inference plane can key
-// its warm workers on.
-func (r *ScenarioRunner) resolve(req *Request) (*ptm.PTM, *modelEntry, error) {
-	e, err := r.entry(req.Model)
-	if err != nil {
-		return nil, nil, err
-	}
-	if req.NoSEC {
-		return e.withoutSEC(), e, nil
-	}
-	return e.base, e, nil
-}
-
 // deviceWrap composes the per-run device wrapper: the shared plane
 // handle innermost, the configured WrapDevice (chaos injection) on top
 // — injected faults fire in the submitting shard goroutine, where the
@@ -314,23 +283,16 @@ func (r *ScenarioRunner) deviceWrap(req *Request) func(int, core.DeviceModel) co
 // topology resolves a topology name through the runner's cache (the
 // request grammar is deterministic: one name, one graph), so a named
 // topology is built and compiled for routing once per process rather
-// than once per request. A name over maxTopoNodes is refused before it is
-// built. The cache is bounded in count like the registry and in size by
-// maxCachedTopoPairs; past either bound arbitrary entries are dropped —
-// rebuilding is cheap.
+// than once per request. TopoByName refuses a name over
+// experiments.MaxTopoNodes before it is built. The cache is bounded in
+// count like the registry and in size by maxCachedTopoPairs; past either
+// bound arbitrary entries are dropped — rebuilding is cheap.
 func (r *ScenarioRunner) topology(name string) (*namedTopo, error) {
 	r.mu.Lock()
 	t := r.topos[name]
 	r.mu.Unlock()
 	if t != nil {
 		return t, nil
-	}
-	n, err := experiments.TopoNodes(name)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxTopoNodes {
-		return nil, fmt.Errorf("topology %q has %d nodes; the server builds at most %d", name, n, maxTopoNodes)
 	}
 	g, err := experiments.TopoByName(name)
 	if err != nil {
@@ -364,51 +326,22 @@ func (r *ScenarioRunner) topology(name string) (*namedTopo, error) {
 	return t, nil
 }
 
-// scenario builds and calibrates the scenario a request describes over
-// its (already resolved) topology.
+// scenario builds the scenario a request names over its cached topology:
+// the spec holds the names, defaults and bounds, the server adds only its
+// MaxDuration cap.
 func (r *ScenarioRunner) scenario(req *Request, g *topo.Graph) (*experiments.Scenario, error) {
-	schedName := req.Sched
-	if schedName == "" {
-		schedName = "fifo"
-	}
-	sched, err := experiments.SchedByName(schedName)
+	spec := experiments.Spec{Topo: req.Topo, Sched: req.Sched, Traffic: req.Traffic,
+		Load: req.Load, Duration: req.Duration, Seed: req.Seed}
+	sc, err := spec.BuildOn(g)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-	}
-	trafficName := req.Traffic
-	if trafficName == "" {
-		trafficName = "poisson"
-	}
-	tm, err := experiments.TrafficByName(trafficName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-	}
-	load := req.Load
-	if load == 0 {
-		load = 0.5
-	}
-	if load < 0 || load >= 1 {
-		return nil, badRequestf("load %v outside (0, 1)", load)
 	}
 	maxDur := r.MaxDuration
 	if maxDur <= 0 {
 		maxDur = 0.01
 	}
-	dur := req.Duration
-	if dur == 0 {
-		dur = 0.001
-	}
-	if dur < 0 || dur > maxDur {
-		return nil, badRequestf("duration %v outside (0, %v]", dur, maxDur)
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	name := fmt.Sprintf("%s/%s/%s", req.Topo, schedName, trafficName)
-	sc, err := experiments.NewScenario(name, g, sched, tm, load, dur, seed)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	if sc.Duration > maxDur {
+		return nil, badRequestf("duration %v over the server's %v s cap", sc.Duration, maxDur)
 	}
 	return sc, nil
 }
@@ -453,9 +386,6 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 	if shards > maxShards {
 		shards = maxShards
 	}
-	// NoSEC is resolved into the model by the registry below, not by the
-	// engine, so concurrent NoSEC and SEC requests for one path still
-	// share stable model identities (and hence plane workers).
 	cfg := core.Config{Shards: shards}
 	var model *ptm.PTM
 	var ent *modelEntry
@@ -466,10 +396,11 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		// FIFO-serialization operator.
 		cfg.DeviceFor = func(int) core.DeviceModel { return nil }
 	default:
-		model, ent, err = r.resolve(req)
+		ent, err = r.entry(req.Model)
 		if err != nil {
 			return nil, err
 		}
+		model = ent.base
 		cfg.WrapDevice = r.deviceWrap(req)
 	}
 	resumedFrom := 0

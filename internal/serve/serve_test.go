@@ -159,8 +159,8 @@ func TestBadRequestNotRetriedNotBreakerCharged(t *testing.T) {
 		{stub, Request{Topo: "nope"}},
 		{scenario, Request{Topo: "torus0x3"}},
 		{scenario, Request{Topo: "torus0x3", Fidelity: "fast"}},
-		// Over maxTopoNodes: refused from the name, before the O(n²)
-		// routing fabric of 2 200 or 40 000 nodes is built.
+		// Over experiments.MaxTopoNodes: refused from the name, before the
+		// O(n²) routing fabric of 2 200 or 40 000 nodes is built.
 		{scenario, Request{Topo: "line1100", Fidelity: "fast"}},
 		{scenario, Request{Topo: "line20000", Fidelity: "fast"}},
 		{scenario, Request{Topo: "line20000"}},

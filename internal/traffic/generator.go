@@ -151,17 +151,3 @@ func (t *Replay) NextArrival() (float64, int) {
 	t.pos++
 	return g, s
 }
-
-// RateScaled wraps a generator and multiplies every gap by 1/factor,
-// scaling the mean packet rate by factor while preserving the process
-// shape. It is the load-calibration primitive.
-type RateScaled struct {
-	Inner  Generator
-	Factor float64
-}
-
-// NextArrival implements Generator.
-func (s *RateScaled) NextArrival() (float64, int) {
-	g, sz := s.Inner.NextArrival()
-	return g / s.Factor, sz
-}

@@ -284,17 +284,3 @@ func FitMAP2(iats []float64) (*MAP, error) {
 	}
 	return build((lo + hi) / 2), nil
 }
-
-// EmpiricalIATCDF evaluates the empirical CDF of samples at each t in ts
-// (plot helper for Fig. 12).
-func EmpiricalIATCDF(samples, ts []float64) ([]float64, error) {
-	c, err := metrics.NewCDF(samples)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(ts))
-	for i, t := range ts {
-		out[i] = c.Eval(t)
-	}
-	return out, nil
-}

@@ -315,15 +315,6 @@ func TestSizeModels(t *testing.T) {
 	}
 }
 
-func TestRateScaled(t *testing.T) {
-	r := rng.New(11)
-	g := &RateScaled{Inner: NewPoisson(1000, ConstSize(1), r), Factor: 2}
-	pps, _ := MeasuredRate(g, 50000)
-	if math.Abs(pps-2000)/2000 > 0.05 {
-		t.Fatalf("scaled rate %v, want 2000", pps)
-	}
-}
-
 func TestNewGeneratorAllModelsCalibrated(t *testing.T) {
 	for _, m := range []Model{ModelPoisson, ModelOnOff, ModelMAP, ModelBCLike, ModelAnarchyLike} {
 		r := rng.New(uint64(20 + m))
@@ -338,16 +329,6 @@ func TestNewGeneratorAllModelsCalibrated(t *testing.T) {
 		if math.Abs(pps-want)/want > tol {
 			t.Fatalf("%v rate %v, want %v", m, pps, want)
 		}
-	}
-}
-
-func TestEmpiricalIATCDF(t *testing.T) {
-	out, err := EmpiricalIATCDF([]float64{1, 2, 3, 4}, []float64{0, 2.5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0 || out[1] != 0.5 || out[2] != 1 {
-		t.Fatalf("empirical CDF %v", out)
 	}
 }
 

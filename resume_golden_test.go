@@ -20,8 +20,6 @@ import (
 	"deepqueuenet/internal/chaos"
 	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/core"
-	"deepqueuenet/internal/des"
-	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/ptm"
 )
@@ -34,12 +32,7 @@ func runGoldenCaseErr(t *testing.T, gc goldenCase, cfg core.Config) (*core.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := experiments.NewScenario(gc.name, gc.graph(), des.SchedConfig{Kind: des.FIFO},
-		gc.traffic, gc.load, gc.dur, gc.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, res, err := sc.RunDQNCfg(model, cfg)
+	_, res, err := gc.scenario(t).RunDQNCfg(model, cfg)
 	return res, err
 }
 
@@ -64,7 +57,7 @@ func TestResumeGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					topoDigest := checkpoint.TopoDigest(gc.graph())
+					topoDigest := checkpoint.TopoDigest(gc.scenario(t).G)
 					modelDigest, err := checkpoint.ModelDigest(model)
 					if err != nil {
 						t.Fatal(err)
@@ -73,7 +66,7 @@ func TestResumeGolden(t *testing.T) {
 					path := filepath.Join(t.TempDir(), "run.ckpt")
 					w := &checkpoint.Writer{
 						Path: path, TopoDigest: topoDigest, ModelDigest: modelDigest,
-						Seed: gc.seed, NoSync: true,
+						Seed: gc.spec.Seed, NoSync: true,
 					}
 					inj := chaos.New(chaos.Config{CrashAfterEpochs: crashAt})
 					_, err = runGoldenCaseErr(t, gc, core.Config{
@@ -139,7 +132,7 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	quick, wan := cases[0], cases[2]
 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	w := &checkpoint.Writer{Path: path, Seed: quick.seed, NoSync: true}
+	w := &checkpoint.Writer{Path: path, Seed: quick.spec.Seed, NoSync: true}
 	inj := chaos.New(chaos.Config{CrashAfterEpochs: 1})
 	_, err := runGoldenCaseErr(t, quick, core.Config{
 		Shards: 1, EpochSink: inj.WrapEpochSink(w.Sink()), EpochEvery: 1,
@@ -183,7 +176,7 @@ func TestResumeCancelWritesFinalSnapshot(t *testing.T) {
 	dBase := deliveryDigest(base)
 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	w := &checkpoint.Writer{Path: path, Seed: gc.seed, NoSync: true}
+	w := &checkpoint.Writer{Path: path, Seed: gc.spec.Seed, NoSync: true}
 
 	cancelCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -204,12 +197,7 @@ func TestResumeCancelWritesFinalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := experiments.NewScenario(gc.name, gc.graph(), des.SchedConfig{Kind: des.FIFO},
-		gc.traffic, gc.load, gc.dur, gc.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = sc.RunDQNCfgCtx(cancelCtx, model, cfg)
+	_, _, err = gc.scenario(t).RunDQNCfgCtx(cancelCtx, model, cfg)
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("canceled run: err = %v, want guard.ErrCanceled", err)
 	}

@@ -33,9 +33,7 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/analytic"
-	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/experiments"
-	"deepqueuenet/internal/traffic"
 )
 
 const (
@@ -45,10 +43,7 @@ const (
 
 var routingBitsTopos = []string{"line4", "fattree16", "abilene", "geant", "torus3x3", "leafspine4x2x4"}
 
-var routingBitsModels = []struct {
-	name  string
-	model traffic.Model
-}{{"poisson", traffic.ModelPoisson}, {"map", traffic.ModelMAP}}
+var routingBitsModels = []string{"poisson", "map"}
 
 // estimateBits is one traffic model's analytic outcome on one scenario.
 type estimateBits struct {
@@ -99,15 +94,11 @@ func (b bitsHasher) f64(v float64) { b.u64(math.Float64bits(v)) }
 
 func computeRoutingBits(t *testing.T, topoName string, seed uint64) routingBits {
 	t.Helper()
-	g, err := experiments.TopoByName(topoName)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var row routingBits
 	var loadBits string
 	for _, m := range routingBitsModels {
-		sc, err := experiments.NewScenario("bits", g, des.SchedConfig{Kind: des.FIFO},
-			m.model, routingBitsLoad, 0.001, seed)
+		spec := experiments.Spec{Topo: topoName, Traffic: m, Load: routingBitsLoad, Duration: 0.001, Seed: seed}
+		sc, err := spec.Build()
 		if err != nil {
 			row.RouteErr = "other"
 			if strings.Contains(err.Error(), "conflicting forwarding entries") {
@@ -144,7 +135,7 @@ func computeRoutingBits(t *testing.T, topoName string, seed uint64) routingBits 
 			if errors.Is(err, analytic.ErrUnstable) {
 				eb.Err = "unstable"
 			}
-			row.Est[m.name] = eb
+			row.Est[m] = eb
 			continue
 		}
 		eb := estimateBits{MeanBits: bitsHex(est.MeanRTTSec), P99Bits: bitsHex(est.P99RTTSec)}
@@ -175,7 +166,7 @@ func computeRoutingBits(t *testing.T, topoName string, seed uint64) routingBits 
 			}
 		}
 		eb.Ports = qh.sum()
-		row.Est[m.name] = eb
+		row.Est[m] = eb
 	}
 	return row
 }

@@ -13,10 +13,9 @@ import (
 
 	"deepqueuenet/internal/analytic"
 	"deepqueuenet/internal/core"
-	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/ptm"
-	"deepqueuenet/internal/traffic"
+	"deepqueuenet/internal/topo"
 )
 
 // TestSharedGraphConcurrentUse has 32 goroutines share one graph that
@@ -31,7 +30,7 @@ func TestSharedGraphConcurrentUse(t *testing.T) {
 		load    = 0.4
 		engDur  = 0.00002
 	)
-	sched := des.SchedConfig{Kind: des.FIFO}
+	spec := experiments.Spec{Topo: "fattree16", Traffic: "map", Load: load, Duration: engDur}
 	model, err := ptm.Synthetic(goldenArch, 8, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -57,21 +56,16 @@ func TestSharedGraphConcurrentUse(t *testing.T) {
 	wantEst := make([]uint64, seeds)
 	wantRun := make([]string, seeds)
 	for s := range wantEst {
-		g, err := experiments.TopoByName("fattree16")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := experiments.NewScenario("ref", g, sched, traffic.ModelMAP, load, engDur, uint64(s+1))
+		spec := spec
+		spec.Seed = uint64(s + 1)
+		sc, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantEst[s], wantRun[s] = estimate(sc), engine(sc)
 	}
 
-	shared, err := experiments.TopoByName("fattree16")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := topo.FatTree(topo.FatTree16, topo.DefaultLAN)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -80,7 +74,9 @@ func TestSharedGraphConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < seeds; i++ {
 				s := (w + i) % seeds
-				sc, err := experiments.NewScenario("shared", shared, sched, traffic.ModelMAP, load, engDur, uint64(s+1))
+				spec := spec
+				spec.Seed = uint64(s + 1)
+				sc, err := spec.BuildOn(shared)
 				if err != nil {
 					t.Errorf("worker %d seed %d: %v", w, s+1, err)
 					return
@@ -99,7 +95,7 @@ func TestSharedGraphConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestScenarioBuildAllocs bounds the allocations of NewScenario +
+// TestScenarioBuildAllocs bounds the allocations of Spec.BuildOn +
 // analytic.FromScenario on an already compiled FatTree16 — the whole
 // per-request cost of the serving fast tier. The commit before topology
 // compilation measured 705 per call (nested routing maps, one BFS field
@@ -109,15 +105,11 @@ func TestSharedGraphConcurrentUse(t *testing.T) {
 // under half the old count while leaving room for runtime map changes.
 func TestScenarioBuildAllocs(t *testing.T) {
 	const parentAllocs, ceiling = 705, 64
-	g, err := experiments.TopoByName("fattree16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(0)
+	g := topo.FatTree(topo.FatTree16, topo.DefaultLAN)
+	spec := experiments.Spec{Topo: "fattree16", Traffic: "map", Load: 0.4}
 	build := func() {
-		seed++
-		sc, err := experiments.NewScenario("allocs", g, des.SchedConfig{Kind: des.FIFO},
-			traffic.ModelMAP, 0.4, 0.001, seed)
+		spec.Seed++
+		sc, err := spec.BuildOn(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +119,7 @@ func TestScenarioBuildAllocs(t *testing.T) {
 	}
 	build() // compile the fabric and warm the arrival-SCV memo
 	if got := testing.AllocsPerRun(100, build); got > ceiling {
-		t.Fatalf("NewScenario+FromScenario: %.0f allocations per call, ceiling %d (was %d before topology compilation)",
+		t.Fatalf("BuildOn+FromScenario: %.0f allocations per call, ceiling %d (was %d before topology compilation)",
 			got, ceiling, parentAllocs)
 	}
 }
