@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"deepqueuenet/internal/des"
@@ -71,9 +72,10 @@ type PortLoad struct {
 	Blocking   float64 // M/M/1/K loss probability (Buffer > 0)
 }
 
-// PathEstimate is the per-path output, keyed like the engine's RTT rows.
+// PathEstimate is one flow's output: its request and echo legs between
+// hosts Src and Dst.
 type PathEstimate struct {
-	Key        string
+	Src, Dst   int     // host node IDs; des.PathKey(Src, Dst) keys the engine's RTT rows
 	Hops       int     // forward-leg hop count (egress ports traversed)
 	MeanFwdSec float64 // one-way mean sojourn, forward leg
 	MeanRTTSec float64 // request + echo mean sojourn
@@ -88,15 +90,18 @@ type PathEstimate struct {
 
 // Estimate is the solved network.
 type Estimate struct {
-	Paths map[string]*PathEstimate
-	// MeanRTTSec averages the per-path mean RTTs over flows; P99RTTSec
-	// is the max per-path p99 (an upper bound across paths, since the
-	// serve tier reports a single scalar per request).
+	// Paths holds one estimate per flow, in the order of Input.Flows;
+	// PathStats pools flows that share a host pair.
+	Paths []PathEstimate
+	// MeanRTTSec averages the per-flow mean RTTs; P99RTTSec is the max
+	// per-flow p99 (an upper bound across paths, since the serve tier
+	// reports a single scalar per request).
 	MeanRTTSec  float64
 	P99RTTSec   float64
 	MaxRho      float64
 	MaxBlocking float64
-	Ports       []PortLoad
+
+	in Input // what Ports solves again
 }
 
 // z99 is the standard normal 99th percentile, used by the
@@ -122,20 +127,26 @@ func gammaP99(mean, variance float64) float64 {
 	return q
 }
 
-// portState is the accumulated demand and solved wait of one egress
+// portState is the accumulated demand and solved sojourn of one egress
 // port. Analyze keeps one per directed port of the graph, indexed by the
 // graph's dense port numbering (topo.Graph.PortBase), so the two passes
 // over every flow's legs are array walks.
 type portState struct {
 	lambda float64 // packets/s offered
 	wait   float64 // Kingman mean queueing wait, seconds
+	det    float64 // transmission + propagation per packet, seconds
 	flows  int32   // flow legs crossing the port; 0 = port unused
 }
 
+// portScratch recycles Analyze's per-port states across calls: they are
+// the estimate's largest allocation and none of them outlives the call.
+var portScratch = sync.Pool{New: func() any { return new([]portState) }}
+
 // Analyze solves the decomposition. It returns an error wrapping
 // ErrUnstable when any port is offered load at or beyond capacity, and
-// plain errors for malformed inputs (non-finite rates, unrouted flows,
-// non-positive link rates). A successful estimate is always finite.
+// plain errors for malformed inputs (non-finite rates, flows other than
+// the ones the routing was computed for, non-positive link rates). A
+// successful estimate is always finite.
 func Analyze(in Input) (*Estimate, error) {
 	if in.G == nil || in.RT == nil {
 		return nil, errors.New("analytic: nil topology or routing")
@@ -156,38 +167,99 @@ func Analyze(in Input) (*Estimate, error) {
 	if in.RT.Graph() != in.G {
 		return nil, errors.New("analytic: routing was computed on a different graph")
 	}
+	// Flows are resolved by position: flow i's legs are RT.Forward(i)
+	// and RT.Echo(i).
+	if !in.RT.RoutedFrom(in.Flows) {
+		return nil, errors.New("analytic: routing was computed for a different flow set")
+	}
 
-	// Pass 1: accumulate per-egress-port demand over every flow's
-	// forward and echo legs.
 	base := in.G.PortBase()
-	ports := make([]portState, base[len(base)-1])
-	loaded := 0
+	n := int(base[len(base)-1])
+	scratch := portScratch.Get().(*[]portState)
+	ports := slices.Grow((*scratch)[:0], n)[:n]
+	clear(ports)
+	defer func() {
+		*scratch = ports
+		portScratch.Put(scratch)
+	}()
+	loadPorts(&in, ports)
+	est := &Estimate{Paths: make([]PathEstimate, len(in.Flows)), in: in}
+	if err := solvePorts(&in, ports, est, nil); err != nil {
+		return nil, err
+	}
+
+	// Pass 3: sum each path's legs. Per-hop sojourn = queueing wait +
+	// transmission + propagation — exactly the DES composition (host
+	// NIC serialization, switch port sojourn, link delay). Waits are
+	// treated as independent exponentials (Var = W²) so the path-wait
+	// variance is the sum of squares, then the RTT p99 is the
+	// deterministic part plus a gamma-tail quantile of the wait sum.
+	type acc struct {
+		mean, det, wvar float64
+		hops            int
+	}
+	sumLeg := func(leg topo.Leg) acc {
+		var a acc
+		for i, port := range leg.Ports {
+			st := &ports[base[leg.Nodes[i]]+port]
+			a.mean += st.wait + st.det
+			a.det += st.det
+			a.wvar += st.wait * st.wait
+			a.hops++
+		}
+		return a
+	}
+	var meanSum float64
+	for i := range est.Paths {
+		fleg := in.RT.Forward(i)
+		fwd, rev := sumLeg(fleg), sumLeg(in.RT.Echo(i))
+		pe := &est.Paths[i]
+		*pe = PathEstimate{
+			Src:         int(fleg.Nodes[0]),
+			Dst:         int(fleg.Nodes[len(fleg.Nodes)-1]),
+			Hops:        fwd.hops,
+			MeanFwdSec:  fwd.mean,
+			MeanRTTSec:  fwd.mean + rev.mean,
+			WaitRTTSec:  (fwd.mean - fwd.det) + (rev.mean - rev.det),
+			WaitVarSec2: fwd.wvar + rev.wvar,
+			DetRTTSec:   fwd.det + rev.det,
+		}
+		pe.P99RTTSec = pe.DetRTTSec + gammaP99(pe.WaitRTTSec, pe.WaitVarSec2)
+		est.P99RTTSec = math.Max(est.P99RTTSec, pe.P99RTTSec)
+		meanSum += fwd.mean + rev.mean
+	}
+	if len(in.Flows) > 0 {
+		est.MeanRTTSec = meanSum / float64(len(in.Flows))
+	}
+	return est, nil
+}
+
+// loadPorts is pass 1: it accumulates every flow's forward- and echo-leg
+// demand on the egress ports the legs cross, into ports (indexed by the
+// graph's dense port numbering).
+func loadPorts(in *Input, ports []portState) {
+	base := in.G.PortBase()
 	accumulate := func(leg topo.Leg) {
 		for i, port := range leg.Ports {
 			st := &ports[base[leg.Nodes[i]]+port]
-			if st.flows == 0 {
-				loaded++
-			}
 			st.lambda += in.FlowRate
 			st.flows++
 		}
 	}
-	for _, f := range in.Flows {
-		fi := in.RT.FlowIndex(f.FlowID)
-		if fi < 0 {
-			return nil, fmt.Errorf("analytic: flow %d has no route", f.FlowID)
-		}
-		accumulate(in.RT.Forward(fi))
-		accumulate(in.RT.Echo(fi))
+	for i := range in.Flows {
+		accumulate(in.RT.Forward(i))
+		accumulate(in.RT.Echo(i))
 	}
+}
 
-	// Pass 2: solve each loaded port as a G/G/1 queue, in (node, port)
-	// order. The solves are independent, so the order only decides which
-	// saturated port an ErrUnstable names and the order of est.Ports.
-	est := &Estimate{
-		Paths: make(map[string]*PathEstimate, len(in.Flows)),
-		Ports: make([]PortLoad, 0, loaded),
-	}
+// solvePorts is pass 2: it solves each loaded port as a G/G/1 queue, in
+// (node, port) order, leaving its wait and deterministic sojourn in ports
+// and the maxima in est, and hands each port's solved state to emit when
+// emit is not nil. The solves are independent, so the order only decides
+// which saturated port an ErrUnstable names and the order of Ports.
+func solvePorts(in *Input, ports []portState, est *Estimate, emit func(PortLoad)) error {
+	base := in.G.PortBase()
+	transPerBit := 8 * in.MeanPktBytes
 	for node, links := range in.G.Ports {
 		for port, link := range links {
 			st := &ports[int(base[node])+port]
@@ -195,14 +267,15 @@ func Analyze(in Input) (*Estimate, error) {
 				continue
 			}
 			if !(link.RateBps > 0) {
-				return nil, fmt.Errorf("analytic: port %d.%d has non-positive rate %v", node, port, link.RateBps)
+				return fmt.Errorf("analytic: port %d.%d has non-positive rate %v", node, port, link.RateBps)
 			}
+			st.det = transPerBit/link.RateBps + link.Delay
 			mu := link.RateBps / (8 * in.MeanPktBytes)
 			pl := PortLoad{Node: node, Port: port, Lambda: st.lambda, Mu: mu, Flows: int(st.flows)}
 			if st.lambda > 0 {
 				pl.Rho = st.lambda / mu
 				if pl.Rho >= 1 {
-					return nil, fmt.Errorf("analytic: port %d.%d offered rho %.3f (lambda %.0f pps, mu %.0f pps): %w",
+					return fmt.Errorf("analytic: port %d.%d offered rho %.3f (lambda %.0f pps, mu %.0f pps): %w",
 						node, port, pl.Rho, st.lambda, mu, ErrUnstable)
 				}
 				// Whitt's superposition approximation: merging n
@@ -215,13 +288,13 @@ func Analyze(in Input) (*Estimate, error) {
 				}
 				wait, err := queueing.KingmanGG1Wait(st.lambda, mu, ca2, in.CS2)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				pl.WaitSec = wait
 				if in.Buffer > 0 {
 					b, err := queueing.MM1KBlocking(st.lambda, mu, in.Buffer)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					pl.Blocking = b
 					if b > est.MaxBlocking {
@@ -233,86 +306,59 @@ func Analyze(in Input) (*Estimate, error) {
 				}
 			}
 			st.wait = pl.WaitSec
-			est.Ports = append(est.Ports, pl)
-		}
-	}
-
-	// Pass 3: sum each path's legs. Per-hop sojourn = queueing wait +
-	// transmission + propagation — exactly the DES composition (host
-	// NIC serialization, switch port sojourn, link delay). Waits are
-	// treated as independent exponentials (Var = W²) so the path-wait
-	// variance is the sum of squares, then the RTT p99 is the
-	// deterministic part plus a gamma-tail quantile of the wait sum.
-	transPerBit := 8 * in.MeanPktBytes
-	type acc struct {
-		mean, det, wvar float64
-		hops            int
-	}
-	sumLeg := func(leg topo.Leg) acc {
-		var a acc
-		for i, port := range leg.Ports {
-			node := leg.Nodes[i]
-			link := &in.G.Ports[node][port]
-			w := ports[base[node]+port].wait
-			det := transPerBit/link.RateBps + link.Delay
-			a.mean += w + det
-			a.det += det
-			a.wvar += w * w
-			a.hops++
-		}
-		return a
-	}
-	var meanSum float64
-	pes := make([]PathEstimate, len(in.Flows))
-	for i, f := range in.Flows {
-		fi := in.RT.FlowIndex(f.FlowID)
-		fwd, rev := sumLeg(in.RT.Forward(fi)), sumLeg(in.RT.Echo(fi))
-		pe := &pes[i]
-		*pe = PathEstimate{
-			Key:         des.PathKey(f.Src, f.Dst),
-			Hops:        fwd.hops,
-			MeanFwdSec:  fwd.mean,
-			MeanRTTSec:  fwd.mean + rev.mean,
-			WaitRTTSec:  (fwd.mean - fwd.det) + (rev.mean - rev.det),
-			WaitVarSec2: fwd.wvar + rev.wvar,
-			DetRTTSec:   fwd.det + rev.det,
-		}
-		pe.P99RTTSec = pe.DetRTTSec + gammaP99(pe.WaitRTTSec, pe.WaitVarSec2)
-		if prev, ok := est.Paths[pe.Key]; ok {
-			// Two flows over the same host pair: average the estimates
-			// (the engine would pool their samples under one key).
-			prev.MeanFwdSec = (prev.MeanFwdSec + pe.MeanFwdSec) / 2
-			prev.MeanRTTSec = (prev.MeanRTTSec + pe.MeanRTTSec) / 2
-			prev.P99RTTSec = math.Max(prev.P99RTTSec, pe.P99RTTSec)
-			prev.WaitRTTSec = (prev.WaitRTTSec + pe.WaitRTTSec) / 2
-			prev.WaitVarSec2 = (prev.WaitVarSec2 + pe.WaitVarSec2) / 2
-			prev.DetRTTSec = (prev.DetRTTSec + pe.DetRTTSec) / 2
-		} else {
-			est.Paths[pe.Key] = pe
-			if pe.P99RTTSec > est.P99RTTSec {
-				est.P99RTTSec = pe.P99RTTSec
+			if emit != nil {
+				emit(pl)
 			}
 		}
-		meanSum += fwd.mean + rev.mean
 	}
-	if len(in.Flows) > 0 {
-		est.MeanRTTSec = meanSum / float64(len(in.Flows))
+	return nil
+}
+
+// Ports returns the solved state of every loaded egress port, in (node,
+// port) order. The serving tier reads only the per-flow and aggregate
+// figures, so Analyze does not keep this list: Ports solves the ports
+// again from the estimate's input, to the same bits. It returns nil on
+// the zero Estimate.
+func (e *Estimate) Ports() []PortLoad {
+	if e.in.G == nil {
+		return nil
 	}
-	return est, nil
+	base := e.in.G.PortBase()
+	ports := make([]portState, base[len(base)-1])
+	loadPorts(&e.in, ports)
+	var out []PortLoad
+	if err := solvePorts(&e.in, ports, &Estimate{}, func(pl PortLoad) { out = append(out, pl) }); err != nil {
+		return nil // the same input solved once already
+	}
+	return out
 }
 
 // PathStats converts the estimate into the engine's per-path summary
-// shape (metrics.PathStats, seconds). Jitter uses the same per-hop
-// independent-wait approximation: for a path-wait standard deviation σ
-// the mean absolute difference of two independent samples is 2σ/√π and
-// its p99 is ≈ 2.576·√2·σ (normal-difference approximation).
+// shape (metrics.PathStats, seconds), keyed by des.PathKey. Flows over
+// the same host pair pool into one row, as the engine pools their
+// samples under one key: in flow order, each later flow's mean RTT and
+// wait variance are averaged into the row and its p99 maxed. Jitter
+// uses the same per-hop independent-wait approximation: for a path-wait
+// standard deviation σ the mean absolute difference of two independent
+// samples is 2σ/√π and its p99 is ≈ 2.576·√2·σ (normal-difference
+// approximation).
 func (e *Estimate) PathStats() map[string]metrics.PathStats {
-	out := make(map[string]metrics.PathStats, len(e.Paths))
-	for k, p := range e.Paths {
-		sigma := math.Sqrt(p.WaitVarSec2)
+	type row struct{ mean, p99, wvar float64 }
+	rows := make(map[string]row, len(e.Paths))
+	for _, p := range e.Paths {
+		k := des.PathKey(p.Src, p.Dst)
+		if r, ok := rows[k]; ok {
+			rows[k] = row{(r.mean + p.MeanRTTSec) / 2, math.Max(r.p99, p.P99RTTSec), (r.wvar + p.WaitVarSec2) / 2}
+		} else {
+			rows[k] = row{p.MeanRTTSec, p.P99RTTSec, p.WaitVarSec2}
+		}
+	}
+	out := make(map[string]metrics.PathStats, len(rows))
+	for k, r := range rows {
+		sigma := math.Sqrt(r.wvar)
 		out[k] = metrics.PathStats{
-			AvgRTT:    p.MeanRTTSec,
-			P99RTT:    p.P99RTTSec,
+			AvgRTT:    r.mean,
+			P99RTT:    r.p99,
 			AvgJitter: 2 * sigma / math.Sqrt(math.Pi),
 			P99Jitter: 2.576 * math.Sqrt2 * sigma,
 		}

@@ -51,10 +51,12 @@ func TestSingleFlowMatchesClosedForm(t *testing.T) {
 	}
 	perHop := wait + pkt*8/rate + delay
 	wantRTT := 4 * perHop // 2 forward legs + 2 echo legs
-	key := des.PathKey(flows[0].Src, flows[0].Dst)
-	pe := est.Paths[key]
-	if pe == nil {
-		t.Fatalf("no path estimate under %q (have %v)", key, est.Paths)
+	if len(est.Paths) != 1 {
+		t.Fatalf("%d path estimates, want one per flow (1)", len(est.Paths))
+	}
+	pe := est.Paths[0]
+	if pe.Src != flows[0].Src || pe.Dst != flows[0].Dst {
+		t.Fatalf("path estimate for %d->%d, want %d->%d", pe.Src, pe.Dst, flows[0].Src, flows[0].Dst)
 	}
 	if math.Abs(pe.MeanRTTSec-wantRTT) > 1e-12 {
 		t.Errorf("mean RTT %.12g, want %.12g", pe.MeanRTTSec, wantRTT)
@@ -68,8 +70,8 @@ func TestSingleFlowMatchesClosedForm(t *testing.T) {
 	if math.Abs(est.MaxRho-lam/mu) > 1e-12 {
 		t.Errorf("max rho %.6g, want %.6g", est.MaxRho, lam/mu)
 	}
-	if len(est.Ports) != 4 {
-		t.Errorf("loaded ports %d, want 4", len(est.Ports))
+	if len(est.Ports()) != 4 {
+		t.Errorf("loaded ports %d, want 4", len(est.Ports()))
 	}
 }
 
@@ -87,7 +89,7 @@ func TestZeroDemandIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := est.Paths[des.PathKey(flows[0].Src, flows[0].Dst)]
+	pe := est.Paths[0]
 	want := 4 * (pkt*8/rate + delay)
 	if math.Abs(pe.MeanRTTSec-want) > 1e-15 {
 		t.Errorf("zero-demand RTT %.12g, want deterministic %.12g", pe.MeanRTTSec, want)
@@ -181,7 +183,8 @@ func TestFromScenarioFinite(t *testing.T) {
 		t.Fatalf("paths %d, want one per flow (%d)", len(est.Paths), len(sc.Flows))
 	}
 	stats := est.PathStats()
-	for k, p := range est.Paths {
+	for _, p := range est.Paths {
+		k := des.PathKey(p.Src, p.Dst)
 		for name, v := range map[string]float64{
 			"mean fwd": p.MeanFwdSec, "mean rtt": p.MeanRTTSec, "p99 rtt": p.P99RTTSec,
 			"wait": p.WaitRTTSec, "wait var": p.WaitVarSec2, "det": p.DetRTTSec,
@@ -218,6 +221,40 @@ func TestArrivalSCV(t *testing.T) {
 		}
 		if v2 := ArrivalSCV(m); math.Abs(v2-v1) > 0 {
 			t.Errorf("%v SCV not memoized: %v then %v", m, v1, v2)
+		}
+	}
+}
+
+// TestP99IsMaxOverFlows is the regression test for an aggregate p99 that
+// only looked at each host pair's first flow: on FatTree16 a second flow
+// on flow 1's host pair (26->10, routed over another ECMP path) has the
+// largest p99 of all, so PathStats reported that pair above the
+// "max per-path" aggregate. The aggregate must be the max over flows and
+// bound every PathStats row.
+func TestP99IsMaxOverFlows(t *testing.T) {
+	g := topo.FatTree(topo.FatTree16, topo.DefaultLAN)
+	var flows []topo.FlowDef
+	for i, pair := range [][2]int{{26, 10}, {27, 12}, {21, 11}, {14, 11}, {27, 24}, {13, 15}, {9, 26}, {11, 21}, {26, 10}} {
+		flows = append(flows, topo.FlowDef{FlowID: i + 1, Src: pair[0], Dst: pair[1]})
+	}
+	rt, err := g.Route(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := Analyze(Input{G: g, RT: rt, Flows: flows, FlowRate: 2.5e5, MeanPktBytes: 800, CA2: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxP99 float64
+	for _, p := range est.Paths {
+		maxP99 = math.Max(maxP99, p.P99RTTSec)
+	}
+	if est.P99RTTSec != maxP99 {
+		t.Errorf("aggregate p99 %.6g, want the max over flows %.6g", est.P99RTTSec, maxP99)
+	}
+	for k, st := range est.PathStats() {
+		if st.P99RTT > est.P99RTTSec {
+			t.Errorf("path %s p99 %.6g above the aggregate %.6g", k, st.P99RTT, est.P99RTTSec)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/topo"
 )
 
@@ -97,7 +98,8 @@ func FuzzAnalyticScenario(f *testing.F) {
 		if len(est.Paths) == 0 {
 			t.Fatal("no path estimates for routed flows")
 		}
-		for k, p := range est.Paths {
+		for _, p := range est.Paths {
+			k := des.PathKey(p.Src, p.Dst)
 			finite(k+" mean", p.MeanRTTSec)
 			finite(k+" p99", p.P99RTTSec)
 			finite(k+" wait", p.WaitRTTSec)

@@ -88,7 +88,14 @@ func TestSchedByName(t *testing.T) {
 	if err != nil || c.Kind != des.DRR || len(c.Weights) != 3 {
 		t.Fatalf("drr: %+v %v", c, err)
 	}
-	for _, bad := range []string{"", "lifo", "wfq:", "wfq:0", "wfq:a,b", "wfq:nan", "wfq:inf", "spx", "sp0", "sp-2"} {
+	if c, err := SchedByName("sp64"); err != nil || c.Classes != MaxClasses {
+		t.Fatalf("sp64: %+v %v", c, err)
+	}
+	if c, err := SchedByName("wrr:" + strings.Repeat("1,", MaxClasses-1) + "1"); err != nil || len(c.Weights) != MaxClasses {
+		t.Fatalf("%d weights: %+v %v", MaxClasses, c, err)
+	}
+	for _, bad := range []string{"", "lifo", "wfq:", "wfq:0", "wfq:a,b", "wfq:nan", "wfq:inf", "spx", "sp0", "sp-2",
+		"sp65", "sp1000000000", "wfq:" + strings.Repeat("1,", MaxClasses) + "1"} {
 		if _, err := SchedByName(bad); err == nil {
 			t.Fatalf("%q accepted", bad)
 		}

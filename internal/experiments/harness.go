@@ -162,21 +162,40 @@ type Scenario struct {
 }
 
 // permutationFlows builds the evaluation traffic pattern: every host
-// sends one flow to a pseudo-random distinct destination.
+// sends one flow to a pseudo-random distinct destination. The flows are
+// the only allocation: each Dst holds a host position until the last
+// pass turns it into that host's node ID.
 func permutationFlows(g *topo.Graph, seed uint64) []topo.FlowDef {
-	hosts := g.Hosts()
-	r := rng.New(seed)
-	perm := r.Perm(len(hosts))
-	// Fix fixed points by rotating them onto their neighbour.
-	for i := range perm {
-		if perm[i] == i {
-			j := (i + 1) % len(perm)
-			perm[i], perm[j] = perm[j], perm[i]
+	n := 0
+	for _, k := range g.Kinds {
+		if k == topo.Host {
+			n++
 		}
 	}
-	flows := make([]topo.FlowDef, len(hosts))
-	for i := range hosts {
-		flows[i] = topo.FlowDef{FlowID: i + 1, Src: hosts[i], Dst: hosts[perm[i]]}
+	flows := make([]topo.FlowDef, n)
+	i := 0
+	for id, k := range g.Kinds {
+		if k == topo.Host {
+			flows[i] = topo.FlowDef{FlowID: i + 1, Src: id}
+			i++
+		}
+	}
+	// The inside-out shuffle of rng.Perm, drawn into the Dst fields.
+	r := rng.New(seed)
+	for i := range flows {
+		j := r.Intn(i + 1)
+		flows[i].Dst = flows[j].Dst
+		flows[j].Dst = i
+	}
+	// Fix fixed points by rotating them onto their neighbour.
+	for i := range flows {
+		if flows[i].Dst == i {
+			j := (i + 1) % n
+			flows[i].Dst, flows[j].Dst = flows[j].Dst, flows[i].Dst
+		}
+	}
+	for i := range flows {
+		flows[i].Dst = flows[flows[i].Dst].Src
 	}
 	return flows
 }
@@ -201,7 +220,12 @@ func NewScenario(name string, g *topo.Graph, sched des.SchedConfig, model traffi
 // counting each flow's forward leg and its reversal as the echo leg.
 func (s *Scenario) calibrate() {
 	base, linkOf := s.G.PortBase(), s.G.LinkOf()
-	share := make([]int32, len(linkOf))
+	var small [256]int32 // room for most named topologies' directed ports
+	share := small[:0]
+	if len(linkOf) > len(small) {
+		share = make([]int32, len(linkOf))
+	}
+	share = share[:len(linkOf)]
 	most := int32(1)
 	count := func(node, port int32) {
 		l := linkOf[base[node]+port]

@@ -136,9 +136,15 @@ func satAdd(a, b int) int {
 	return a + b
 }
 
-// SchedByName parses a scheduler spec: fifo, sp<classes> (at least one
-// class; a bare "sp" is two), or wfq:w1,w2[,w3…] / wrr:… / drr:… with
-// comma-separated positive, finite weights.
+// MaxClasses bounds a scheduler's class count: the DES allocates one
+// queue per class on every port, so an unbounded sp<N> or weight list
+// would let one name exhaust memory. It is the bound the server puts on
+// every other client-chosen cardinality.
+const MaxClasses = 64
+
+// SchedByName parses a scheduler spec: fifo, sp<classes> (1 to
+// MaxClasses classes; a bare "sp" is two), or wfq:w1,w2[,w3…] / wrr:… /
+// drr:… with 1 to MaxClasses comma-separated positive, finite weights.
 func SchedByName(name string) (des.SchedConfig, error) {
 	l := strings.ToLower(name)
 	switch {
@@ -150,6 +156,9 @@ func SchedByName(name string) (des.SchedConfig, error) {
 			v, err := strconv.Atoi(l[2:])
 			if err != nil || v < 1 {
 				return des.SchedConfig{}, fmt.Errorf("experiments: bad SP spec %q", name)
+			}
+			if v > MaxClasses {
+				return des.SchedConfig{}, fmt.Errorf("experiments: SP spec %q has over %d classes", name, MaxClasses)
 			}
 			n = v
 		}
@@ -163,6 +172,9 @@ func SchedByName(name string) (des.SchedConfig, error) {
 			kind = des.WRR
 		case "drr":
 			kind = des.DRR
+		}
+		if n := strings.Count(l, ",") + 1; n > MaxClasses {
+			return des.SchedConfig{}, fmt.Errorf("experiments: %d weights in %q, over %d classes", n, name, MaxClasses)
 		}
 		var ws []float64
 		for _, p := range strings.Split(l[4:], ",") {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"flag"
 	"math"
+	"strings"
 	"testing"
 
 	"deepqueuenet/internal/des"
@@ -69,6 +70,9 @@ func FuzzSpecBuild(f *testing.F) {
 		{Topo: "line20000"},
 		{Topo: "line4", Sched: "sp-2"},
 		{Topo: "line4", Sched: "sp0"},
+		{Topo: "line4", Sched: "sp65"},
+		{Topo: "line4", Sched: "sp1000000000"},
+		{Topo: "line4", Sched: "wfq:" + strings.Repeat("1,", MaxClasses) + "1"},
 		{Topo: "line2049"},
 		{Topo: "line2048"},
 		{Topo: "torus0x3"},

@@ -37,15 +37,19 @@ func MM1KBlocking(lambda, mu float64, k int) (float64, error) {
 
 // KingmanGG1Wait returns Kingman's heavy-traffic approximation of the
 // G/G/1 mean wait: W ≈ ρ/(1−ρ) · (Ca²+Cs²)/2 · 1/µ.
+// The analytic tier calls it once per loaded port per estimate, so the
+// valid case is one comparison chain (NaN fails every comparison) and
+// the checks run only to name what is wrong.
 func KingmanGG1Wait(lambda, mu, ca2, cs2 float64) (float64, error) {
-	if err := checkStable(lambda, mu); err != nil {
-		return 0, err
-	}
-	if err := checkSCV(ca2); err != nil {
-		return 0, err
-	}
-	if err := checkSCV(cs2); err != nil {
-		return 0, err
+	if !(lambda > 0 && lambda < mu && mu <= math.MaxFloat64 &&
+		ca2 >= 0 && ca2 <= math.MaxFloat64 && cs2 >= 0 && cs2 <= math.MaxFloat64) {
+		if err := checkStable(lambda, mu); err != nil {
+			return 0, err
+		}
+		if err := checkSCV(ca2); err != nil {
+			return 0, err
+		}
+		return 0, checkSCV(cs2)
 	}
 	rho := lambda / mu
 	return rho / (1 - rho) * (ca2 + cs2) / 2 / mu, nil

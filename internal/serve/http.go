@@ -13,6 +13,7 @@ import (
 
 	"deepqueuenet/internal/analytic"
 	"deepqueuenet/internal/guard"
+	"deepqueuenet/internal/strictjson"
 )
 
 // HTTP API:
@@ -28,8 +29,9 @@ import (
 //
 //	queue full            429 + Retry-After (200 analytic under -brownout)
 //	draining              503 + Retry-After
-//	bad request           400 (malformed JSON, trailing data, bad params,
-//	                      unknown fidelity)
+//	bad request           400 (malformed JSON, trailing data, unknown,
+//	                      case-folded or repeated keys, escapes or
+//	                      null values, bad params, unknown fidelity)
 //	body too large        413 (Config.MaxBodyBytes)
 //	deadline exceeded     504
 //	canceled              499 (client closed request, nginx convention)
@@ -131,18 +133,28 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, id, err := s.SubmitJob(r.Context(), req)
+	// The header keys are written in canonical form (X-Dqn-…), which
+	// Header.Set keeps as given instead of rebuilding per response.
 	if id != "" {
-		w.Header().Set("X-DQN-Job", id)
+		w.Header().Set("X-Dqn-Job", id)
 	}
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("X-DQN-Fidelity", res.Fidelity)
-	if res.BreakerOpen || res.Mode == "degraded-fifo" {
-		w.Header().Set("X-DQN-Degraded", "breaker-open")
+	body, err := appendResult(make([]byte, 0, 512), res)
+	if err != nil {
+		// A non-finite statistic has no JSON form; writeJSON answers the
+		// same 500 for any other body.
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	h := w.Header()
+	h.Set("X-Dqn-Fidelity", res.Fidelity)
+	if res.BreakerOpen || res.Mode == "degraded-fifo" {
+		h.Set("X-Dqn-Degraded", "breaker-open")
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // handleJob serves GET /jobs/{id}: the durable record of one admitted
@@ -163,31 +175,70 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeRequest reads one Request from a size-capped body. A body over
-// Config.MaxBodyBytes maps to 413, malformed JSON, an unknown field or
-// trailing garbage after the object to 400: a misspelt field or a second
+// Config.MaxBodyBytes maps to 413, whatever its content; any body
+// parseRequest refuses maps to 400: a misspelt field or a second
 // document would otherwise be silently ignored, masking client bugs.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, int, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return nil, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
 		}
-		return nil, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+		return nil, http.StatusBadRequest, fmt.Errorf("reading request: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	req, err := parseRequest(data)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return req, 0, nil
+}
+
+// requestKeys are the wire fields of a Request.
+var requestKeys = []string{"topo", "sched", "traffic", "load", "duration", "seed",
+	"shards", "model", "timeout_ms", "fidelity"}
+
+// parseRequest decodes a POST /simulate body in one strict scan
+// (internal/strictjson): the object's keys must be Request's wire names,
+// each at most once and spelt exactly, with no escapes in keys or
+// strings, no null values and nothing but whitespace after the object.
+// Every body it accepts, encoding/json would decode to the same Request.
+func parseRequest(data []byte) (*Request, error) {
+	r := strictjson.NewReader(data)
+	req := new(Request)
+	err := r.Object(requestKeys, func(key string) (err error) {
+		switch key {
+		case "topo":
+			req.Topo, err = r.String()
+		case "sched":
+			req.Sched, err = r.String()
+		case "traffic":
+			req.Traffic, err = r.String()
+		case "load":
+			req.Load, err = r.Float()
+		case "duration":
+			req.Duration, err = r.Float()
+		case "seed":
+			req.Seed, err = r.Uint64()
+		case "shards":
+			req.Shards, err = r.Int()
+		case "model":
+			req.Model, err = r.String()
+		case "timeout_ms":
+			req.TimeoutMs, err = r.Int()
+		case "fidelity":
+			req.Fidelity, err = r.String()
 		}
-		return nil, http.StatusBadRequest, errors.New("request body has trailing data after the JSON object")
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
 	}
-	return &req, 0, nil
+	if r.End() != nil {
+		return nil, errors.New("request body has trailing data after the JSON object")
+	}
+	return req, nil
 }
 
 // kindFor labels a decode failure's error envelope.
@@ -303,6 +354,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, code, data)
+}
+
+// writeBody writes an encoded JSON response.
+func writeBody(w http.ResponseWriter, code int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if _, err := w.Write(data); err != nil {

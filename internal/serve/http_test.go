@@ -37,21 +37,27 @@ func TestBodyTooLargeIs413(t *testing.T) {
 	s := okServer(t, Config{MaxBodyBytes: 256})
 	h := s.Handler()
 
-	big := `{"topo":"line4","note":"` + strings.Repeat("x", 1024) + `"}`
-	rec := postSimBody(h, big)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413 (body %s)", rec.Code, rec.Body.String())
-	}
-	var eb errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
-		t.Fatal(err)
-	}
-	if eb.Kind != "too_large" {
-		t.Fatalf("kind = %q, want too_large", eb.Kind)
+	// The body is read whole before it is parsed, so an over-cap body is
+	// 413 whatever it holds, malformed JSON included.
+	for _, big := range []string{
+		`{"topo":"line4","note":"` + strings.Repeat("x", 1024) + `"}`,
+		strings.Repeat("a", 1024),
+	} {
+		rec := postSimBody(h, big)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized body: status %d, want 413 (body %s)", rec.Code, rec.Body.String())
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Kind != "too_large" {
+			t.Fatalf("kind = %q, want too_large", eb.Kind)
+		}
 	}
 
 	// A body under the cap still works.
-	rec = postSimBody(h, `{"topo":"line4"}`)
+	rec := postSimBody(h, `{"topo":"line4"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("small body: status %d, want 200 (body %s)", rec.Code, rec.Body.String())
 	}
@@ -86,24 +92,26 @@ func TestTrailingGarbageIs400(t *testing.T) {
 // TestUnknownFieldIs400: a misspelt field used to be dropped, so
 // {"laod":0.9} ran at the default load, and a client still sending the
 // retired "nosec" field silently got SEC. Both are 400 bad_request now,
-// refused before admission.
+// refused before admission, as is every body the strict reader refuses
+// that encoding/json would have accepted (strictnessSeeds).
 func TestUnknownFieldIs400(t *testing.T) {
 	s := okServer(t, Config{})
 	h := s.Handler()
-	for _, body := range []string{
-		`{"topo":"line4","laod":0.9}`,
-		`{"topo":"line4","nosec":true}`,
-	} {
-		rec := postSimBody(h, body)
+	cases := []struct{ body, want string }{
+		{`{"topo":"line4","laod":0.9}`, "unknown field"},
+		{`{"topo":"line4","nosec":true}`, "unknown field"},
+	}
+	for _, c := range append(cases, strictnessSeeds...) {
+		rec := postSimBody(h, c.body)
 		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("body %s: status %d, want 400 (body %s)", body, rec.Code, rec.Body.String())
+			t.Fatalf("body %s: status %d, want 400 (body %s)", c.body, rec.Code, rec.Body.String())
 		}
 		var eb errorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 			t.Fatal(err)
 		}
-		if eb.Kind != "bad_request" || !strings.Contains(eb.Error, "unknown field") {
-			t.Fatalf("body %s: error body %+v, want kind bad_request naming the unknown field", body, eb)
+		if eb.Kind != "bad_request" || !strings.Contains(eb.Error, c.want) {
+			t.Fatalf("body %s: error body %+v, want kind bad_request containing %q", c.body, eb, c.want)
 		}
 	}
 	if st := s.Snapshot(); st.Received != 0 {

@@ -1,12 +1,14 @@
-// Package strictjson is the reader of the JSON model files: the PTM
-// device models and the nn networks inside them. It makes one scan over
-// the bytes, uses no reflection and builds no intermediate values; a
-// decoder walks its fixed schema with Object, Array, Floats, Float, Int
-// and String, then calls End.
+// Package strictjson is the reader of model files and request bodies:
+// the PTM device models and the nn networks inside them, and the
+// serving API's POST /simulate bodies. It makes one scan over the bytes,
+// uses no reflection and builds no intermediate values; a decoder walks
+// its fixed schema with Object, Array, Floats, Float, Int, Uint64 and
+// String, then calls End.
 //
 // It accepts a subset of JSON — everything encoding/json's Marshal
-// writes for these files — and decodes every value it accepts exactly as
-// encoding/json does. It is deliberately stricter than encoding/json:
+// writes for these documents — and decodes every value it accepts
+// exactly as encoding/json does. It is deliberately stricter than
+// encoding/json:
 //
 //   - bytes other than whitespace after the document are rejected;
 //   - object keys must match exactly (no case folding), at most once;
@@ -15,8 +17,8 @@
 //     the decoder asks for it with Null.
 //
 // A number must match the JSON number grammar; its literal then goes
-// straight to strconv.ParseFloat or strconv.Atoi, the conversions
-// encoding/json itself uses, so it decodes to the same bits.
+// straight to strconv.ParseFloat, strconv.Atoi or strconv.ParseUint, the
+// conversions encoding/json itself uses, so it decodes to the same bits.
 package strictjson
 
 import (
@@ -169,18 +171,38 @@ func (r *Reader) Float() (float64, error) {
 // Int reads a number with neither a fraction nor an exponent that fits an
 // int.
 func (r *Reader) Int() (int, error) {
-	lit, integral, err := r.number()
+	lit, err := r.integer()
 	if err != nil {
 		return 0, err
-	}
-	if !integral {
-		return 0, r.errorf("number %s is not an integer", lit)
 	}
 	v, err := strconv.Atoi(lit)
 	if err != nil {
 		return 0, r.errorf("number %s out of range", lit)
 	}
 	return v, nil
+}
+
+// Uint64 reads a number with neither a fraction nor an exponent that fits
+// a uint64. A minus sign is out of range, even on zero.
+func (r *Reader) Uint64() (uint64, error) {
+	lit, err := r.integer()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseUint(lit, 10, 64)
+	if err != nil {
+		return 0, r.errorf("number %s out of range", lit)
+	}
+	return v, nil
+}
+
+// integer scans a number literal with neither a fraction nor an exponent.
+func (r *Reader) integer() (string, error) {
+	lit, integral, err := r.number()
+	if err == nil && !integral {
+		err = r.errorf("number %s is not an integer", lit)
+	}
+	return lit, err
 }
 
 // String reads a string with no escapes.

@@ -52,6 +52,31 @@ func TestInt(t *testing.T) {
 	}
 }
 
+// TestUint64MatchesEncodingJSON compares uint64 literals against
+// encoding/json: every literal the reader accepts decodes to the same
+// value, and every literal it rejects encoding/json rejects too.
+func TestUint64MatchesEncodingJSON(t *testing.T) {
+	for _, lit := range []string{
+		"0", "1", "42", "9223372036854775808", "18446744073709551615",
+		// Rejected by both.
+		"-0", "-1", "18446744073709551616", "1.0", "1e2", "01", "+1", `"1"`, "true",
+	} {
+		var want uint64
+		werr := json.Unmarshal([]byte(lit), &want)
+		r := NewReader([]byte(lit))
+		got, err := r.Uint64()
+		if err == nil {
+			err = r.End()
+		}
+		switch {
+		case (err == nil) != (werr == nil):
+			t.Errorf("%s: strict err %v, encoding/json err %v", lit, err, werr)
+		case err == nil && got != want:
+			t.Errorf("%s: strict %d, encoding/json %d", lit, got, want)
+		}
+	}
+}
+
 // readPoint decodes {"x":<int>,"name":<string>} for the object tests.
 func readPoint(doc string) (x int, name string, err error) {
 	r := NewReader([]byte(doc))

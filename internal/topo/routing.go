@@ -39,7 +39,10 @@ type fwdEntry struct {
 // Lookup, so callers that only read legs (the analytic tier, the
 // engine) never pay for them. It is safe for concurrent use.
 type Routing struct {
-	g       *Graph
+	g *Graph
+	// from is the first element of the flow slice Route was given, so
+	// RoutedFrom can recognize that slice in O(1).
+	from    *FlowDef
 	flowIDs []int
 	// byID lists flow positions in ascending flow-ID order.
 	byID []int32
@@ -58,6 +61,14 @@ type Routing struct {
 
 // Graph returns the graph the routes were computed on.
 func (rt *Routing) Graph() *Graph { return rt.g }
+
+// RoutedFrom reports whether flows is the very slice Route was given —
+// same backing array, same length — so that flows[i] is the flow at
+// position i of Forward and Echo. It costs O(1): callers that hold the
+// routed slice resolve flows by position instead of by FlowIndex.
+func (rt *Routing) RoutedFrom(flows []FlowDef) bool {
+	return len(flows) == len(rt.flowIDs) && (len(flows) == 0 || &flows[0] == rt.from)
+}
 
 // FlowIndex returns the position of flowID in the flow set Route was
 // given, or -1 when the flow was not routed.
@@ -138,6 +149,9 @@ func (g *Graph) Route(flows []FlowDef) (*Routing, error) {
 	nf := len(flows)
 	slab := make([]int32, nf+(2*nf+1)+2*steps)
 	rt := &Routing{g: g, flowIDs: make([]int, nf)}
+	if nf > 0 {
+		rt.from = &flows[0]
+	}
 	rt.byID, slab = slab[:nf], slab[nf:]
 	rt.legOff, slab = slab[:2*nf+1], slab[2*nf+1:]
 	rt.nodes, rt.ports = slab[:steps], slab[steps:]
@@ -178,7 +192,10 @@ func (g *Graph) walk(fb *fabric, flowID, src, dst int, rt *Routing, at int32) in
 	row := dst * fb.n
 	for cur := src; cur != dst; at++ {
 		lo, hi := fb.candOff[row+cur], fb.candOff[row+cur+1]
-		pick := fb.cands[lo+int32(ecmpHash(flowID, cur)%uint64(hi-lo))]
+		if hi-lo > 1 {
+			lo += int32(ecmpHash(flowID, cur) % uint64(hi-lo))
+		}
+		pick := fb.cands[lo]
 		rt.nodes[at], rt.ports[at] = int32(cur), pick
 		cur = g.Ports[cur][pick].Peer
 	}
@@ -200,7 +217,9 @@ func (g *Graph) inPortAt(leg Leg, i int) int {
 // but with a different egress port — possible only on pathological
 // odd-cycle routings. Route fails loudly rather than silently misroute
 // one leg. (Within one leg a node never repeats, and flow IDs are
-// distinct, so no other pair of entries can collide.)
+// distinct, so no other pair of entries can collide.) Two legs enter a
+// node through the same port exactly when they arrive from the same
+// node's same egress port, or both start there.
 func (g *Graph) echoConflict(flowID int, fwd, echo Leg) error {
 	for j, pick := range echo.Ports {
 		cur := echo.Nodes[j]
@@ -208,13 +227,16 @@ func (g *Graph) echoConflict(flowID int, fwd, echo Leg) error {
 			continue
 		}
 		for i, prev := range fwd.Ports {
-			if fwd.Nodes[i] != cur || prev == pick {
+			if fwd.Nodes[i] != cur {
 				continue
 			}
-			if inPort := g.inPortAt(echo, j); inPort == g.inPortAt(fwd, i) {
+			sameIn := i == 0 && j == 0 ||
+				i > 0 && j > 0 && fwd.Nodes[i-1] == echo.Nodes[j-1] && fwd.Ports[i-1] == echo.Ports[j-1]
+			if prev != pick && sameIn {
 				return fmt.Errorf("topo: flow %d: conflicting forwarding entries at node %d in-port %d (%d vs %d)",
-					flowID, cur, inPort, prev, pick)
+					flowID, cur, g.inPortAt(echo, j), prev, pick)
 			}
+			break // the forward leg visits cur once
 		}
 	}
 	return nil

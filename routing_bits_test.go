@@ -33,6 +33,7 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/analytic"
+	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/experiments"
 )
 
@@ -139,15 +140,23 @@ func computeRoutingBits(t *testing.T, topoName string, seed uint64) routingBits 
 			continue
 		}
 		eb := estimateBits{MeanBits: bitsHex(est.MeanRTTSec), P99Bits: bitsHex(est.P99RTTSec)}
+		// Permutation flows have one flow per source host, so every host
+		// pair is its own path: digest them in key order.
+		byKey := make(map[string]*analytic.PathEstimate, len(est.Paths))
 		keys := make([]string, 0, len(est.Paths))
-		for k := range est.Paths {
+		for i := range est.Paths {
+			k := des.PathKey(est.Paths[i].Src, est.Paths[i].Dst)
+			if byKey[k] != nil {
+				t.Fatalf("%s seed %d: two flows on host pair %s", topoName, seed, k)
+			}
+			byKey[k] = &est.Paths[i]
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		ph := newBitsHasher()
 		for _, k := range keys {
-			p := est.Paths[k]
-			ph.h.Write([]byte(p.Key))
+			p := byKey[k]
+			ph.h.Write([]byte(k))
 			ph.u64(uint64(p.Hops))
 			for _, v := range []float64{p.MeanFwdSec, p.MeanRTTSec, p.P99RTTSec, p.WaitRTTSec, p.WaitVarSec2, p.DetRTTSec} {
 				ph.f64(v)
@@ -157,7 +166,7 @@ func computeRoutingBits(t *testing.T, topoName string, seed uint64) routingBits 
 		qh := newBitsHasher()
 		qh.f64(est.MaxRho)
 		qh.f64(est.MaxBlocking)
-		for _, pl := range est.Ports {
+		for _, pl := range est.Ports() {
 			qh.u64(uint64(pl.Node))
 			qh.u64(uint64(pl.Port))
 			qh.u64(uint64(pl.Flows))
