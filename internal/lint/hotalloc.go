@@ -9,8 +9,8 @@ import (
 
 // HotAlloc is the static form of the PR 3 AllocsPerRun pins: no
 // allocation site may be reachable from the steady-state inference
-// roots — PTM.PredictStreamInto / PTM.PredictDevice, the networks'
-// Infer (exact and quantized) and the tensor Into-kernels. The call
+// roots — PTM.PredictDevice, the networks' Infer (exact and quantized)
+// and the tensor Into-kernels. The call
 // graph is followed through module interfaces (the nn layer dispatch), panic
 // arguments are exempt (failure paths may format errors), and an
 // //dqnlint:allow hotalloc directive on a call site prunes that edge
@@ -24,9 +24,8 @@ var HotAlloc = &Analyzer{
 // hotRootNames are function names that anchor the zero-alloc closure
 // wherever they are declared (the PR 3/PR 4 steady-state entry points).
 var hotRootNames = map[string]bool{
-	"PredictStreamInto": true,
-	"PredictDevice":     true,
-	"Infer":             true,
+	"PredictDevice": true,
+	"Infer":         true,
 }
 
 // hotRoots collects the closure roots: the named prediction entry

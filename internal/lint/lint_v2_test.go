@@ -25,7 +25,7 @@ var v2Cases = []v2Case{
 		pkgDir:   "internal/core",
 		bad: `package core
 
-func PredictStreamInto(dst []int) []int {
+func PredictDevice(dst []int) []int {
 	return grow(dst)
 }
 
@@ -35,7 +35,7 @@ func grow(dst []int) []int {
 `,
 		allowed: `package core
 
-func PredictStreamInto(dst []int) []int {
+func PredictDevice(dst []int) []int {
 	return grow(dst)
 }
 

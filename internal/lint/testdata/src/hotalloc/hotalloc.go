@@ -1,5 +1,5 @@
 // Package hotalloc is the golden fixture for the hot-path allocation
-// analyzer: PredictStreamInto anchors the closure, helpers reached from
+// analyzer: PredictDevice anchors the closure, helpers reached from
 // it must be allocation-free, interface dispatch is expanded, panic
 // arguments and allow-pruned edges are exempt.
 package hotalloc
@@ -22,8 +22,8 @@ func (b *boxer) consume(x float64) {
 
 var global sink = &adder{}
 
-// PredictStreamInto is a hot-path root by name.
-func PredictStreamInto(dst []float64, xs []float64) []float64 {
+// PredictDevice is a hot-path root by name.
+func PredictDevice(dst []float64, xs []float64) []float64 {
 	buf := make([]float64, len(xs)) // want "make allocates"
 	for i, x := range xs {
 		buf[i] = x

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"deepqueuenet/internal/rng"
@@ -70,5 +71,41 @@ func BenchmarkMatMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.MatMul(a, c)
+	}
+}
+
+// BenchmarkGatesInto times one LSTM gate step at the trained model's
+// widths: H = 16 (whole 4-lane groups) and H = 10 (a 2-element tail in
+// each of the three slice calls). "narrow" pre-activations keep every
+// |z| below tanh's 0.625 branch point; "wide" ones send most groups
+// through the exp branch.
+func BenchmarkGatesInto(b *testing.B) {
+	for _, H := range []int{16, 10} {
+		for _, in := range []struct {
+			name  string
+			scale float64
+		}{{"narrow", 0.5}, {"wide", 4}} {
+			b.Run(fmt.Sprintf("H=%d/%s", H, in.name), func(b *testing.B) {
+				r := rng.New(4)
+				zr0 := make([]float64, 4*H)
+				bias := make([]float64, 4*H)
+				c0 := make([]float64, H)
+				for j := range zr0 {
+					zr0[j] = r.Uniform(-in.scale, in.scale)
+				}
+				for k := range c0 {
+					c0[k] = r.Uniform(-in.scale, in.scale)
+				}
+				zr := make([]float64, 4*H)
+				c := make([]float64, H)
+				h := make([]float64, H)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(zr, zr0)
+					copy(c, c0)
+					GatesInto(zr, bias, c, h)
+				}
+			})
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"sync"
 
 	"deepqueuenet/internal/atomicfile"
@@ -531,42 +530,4 @@ func (p *PTM) WithoutSEC() *PTM {
 	c.SECBins = nil
 	c.sess = nil
 	return &c
-}
-
-// PredictStreams runs PredictStream over several independent streams in
-// parallel (one worker per stream up to GOMAXPROCS).
-func (p *PTM) PredictStreams(streams [][]PacketIn, kind des.SchedKind, rateBps float64) [][]float64 {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(streams) {
-		workers = len(streams)
-	}
-	out := make([][]float64, len(streams))
-	if workers <= 1 {
-		for i, s := range streams {
-			out[i] = p.PredictStream(s, kind, rateBps, 1)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	panics := make([]*guard.WorkerError, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if we := guard.RecoveredWorker(w, recover()); we != nil {
-					panics[w] = we
-				}
-			}()
-			rep := p.Clone()
-			for i := w; i < len(streams); i += workers {
-				out[i] = rep.PredictStream(streams[i], kind, rateBps, 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	// A worker panic re-surfaces on this (the caller's) goroutine, where
-	// the IRSA shard guard can recover it into a ShardError.
-	guard.RethrowWorkers(panics)
-	return out
 }

@@ -325,36 +325,3 @@ func TestTargetTransformRoundTrip(t *testing.T) {
 		t.Fatal("inverse below tx should clamp")
 	}
 }
-
-func TestPredictStreamsParallelMatchesSerial(t *testing.T) {
-	p, err := New(Arch{TimeSteps: 4, Embed: 6, BLSTM1: 4, BLSTM2: 4, Heads: 1, DK: 2, DV: 2, HeadOut: 4}, 2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Feat = &MinMax{Min: make([]float64, NumFeatures), Max: make([]float64, NumFeatures)}
-	for i := range p.Feat.Max {
-		p.Feat.Max[i] = 1
-	}
-	p.TargetMax = 1
-	r := rng.New(13)
-	streams := make([][]PacketIn, 9)
-	for i := range streams {
-		n := 5 + r.Intn(20)
-		s := make([]PacketIn, n)
-		tm := 0.0
-		for j := range s {
-			tm += r.Exp(1e5)
-			s[j] = PacketIn{Arrive: tm, Size: 64 + r.Intn(1400), InPort: r.Intn(2)}
-		}
-		streams[i] = s
-	}
-	par := p.PredictStreams(streams, des.FIFO, 1e9)
-	for i, s := range streams {
-		ser := p.PredictStream(s, des.FIFO, 1e9, 1)
-		for j := range ser {
-			if par[i][j] != ser[j] {
-				t.Fatalf("stream %d pkt %d: %v vs %v", i, j, par[i][j], ser[j])
-			}
-		}
-	}
-}

@@ -11,7 +11,7 @@ import (
 // tensor arena and weight packs behind the network's cache-free Infer
 // path. All of it is grow-only, so once a session has seen its largest
 // stream, every further prediction runs with zero heap allocations
-// (pinned by TestPredictStreamIntoZeroAllocs).
+// (pinned by TestPredictDeviceZeroAllocs).
 //
 // A session is not goroutine-safe; it is owned by one *PTM and used by
 // its single-threaded prediction paths. Shard-parallel callers give
@@ -45,7 +45,7 @@ func newSession(timeSteps int, quant bool) *session {
 // large enough.
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		//dqnlint:allow hotalloc grow-only: reallocates only when a stream outgrows every prior one; steady state reuses the backing array (pinned by TestPredictStreamIntoZeroAllocs)
+		//dqnlint:allow hotalloc grow-only: reallocates only when a stream outgrows every prior one; steady state reuses the backing array (pinned by TestPredictDeviceZeroAllocs)
 		return make([]float64, n)
 	}
 	return buf[:n]
@@ -126,20 +126,6 @@ func (p *PTM) getSession() *session {
 		p.sess = newSession(p.TimeSteps, p.qnet != nil)
 	}
 	return p.sess
-}
-
-// PredictStreamInto is PredictStream with caller-owned output storage:
-// predictions for stream are written into dst (grown if needed) and the
-// n-length prediction slice is returned. Repeated calls on streams no
-// longer than the largest seen reuse every internal buffer and perform
-// zero heap allocations. Like PredictStream, it is not goroutine-safe.
-func (p *PTM) PredictStreamInto(dst []float64, stream []PacketIn, kind des.SchedKind, rateBps float64) []float64 {
-	if len(stream) == 0 {
-		return dst[:0]
-	}
-	dst = growFloats(dst, len(stream))
-	p.predictInto(p.getSession(), dst, stream, kind, rateBps)
-	return dst
 }
 
 // PortStream is one egress port's inference batch inside PredictDevice:

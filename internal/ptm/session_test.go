@@ -69,12 +69,12 @@ func forwardReference(p *PTM, stream []PacketIn, kind des.SchedKind, rateBps flo
 	return out
 }
 
-// TestPredictStreamMatchesForwardReference: every prediction path —
-// the session path, the chunk-parallel path, the caller-owned-storage
-// path — asks the network only for the rows it consumes and must still
-// produce the reference's sojourns bit for bit, exact and quantized, at
-// every stream length from one packet to past three windows (short
-// streams, the anchored final chunk, every Lo/Hi the tiling produces).
+// TestPredictStreamMatchesForwardReference: both prediction paths —
+// the session path and the chunk-parallel path — ask the network only
+// for the rows they consume and must still produce the reference's
+// sojourns bit for bit, exact and quantized, at every stream length
+// from one packet to past three windows (short streams, the anchored
+// final chunk, every Lo/Hi the tiling produces).
 // Lengths run downwards so stale-buffer reuse would be caught.
 func TestPredictStreamMatchesForwardReference(t *testing.T) {
 	for _, quant := range []bool{false, true} {
@@ -84,7 +84,6 @@ func TestPredictStreamMatchesForwardReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var dst []float64
 		for n := 3*p.TimeSteps + 1; n >= 1; n-- {
 			stream := testStream(n, 50+uint64(n))
 			want := forwardReference(p, stream, des.WFQ, 10e9)
@@ -93,8 +92,6 @@ func TestPredictStreamMatchesForwardReference(t *testing.T) {
 				got := p.PredictStream(stream, des.WFQ, 10e9, workers)
 				sojournsBitsEqual(t, fmt.Sprintf("%s PredictStream(workers=%d)", label, workers), got, want)
 			}
-			dst = p.PredictStreamInto(dst, stream, des.WFQ, 10e9)
-			sojournsBitsEqual(t, label+" PredictStreamInto", dst, want)
 		}
 	}
 }
@@ -120,23 +117,6 @@ func TestPredictDeviceMatchesPerPort(t *testing.T) {
 			continue
 		}
 		sojournsBitsEqual(t, "PredictDevice", ports[i].Out, want)
-	}
-}
-
-// TestPredictStreamIntoZeroAllocs pins the steady-state allocation
-// count of the per-window inference path at exactly zero: one warmed
-// session must serve repeated streams entirely from reused buffers.
-// (testing.AllocsPerRun runs one warm-up call before measuring, which
-// is what grows the arena and flat buffers to peak demand.)
-func TestPredictStreamIntoZeroAllocs(t *testing.T) {
-	p := sessionModel(t)
-	stream := testStream(150, 9)
-	dst := make([]float64, len(stream))
-	allocs := testing.AllocsPerRun(10, func() {
-		dst = p.PredictStreamInto(dst, stream, des.FIFO, 10e9)
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictStreamInto allocated %.0f times per stream; want 0", allocs)
 	}
 }
 
@@ -180,9 +160,9 @@ func TestPredictDeviceZeroAllocs(t *testing.T) {
 // clone must start without one or two goroutines would share an arena.
 func TestCloneDoesNotShareSession(t *testing.T) {
 	p := sessionModel(t)
-	p.PredictStreamInto(nil, testStream(10, 6), des.FIFO, 10e9)
+	p.PredictStream(testStream(10, 6), des.FIFO, 10e9, 1)
 	if p.sess == nil {
-		t.Fatal("expected a session after PredictStreamInto")
+		t.Fatal("expected a session after PredictStream")
 	}
 	c := p.Clone()
 	if c.sess != nil {
@@ -190,17 +170,5 @@ func TestCloneDoesNotShareSession(t *testing.T) {
 	}
 	if p.WithoutSEC().sess != nil {
 		t.Fatal("WithoutSEC shared the inference session")
-	}
-}
-
-// TestPredictStreamsMatchesSequential: the stream-parallel API must
-// match per-stream sequential prediction bitwise.
-func TestPredictStreamsMatchesSequential(t *testing.T) {
-	p := sessionModel(t)
-	streams := [][]PacketIn{testStream(60, 1), testStream(45, 2), testStream(90, 3), testStream(12, 4)}
-	got := p.PredictStreams(streams, des.FIFO, 10e9)
-	ref := sessionModel(t)
-	for i, s := range streams {
-		sojournsBitsEqual(t, "PredictStreams", got[i], ref.PredictStream(s, des.FIFO, 10e9, 1))
 	}
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -60,6 +61,46 @@ func FuzzMatMulKernels(f *testing.F) {
 					t.Fatalf("asm=%v MatMulTInto elem %d: got %v want %v", asm, i, gotT.Data[i], wantT.Data[i])
 				}
 			}
+		}
+	})
+}
+
+// FuzzSliceTranscendentals feeds raw float64 bit patterns — 1 to 11 of
+// them, eight little-endian bytes each, so every NaN payload, subnormal
+// and boundary neighbour is reachable — through ExpSlice, SigmoidSlice
+// and TanhSlice with the vector kernels on and off. Every lane must
+// carry exactly the bits of math.Exp, Sigmoid and math.Tanh: whole
+// 4-lane groups, the gathered tail group, tanh groups that skip the
+// exp branch and the scalar fallback behind an unsafe exp lane alike.
+func FuzzSliceTranscendentals(f *testing.F) {
+	raw := func(xs ...float64) []byte {
+		b := make([]byte, 0, 8*len(xs))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(raw(0.5))
+	f.Add(raw(0.1, -0.2, 0.3, 0.7, 750))
+	f.Add(raw(0, math.Copysign(0, -1), math.NaN(), 5e-324, math.Nextafter(0.625, 0), -0.625))
+	f.Add(raw(1, -1, 0.25, 705, -0.5, 44.02, math.Inf(-1)))
+	f.Add(raw(0.2, 0.2, 0.2, 0.2, -3, 0.2, 0.2, 0.2, -709.78, 0.625, 1e-310))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/8, 11)
+		if n == 0 {
+			return
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		for _, vec := range []bool{false, true} {
+			func() {
+				defer tensor.SetVecKernels(tensor.SetVecKernels(vec))
+				for _, op := range transcendOps {
+					checkScalarBits(t, op.name, op.slice, op.scalar, xs)
+				}
+			}()
 		}
 	})
 }

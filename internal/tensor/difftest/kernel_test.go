@@ -217,6 +217,38 @@ func TestKernelsExhaustiveSmallShapes(t *testing.T) {
 	})
 }
 
+// TestAddVecMatPanelBlocks sweeps the recurrence row update over
+// N = 8·p + r for p = 1…9 and r = 0…7 at several depths, so the
+// assembly kernel's four-panel loop, its one-panel rest and the Go
+// column tail all run, alone and together (the exhaustive sweep above
+// stops at N = 17, below one four-panel block).
+func TestAddVecMatPanelBlocks(t *testing.T) {
+	withBackends(t, func(t *testing.T) {
+		r := rng.New(505)
+		for _, k := range []int{0, 1, 2, 5, 10, 16} {
+			for p := 1; p <= 9; p++ {
+				for rem := 0; rem < 8; rem++ {
+					n := 8*p + rem
+					w := tensor.New(k, n)
+					fillRand(r, w, p%3 == 0)
+					h := make([]float64, k)
+					for i := range h {
+						h[i] = r.Uniform(-2, 2)
+					}
+					dst := make([]float64, n)
+					for i := range dst {
+						dst[i] = r.Uniform(-2, 2)
+					}
+					want := append([]float64(nil), dst...)
+					RefAddVecMat(want, h, w)
+					tensor.AddVecMatInto(dst, h, w)
+					bitsEqualSlice(t, fmt.Sprintf("AddVecMatInto k=%d n=%d", k, n), dst, want)
+				}
+			}
+		}
+	})
+}
+
 // TestKernelsRandomLargeShapes drives randomized larger shapes — deep
 // enough to cross several panels and row blocks — with special values
 // (NaN, ±Inf, denormals, -0) sprinkled in.

@@ -72,33 +72,106 @@ func TestSliceTranscendentalsBitIdentical(t *testing.T) {
 // windows that put each special value (out-of-range exp arguments, NaN,
 // infinities, signed zero, denormals) into the remainder positions and
 // into the groups before them. The hidden width of the trained model's
-// second BLSTM (10) lives in this range, so however the remainder is
-// computed (scalar calls today; EXPERIMENTS.md records two vector
-// variants that measured slower end to end) it must match the scalar
-// functions bit for bit under every asm × vec combination.
+// second BLSTM (10) lives in this range, so the kernels' gathered tail
+// group (and the scalar fallback behind an unsafe tail lane) must match
+// the scalar functions bit for bit under every asm × vec combination.
 func TestSliceTranscendentalsShortLengths(t *testing.T) {
 	all := transcendInputs()
 	xs := all[len(all)-64:] // the specials and the random values before them
-	ops := []struct {
-		name   string
-		slice  func(dst, x []float64)
-		scalar func(float64) float64
-	}{
-		{"ExpSlice", tensor.ExpSlice, math.Exp},
-		{"SigmoidSlice", tensor.SigmoidSlice, tensor.Sigmoid},
-		{"TanhSlice", tensor.TanhSlice, math.Tanh},
-	}
 	withBackends(t, func(t *testing.T) {
 		for n := 1; n <= 11; n++ {
-			dst := make([]float64, n)
 			for start := 0; start+n <= len(xs); start++ {
-				in := xs[start : start+n]
-				for _, op := range ops {
-					op.slice(dst, in)
-					for i, x := range in {
-						if want := op.scalar(x); math.Float64bits(dst[i]) != math.Float64bits(want) {
-							t.Fatalf("%s len %d lane %d (%g): got %#016x want %#016x",
-								op.name, n, i, x, math.Float64bits(dst[i]), math.Float64bits(want))
+				for _, op := range transcendOps {
+					checkScalarBits(t, op.name, op.slice, op.scalar, xs[start:start+n])
+				}
+			}
+		}
+	})
+}
+
+// transcendOps are the slice transcendentals with their scalar twins.
+var transcendOps = []struct {
+	name   string
+	slice  func(dst, x []float64)
+	scalar func(float64) float64
+}{
+	{"ExpSlice", tensor.ExpSlice, math.Exp},
+	{"SigmoidSlice", tensor.SigmoidSlice, tensor.Sigmoid},
+	{"TanhSlice", tensor.TanhSlice, math.Tanh},
+}
+
+// checkScalarBits runs slice on in and asserts every lane has exactly
+// the bits of scalar on it.
+func checkScalarBits(t *testing.T, name string, slice func(dst, x []float64), scalar func(float64) float64, in []float64) {
+	t.Helper()
+	dst := make([]float64, len(in))
+	slice(dst, in)
+	for i, x := range in {
+		if want := scalar(x); math.Float64bits(dst[i]) != math.Float64bits(want) {
+			t.Fatalf("%s len %d lane %d (%g, %#016x): got %#016x want %#016x",
+				name, len(in), i, x, math.Float64bits(x), math.Float64bits(dst[i]), math.Float64bits(want))
+		}
+	}
+}
+
+// TestTanhExpBranchPruning pins the vector tanh's group-level skip of
+// its exp branch. Groups where exactly one lane has |x| ≥ 0.625 (at
+// each of the four lane positions, including the ±1 saturation, ±Inf
+// and the 0.625 boundary itself) must still take that branch for that
+// lane; groups where no lane does — built from ±0, NaN, subnormals,
+// the largest value below 0.625 and ordinary small values — skip it
+// and must still match math.Tanh bit for bit. The groups run back to
+// back in one slice, so a group that skips follows one that did not
+// and vice versa, and each below-threshold group also runs as a 1–3
+// element tail.
+func TestTanhExpBranchPruning(t *testing.T) {
+	below := math.Nextafter(0.625, 0)
+	small := []float64{0, math.Copysign(0, -1), math.NaN(), 5e-324, -5e-324, 1e-310,
+		-2.2250738585072014e-308, below, -below, 0.3}
+	large := []float64{0.625, -0.625, math.Nextafter(0.625, 1), 1.5, -3, 20,
+		44.014845965556524, 44.02, -50, 1e308, math.Inf(1), math.Inf(-1)}
+	var oneLarge, allSmall []float64
+	for pos := 0; pos < 4; pos++ {
+		for i, big := range large {
+			g := [4]float64{0.1, -0.2, small[i%len(small)], 0.4}
+			g[pos] = big
+			oneLarge = append(oneLarge, g[:]...)
+			// and an all-below group after it
+			oneLarge = append(oneLarge, small[(i+pos)%len(small)], 0.2, -0.4, below)
+		}
+	}
+	n := len(small)
+	for i := 0; i < n*n*n*n; i++ {
+		allSmall = append(allSmall, small[i%n], small[i/n%n], small[i/(n*n)%n], small[i/(n*n*n)])
+	}
+	withBackends(t, func(t *testing.T) {
+		checkScalarBits(t, "TanhSlice one lane ≥ 0.625", tensor.TanhSlice, math.Tanh, oneLarge)
+		checkScalarBits(t, "TanhSlice all lanes < 0.625", tensor.TanhSlice, math.Tanh, allSmall)
+		for g := 0; g < len(allSmall); g += 4 {
+			for r := 1; r <= 3; r++ {
+				checkScalarBits(t, "TanhSlice tail < 0.625", tensor.TanhSlice, math.Tanh, allSmall[g:g+r])
+			}
+		}
+	})
+}
+
+// TestSliceTailBehindUnsafeGroup: a 1–3 element tail after a full group
+// holding one lane outside the exp kernels' |x| ≤ 704 range. The
+// kernel stops on that group, the wrapper takes it scalar and resumes
+// the vector path on the tail, which may itself hold an unsafe lane.
+func TestSliceTailBehindUnsafeGroup(t *testing.T) {
+	unsafe := []float64{750, -750, 709.78, -745.1, 704.0001, math.Inf(1), math.Inf(-1), math.NaN(), 1e308}
+	tails := []float64{0.5, -2, 705, math.NaN(), math.Copysign(0, -1), 30, 0.5, -705}
+	withBackends(t, func(t *testing.T) {
+		for _, op := range transcendOps[:2] { // Exp and Sigmoid: the kernels with an unsafe range
+			for _, u := range unsafe {
+				for pos := 0; pos < 4; pos++ {
+					group := []float64{1, -1, 0.25, -700}
+					group[pos] = u
+					for r := 1; r <= 3; r++ {
+						for s := 0; s+r <= len(tails); s++ {
+							in := append(group[:4:4], tails[s:s+r]...)
+							checkScalarBits(t, op.name, op.slice, op.scalar, in)
 						}
 					}
 				}

@@ -124,6 +124,12 @@ done1:
 // dst[0:npanels*8] += sum_k h[k]*w[k][0:npanels*8] — the beta = 1 row
 // update of the LSTM recurrence, reading w (row-major, stride wStride)
 // directly without packing. k ascending per element.
+//
+// Each k pass feeds four 8-wide panels at once: eight independent
+// accumulator chains, so the loop is bound by load and multiply
+// throughput instead of one panel's VADDPD latency. The one-panel loop
+// finishes the npanels % 4 rest. Every element still sees VMULPD then
+// VADDPD per term in ascending k, so the blocking changes no bit.
 TEXT ·axpyN8(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ h+8(FP), SI
@@ -133,6 +139,60 @@ TEXT ·axpyN8(SB), NOSPLIT, $0-48
 	MOVQ npanels+40(FP), R9
 
 	SHLQ $3, R8 // stride in bytes
+
+quadloop:
+	CMPQ R9, $4
+	JLT  panelloop
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+
+	MOVQ DX, R10 // w column base for these four panels
+	XORQ BX, BX
+
+qkloop:
+	CMPQ BX, CX
+	JGE  qkdone
+	VBROADCASTSD (SI)(BX*8), Y10
+	VMULPD (R10), Y10, Y8
+	VADDPD Y8, Y0, Y0
+	VMULPD 32(R10), Y10, Y9
+	VADDPD Y9, Y1, Y1
+	VMULPD 64(R10), Y10, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(R10), Y10, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(R10), Y10, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD 160(R10), Y10, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD 192(R10), Y10, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD 224(R10), Y10, Y8
+	VADDPD Y8, Y7, Y7
+	ADDQ R8, R10
+	INCQ BX
+	JMP  qkloop
+
+qkdone:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $4, R9
+	JMP  quadloop
 
 panelloop:
 	CMPQ R9, $0

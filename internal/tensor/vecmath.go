@@ -10,7 +10,9 @@ import "math"
 // They are the hot-path form used by the fused activation kernels, the
 // LSTM gate kernel and SoftmaxRows — after the blocked GEMM work, the
 // exact inference path spends most of its time in exp/tanh, and these
-// recover most of it without giving up bit-identity.
+// recover most of it without giving up bit-identity. The kernels run a
+// 1–3 element tail as one more 4-lane group, so the gate widths that
+// are not a multiple of 4 (the second BLSTM's 10) stay vectorized.
 //
 // dst and x must have equal length; dst may alias x exactly (each
 // 4-lane group is read in full before it is written).
@@ -42,7 +44,7 @@ func ExpSlice(dst, x []float64) {
 	for useVecKernels {
 		i += vexpblk(dst[i:], x[i:])
 		if len(x)-i < 4 {
-			break
+			break // done, or a tail group the kernel left to the scalar loop
 		}
 		// The kernel stopped on a group with a lane outside its safe
 		// range: take those four scalar, then resume the vector loop.
@@ -76,11 +78,11 @@ func SigmoidSlice(dst, x []float64) {
 // TanhSlice computes dst[i] = math.Tanh(x[i]).
 func TanhSlice(dst, x []float64) {
 	checkSliceLens("TanhSlice", dst, x)
-	i := 0
 	if useVecKernels {
-		i = vtanhblk(dst, x)
+		vtanhblk(dst, x)
+		return
 	}
-	for ; i < len(x); i++ {
-		dst[i] = math.Tanh(x[i])
+	for i, v := range x {
+		dst[i] = math.Tanh(v)
 	}
 }

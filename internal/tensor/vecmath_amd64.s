@@ -26,11 +26,12 @@
 // ±1 beyond. The Go compiler never fuses mul+add on amd64, so the
 // polynomial's float expression tree maps onto discrete VMULPD/VADDPD/
 // VDIVPD with identical per-op rounding, and the branches become lane
-// blends: both sides are computed for every lane and VBLENDVPD picks
-// the one the scalar code would have taken (garbage in a lane that is
-// blended away is harmless — SIMD FP faults are masked). tanh is total,
-// so vtanhblk handles every input and only the length tail returns to
-// Go.
+// blends: both sides are computed for every lane of a group and
+// VBLENDVPD picks the one the scalar code would have taken (garbage in
+// a lane that is blended away is harmless — SIMD FP faults are masked),
+// except that a group with no lane at or above 0.625 skips the exp side
+// it would blend away in full. tanh is total, so vtanhblk handles every
+// input.
 //
 // The differential suite (internal/tensor/difftest) pins all of this
 // against math.Exp/math.Tanh exhaustively and on adversarial inputs.
@@ -223,12 +224,44 @@ GLOBL tanhbig<>(SB), RODATA|NOPTR, $32
 	VPSLLQ $52, Y4, Y4        \
 	VMULPD Y4, Y0, Y0         // · 2^n
 
+// TAILLOAD gathers the R10 ∈ {1, 2, 3} elements at (SI)(AX*8) into
+// the low lanes of y (x is its low half) and zeroes the lanes above;
+// clobbers X1. See vexpblk for why the loads are scalar.
+#define TAILLOAD(x, y) \
+	VMOVSD (SI)(AX*8), x      \ // lane 0; lanes 1–3 zeroed
+	CMPQ R10, $2              \
+	JLT  6(PC)                \
+	VMOVHPD 8(SI)(AX*8), x, x \ // lane 1
+	CMPQ R10, $3              \
+	JLT  3(PC)                \
+	VMOVSD 16(SI)(AX*8), X1   \ // lane 2
+	VINSERTF128 $1, X1, y, y
+
+// TAILSTORE scatters the low R10 ∈ {1, 2, 3} lanes of y (x is its low
+// half) to (DI)(AX*8); clobbers X1.
+#define TAILSTORE(x, y) \
+	VMOVSD x, (DI)(AX*8)      \
+	CMPQ R10, $2              \
+	JLT  6(PC)                \
+	VMOVHPD x, 8(DI)(AX*8)    \
+	CMPQ R10, $3              \
+	JLT  3(PC)                \
+	VEXTRACTF128 $1, y, X1    \
+	VMOVSD X1, 16(DI)(AX*8)
+
 // func vexpblk(dst, x []float64) int
-// Writes dst[i] = exp(x[i]) for leading groups of 4 lanes while every
-// lane in the group has |x| ≤ 704; returns the number of elements
-// processed (a multiple of 4). Stops early at the first group with an
-// out-of-range (or NaN) lane — the Go wrapper finishes it with
-// math.Exp. dst may alias x exactly.
+// Writes dst[i] = exp(x[i]) group by group while every lane in the
+// group has |x| ≤ 704; returns the number of elements processed. Stops
+// early at the first group with an out-of-range (or NaN) lane — the Go
+// wrapper finishes it with math.Exp. dst may alias x exactly.
+//
+// A 1–3 element tail is one more group: its lanes are gathered with
+// scalar loads into a zeroed register (zero is a safe lane of every
+// kernel here) and scattered back with scalar stores, so no lane past
+// len(x) is read or written. Scalar loads also forward from the scalar
+// stores that usually just wrote those elements (the gate kernel's
+// bias add), where one 32-byte load of them would wait for the stores
+// to drain.
 TEXT ·vexpblk(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ x_base+24(FP), SI
@@ -245,26 +278,38 @@ TEXT ·vexpblk(SB), NOSPLIT, $0-56
 exploop:
 	LEAQ 4(AX), R9
 	CMPQ R9, CX
-	JGT  expdone
+	JGT  exptail
 	VMOVUPD (SI)(AX*8), Y0
+expgroup:
 	VANDPD Y15, Y0, Y1
 	VCMPPD $0x12, Y14, Y1, Y2 // |x| ≤ 704, LE_OQ (false for NaN)
 	VMOVMSKPD Y2, DX
 	CMPL DX, $0xF
 	JNE  expdone
 	EXPCORE
+	CMPQ R9, CX
+	JGT  expstoretail
 	VMOVUPD Y0, (DI)(AX*8)
 	MOVQ R9, AX
 	JMP  exploop
+exptail:
+	MOVQ CX, R10
+	SUBQ AX, R10 // 0–3 lanes left
+	JZ   expdone
+	TAILLOAD(X0, Y0)
+	JMP  expgroup
+expstoretail:
+	TAILSTORE(X0, Y0)
+	MOVQ CX, AX
 expdone:
 	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET
 
 // func vsigmoidblk(dst, x []float64) int
-// dst[i] = 1/(1+exp(-x[i])), same group contract as vexpblk. The
-// negation, the add and the divide are all exact or correctly rounded
-// single ops, matching scalar Sigmoid.
+// dst[i] = 1/(1+exp(-x[i])), same group and tail contract as vexpblk.
+// The negation, the add and the divide are all exact or correctly
+// rounded single ops, matching scalar Sigmoid.
 TEXT ·vsigmoidblk(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ x_base+24(FP), SI
@@ -281,8 +326,9 @@ TEXT ·vsigmoidblk(SB), NOSPLIT, $0-56
 sigloop:
 	LEAQ 4(AX), R9
 	CMPQ R9, CX
-	JGT  sigdone
+	JGT  sigtail
 	VMOVUPD (SI)(AX*8), Y0
+siggroup:
 	VANDPD Y15, Y0, Y1
 	VCMPPD $0x12, Y14, Y1, Y2
 	VMOVMSKPD Y2, DX
@@ -293,26 +339,41 @@ sigloop:
 	VADDPD expone<>(SB), Y0, Y1   // 1 + e
 	VMOVUPD expone<>(SB), Y2
 	VDIVPD Y1, Y2, Y0             // 1 / (1 + e)
+	CMPQ R9, CX
+	JGT  sigstoretail
 	VMOVUPD Y0, (DI)(AX*8)
 	MOVQ R9, AX
 	JMP  sigloop
+sigtail:
+	MOVQ CX, R10
+	SUBQ AX, R10 // 0–3 lanes left
+	JZ   sigdone
+	TAILLOAD(X0, Y0)
+	JMP  siggroup
+sigstoretail:
+	TAILSTORE(X0, Y0)
+	MOVQ CX, AX
 sigdone:
 	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET
 
 // func vtanhblk(dst, x []float64) int
-// dst[i] = tanh(x[i]) for the leading 4·⌊n/4⌋ elements; returns that
-// count (the Go wrapper does the tail). Handles every input: both the
-// rational-polynomial and the exp-based branch are computed for all
-// lanes and VBLENDVPD picks per lane what the scalar branch ladder
-// would have returned (x for ±0, ±1 beyond 0.5·MAXLOG, NaN for NaN).
+// dst[i] = tanh(x[i]) for every element, the tail as in vexpblk;
+// returns len(x). Handles every input: the rational-polynomial branch
+// is computed for all lanes and VBLENDVPD picks per lane what the
+// scalar branch ladder would have returned (the exp branch for
+// z ≥ 0.625, ±1 beyond 0.5·MAXLOG, x for ±0, NaN for NaN). The exp branch runs only for a group in which some lane
+// has z ≥ 0.625: when none does, both of its blends would keep the
+// polynomial in every lane (the 0.5·MAXLOG mask implies the 0.625 one,
+// and a NaN lane compares false in both), so skipping it is exact.
 TEXT ·vtanhblk(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ x_base+24(FP), SI
 	MOVQ x_len+32(FP), CX
 
 	VMOVUPD absmask<>(SB), Y15
+	VMOVUPD tanh625<>(SB), Y14
 	VMOVUPD explog2e<>(SB), Y12
 	VMOVUPD expln2u<>(SB), Y11
 	VMOVUPD expln2l<>(SB), Y10
@@ -322,10 +383,15 @@ TEXT ·vtanhblk(SB), NOSPLIT, $0-56
 tanhloop:
 	LEAQ 4(AX), R9
 	CMPQ R9, CX
-	JGT  tanhdone
+	JGT  tanhtail
 	VMOVUPD (SI)(AX*8), Y8  // x
+tanhgroup:
 	VANDPD Y15, Y8, Y7      // z = |x|
 	VANDNPD Y8, Y15, Y5     // sign bit of x
+	VCMPPD $0x1D, Y14, Y7, Y13 // z ≥ 0.625, GE_OQ (false for NaN)
+	VMOVMSKPD Y13, DX
+	TESTL DX, DX
+	JZ   tanhpoly
 
 	// exp branch: 1 - 2/(e^{2z}+1), sign restored from x.
 	VMULPD exptwo<>(SB), Y7, Y0
@@ -337,6 +403,7 @@ tanhloop:
 	VSUBPD Y2, Y1, Y6       // 1 - 2/(s+1)
 	VXORPD Y5, Y6, Y6
 
+tanhpoly:
 	// polynomial branch, ops in the scalar evaluation order:
 	// x + x·s·((P0·s+P1)·s+P2) / (((s+Q0)·s+Q1)·s+Q2)
 	VMULPD Y8, Y8, Y1       // s = x²
@@ -355,20 +422,34 @@ tanhloop:
 	VDIVPD Y3, Y4, Y4       // /den
 	VADDPD Y8, Y4, Y4       // + x
 
-	// Blend ladder, least to most specific.
-	VCMPPD $0x1D, tanh625<>(SB), Y7, Y1 // z ≥ 0.625, GE_OQ
-	VBLENDVPD Y1, Y6, Y4, Y4
+	// Blend ladder, least to most specific; the first two only when
+	// the exp branch ran.
+	TESTL DX, DX
+	JZ   tanhzero
+	VBLENDVPD Y13, Y6, Y4, Y4
 	VCMPPD $0x1E, tanhbig<>(SB), Y7, Y1 // z > 0.5·MAXLOG, GT_OQ
 	VMOVUPD expone<>(SB), Y2
 	VXORPD Y5, Y2, Y2                   // ±1
 	VBLENDVPD Y1, Y2, Y4, Y4
+tanhzero:
 	VXORPD Y1, Y1, Y1
 	VCMPPD $0x00, Y1, Y8, Y1            // x == ±0, EQ_OQ
 	VBLENDVPD Y1, Y8, Y4, Y4
 
+	CMPQ R9, CX
+	JGT  tanhstoretail
 	VMOVUPD Y4, (DI)(AX*8)
 	MOVQ R9, AX
 	JMP  tanhloop
+tanhtail:
+	MOVQ CX, R10
+	SUBQ AX, R10 // 0–3 lanes left
+	JZ   tanhdone
+	TAILLOAD(X8, Y8)
+	JMP  tanhgroup
+tanhstoretail:
+	TAILSTORE(X4, Y4)
+	MOVQ CX, AX
 tanhdone:
 	MOVQ AX, ret+48(FP)
 	VZEROUPPER
