@@ -102,5 +102,6 @@ fuzz:
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzQuantRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzSliceTranscendentals -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/analytic -fuzz FuzzAnalyticScenario -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/analytic -fuzz FuzzSpecEstimate -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/experiments -fuzz FuzzSpecBuild -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/serve -fuzz FuzzRequestDecode -fuzztime $(FUZZTIME) -run '^$$'

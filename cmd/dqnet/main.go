@@ -128,8 +128,8 @@ func withTimeout(ctx context.Context, d time.Duration) (context.Context, context
 }
 
 // irsaSummary renders how a completed run's fixed-point iteration ended:
-// on ConvergeEps, or at its Theorem 3.1 bound with the delta it
-// plateaued at.
+// converged (no arrival estimate moved by more than 1 ns), or at its
+// Theorem 3.1 bound with the delta it plateaued at.
 func irsaSummary(res *core.Result) string {
 	end := "stopped at the bound"
 	if res.Converged {

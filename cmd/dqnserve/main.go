@@ -1,7 +1,7 @@
 // Command dqnserve exposes DeepQueueNet as a resilient HTTP service:
 // concurrent what-if simulation queries run through a bounded worker
 // pool with bounded admission, per-request deadlines, per-model-path
-// circuit breakers (degraded-FIFO fallback while open), retry with
+// circuit breakers (analytic answers while open), retry with
 // backoff, and graceful SIGTERM drain.
 //
 //	dqnserve -addr :8080 -model models/switch8-std.ptm.json

@@ -33,8 +33,8 @@ import (
 
 // ErrUnstable re-exports the queueing package's saturation error: the
 // offered load meets or exceeds some port's capacity, so no steady
-// state exists and the decomposition has no answer. Callers running
-// the degradation ladder match on it to fall to the FIFO rung.
+// state exists and the decomposition has no answer. The server matches
+// on it to answer 422 rather than treat the request as malformed.
 var ErrUnstable = queueing.ErrUnstable
 
 // Input is one scenario in decomposed form.

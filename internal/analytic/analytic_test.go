@@ -103,7 +103,7 @@ func TestZeroDemandIsDeterministic(t *testing.T) {
 }
 
 // TestSaturationIsTypedUnstable: offered load at or beyond capacity
-// must surface as ErrUnstable so serve can fall to the FIFO rung.
+// must surface as ErrUnstable so serve can answer it as 422.
 func TestSaturationIsTypedUnstable(t *testing.T) {
 	g, flows, rt := dumbbell(1e9, 1e-6)
 	mu := 1e9 / (8 * 800.0)
@@ -255,6 +255,65 @@ func TestP99IsMaxOverFlows(t *testing.T) {
 	for k, st := range est.PathStats() {
 		if st.P99RTT > est.P99RTTSec {
 			t.Errorf("path %s p99 %.6g above the aggregate %.6g", k, st.P99RTT, est.P99RTTSec)
+		}
+	}
+}
+
+// maxPortRho is the largest offered load of any port the estimate loads.
+func maxPortRho(est *Estimate) float64 {
+	most := 0.0
+	for _, pl := range est.Ports() {
+		most = math.Max(most, pl.Rho)
+	}
+	return most
+}
+
+// echoIsReversal reports whether every flow's routed echo leg retraces
+// its forward leg, link for link — the echo model the scenario
+// calibration counts with. Per-flow ECMP picks the two legs
+// independently, so on multipath topologies this holds for some flow
+// patterns only.
+func echoIsReversal(sc *experiments.Scenario) bool {
+	for i := range sc.Flows {
+		fwd, echo := sc.RT.Forward(i), sc.RT.Echo(i)
+		if len(echo.Ports) != len(fwd.Ports) {
+			return false
+		}
+		for j, port := range fwd.Ports {
+			back := len(fwd.Ports) - 1 - j
+			if echo.Nodes[back] != fwd.Nodes[j+1] ||
+				int(echo.Ports[back]) != sc.G.Ports[fwd.Nodes[j]][port].PeerPort {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestCalibrationHitsLoad pins the scenario calibration against the
+// decomposition that reads it: on every named topology family, the most
+// loaded port runs at exactly the spec's Load, whatever the link rates.
+// A dumbbell's bottleneck runs at a tenth of the edge rate, so a
+// calibration that counted flow legs without weighing them by capacity
+// would offer it ten times the target and saturate. On multipath
+// families the bound is tight only while per-flow ECMP keeps the echo
+// legs off the most loaded link (see FuzzSpecEstimate); it does at
+// every family's default flow pattern.
+func TestCalibrationHitsLoad(t *testing.T) {
+	for _, name := range []string{"line4", "torus3x4", "fattree16", "abilene", "geant",
+		"star5", "dumbbell4", "leafspine3x2x2"} {
+		for _, load := range []float64{0.3, 0.9} {
+			sc, err := experiments.Spec{Topo: name, Load: load}.Build()
+			if err != nil {
+				t.Fatalf("%s at %v: %v", name, load, err)
+			}
+			est, err := FromScenario(sc)
+			if err != nil {
+				t.Fatalf("%s at %v: %v", name, load, err)
+			}
+			if rho := maxPortRho(est); math.Abs(rho-load) > 1e-12 {
+				t.Errorf("%s at %v: most loaded port at rho %.15f", name, load, rho)
+			}
 		}
 	}
 }

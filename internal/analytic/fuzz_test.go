@@ -6,17 +6,17 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/des"
+	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/topo"
 )
 
 // FuzzAnalyticScenario drives Analyze over hostile scenarios: arbitrary
 // chain topologies (including single-switch paths), zero-demand and
 // saturated flow rates, and non-finite parameters. The contract under
-// fuzz is the degradation-ladder contract: never panic; a successful
-// estimate is finite everywhere; and when the only hostility is
-// offered load at or beyond capacity the error must be the typed
-// ErrUnstable (so serve can fall to the FIFO rung rather than treating
-// it as a malformed request).
+// fuzz: never panic; a successful estimate is finite everywhere; and
+// when the only hostility is offered load at or beyond capacity the
+// error must be the typed ErrUnstable (so serve answers 422 rather than
+// treating it as a malformed request).
 func FuzzAnalyticScenario(f *testing.F) {
 	// Seeds: nominal load, zero demand, saturation, single-switch path,
 	// finite buffer, hostile NaN/Inf parameters, zero packet size.
@@ -113,6 +113,51 @@ func FuzzAnalyticScenario(f *testing.F) {
 			finite("P99RTT", st.P99RTT)
 			finite("AvgJitter", st.AvgJitter)
 			finite("P99Jitter", st.P99Jitter)
+		}
+	})
+}
+
+// FuzzSpecEstimate holds the calibration contract over the whole spec
+// grammar: a spec either fails to build, or the analytic tier solves its
+// scenario or reports the typed ErrUnstable. Where every echo leg
+// retraces its forward leg — the echo model the calibration counts with
+// — the estimate must succeed with no port offered more than the spec's
+// Load (up to float rounding of the per-port sums). Per-flow ECMP can
+// route an echo leg elsewhere and load a port past Load; that is a
+// known calibration gap, not asserted here.
+func FuzzSpecEstimate(f *testing.F) {
+	for _, s := range []experiments.Spec{
+		{Topo: "line4"},
+		{Topo: "torus3x4", Load: 0.9},
+		{Topo: "fattree16", Traffic: "map"},
+		{Topo: "fattree16", Seed: 24},
+		{Topo: "abilene", Sched: "wfq:9,1", Traffic: "bc", Load: 0.12},
+		{Topo: "geant", Load: 0.7},
+		{Topo: "star5", Sched: "sp3"},
+		{Topo: "dumbbell4", Load: 0.5},
+		{Topo: "dumbbell1", Load: 0.99},
+		{Topo: "leafspine3x2x2", Load: 0.3},
+	} {
+		f.Add(s.Topo, s.Sched, s.Traffic, s.Load, s.Duration, s.Seed)
+	}
+	f.Fuzz(func(t *testing.T, topoName, sched, tm string, load, duration float64, seed uint64) {
+		s := experiments.Spec{Topo: topoName, Sched: sched, Traffic: tm, Load: load, Duration: duration, Seed: seed}
+		sc, err := s.Build()
+		if err != nil {
+			return
+		}
+		est, err := FromScenario(sc)
+		if !echoIsReversal(sc) {
+			if err != nil && !errors.Is(err, ErrUnstable) {
+				t.Fatalf("%+v builds but its estimate fails untyped: %v", s, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%+v builds but has no analytic estimate: %v", s, err)
+		}
+		if rho := maxPortRho(est); rho > sc.Load*(1+1e-12) {
+			t.Fatalf("%+v: a port is offered rho %v above the load %v", s, rho, sc.Load)
 		}
 	})
 }

@@ -34,14 +34,12 @@ func line4Sim(t *testing.T, cfg Config) *Sim {
 
 // TestResultReportsConvergence pins the two ways a run ends. Undamped,
 // with every switch on the exact FIFO fallback, each sweep settles one
-// more hop, the fixed point is reached and the ConvergeEps stop fires;
+// more hop, the fixed point is reached and the convergeEps stop fires;
 // with a trained PTM the delta plateaus at prediction-noise scale and
 // the loop runs to its bound. Result must say which, with the delta it
 // ended on.
 func TestResultReportsConvergence(t *testing.T) {
-	const eps = 1e-9 // the default ConvergeEps
-
-	exact := line4Sim(t, Config{ModelFor: func(int) *ptm.PTM { return nil }, Damping: 1})
+	exact := line4Sim(t, Config{DeviceFor: func(int) DeviceModel { return nil }, Damping: 1})
 	res, err := exact.Run(0.0005)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +47,7 @@ func TestResultReportsConvergence(t *testing.T) {
 	if len(res.DegradedDevices) != 4 {
 		t.Fatalf("degraded set %v, want all four switches on the FIFO fallback", res.DegradedDevices)
 	}
-	if !res.Converged || res.FinalDelta > eps || res.Iterations > res.Bound {
+	if !res.Converged || res.FinalDelta > convergeEps || res.Iterations > res.Bound {
 		t.Fatalf("FIFO-fallback run: converged=%v final delta %g after %d/%d iterations; want the eps stop within the bound (Theorem 3.1)",
 			res.Converged, res.FinalDelta, res.Iterations, res.Bound)
 	}
@@ -65,7 +63,7 @@ func TestResultReportsConvergence(t *testing.T) {
 	if res.Converged || res.Iterations != res.Bound {
 		t.Fatalf("PTM run: converged=%v after %d/%d iterations; want a run to the bound", res.Converged, res.Iterations, res.Bound)
 	}
-	if !(res.FinalDelta > eps) || math.IsInf(res.FinalDelta, 0) || res.FinalDelta > 1e-4 {
+	if !(res.FinalDelta > convergeEps) || math.IsInf(res.FinalDelta, 0) || res.FinalDelta > 1e-4 {
 		t.Fatalf("PTM run: final delta %g; want a finite plateau above eps (microsecond scale)", res.FinalDelta)
 	}
 }

@@ -35,18 +35,14 @@ type FlowSpec struct {
 
 // Config configures a DeepQueueNet simulation.
 type Config struct {
-	// Sched is the TM configuration of every switch (overridable).
+	// Sched is the TM configuration of every switch.
 	Sched des.SchedConfig
-	// SchedOverride returns a per-switch scheduler config.
-	SchedOverride func(switchID int) (des.SchedConfig, bool)
 	// Echo reflects packets at destinations to measure RTT.
 	Echo bool
-	// Model is the default trained device model for all switches.
+	// Model is the trained device model for all switches.
 	Model *ptm.PTM
-	// ModelFor returns a per-switch model (nil to use Model).
-	ModelFor func(switchID int) *ptm.PTM
 	// DeviceFor returns a per-switch DeviceModel implementation,
-	// overriding Model/ModelFor for that switch (nil to fall through).
+	// overriding Model for that switch (nil to fall through).
 	// This is the seam for alternative inference backends and for fault
 	// injection in tests.
 	DeviceFor func(switchID int) DeviceModel
@@ -64,11 +60,6 @@ type Config struct {
 	Iterations int
 	// NoSEC disables statistical error correction (ablation switch).
 	NoSEC bool
-	// ConvergeEps stops IRSA early when no arrival estimate moves by
-	// more than this (seconds). 0 uses 1 ns. Undamped runs over exact
-	// device models get there; PTM runs plateau around 1–2 µs and end
-	// at the iteration bound instead (Result.Converged, FinalDelta).
-	ConvergeEps float64
 	// Damping blends each iteration's predicted sojourns with the
 	// previous estimate: s ← Damping·ŝ + (1−Damping)·s. 1 disables
 	// damping; 0 uses the default 0.7. Damping keeps the fixed-point
@@ -82,11 +73,6 @@ type Config struct {
 	// even on a single-CPU host where wall-clock parallel speedup is
 	// physically impossible.
 	MeasureShards bool
-	// DivergePatience is the number of consecutive iterations the
-	// convergence delta may grow before the divergence watchdog aborts
-	// the run with a DivergenceError. 0 uses guard.DefaultPatience;
-	// NaN/Inf deltas abort immediately regardless.
-	DivergePatience int
 	// Observer, when non-nil, receives per-iteration and per-device-
 	// inference telemetry (internal/obs.EngineObserver is the standard
 	// implementation). nil costs one pointer check per call site; the
@@ -165,7 +151,7 @@ type Sim struct {
 // negative-rate link, which would otherwise produce +Inf transmission
 // times during inference, is rejected with a descriptive error.
 func NewSim(g *topo.Graph, rt *topo.Routing, cfg Config) (*Sim, error) {
-	if cfg.Model == nil && cfg.ModelFor == nil && cfg.DeviceFor == nil {
+	if cfg.Model == nil && cfg.DeviceFor == nil {
 		return nil, errors.New("core: no device model configured")
 	}
 	if err := g.Validate(); err != nil {
@@ -199,7 +185,7 @@ type Result struct {
 	Bound        int // Theorem 3.1 iteration bound (longest hop sequence)
 	// FinalDelta is the largest change of any per-hop arrival estimate
 	// in the last completed iteration (seconds; 0 if none completed).
-	// Converged reports that it fell to Config.ConvergeEps and ended
+	// Converged reports that it fell to convergeEps and ended
 	// the run; false means the run stopped at Bound, was canceled, or
 	// failed.
 	FinalDelta float64
@@ -236,26 +222,6 @@ func (r *Result) PathDelays(rtt bool) metrics.PathSamples {
 		out[k] = append(out[k], d.Delay())
 	}
 	return out
-}
-
-// schedOf resolves the scheduler config for a switch.
-func (s *Sim) schedOf(sw int) des.SchedConfig {
-	if s.Cfg.SchedOverride != nil {
-		if c, ok := s.Cfg.SchedOverride(sw); ok {
-			return c
-		}
-	}
-	return s.Cfg.Sched
-}
-
-// modelOf resolves the PTM for a switch.
-func (s *Sim) modelOf(sw int) *ptm.PTM {
-	if s.Cfg.ModelFor != nil {
-		if m := s.Cfg.ModelFor(sw); m != nil {
-			return m
-		}
-	}
-	return s.Cfg.Model
 }
 
 // genPackets runs the TGen stage: materialize every packet with its full

@@ -103,46 +103,6 @@ func TestResultOneWayAndRTTDeliveries(t *testing.T) {
 	}
 }
 
-func TestSchedOverrideAndModelFor(t *testing.T) {
-	g := topo.Line(3, topo.DefaultLAN)
-	hosts := g.Hosts()
-	rt, _ := g.Route([]topo.FlowDef{{FlowID: 1, Src: hosts[0], Dst: hosts[2]}})
-	special := g.Switches()[0]
-	base := tinyModel(4)
-	alt := tinyModel(4)
-	sim, err := NewSim(g, rt, Config{
-		Sched: des.SchedConfig{Kind: des.FIFO},
-		Model: base,
-		SchedOverride: func(sw int) (des.SchedConfig, bool) {
-			if sw == special {
-				return des.SchedConfig{Kind: des.SP, Classes: 2}, true
-			}
-			return des.SchedConfig{}, false
-		},
-		ModelFor: func(sw int) *ptm.PTM {
-			if sw == special {
-				return alt
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sim.schedOf(special); got.Kind != des.SP {
-		t.Fatalf("override not applied: %v", got)
-	}
-	if got := sim.schedOf(special + 1); got.Kind != des.FIFO {
-		t.Fatalf("default sched lost: %v", got)
-	}
-	if sim.modelOf(special) != alt {
-		t.Fatal("ModelFor not applied")
-	}
-	if sim.modelOf(special+1) != base {
-		t.Fatal("default model lost")
-	}
-}
-
 func TestRunWithoutFlows(t *testing.T) {
 	sim, _ := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}})
 	res, err := sim.Run(0.001)

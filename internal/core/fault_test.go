@@ -291,9 +291,9 @@ func TestInvalidModelDegradesDevice(t *testing.T) {
 	sim, err := NewSim(g, rt, Config{
 		Sched: des.SchedConfig{Kind: des.FIFO},
 		Model: tinyModel(4),
-		ModelFor: func(sw int) *ptm.PTM {
+		DeviceFor: func(sw int) DeviceModel {
 			if sw == bad {
-				return nanModel(4)
+				return PTMModel{nanModel(4)}
 			}
 			return nil
 		},
@@ -332,9 +332,9 @@ func TestMissingModelDegradesDevice(t *testing.T) {
 	covered := g.Switches()[0]
 	sim, err := NewSim(g, rt, Config{
 		Sched: des.SchedConfig{Kind: des.FIFO},
-		ModelFor: func(sw int) *ptm.PTM {
+		DeviceFor: func(sw int) DeviceModel {
 			if sw == covered {
-				return tinyModel(4)
+				return PTMModel{tinyModel(4)}
 			}
 			return nil // every other switch has no model at all
 		},
@@ -368,9 +368,9 @@ func TestUndersizedPerDeviceModelDegrades(t *testing.T) {
 	sim, err := NewSim(g, rt, Config{
 		Sched: des.SchedConfig{Kind: des.FIFO},
 		Model: tinyModel(4),
-		ModelFor: func(sw int) *ptm.PTM {
+		DeviceFor: func(sw int) DeviceModel {
 			if sw == mid {
-				return small
+				return PTMModel{small}
 			}
 			return nil
 		},

@@ -58,16 +58,15 @@ func (m PTMModel) CloneModel() DeviceModel { return PTMModel{m.PTM.Clone()} }
 func (m PTMModel) Ports() int { return m.PTM.NumPorts }
 
 // resolveModel returns the device model for switch sw: Cfg.DeviceFor
-// first, then the PTM resolution chain (ModelFor, Model) wrapped in
-// PTMModel with the NoSEC ablation applied. It returns nil when no model
-// is configured for the device.
+// first, then Cfg.Model wrapped in PTMModel with the NoSEC ablation
+// applied. It returns nil when no model is configured for the device.
 func (s *Sim) resolveModel(sw int) DeviceModel {
 	if s.Cfg.DeviceFor != nil {
 		if m := s.Cfg.DeviceFor(sw); m != nil {
 			return m
 		}
 	}
-	m := s.modelOf(sw)
+	m := s.Cfg.Model
 	if m == nil {
 		return nil
 	}

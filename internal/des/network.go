@@ -29,9 +29,6 @@ type Network struct {
 type NetConfig struct {
 	Sched SchedConfig
 	Echo  bool // hosts reflect packets for RTT measurement
-	// SchedOverride, if set, returns a per-switch scheduler config
-	// (return ok=false to use the default).
-	SchedOverride func(switchID int) (SchedConfig, bool)
 }
 
 // Build wires a DES network for graph g with routing rt.
@@ -60,13 +57,7 @@ func Build(g *topo.Graph, rt *topo.Routing, cfg NetConfig) *Network {
 			for p, port := range g.Ports[id] {
 				rates[p] = port.RateBps
 			}
-			sc := cfg.Sched
-			if cfg.SchedOverride != nil {
-				if o, ok := cfg.SchedOverride(id); ok {
-					sc = o
-				}
-			}
-			sw := NewSwitch(sim, id, rates, sc, trace)
+			sw := NewSwitch(sim, id, rates, cfg.Sched, trace)
 			swID := id
 			sw.Forward = func(flowID, inPort int) int {
 				return rt.Lookup(swID, flowID, inPort)

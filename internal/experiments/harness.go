@@ -155,8 +155,6 @@ type Scenario struct {
 	Load     float64 // target load of the most-shared link
 	Duration float64
 	Seed     uint64
-	// ClassOf assigns scheduling class/weight per flow (nil = class 0).
-	ClassOf func(flowIdx int) (int, float64)
 	// perFlowLoad is derived by calibrate().
 	perFlowLoad float64
 }
@@ -215,9 +213,11 @@ func NewScenario(name string, g *topo.Graph, sched des.SchedConfig, model traffi
 	return s, nil
 }
 
-// calibrate computes the per-flow load from the worst-case link sharing:
-// the largest number of flow legs on one directed node-to-node link,
-// counting each flow's forward leg and its reversal as the echo leg.
+// calibrate computes the per-flow load from the worst-case link: the
+// directed node-to-node link whose flow legs, counting each flow's
+// forward leg and its reversal as the echo leg, offer the most load per
+// unit of its capacity. Each leg offers perFlowLoad at evalRateBps, so a
+// link of rate r carrying n legs runs at n·(evalRateBps/r)·perFlowLoad.
 func (s *Scenario) calibrate() {
 	base, linkOf := s.G.PortBase(), s.G.LinkOf()
 	var small [256]int32 // room for most named topologies' directed ports
@@ -226,12 +226,12 @@ func (s *Scenario) calibrate() {
 		share = make([]int32, len(linkOf))
 	}
 	share = share[:len(linkOf)]
-	most := int32(1)
+	most := 1.0
 	count := func(node, port int32) {
 		l := linkOf[base[node]+port]
 		share[l]++
-		if share[l] > most {
-			most = share[l]
+		if f := float64(share[l]) * (evalRateBps / s.G.Ports[node][port].RateBps); f > most {
+			most = f
 		}
 	}
 	for i := range s.Flows {
@@ -241,7 +241,7 @@ func (s *Scenario) calibrate() {
 			count(fwd.Nodes[j+1], int32(s.G.Ports[fwd.Nodes[j]][port].PeerPort))
 		}
 	}
-	s.perFlowLoad = s.Load / float64(most)
+	s.perFlowLoad = s.Load / most
 }
 
 const (
@@ -272,14 +272,18 @@ func (s *Scenario) PerFlowRate() float64 {
 // MeanPacketBytes returns the mean packet size the generators emit.
 func (s *Scenario) MeanPacketBytes() float64 { return evalPktSize }
 
-// classOf resolves the class assignment. The default matches the
-// training convention: class 0 with zero weight (weights are only
-// meaningful under WFQ/WRR/DRR).
+// classOf derives flow i's scheduling class and weight from the
+// scheduler, by the rule of the paper's TM tables ("we equally mark the
+// traffic flows with different priorities"): class i mod the class
+// count, weighted by that class's weight, or 0 when the scheduler lists
+// none for it (SP classes carry no weight). Under FIFO every flow is
+// class 0 with zero weight, the training convention.
 func (s *Scenario) classOf(i int) (int, float64) {
-	if s.ClassOf == nil {
-		return 0, 0
+	cls := i % s.Sched.NumClasses()
+	if cls < len(s.Sched.Weights) {
+		return cls, s.Sched.Weights[cls]
 	}
-	return s.ClassOf(i)
+	return cls, 0
 }
 
 // BuildDESNetwork instantiates the scenario as a DES network with flows

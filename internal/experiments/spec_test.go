@@ -3,6 +3,7 @@ package experiments
 import (
 	"flag"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,4 +93,48 @@ func FuzzSpecBuild(f *testing.F) {
 			t.Fatalf("%+v: per-flow rate %v", s, r)
 		}
 	})
+}
+
+// TestSchedAssignsClasses pins that a spec's scheduler reaches the
+// flows: flow i is class i mod the class count, weighted by its class's
+// weight (SP classes carry none), and on line4 at load 0.6 the DES path
+// statistics under sp3 and wfq:9,1 differ from fifo's.
+func TestSchedAssignsClasses(t *testing.T) {
+	build := func(sched string) *Scenario {
+		t.Helper()
+		sc, err := Spec{Topo: "line4", Sched: sched, Load: 0.6}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	fifo := build("fifo").RunDES().Stats()
+	for _, tc := range []struct {
+		sched   string
+		classes int
+		weights []float64
+	}{
+		{"fifo", 1, nil},
+		{"sp3", 3, nil},
+		{"wfq:9,1", 2, []float64{9, 1}},
+	} {
+		sc := build(tc.sched)
+		for i := range sc.Flows {
+			cls, w := sc.classOf(i)
+			wantW := 0.0
+			if tc.weights != nil {
+				wantW = tc.weights[i%tc.classes]
+			}
+			if cls != i%tc.classes || w != wantW {
+				t.Errorf("%s: flow %d is class %d weight %v, want class %d weight %v",
+					tc.sched, i, cls, w, i%tc.classes, wantW)
+			}
+		}
+		if tc.sched == "fifo" {
+			continue
+		}
+		if got := sc.RunDES().Stats(); reflect.DeepEqual(got, fifo) {
+			t.Errorf("%s: DES path statistics identical to fifo's", tc.sched)
+		}
+	}
 }

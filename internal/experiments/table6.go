@@ -55,17 +55,6 @@ func Table6(o Opts) ([]TMRow, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// Mark flows with classes round-robin ("we equally mark the
-		// traffic flows with different priorities").
-		weights := c.sched.Weights
-		sc.ClassOf = func(i int) (int, float64) {
-			cls := i % classes
-			w := 0.0 // SP classes carry no weight (training convention)
-			if cls < len(weights) {
-				w = weights[cls]
-			}
-			return cls, w
-		}
 		truth := sc.RunDES()
 		pred, _, err := sc.RunDQN(model, o.Shards, false)
 		if err != nil {

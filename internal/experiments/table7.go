@@ -188,10 +188,6 @@ func AblationSEC(o Opts) ([]AblationRow, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			if cf.sched.Kind == des.SP {
-				classes := cf.sched.NumClasses()
-				sc.ClassOf = func(i int) (int, float64) { return i % classes, 0 }
-			}
 			truth := sc.RunDES()
 			with, _, err := sc.RunDQN(model, o.Shards, false)
 			if err != nil {

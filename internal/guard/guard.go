@@ -137,13 +137,9 @@ const DefaultPatience = 8
 
 // Watchdog observes the per-iteration convergence deltas of a
 // fixed-point run and aborts it when the sequence stops contracting:
-// immediately on NaN/±Inf, or after Patience consecutive strict
-// increases. The zero value is ready to use with DefaultPatience.
+// immediately on NaN/±Inf, or after DefaultPatience consecutive strict
+// increases. The zero value is ready to use.
 type Watchdog struct {
-	// Patience is the number of consecutive strictly-growing deltas
-	// tolerated; <= 0 uses DefaultPatience.
-	Patience int
-
 	trace  []float64
 	growth int
 }
@@ -163,11 +159,7 @@ func (w *Watchdog) Observe(iter int, delta float64) error {
 	} else {
 		w.growth = 0
 	}
-	patience := w.Patience
-	if patience <= 0 {
-		patience = DefaultPatience
-	}
-	if w.growth >= patience {
+	if w.growth >= DefaultPatience {
 		return &DivergenceError{Iter: iter,
 			Reason: fmt.Sprintf("convergence delta grew for %d consecutive iterations", w.growth),
 			Trace:  w.Trace()}

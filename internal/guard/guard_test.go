@@ -84,8 +84,11 @@ func TestWatchdogInf(t *testing.T) {
 }
 
 func TestWatchdogSustainedGrowth(t *testing.T) {
-	w := Watchdog{Patience: 3}
-	deltas := []float64{10, 5, 6, 7, 8}
+	var w Watchdog
+	deltas := []float64{10, 5}
+	for i := 1; i <= DefaultPatience; i++ {
+		deltas = append(deltas, 5+float64(i))
+	}
 	var err error
 	for i, d := range deltas {
 		err = w.Observe(i, d)
@@ -95,7 +98,7 @@ func TestWatchdogSustainedGrowth(t *testing.T) {
 	}
 	var de *DivergenceError
 	if !errors.As(err, &de) {
-		t.Fatalf("want DivergenceError after 3 growth steps, got %v", err)
+		t.Fatalf("want DivergenceError after %d growth steps, got %v", DefaultPatience, err)
 	}
 	if len(de.Trace) != len(deltas) {
 		t.Fatalf("trace length %d, want %d", len(de.Trace), len(deltas))
@@ -103,9 +106,16 @@ func TestWatchdogSustainedGrowth(t *testing.T) {
 }
 
 func TestWatchdogResetOnContraction(t *testing.T) {
-	w := Watchdog{Patience: 3}
-	// Growth runs of length 2 separated by contractions never trip.
-	deltas := []float64{10, 11, 12, 5, 6, 7, 3, 4, 5, 2}
+	var w Watchdog
+	// Growth runs one step short of the patience, separated by
+	// contractions, never trip.
+	var deltas []float64
+	for run := 0; run < 3; run++ {
+		base := float64(100 - 30*run)
+		for i := 0; i < DefaultPatience; i++ {
+			deltas = append(deltas, base+float64(i))
+		}
+	}
 	for i, d := range deltas {
 		if err := w.Observe(i, d); err != nil {
 			t.Fatalf("tripped at iter %d on bounded bouncing: %v", i, err)

@@ -13,8 +13,8 @@ type BreakerState int
 const (
 	// BreakerClosed: the model path is healthy; requests run normally.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: repeated failures; requests serve the degraded FIFO
-	// fallback until the cooldown elapses.
+	// BreakerOpen: repeated failures; requests answer from the analytic
+	// tier until the cooldown elapses.
 	BreakerOpen
 	// BreakerHalfOpen: cooldown elapsed; one probe at a time runs the
 	// real model while everything else stays degraded.
@@ -71,15 +71,15 @@ const (
 	// AdmitProbe: run the real model as the half-open probe; the
 	// outcome decides whether the breaker closes or re-opens.
 	AdmitProbe
-	// AdmitDegraded: breaker open — serve the exact FIFO-serialization
-	// fallback instead of the suspect model.
+	// AdmitDegraded: breaker open — answer from the analytic tier
+	// instead of the suspect model.
 	AdmitDegraded
 )
 
 // Breaker is a per-model-path circuit breaker. It contains repeated
 // inference failures (guard.ShardError, guard.DivergenceError, model
-// validation errors) by rerouting requests to the degraded FIFO
-// fallback instead of hammering a faulty model, then probes the model
+// validation errors) by rerouting requests to the analytic tier
+// instead of hammering a faulty model, then probes the model
 // again after a cooldown. All methods are goroutine-safe.
 type Breaker struct {
 	mu   sync.Mutex

@@ -217,7 +217,7 @@ func TestChaosStormServerSurvives(t *testing.T) {
 	// The fidelity ladder must reconcile too: exactly one tier answered
 	// each completed request, and /metrics agrees with /stats per tier.
 	var fidSum uint64
-	for _, tier := range []string{"exact", "analytic", "fifo"} {
+	for _, tier := range []string{"exact", "analytic"} {
 		got := scrapeValue(t, exp, fmt.Sprintf(`dqn_fidelity_total{tier="%s"}`, tier))
 		if got != st.Fidelity[tier] {
 			t.Errorf("/metrics fidelity %s = %d, /stats = %d", tier, got, st.Fidelity[tier])
@@ -361,8 +361,8 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("breaker not open after threshold failures: %v", br)
 	}
 
-	// Open: availability one rung down — the analytic tier, not a bare
-	// FIFO pass, answers 200 with the degradation advertised in headers.
+	// Open: availability one rung down — the analytic tier answers 200
+	// with the degradation advertised in headers.
 	rec := postSim(h, simBody(10))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded request: status %d body %s", rec.Code, rec.Body.String())
@@ -388,6 +388,12 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	}
 	if !strings.Contains(exact.Body.String(), "breaker_open") {
 		t.Fatalf("exact-only error body %s, want kind breaker_open", exact.Body.String())
+	}
+
+	// A malformed request is the client's fault, not the model's: the
+	// open breaker does not turn its 400 into a 503.
+	if bad := postSim(h, `{"topo":"nosuchtopo","duration":0.0002}`); bad.Code != http.StatusBadRequest {
+		t.Fatalf("malformed request under an open breaker: status %d body %s, want 400", bad.Code, bad.Body.String())
 	}
 
 	// Heal the model, let the cooldown elapse: the probe closes it.
@@ -462,7 +468,7 @@ func TestChaosCancelSurfacesAsCanceled(t *testing.T) {
 }
 
 // analyticDown wraps a runner so the analytic tier always errors — the
-// fault that forces the ladder past analytic onto its final rung.
+// fault that leaves an open breaker no rung to answer with.
 type analyticDown struct{ next serve.Runner }
 
 func (a *analyticDown) Run(ctx context.Context, req *serve.Request, mode serve.RunMode) (*serve.Result, error) {
@@ -472,10 +478,11 @@ func (a *analyticDown) Run(ctx context.Context, req *serve.Request, mode serve.R
 	return a.next.Run(ctx, req, mode)
 }
 
-// TestChaosBreakerFallsToFIFOWhenAnalyticFails: with the breaker open
-// AND the analytic tier erroring, the server must still answer 200 from
-// the exact FIFO-serialization rung — the ladder's floor.
-func TestChaosBreakerFallsToFIFOWhenAnalyticFails(t *testing.T) {
+// TestChaosBreakerRefusesWhenAnalyticFails: with the breaker open AND
+// the analytic tier erroring, no rung is left to answer, so the server
+// refuses with 503 breaker_open and a Retry-After, never a silently
+// degraded 200.
+func TestChaosBreakerRefusesWhenAnalyticFails(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 3, PanicRate: 1.0})
 	runner := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2}
 	runner.WrapDevice = inj.WrapDevice
@@ -502,20 +509,17 @@ func TestChaosBreakerFallsToFIFOWhenAnalyticFails(t *testing.T) {
 	}
 
 	rec := postSim(h, simBody(10))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("FIFO-rung request: status %d body %s", rec.Code, rec.Body.String())
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("breaker open, analytic down: status %d body %s, want 503", rec.Code, rec.Body.String())
 	}
-	if got := rec.Header().Get("X-DQN-Fidelity"); got != "fifo" {
-		t.Fatalf("X-DQN-Fidelity = %q, want fifo", got)
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("breaker-open refusal without Retry-After")
 	}
-	if rec.Header().Get("X-DQN-Degraded") != "breaker-open" {
-		t.Fatal("FIFO-rung response missing X-DQN-Degraded header")
+	if !strings.Contains(rec.Body.String(), `"kind":"breaker_open"`) {
+		t.Fatalf("refusal body %s, want kind breaker_open", rec.Body.String())
 	}
-	if !strings.Contains(rec.Body.String(), `"mode":"degraded-fifo"`) {
-		t.Fatalf("FIFO-rung body %s", rec.Body.String())
-	}
-	if st := srv.Snapshot(); st.Fidelity["fifo"] != 1 {
-		t.Fatalf("fidelity counters %v, want fifo=1", st.Fidelity)
+	if st := srv.Snapshot(); st.Completed != 0 || st.Fidelity["analytic"] != 0 {
+		t.Fatalf("nothing may complete with every rung down: %+v", st)
 	}
 }
 

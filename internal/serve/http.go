@@ -36,10 +36,11 @@ import (
 //	deadline exceeded     504
 //	canceled              499 (client closed request, nginx convention)
 //	inference failure     500 (after retries; breaker charged)
-//	breaker open          200 analytic (FIFO if analytic errors) +
-//	                      X-DQN-Degraded; 503 for fidelity "exact"
+//	breaker open          200 analytic + X-DQN-Degraded; 503 +
+//	                      Retry-After for fidelity "exact" or when
+//	                      the analytic tier errors
 //
-// Every 200 carries X-DQN-Fidelity: exact|analytic|fifo — the
+// Every 200 carries X-DQN-Fidelity: exact|analytic — the
 // degradation-ladder tier that produced the answer.
 
 // errorBody is the JSON error envelope.
@@ -151,7 +152,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h.Set("X-Dqn-Fidelity", res.Fidelity)
-	if res.BreakerOpen || res.Mode == "degraded-fifo" {
+	if res.BreakerOpen {
 		h.Set("X-Dqn-Degraded", "breaker-open")
 	}
 	writeBody(w, http.StatusOK, body)
@@ -273,8 +274,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, analytic.ErrUnstable):
 		// The scenario offers some port more than its capacity: a
 		// well-formed request with no steady-state answer, not a server
-		// fault. Reaches clients from the fast tier, which has no lower
-		// rung to fall to.
+		// fault. Reaches clients from the fast tier.
 		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Kind: "unstable"})
 	case errors.Is(err, guard.ErrDeadline):
 		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error(), Kind: "deadline"})
@@ -295,7 +295,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 type readiness struct {
 	Status string `json:"status"` // "ready", "degraded", or "draining"
 	// Tiers maps each ladder rung to "available" or "breaker-open".
-	// The analytic and FIFO rungs are model-free and always available.
+	// The analytic rung is model-free and always available.
 	Tiers        map[string]string `json:"tiers"`
 	OpenBreakers int               `json:"open_breakers"`
 	Brownout     bool              `json:"brownout_enabled"`
@@ -305,7 +305,7 @@ func (s *Server) readiness() readiness {
 	r := readiness{
 		Status: "ready",
 		Tiers: map[string]string{
-			"exact": "available", "analytic": "available", "fifo": "available",
+			"exact": "available", "analytic": "available",
 		},
 		OpenBreakers: s.OpenBreakers(),
 		Brownout:     s.cfg.Brownout,

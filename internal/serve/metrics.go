@@ -16,7 +16,7 @@ var jobOutcomes = []string{"completed", "failed", "shed", "rejected", "canceled"
 // fidelityTiers are the degradation-ladder rungs. Server.account counts
 // a completed request under the one tier that answered it, so
 // Σ dqn_fidelity_total{tier=*} == dqn_requests_total{outcome="completed"}.
-var fidelityTiers = []string{"exact", "analytic", "fifo"}
+var fidelityTiers = []string{"exact", "analytic"}
 
 // serverMetrics holds the serve layer's pre-registered metric handles —
 // the server's only event counts: /stats (Server.Snapshot) reads these

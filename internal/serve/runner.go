@@ -64,8 +64,8 @@ type Request struct {
 	//             brownout condition fails the request instead of
 	//             answering at reduced fidelity.
 	//   "auto"  — (also "") the server may walk the ladder: analytic
-	//             answers under deadline pressure or overload,
-	//             analytic (then FIFO) when the breaker is open.
+	//             answers under deadline pressure or overload, and
+	//             when the breaker is open.
 	//   "fast"  — answer analytically right away, skipping the queue
 	//             and the model entirely (O(µs), no per-packet trace).
 	Fidelity string `json:"fidelity,omitempty"`
@@ -112,18 +112,17 @@ type Result struct {
 	Bound      int     `json:"bound"`
 	MeanRTTUs  float64 `json:"mean_rtt_us"`
 	P99RTTUs   float64 `json:"p99_rtt_us"`
-	// Mode is "model" for exact PTM-driven runs, "analytic" for the
-	// queueing-theory estimate, and "degraded-fifo" for the exact
-	// FIFO-serialization rung.
+	// Mode is "model" for exact PTM-driven runs and "analytic" for the
+	// queueing-theory estimate.
 	Mode string `json:"mode"`
 	// Fidelity is the degradation-ladder tier that produced the answer:
-	// "exact", "analytic", or "fifo" (mirrors X-DQN-Fidelity).
+	// "exact" or "analytic" (mirrors X-DQN-Fidelity).
 	Fidelity string `json:"fidelity,omitempty"`
 	// BreakerOpen reports that an open circuit breaker rerouted this
 	// job down the ladder (the X-DQN-Degraded condition).
 	BreakerOpen bool `json:"breaker_open,omitempty"`
-	// Degraded reports whether any device ran the FIFO fallback (all of
-	// them under Mode == "degraded-fifo").
+	// Degraded reports whether any device ran the engine's exact
+	// FIFO-serialization fallback because its model failed validation.
 	Degraded        bool   `json:"degraded,omitempty"`
 	DegradedDevices int    `json:"degraded_devices,omitempty"`
 	DegradedReason  string `json:"degraded_reason,omitempty"`
@@ -150,9 +149,6 @@ const (
 	// RunAnalytic answers from the queueing-theory decomposition
 	// (internal/analytic): O(µs), path statistics only, no trace.
 	RunAnalytic
-	// RunFIFO is the final rung: the exact transmission-time + FIFO
-	// serialization engine with no model at all.
-	RunFIFO
 )
 
 // Fidelity is the tier's wire name (X-DQN-Fidelity, dqn_fidelity_total).
@@ -162,8 +158,6 @@ func (m RunMode) Fidelity() string {
 		return "exact"
 	case RunAnalytic:
 		return "analytic"
-	case RunFIFO:
-		return "fifo"
 	}
 	return "unknown"
 }
@@ -361,7 +355,7 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		// The analytic tier never touches the engine or the model: the
 		// scenario decomposes into per-port G/G/1 queues and the path
 		// statistics come from closed forms. A saturated port surfaces
-		// as analytic.ErrUnstable and the caller falls to the FIFO rung.
+		// as analytic.ErrUnstable, a 422.
 		est, aerr := analytic.FromScenario(sc)
 		if aerr != nil {
 			return nil, aerr
@@ -386,25 +380,14 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 	if shards > maxShards {
 		shards = maxShards
 	}
-	cfg := core.Config{Shards: shards}
-	var model *ptm.PTM
-	var ent *modelEntry
-	switch mode {
-	case RunFIFO:
-		// PR 1's availability-preserving fallback: no model resolves for
-		// any switch, so every device runs the exact transmission-time +
-		// FIFO-serialization operator.
-		cfg.DeviceFor = func(int) core.DeviceModel { return nil }
-	default:
-		ent, err = r.entry(req.Model)
-		if err != nil {
-			return nil, err
-		}
-		model = ent.base
-		cfg.WrapDevice = r.deviceWrap(req)
+	ent, err := r.entry(req.Model)
+	if err != nil {
+		return nil, err
 	}
+	model := ent.base
+	cfg := core.Config{Shards: shards, WrapDevice: r.deviceWrap(req)}
 	resumedFrom := 0
-	if req.CheckpointPath != "" && mode == RunExact {
+	if req.CheckpointPath != "" {
 		// Durable job: attach the checkpoint sink and, when a snapshot
 		// from an interrupted predecessor exists and digest-matches this
 		// run, resume from it.
@@ -478,16 +461,11 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 		ElapsedMs:   float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	out.Mode = "model"
-	if mode == RunFIFO {
-		out.Mode = "degraded-fifo"
-	}
 	out.Fidelity = mode.Fidelity()
 	if res.Degraded() {
 		out.Degraded = true
 		out.DegradedDevices = len(res.DegradedDevices)
-		if mode != RunFIFO {
-			out.DegradedReason = res.DegradedReasons[res.DegradedDevices[0]]
-		}
+		out.DegradedReason = res.DegradedReasons[res.DegradedDevices[0]]
 	}
 	var all []float64
 	for _, v := range samples {

@@ -3,10 +3,9 @@
 // bounded worker pool behind a bounded admission queue, propagates
 // per-request deadlines, sheds load with Retry-After when the queue is
 // full, contains repeated model failures behind per-model-path circuit
-// breakers (answering from the analytic tier, then the engine's
-// degraded-FIFO fallback, while open), retries transient faults with
-// exponential backoff and jitter, and drains in-flight jobs on
-// shutdown. The failure taxonomy is internal/guard's: shard panics,
+// breakers (answering from the analytic tier while open), retries
+// transient faults with exponential backoff and jitter, and drains
+// in-flight jobs on shutdown. The failure taxonomy is internal/guard's: shard panics,
 // divergence, cancellation, deadlines, and breaker-open states all stay
 // inspectable with errors.Is/As.
 //
@@ -470,7 +469,6 @@ var (
 	rungsExact         = []RunMode{RunExact}
 	rungsAnalytic      = []RunMode{RunAnalytic}
 	rungsAnalyticExact = []RunMode{RunAnalytic, RunExact}
-	rungsAnalyticFIFO  = []RunMode{RunAnalytic, RunFIFO}
 )
 
 // choose is the lifecycle's second step and the only place a fidelity
@@ -496,9 +494,9 @@ func choose(req *Request, brownout bool, adm Admission, queueFull bool, remainin
 		// answer with.
 		return plan{refuse: ErrBreakerOpen, breakerOpen: true}
 	case adm == AdmitDegraded:
-		// Do not hammer the suspect model: analytic first, the exact FIFO
-		// serialization only when the analytic tier cannot answer.
-		return plan{rungs: rungsAnalyticFIFO, breakerOpen: true}
+		// Do not hammer the suspect model: answer analytically, and
+		// refuse with the breaker's reason if the analytic tier cannot.
+		return plan{rungs: rungsAnalytic, refuse: ErrBreakerOpen, breakerOpen: true}
 	case adm == AdmitProbe || !ladder || estimate <= 0 || remaining >= estimate:
 		// Probes always run exact: their whole point is to judge the
 		// model path.
@@ -553,7 +551,7 @@ func (s *Server) settle(j *job, p plan, res *Result, err error) {
 // run is the lifecycle's third step: walk the plan until a rung
 // answers. The model rung (exact) retries transient failures and
 // reports to the breaker — as its probe when probe is set; the analytic
-// and FIFO rungs never judge the model. br is nil for inline plans,
+// rung never judges the model. br is nil for inline plans,
 // which list no model rung.
 func (s *Server) run(ctx context.Context, req *Request, p plan, br *Breaker, probe bool) (*Result, error) {
 	var res *Result
@@ -570,15 +568,13 @@ func (s *Server) run(ctx context.Context, req *Request, p plan, br *Breaker, pro
 				// hand the probe slot back so the breaker can try again.
 				br.ReleaseProbe()
 			}
-		} else {
-			res, err = s.attempt(ctx, req, mode)
-		}
-		if mode != RunAnalytic {
 			// An engine run, whatever its outcome, feeds Retry-After; a
-			// successful exact one also its topology's estimate.
+			// successful one also its topology's estimate.
 			elapsed := s.cfg.Now().Sub(start)
 			s.met.jobSeconds.Observe(elapsed.Seconds())
-			s.estimator.observe(req.Topo, elapsed, err == nil && mode == RunExact)
+			s.estimator.observe(req.Topo, elapsed, err == nil)
+		} else {
+			res, err = s.attempt(ctx, req, mode)
 		}
 		if res != nil {
 			res.Attempts = attempts
@@ -596,7 +592,9 @@ func (s *Server) run(ctx context.Context, req *Request, p plan, br *Breaker, pro
 		if open := br.Err(); open != nil {
 			res.DegradedReason = open.Error()
 		}
-	case err != nil && p.refuse != nil:
+	case err != nil && p.refuse != nil && !errors.Is(err, ErrBadRequest):
+		// No rung answered: the request ends with the plan's refusal,
+		// unless it is malformed, which is a 400 on every rung.
 		res, err = nil, p.refuse
 		if p.breakerOpen {
 			err = fmt.Errorf("%w: %w", err, br.Err())

@@ -215,8 +215,6 @@ func TestBreakerOpensDegradesAndRecovers(t *testing.T) {
 		switch mode {
 		case RunAnalytic:
 			return &Result{Scenario: "stub", Mode: "analytic", Fidelity: "analytic"}, nil
-		case RunFIFO:
-			return okResult("degraded-fifo"), nil
 		}
 		if healthy.Load() {
 			return okResult("model"), nil
@@ -247,8 +245,7 @@ func TestBreakerOpensDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("breaker error %v must expose the tripping ShardError", br.Err())
 	}
 
-	// Open: requests answer from the analytic tier, not errors and not
-	// the bare FIFO rung.
+	// Open: requests answer from the analytic tier, not errors.
 	res, err := s.Submit(context.Background(), &Request{})
 	if err != nil {
 		t.Fatalf("open breaker must degrade, not fail: %v", err)
@@ -421,12 +418,12 @@ func TestChoose(t *testing.T) {
 			want: plan{rungs: rungsAnalytic, refuse: ErrShed, pressure: true}},
 		{name: "full queue never browns out exact", fidelity: "exact", brownout: true, queueFull: true,
 			want: plan{refuse: ErrShed}},
-		{name: "open breaker walks analytic then fifo", adm: AdmitDegraded, remaining: time.Second,
-			want: plan{rungs: rungsAnalyticFIFO, breakerOpen: true}},
+		{name: "open breaker answers analytic or refuses", adm: AdmitDegraded, remaining: time.Second,
+			want: plan{rungs: rungsAnalytic, refuse: ErrBreakerOpen, breakerOpen: true}},
 		{name: "open breaker refuses exact", fidelity: "exact", adm: AdmitDegraded, remaining: time.Second,
 			want: plan{refuse: ErrBreakerOpen, breakerOpen: true}},
 		{name: "open breaker outranks a short deadline", brownout: true, adm: AdmitDegraded, remaining: time.Millisecond,
-			want: plan{rungs: rungsAnalyticFIFO, breakerOpen: true}},
+			want: plan{rungs: rungsAnalytic, refuse: ErrBreakerOpen, breakerOpen: true}},
 		{name: "short deadline without brownout runs exact", remaining: time.Millisecond, want: plan{rungs: rungsExact}},
 		{name: "short deadline never moves exact", fidelity: "exact", brownout: true, remaining: time.Millisecond,
 			want: plan{rungs: rungsExact}},
