@@ -180,8 +180,7 @@ func cmdSim(ctx context.Context, args []string) error {
 	tracePath := fs.String("trace", "", "write per-device packet traces (CSV)")
 	timeout := fs.Duration("timeout", 0, "wall-clock run deadline (0 = none; ^C always cancels)")
 	obsSummary := fs.Bool("obs-summary", false, "print engine telemetry (delta trace, shard work, metrics) after the run")
-	ckptDir := fs.String("checkpoint-dir", "", "persist an epoch snapshot there (enables checkpointing)")
-	ckptEvery := fs.Int("checkpoint-every", 1, "snapshot cadence in IRSA iterations")
+	ckptDir := fs.String("checkpoint-dir", "", "persist an epoch snapshot there at every IRSA iteration (enables checkpointing)")
 	resume := fs.Bool("resume", false, "resume from the snapshot in -checkpoint-dir (fails if missing or from a different run)")
 	crashAfter := fs.Int("crash-after", 0, "chaos drill: crash the run after the Nth epoch snapshot is on disk (exit nonzero)")
 	printDigest := fs.Bool("digest", false, "print the bit-exact delivery-trace digest")
@@ -226,7 +225,6 @@ func cmdSim(ctx context.Context, args []string) error {
 			sink = chaos.New(chaos.Config{CrashAfterEpochs: *crashAfter}).WrapEpochSink(sink)
 		}
 		runCfg.EpochSink = sink
-		runCfg.EpochEvery = *ckptEvery
 		if *resume {
 			snap, err := checkpoint.Load(w.Path)
 			if err != nil {

@@ -66,7 +66,6 @@ func run(args []string) error {
 	brProbes := fs.Int("breaker-probes", 2, "successful probes required to close a breaker")
 	drain := fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 	stateDir := fs.String("state-dir", "", "durable job state directory (empty: jobs are in-memory only)")
-	ckptEvery := fs.Int("checkpoint-every", 1, "epoch snapshot cadence in IRSA iterations for durable jobs")
 	seed := fs.Uint64("seed", 1, "retry-jitter seed")
 	maxBody := fs.Int64("max-body", 2<<20, "request body size cap in bytes (413 beyond)")
 	pprofAddr := fs.String("pprof-addr", "", "admin listen address for net/http/pprof + /metrics (empty: disabled)")
@@ -139,14 +138,14 @@ func run(args []string) error {
 		DefaultTimeout: *timeout, MaxTimeout: *maxTimeout,
 		RetryMax: *retries, Seed: *seed, Brownout: *brownout,
 		MaxBodyBytes: *maxBody, Metrics: reg, Logger: logger, Plane: pl,
-		StateDir: *stateDir, CheckpointEvery: *ckptEvery,
-		Breaker: serve.BreakerConfig{Threshold: *brThreshold, Cooldown: *brCooldown, ProbeSuccesses: *brProbes},
+		StateDir: *stateDir,
+		Breaker:  serve.BreakerConfig{Threshold: *brThreshold, Cooldown: *brCooldown, ProbeSuccesses: *brProbes},
 	}, jobRunner)
 	if err != nil {
 		return err
 	}
 	if *stateDir != "" {
-		fmt.Printf("durable job state in %s (checkpoint every %d iterations)\n", *stateDir, *ckptEvery)
+		fmt.Printf("durable job state in %s (checkpoint every iteration)\n", *stateDir)
 	}
 	if *brownout {
 		fmt.Println("brownout enabled: overload and deadline pressure answer at reduced fidelity instead of shedding")

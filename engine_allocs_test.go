@@ -48,7 +48,7 @@ func TestEngineRunAllocs(t *testing.T) {
 					Seed:       gc.spec.Seed,
 					NoSync:     true,
 				}
-				cfg.EpochSink, cfg.EpochEvery = w.Sink(), 1
+				cfg.EpochSink = w.Sink()
 			}
 			run := func() {
 				if _, _, err := sc.RunDQNCfg(model, cfg); err != nil {

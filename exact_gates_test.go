@@ -46,7 +46,7 @@ func exactAccuracy(t *testing.T, gc goldenCase, model *ptm.PTM) exactGate {
 	t.Helper()
 	sc := gc.scenario(t)
 	truth := sc.RunDES()
-	pred, _, err := sc.RunDQN(model, 1, false)
+	pred, _, err := sc.RunDQN(model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ import (
 type Fault int
 
 const (
-	// FaultPanic panics inside a device model's PredictStream — the
+	// FaultPanic panics inside a device model's PredictDevice — the
 	// engine must recover it into a *guard.ShardError.
 	FaultPanic Fault = iota
 	// FaultNaN poisons one predicted sojourn with NaN — the divergence
@@ -69,13 +69,14 @@ func (f Fault) String() string {
 }
 
 // Config sets per-fault injection rates (probabilities in [0, 1]).
-// Model-level faults (panic, NaN, latency) fire per PredictStream call;
-// job-level faults (cancel, latency) fire per runner invocation.
+// Model-level faults (panic, NaN, latency) fire per egress-port stream
+// of a PredictDevice call; job-level faults (cancel, latency) fire per
+// runner invocation.
 type Config struct {
 	Seed uint64 // rng seed; 0 uses 1
 
-	PanicRate   float64 // model: panic probability per inference call
-	NaNRate     float64 // model: NaN-poisoning probability per call
+	PanicRate   float64 // model: panic probability per port stream
+	NaNRate     float64 // model: NaN-poisoning probability per port stream
 	LatencyRate float64 // model + job: sleep probability
 	CancelRate  float64 // job: mid-run context-cancel probability
 	CrashRate   float64 // epoch: post-checkpoint crash probability per boundary
@@ -172,27 +173,32 @@ func (in *Injector) WrapDevice(_ int, m core.DeviceModel) core.DeviceModel {
 }
 
 // chaosModel injects faults around an inner DeviceModel's inference.
-// It deliberately does not implement core.DevicePredictor, so the
-// engine drives it through the generic per-port PredictStream path and
-// every egress port is an independent injection opportunity.
+// Every egress port of a device call is an independent injection
+// opportunity.
 type chaosModel struct {
 	inner core.DeviceModel
 	in    *Injector
 }
 
-// PredictStream implements core.DeviceModel with fault injection.
-func (c *chaosModel) PredictStream(stream []ptm.PacketIn, kind des.SchedKind, rateBps float64, workers int) []float64 {
-	if c.in.roll(FaultPanic, c.in.cfg.PanicRate) {
-		panic(fmt.Sprintf("chaos: injected panic (seed %d)", c.in.cfg.Seed))
+// PredictDevice implements core.DeviceModel with fault injection: port
+// by port it rolls a panic and a latency before the one inner call, and
+// after it a NaN that poisons the port's first prediction.
+func (c *chaosModel) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
+	cfg := &c.in.cfg
+	for range ports {
+		if c.in.roll(FaultPanic, cfg.PanicRate) {
+			panic(fmt.Sprintf("chaos: injected panic (seed %d)", cfg.Seed))
+		}
+		if c.in.roll(FaultLatency, cfg.LatencyRate) {
+			time.Sleep(cfg.Latency)
+		}
 	}
-	if c.in.roll(FaultLatency, c.in.cfg.LatencyRate) {
-		time.Sleep(c.in.cfg.Latency)
+	c.inner.PredictDevice(ports, kind)
+	for i := range ports {
+		if out := ports[i].Out; len(out) > 0 && c.in.roll(FaultNaN, cfg.NaNRate) {
+			out[0] = math.NaN()
+		}
 	}
-	out := c.inner.PredictStream(stream, kind, rateBps, workers)
-	if len(out) > 0 && c.in.roll(FaultNaN, c.in.cfg.NaNRate) {
-		out[0] = math.NaN()
-	}
-	return out
 }
 
 // CloneModel implements core.DeviceModel: the clone wraps an

@@ -22,15 +22,11 @@ type slowSignalModel struct {
 	calls     atomic.Int64
 }
 
-func (m *slowSignalModel) PredictStream(stream []ptm.PacketIn, _ des.SchedKind, rateBps float64, _ int) []float64 {
+func (m *slowSignalModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 	m.calls.Add(1)
-	m.once.Do(func() { close(m.firstCall) })
+	m.once.Do(func() { close(m.firstCall) }) //dqnlint:allow hotalloc test double: not the pinned inference path
 	time.Sleep(200 * time.Microsecond)
-	out := make([]float64, len(stream))
-	for i := range out {
-		out[i] = float64(stream[i].Size*8) / rateBps
-	}
-	return out
+	fillTransmission(ports)
 }
 func (m *slowSignalModel) CloneModel() DeviceModel { return m }
 func (m *slowSignalModel) Ports() int              { return 0 }
@@ -92,9 +88,9 @@ type passthroughModel struct {
 	calls *atomic.Int64
 }
 
-func (p *passthroughModel) PredictStream(stream []ptm.PacketIn, k des.SchedKind, rateBps float64, w int) []float64 {
+func (p *passthroughModel) PredictDevice(ports []ptm.PortStream, k des.SchedKind) {
 	p.calls.Add(1)
-	return p.inner.PredictStream(stream, k, rateBps, w)
+	p.inner.PredictDevice(ports, k)
 }
 func (p *passthroughModel) CloneModel() DeviceModel {
 	return &passthroughModel{inner: p.inner.CloneModel(), calls: p.calls}

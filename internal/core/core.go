@@ -58,8 +58,6 @@ type Config struct {
 	Shards int
 	// Iterations caps IRSA iterations; 0 uses diameter(G) (Theorem 3.1).
 	Iterations int
-	// NoSEC disables statistical error correction (ablation switch).
-	NoSEC bool
 	// Damping blends each iteration's predicted sojourns with the
 	// previous estimate: s ← Damping·ŝ + (1−Damping)·s. 1 disables
 	// damping; 0 uses the default 0.7. Damping keeps the fixed-point
@@ -79,25 +77,22 @@ type Config struct {
 	// observer's clock reads never feed back into simulation state, so
 	// attaching one cannot perturb results.
 	Observer Observer
-	// EpochSink, when non-nil together with EpochEvery > 0, receives
-	// the engine's complete fixed-point state every EpochEvery
-	// completed IRSA iterations (internal/checkpoint.Writer is the
-	// standard persistent implementation). The handed EpochState
-	// aliases live engine buffers — sinks serialize before returning.
-	// A sink error aborts the run with that error. nil costs one
-	// pointer check per iteration.
+	// EpochSink, when non-nil, receives the engine's complete
+	// fixed-point state at every IRSA iteration boundary short of
+	// convergence (internal/checkpoint.Writer is the standard persistent
+	// implementation). The handed EpochState aliases live engine
+	// buffers — sinks serialize before returning. A sink error aborts
+	// the run with that error. nil costs one pointer check per
+	// iteration.
 	//
 	// With a sink attached, a canceled or expiring context no longer
 	// aborts mid-iteration: the engine finishes the in-flight iteration
-	// to reach a consistent boundary, hands the sink one final snapshot,
-	// and then returns the cancel error — trading at most one
-	// iteration of cancellation latency for zero lost progress. This is
-	// what lets a draining server persist a resumable checkpoint inside
-	// its SIGTERM budget.
+	// to reach a consistent boundary, hands the sink that boundary, and
+	// then returns the cancel error — trading at most one iteration of
+	// cancellation latency for zero lost progress. This is what lets a
+	// draining server persist a resumable checkpoint inside its SIGTERM
+	// budget.
 	EpochSink EpochSink
-	// EpochEvery is the checkpoint cadence in IRSA iterations;
-	// <= 0 disables epoch snapshots even when EpochSink is set.
-	EpochEvery int
 	// Resume, when non-nil, restores a mid-run snapshot captured by an
 	// EpochSink instead of starting from the initial estimate: the run
 	// continues from Resume.Iter with bit-identical state. The snapshot

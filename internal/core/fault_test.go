@@ -20,7 +20,7 @@ import (
 // panicModel is a DeviceModel that explodes on first use.
 type panicModel struct{}
 
-func (m *panicModel) PredictStream([]ptm.PacketIn, des.SchedKind, float64, int) []float64 {
+func (m *panicModel) PredictDevice([]ptm.PortStream, des.SchedKind) {
 	panic("mock ptm exploded")
 }
 func (m *panicModel) CloneModel() DeviceModel { return m }
@@ -33,13 +33,15 @@ func (m *panicModel) Validate() error         { return nil }
 // iterations; use with Shards <= 1.
 type inflatingModel struct{ sojourn float64 }
 
-func (m *inflatingModel) PredictStream(stream []ptm.PacketIn, _ des.SchedKind, _ float64, _ int) []float64 {
+func (m *inflatingModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 	m.sojourn *= 2
-	out := make([]float64, len(stream))
-	for i := range out {
-		out[i] = m.sojourn
+	for i := range ports {
+		ps := &ports[i]
+		ps.Out = ps.Out[:0]
+		for range ps.Stream {
+			ps.Out = append(ps.Out, m.sojourn) //dqnlint:allow hotalloc test double: not the pinned inference path
+		}
 	}
-	return out
 }
 func (m *inflatingModel) CloneModel() DeviceModel { return m }
 func (m *inflatingModel) Ports() int              { return 0 }
@@ -68,14 +70,14 @@ func (r *cancelRun) ObserveInference(ev InferenceEvent) {
 	r.mu.Unlock()
 }
 
-// cancelingModel is one switch's device model under a cancelRun. It takes
-// the batched DevicePredictor path, so each call is one device inference.
+// cancelingModel is one switch's device model under a cancelRun; each
+// call is one device inference.
 type cancelingModel struct {
 	run *cancelRun
 	dev int
 }
 
-func (m *cancelingModel) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
+func (m *cancelingModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 	r := m.run
 	if r.ctx.Err() != nil {
 		r.mu.Lock()
@@ -85,21 +87,23 @@ func (m *cancelingModel) PredictDevice(ports []ptm.PortStream, kind des.SchedKin
 	if r.calls.Add(1) == 1 {
 		r.cancel()
 	}
-	for i := range ports {
-		ports[i].Out = m.PredictStream(ports[i].Stream, kind, ports[i].RateBps, 1) //dqnlint:allow hotalloc test double: not the pinned inference path
-	}
-}
-
-func (m *cancelingModel) PredictStream(stream []ptm.PacketIn, _ des.SchedKind, rateBps float64, _ int) []float64 {
-	out := make([]float64, len(stream))
-	for i := range out {
-		out[i] = float64(stream[i].Size*8) / rateBps
-	}
-	return out
+	fillTransmission(ports)
 }
 func (m *cancelingModel) CloneModel() DeviceModel { return m }
 func (m *cancelingModel) Ports() int              { return 0 }
 func (m *cancelingModel) Validate() error         { return nil }
+
+// fillTransmission predicts every packet's bare transmission time, the
+// sojourn of a queue that is always empty.
+func fillTransmission(ports []ptm.PortStream) {
+	for i := range ports {
+		ps := &ports[i]
+		ps.Out = ps.Out[:0]
+		for _, p := range ps.Stream {
+			ps.Out = append(ps.Out, float64(p.Size*8)/ps.RateBps) //dqnlint:allow hotalloc test double: not the pinned inference path
+		}
+	}
+}
 
 // nanModel returns a valid-looking tinyModel poisoned with a NaN weight.
 func nanModel(ports int) *ptm.PTM {

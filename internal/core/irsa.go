@@ -49,7 +49,7 @@ type portPlan struct {
 type devicePlan struct {
 	isHost bool
 	ports  []portPlan
-	batch  []ptm.PortStream // parallel to ports; reused by DevicePredictor models
+	batch  []ptm.PortStream // parallel to ports; reused across iterations
 }
 
 // buildPlans indexes every device's traversals by egress port, in
@@ -261,7 +261,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	// epoch snapshot refresh is a few scalar stores, keeping the epoch
 	// loop allocation-free. The traffic digest is computed once per run
 	// and only when a sink or a resume actually needs it.
-	ckptOn := s.Cfg.EpochSink != nil && s.Cfg.EpochEvery > 0
+	ckptOn := s.Cfg.EpochSink != nil
 	var view *EpochState
 	startIter := 0
 	if ckptOn || s.Cfg.Resume != nil {
@@ -364,10 +364,10 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 			converged = true
 			break
 		}
-		if ckptOn && (iters%s.Cfg.EpochEvery == 0 || ctx.Err() != nil) {
-			// Epoch boundary (or final snapshot before a cancel return):
-			// the view's sojourn slices alias live state, so only the
-			// scalars need refreshing before the sink serializes.
+		if ckptOn {
+			// Epoch boundary: the view's sojourn slices alias live state,
+			// so only the scalars need refreshing before the sink
+			// serializes.
 			view.Iter = iters
 			view.Delta = delta
 			view.WatchdogTrace, view.WatchdogGrowth = watchdog.State()
@@ -526,35 +526,21 @@ func (s *Sim) inferDevice(dev int, plan *devicePlan, pkts []*packet,
 	for i := range plan.ports {
 		sortEntriesByArrival(plan.ports[i].es, pkts)
 	}
-	if dp, ok := rep.(DevicePredictor); ok {
-		// Batched fast path: every egress port of the device in one call
-		// against the clone's shared inference scratch; streams and
-		// outputs live in plan-owned reusable buffers.
-		for i := range plan.ports {
-			pp := &plan.ports[i]
-			pp.stream = growStream(pp.stream, len(pp.es))
-			fillStream(pp.stream, pp.es, pkts)
-			plan.batch[i].Stream = pp.stream
-			plan.batch[i].RateBps = pp.rate
-		}
-		dp.PredictDevice(plan.batch, kind)
-		for i := range plan.ports {
-			out := plan.batch[i].Out
-			for j, e := range plan.ports[i].es {
-				pkts[e.pkt].sojourn[e.hop] = out[j]
-			}
-		}
-		return
-	}
-	// Generic DeviceModel: per-port PredictStream with a fresh stream per
-	// call (the model may retain the slice).
+	// Every egress port of the device in one call against the clone's
+	// inference scratch; streams and outputs live in plan-owned reusable
+	// buffers.
 	for i := range plan.ports {
 		pp := &plan.ports[i]
-		stream := make([]ptm.PacketIn, len(pp.es))
-		fillStream(stream, pp.es, pkts)
-		sojourns := rep.PredictStream(stream, kind, pp.rate, 1)
-		for j, e := range pp.es {
-			pkts[e.pkt].sojourn[e.hop] = sojourns[j]
+		pp.stream = growStream(pp.stream, len(pp.es))
+		fillStream(pp.stream, pp.es, pkts)
+		plan.batch[i].Stream = pp.stream
+		plan.batch[i].RateBps = pp.rate
+	}
+	rep.PredictDevice(plan.batch, kind)
+	for i := range plan.ports {
+		out := plan.batch[i].Out
+		for j, e := range plan.ports[i].es {
+			pkts[e.pkt].sojourn[e.hop] = out[j]
 		}
 	}
 }

@@ -8,19 +8,17 @@ import (
 )
 
 // DeviceModel abstracts the trained per-device TM model the engine
-// drives: sojourn prediction over one egress-port stream, goroutine-safe
-// cloning for shard parallelism, the training device degree, and
-// structural validation. *ptm.PTM is the canonical implementation (via
-// PTMModel); alternative backends and fault-injection mocks implement it
-// directly.
+// drives: device-batched sojourn prediction over every egress-port
+// stream, goroutine-safe cloning for shard parallelism, the training
+// device degree, and structural validation. *ptm.PTM is the canonical
+// implementation (via PTMModel); alternative backends and
+// fault-injection mocks implement it directly.
 //
 // Implementations must be comparable (pointer receivers or small structs
 // of comparable fields): the engine keys its per-shard clone cache on the
 // DeviceModel value.
 type DeviceModel interface {
-	// PredictStream predicts the sojourn time of every packet of one
-	// per-egress-port ingress stream, sorted by arrival time.
-	PredictStream(stream []ptm.PacketIn, kind des.SchedKind, rateBps float64, workers int) []float64
+	DevicePredictor
 	// CloneModel returns an independent copy safe to use from another
 	// goroutine. Implementations without mutable inference state may
 	// return the receiver.
@@ -34,21 +32,17 @@ type DeviceModel interface {
 	Validate() error
 }
 
-// DevicePredictor is the optional device-batched fast path of a
-// DeviceModel: all egress-port streams of one device are predicted in a
-// single call that reuses the model's internal inference scratch and
-// writes sojourns into caller-owned PortStream.Out slices. The engine
-// type-asserts its per-shard model clone for this interface and falls
-// back to per-port PredictStream calls when absent, so custom
-// DeviceModel implementations need not provide it. Results must be
-// identical to per-port PredictStream(stream, kind, rate, 1) calls.
+// DevicePredictor is a device model's one inference call: all
+// egress-port streams of one device, each sorted by arrival time, are
+// predicted in a single call that may reuse the model's internal
+// inference scratch and writes sojourns into the caller-owned
+// PortStream.Out slices (grown when too small).
 type DevicePredictor interface {
 	PredictDevice(ports []ptm.PortStream, kind des.SchedKind)
 }
 
-// PTMModel adapts a *ptm.PTM to the DeviceModel interface. It also
-// satisfies DevicePredictor (promoted from *ptm.PTM), giving PTM-driven
-// devices the zero-allocation batched inference path.
+// PTMModel adapts a *ptm.PTM to the DeviceModel interface; PredictDevice
+// is promoted from *ptm.PTM, the zero-allocation batched inference path.
 type PTMModel struct{ *ptm.PTM }
 
 // CloneModel implements DeviceModel.
@@ -58,23 +52,18 @@ func (m PTMModel) CloneModel() DeviceModel { return PTMModel{m.PTM.Clone()} }
 func (m PTMModel) Ports() int { return m.PTM.NumPorts }
 
 // resolveModel returns the device model for switch sw: Cfg.DeviceFor
-// first, then Cfg.Model wrapped in PTMModel with the NoSEC ablation
-// applied. It returns nil when no model is configured for the device.
+// first, then Cfg.Model wrapped in PTMModel. It returns nil when no
+// model is configured for the device.
 func (s *Sim) resolveModel(sw int) DeviceModel {
 	if s.Cfg.DeviceFor != nil {
 		if m := s.Cfg.DeviceFor(sw); m != nil {
 			return m
 		}
 	}
-	m := s.Cfg.Model
-	if m == nil {
+	if s.Cfg.Model == nil {
 		return nil
 	}
-	if s.Cfg.NoSEC && len(m.SECBins) > 0 {
-		// SEC ablation: strip the correction bins from a working copy.
-		m = m.WithoutSEC()
-	}
-	return PTMModel{m}
+	return PTMModel{s.Cfg.Model}
 }
 
 // resolveDeviceModels validates the model of every switch device once

@@ -20,11 +20,6 @@ type Packet struct {
 	CreatedAt float64
 	IsEcho    bool // reply leg of an RTT probe
 	Hops      int
-
-	// ECN: ECT marks the packet ECN-capable; CE is set by RED queues
-	// that mark instead of dropping (congestion experienced).
-	ECT bool
-	CE  bool
 }
 
 // Node is anything that can accept a packet on one of its ingress ports.

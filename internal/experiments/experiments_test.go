@@ -167,7 +167,7 @@ func TestScenarioDESvsDQNSampleCountsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, _, err := sc.RunDQN(model, 2, false)
+	pred, _, err := sc.RunDQN(model, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,8 +311,8 @@ func (s *Scenario) RunDES() metrics.PathSamples {
 
 // RunDQN runs DeepQueueNet on the scenario and returns path samples plus
 // the result (for iteration counts and per-device traces).
-func (s *Scenario) RunDQN(model *ptm.PTM, shards int, noSEC bool) (metrics.PathSamples, *core.Result, error) {
-	return s.RunDQNCfg(model, core.Config{Shards: shards, NoSEC: noSEC})
+func (s *Scenario) RunDQN(model *ptm.PTM, shards int) (metrics.PathSamples, *core.Result, error) {
+	return s.RunDQNCfg(model, core.Config{Shards: shards})
 }
 
 // RunDQNCfg runs DeepQueueNet with full engine configuration (scheduler,

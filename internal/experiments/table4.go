@@ -57,7 +57,7 @@ func Table4(o Opts) ([]GeneralityRow, *Table, error) {
 		truthStats := truth.Stats()
 		var predStats map[string]metrics.PathStats
 		if system == "DQN" {
-			pred, _, err := sc.RunDQN(model, o.Shards, false)
+			pred, _, err := sc.RunDQN(model, o.Shards)
 			if err != nil {
 				return err
 			}

@@ -85,7 +85,7 @@ func Table5(o Opts) ([]TopoRow, *Table, error) {
 			o.logf("table5: %s / %s done (avgRTT w1 %.4f)", system, tc.Name, row.Summary.AvgRTTW1)
 		}
 
-		pred, _, err := sc.RunDQN(model, o.Shards, false)
+		pred, _, err := sc.RunDQN(model, o.Shards)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -56,7 +56,7 @@ func Table6(o Opts) ([]TMRow, *Table, error) {
 			return nil, nil, err
 		}
 		truth := sc.RunDES()
-		pred, _, err := sc.RunDQN(model, o.Shards, false)
+		pred, _, err := sc.RunDQN(model, o.Shards)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -189,11 +189,11 @@ func AblationSEC(o Opts) ([]AblationRow, *Table, error) {
 				return nil, nil, err
 			}
 			truth := sc.RunDES()
-			with, _, err := sc.RunDQN(model, o.Shards, false)
+			with, _, err := sc.RunDQN(model, o.Shards)
 			if err != nil {
 				return nil, nil, err
 			}
-			without, _, err := sc.RunDQN(model, o.Shards, true)
+			without, _, err := sc.RunDQN(model.WithoutSEC(), o.Shards)
 			if err != nil {
 				return nil, nil, err
 			}

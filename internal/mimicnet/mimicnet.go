@@ -144,12 +144,3 @@ func (m *Mimic) Predict(params topo.FatTreeParams, flows []topo.FlowDef, hosts [
 	}
 	return out, nil
 }
-
-// SupportsTopology reports whether the mimic can simulate the graph: it
-// must be a FatTree with the trained cluster shape. Arbitrary graphs
-// (Line, torus, WANs) are rejected.
-func (m *Mimic) SupportsTopology(params *topo.FatTreeParams) bool {
-	return params != nil &&
-		params.NumToRsAndUplinks == m.Params.NumToRsAndUplinks &&
-		params.NumServersPerRack == m.Params.NumServersPerRack
-}

@@ -104,17 +104,4 @@ func TestRejectsForeignShapes(t *testing.T) {
 	if _, err := m.Predict(other, nil, nil, 10, 1); err == nil {
 		t.Fatal("expected cluster-shape rejection")
 	}
-	if m.SupportsTopology(nil) {
-		t.Fatal("nil params must be unsupported (non-FatTree topology)")
-	}
-	// FatTree64 has 4x4 clusters; the mimic was trained on FatTree16's
-	// 2x4 clusters and must reject it.
-	if m.SupportsTopology(&topo.FatTree64) {
-		t.Fatal("different cluster shape must be unsupported")
-	}
-	p := topo.FatTree16
-	p.NumClusters = 8
-	if !m.SupportsTopology(&p) {
-		t.Fatal("same cluster shape at larger scale must be supported")
-	}
 }

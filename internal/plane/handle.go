@@ -32,17 +32,8 @@ func (p *Plane) Wrap(inner core.DeviceModel, tag string) *Handle {
 	return &Handle{p: p, inner: inner, tag: tag}
 }
 
-// PredictStream implements core.DeviceModel by submitting a single-port
-// device call.
-func (h *Handle) PredictStream(stream []ptm.PacketIn, kind des.SchedKind, rateBps float64, _ int) []float64 {
-	ports := []ptm.PortStream{{Stream: stream, RateBps: rateBps}} //dqnlint:allow hotalloc submission boundary: one slice header per port-stream call, amortized over a whole device batch of inference; the zero-alloc pins cover the worker's inner loop, not the hand-off
-	h.p.Predict(h.inner, ports, kind, h.tag)                      //dqnlint:allow hotalloc submission boundary: the plane's call/channel bookkeeping is per device call, not per window; the warm worker's inference path keeps its own AllocsPerRun pins
-	return ports[0].Out
-}
-
-// PredictDevice implements core.DevicePredictor: the engine's
-// device-batched fast path parks here until the worker fills every
-// port's Out slice.
+// PredictDevice implements core.DeviceModel: the engine's device call
+// parks here until the worker fills every port's Out slice.
 func (h *Handle) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
 	h.p.Predict(h.inner, ports, kind, h.tag) //dqnlint:allow hotalloc submission boundary: the plane's call/channel bookkeeping is per device call, not per window; the warm worker's inference path keeps its own AllocsPerRun pins
 }

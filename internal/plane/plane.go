@@ -133,7 +133,7 @@ func (p *Plane) Predict(key core.DeviceModel, ports []ptm.PortStream, kind des.S
 	if w == nil {
 		// Plane closed (server shutdown race): run inline on a private
 		// clone — slower, bit-identical, never wedges the caller.
-		predictInline(key, ports, kind)
+		key.CloneModel().PredictDevice(ports, kind)
 		return
 	}
 	w.ch <- c
@@ -277,25 +277,7 @@ func runCall(model core.DeviceModel, c *call) {
 			c.panicked = r
 		}
 	}()
-	predict(model, c.ports, c.kind)
-}
-
-// predictInline is the closed-plane fallback: clone, predict, discard.
-func predictInline(key core.DeviceModel, ports []ptm.PortStream, kind des.SchedKind) {
-	predict(key.CloneModel(), ports, kind)
-}
-
-// predict fills every port's Out slice on model, device-batched when
-// the model supports it.
-func predict(model core.DeviceModel, ports []ptm.PortStream, kind des.SchedKind) {
-	if dp, ok := model.(core.DevicePredictor); ok {
-		dp.PredictDevice(ports, kind)
-		return
-	}
-	for i := range ports {
-		ps := &ports[i]
-		ps.Out = append(ps.Out[:0], model.PredictStream(ps.Stream, kind, ps.RateBps, 1)...)
-	}
+	model.PredictDevice(c.ports, c.kind)
 }
 
 // Depth reports the number of submitted-but-unfinished calls across all

@@ -24,15 +24,7 @@ type fakeModel struct {
 	panik bool
 }
 
-func (f *fakeModel) PredictStream(stream []ptm.PacketIn, _ des.SchedKind, _ float64, _ int) []float64 {
-	out := make([]float64, len(stream)) //dqnlint:allow hotalloc test double: not the pinned inference path
-	for i := range out {
-		out[i] = float64(i)
-	}
-	return out
-}
-
-func (f *fakeModel) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
+func (f *fakeModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 	f.mu.Lock()
 	f.calls++
 	first := f.calls == 1
@@ -45,7 +37,10 @@ func (f *fakeModel) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
 	}
 	for i := range ports {
 		ps := &ports[i]
-		ps.Out = append(ps.Out[:0], f.PredictStream(ps.Stream, kind, ps.RateBps, 1)...) //dqnlint:allow hotalloc test double: not the pinned inference path
+		ps.Out = ps.Out[:0]
+		for j := range ps.Stream {
+			ps.Out = append(ps.Out, float64(j)) //dqnlint:allow hotalloc test double: not the pinned inference path
+		}
 	}
 }
 
@@ -165,7 +160,7 @@ func TestAttributionIsolation(t *testing.T) {
 				}
 				wg.Done()
 			}()
-			ref := key.CloneModel() // private reference model
+			ref := pm.Clone() // private per-stream reference model
 			for k := 0; k < callsPerJob; k++ {
 				n := 3 + (j+k)%5
 				stream := make([]ptm.PacketIn, n)

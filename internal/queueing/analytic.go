@@ -57,8 +57,8 @@ func KingmanGG1Wait(lambda, mu, ca2, cs2 float64) (float64, error) {
 
 // ErrUnstable marks a queue whose arrival rate meets or exceeds its
 // service rate: no steady state exists and every closed form diverges.
-// Callers running a degradation ladder (internal/serve) match on it to
-// fall from the analytic tier to the FIFO-serialization rung.
+// The serving layer (internal/serve) matches on it to answer such a
+// scenario 422 "unstable" rather than as a server fault.
 var ErrUnstable = errors.New("queueing: unstable (lambda >= mu)")
 
 // checkRates validates that both rates are finite and strictly

@@ -72,14 +72,12 @@ type Request struct {
 
 	// Serve-internal durability fields, set by the server for durable
 	// jobs — never part of the wire API or the persisted record.
-	// CheckpointPath is where the job snapshots its epoch state (and
-	// where an existing snapshot is resumed from); CheckpointEvery is
-	// the snapshot cadence in IRSA iterations; LastProgress is the
-	// highest iteration count a previous process reported, used to
-	// account epochs lost to a crash.
-	CheckpointPath  string `json:"-"`
-	CheckpointEvery int    `json:"-"`
-	LastProgress    int    `json:"-"`
+	// CheckpointPath is where the job snapshots its epoch state at every
+	// IRSA iteration boundary (and where an existing snapshot is resumed
+	// from); LastProgress is the highest iteration count a previous
+	// process reported, used to account epochs lost to a crash.
+	CheckpointPath string `json:"-"`
+	LastProgress   int    `json:"-"`
 }
 
 // modelKey is the circuit-breaker identity of the request.
@@ -408,10 +406,6 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 			sink = r.WrapEpochSink(sink)
 		}
 		cfg.EpochSink = sink
-		cfg.EpochEvery = req.CheckpointEvery
-		if cfg.EpochEvery <= 0 {
-			cfg.EpochEvery = 1
-		}
 		if snap, lerr := checkpoint.Load(req.CheckpointPath); lerr == nil {
 			if verr := snap.Validate(w.TopoDigest, w.ModelDigest); verr == nil {
 				cfg.Resume = snap.EpochState()

@@ -75,10 +75,8 @@ type Config struct {
 	// re-enqueues every record that was pending or interrupted when the
 	// previous process died — resuming mid-run jobs from their last
 	// snapshot. Empty disables durability (no files, no overhead).
+	// Durable jobs snapshot at every IRSA iteration boundary.
 	StateDir string
-	// CheckpointEvery is the epoch cadence (in IRSA iterations) of
-	// durable jobs' snapshots. <= 0 uses 1 (every boundary).
-	CheckpointEvery int
 	// Brownout enables deadline-aware fidelity degradation: when the
 	// admission queue would shed a request, or a job's remaining
 	// deadline is below the estimated exact run time for its topology,
@@ -135,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 2 << 20
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -526,7 +521,6 @@ func (s *Server) serveJob(j *job) {
 		// request is copied so the caller's value stays untouched.
 		durable := *req
 		durable.CheckpointPath = s.store.checkpointPath(j.id)
-		durable.CheckpointEvery = s.cfg.CheckpointEvery
 		durable.LastProgress = j.rec.Progress
 		req = &durable
 	}

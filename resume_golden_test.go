@@ -70,9 +70,8 @@ func TestResumeGolden(t *testing.T) {
 					}
 					inj := chaos.New(chaos.Config{CrashAfterEpochs: crashAt})
 					_, err = runGoldenCaseErr(t, gc, core.Config{
-						Shards:     shards,
-						EpochSink:  inj.WrapEpochSink(w.Sink()),
-						EpochEvery: 1,
+						Shards:    shards,
+						EpochSink: inj.WrapEpochSink(w.Sink()),
 					})
 					if !errors.Is(err, guard.ErrCrash) {
 						t.Fatalf("crash-injected run: err = %v, want guard.ErrCrash", err)
@@ -135,7 +134,7 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	w := &checkpoint.Writer{Path: path, Seed: quick.spec.Seed, NoSync: true}
 	inj := chaos.New(chaos.Config{CrashAfterEpochs: 1})
 	_, err := runGoldenCaseErr(t, quick, core.Config{
-		Shards: 1, EpochSink: inj.WrapEpochSink(w.Sink()), EpochEvery: 1,
+		Shards: 1, EpochSink: inj.WrapEpochSink(w.Sink()),
 	})
 	if !errors.Is(err, guard.ErrCrash) {
 		t.Fatalf("crash run: err = %v, want guard.ErrCrash", err)
@@ -167,9 +166,8 @@ func (c *cancelObserver) ObserveInference(core.InferenceEvent) {}
 
 // TestResumeCancelWritesFinalSnapshot proves the drain contract: with a
 // checkpoint sink attached, a run canceled mid-iteration finishes that
-// iteration, persists a final boundary snapshot (even off the EpochEvery
-// cadence), and only then surfaces the cancel — and that snapshot
-// resumes bit-identically.
+// iteration, persists its boundary as the last snapshot, and only then
+// surfaces the cancel — and that snapshot resumes bit-identically.
 func TestResumeCancelWritesFinalSnapshot(t *testing.T) {
 	gc := goldenCases()[0]
 	base := runGoldenCase(t, gc, 1)
@@ -181,14 +179,11 @@ func TestResumeCancelWritesFinalSnapshot(t *testing.T) {
 	cancelCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sink := w.Sink()
-	epochs := 0
-	// EpochEvery is far beyond the run's convergence: the only snapshot
-	// that can exist is the final one forced by the cancel.
+	last := 0
 	cfg := core.Config{
-		Shards:     1,
-		EpochEvery: 1 << 20,
+		Shards: 1,
 		EpochSink: func(st *core.EpochState) error {
-			epochs++
+			last = st.Iter
 			return sink(st)
 		},
 		Observer: &cancelObserver{cancelAtIter: 2, cancel: cancel},
@@ -201,8 +196,8 @@ func TestResumeCancelWritesFinalSnapshot(t *testing.T) {
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("canceled run: err = %v, want guard.ErrCanceled", err)
 	}
-	if epochs != 1 {
-		t.Fatalf("sink saw %d epochs, want exactly the forced final snapshot", epochs)
+	if last != 2 {
+		t.Fatalf("last boundary the sink saw is iteration %d, want 2 (the canceled iteration's)", last)
 	}
 
 	snap, err := checkpoint.Load(path)
