@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzMatMulKernels -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzQuantRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzSliceTranscendentals -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/tensor/difftest -fuzz FuzzSoftmaxRows -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/analytic -fuzz FuzzAnalyticScenario -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/analytic -fuzz FuzzSpecEstimate -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/experiments -fuzz FuzzSpecBuild -fuzztime $(FUZZTIME) -run '^$$'

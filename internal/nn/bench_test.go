@@ -76,7 +76,8 @@ func BenchmarkMatMul(b *testing.B) {
 
 // BenchmarkGatesInto times one LSTM gate step at the trained model's
 // widths: H = 16 (whole 4-lane groups) and H = 10 (a 2-element tail in
-// each of the three slice calls). "narrow" pre-activations keep every
+// each pass of the gate kernel, and i|f|o|g blocks that straddle
+// groups). "narrow" pre-activations keep every
 // |z| below tanh's 0.625 branch point; "wide" ones send most groups
 // through the exp branch.
 func BenchmarkGatesInto(b *testing.B) {
@@ -103,7 +104,7 @@ func BenchmarkGatesInto(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(zr, zr0)
 					copy(c, c0)
-					GatesInto(zr, bias, c, h)
+					tensor.GatesInto(zr, bias, c, h)
 				}
 			})
 		}

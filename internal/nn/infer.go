@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"deepqueuenet/internal/tensor"
@@ -25,11 +26,34 @@ import (
 // kernels accumulate every output element on its own — so the range
 // changes cost, never values: Infer(x, lo, hi) is rows [lo, hi) of
 // Forward(x) to the bit (TestInferRowRangeBitwise, the golden traces).
+//
+// Stream prefix. The same argument cuts the front of the model: the
+// row-wise layers before the first row-mixing layer, and that layer's
+// input projection z = x·Wx when it is an LSTM or BLSTM, give each row
+// a value that depends on that row alone. InferPrefix computes that
+// prefix for any run of rows, InferWindow runs the rest of the model on
+// a window of prefix rows, and Infer is the two over its own rows. A
+// caller that slides overlapping windows over one long sequence (the
+// PTM's port streams) computes the prefix once per sequence instead of
+// once per window, and every output bit stays the same: a prefix row
+// is the same arithmetic whichever window, batch or GEMM row block it
+// is computed in.
 
 // inferLayer is a built-in layer's cache-free, allocation-free forward
 // pass over all rows of x.
 type inferLayer interface {
 	infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix
+}
+
+// recurrent is a row-mixing layer whose input enters only through the
+// row-wise projection z = x·Wx: the stream prefix can hold z.
+type recurrent interface {
+	zCols() int
+	zPack(pk *Packs) *tensor.Packed
+	// recur runs the recurrence over the T-row window whose row t has
+	// the projection z row min(start+t, z.Rows−1). It reads z and
+	// writes only its own arena scratch.
+	recur(z *tensor.Matrix, start, T int, a *tensor.Arena) *tensor.Matrix
 }
 
 // rowWise reports whether l maps each input row to the same output row
@@ -40,6 +64,95 @@ func rowWise(l Layer) bool {
 		return true
 	}
 	return false
+}
+
+// split returns the index of the first row-mixing layer (len(Layers)
+// when there is none) and of the last (−1 when there is none), and the
+// first one as a recurrent layer when it is an LSTM or BLSTM: its input
+// projection then ends the stream prefix (nil: the prefix is the
+// row-wise layers' output alone).
+func (s *Sequential) split() (first, last int, proj recurrent) {
+	first, last = len(s.Layers), -1
+	for i, l := range s.Layers {
+		if !rowWise(l) {
+			first, last = min(first, i), i
+		}
+	}
+	if first < len(s.Layers) {
+		proj, _ = s.Layers[first].(recurrent)
+	}
+	return first, last, proj
+}
+
+// PrefixCols returns the width of one stream-prefix row for in-wide
+// input rows.
+func (s *Sequential) PrefixCols(in int) int {
+	first, _, proj := s.split()
+	if proj != nil {
+		return proj.zCols()
+	}
+	for _, l := range s.Layers[:first] {
+		if d, ok := l.(*Dense); ok {
+			in = d.Out
+		}
+	}
+	return in
+}
+
+// InferPrefix writes the stream prefix of each row of x into the same
+// row of dst, which must be x.Rows×PrefixCols(x.Cols). Scratch comes
+// from a; dst may outlive a.Reset. Rows are independent, so a
+// sequence's prefix may be computed in any row blocks.
+func (s *Sequential) InferPrefix(dst, x *tensor.Matrix, a *tensor.Arena, pk *Packs) {
+	first, _, proj := s.split()
+	for i := 0; i < first; i++ {
+		x = s.inferLayerAt(&i, x, 0, x.Rows, -1, a, pk)
+	}
+	if proj != nil {
+		tensor.MatMulPackedInto(dst, x, proj.zPack(pk))
+		return
+	}
+	if dst.Rows != x.Rows || dst.Cols != x.Cols {
+		panic(fmt.Sprintf("nn: InferPrefix dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, x.Cols))
+	}
+	copy(dst.Data, x.Data)
+}
+
+// InferWindow returns rows [lo, hi) of the model's output on the T-row
+// window whose row t is prefix row min(start+t, pre.Rows−1) — rows past
+// the end of the sequence repeat its last row — bit for bit what Infer
+// returns for that window's input rows. It reads pre and never writes
+// it, so windows sharing prefix rows may run in any order, or
+// concurrently with their own a and pk. The result is as Infer's.
+func (s *Sequential) InferWindow(pre *tensor.Matrix, start, T, lo, hi int, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+	if start < 0 || T < 1 || pre.Rows < 1 {
+		panic(fmt.Sprintf("nn: InferWindow window of %d rows from row %d of %d prefix rows", T, start, pre.Rows))
+	}
+	first, last, proj := s.split()
+	var x *tensor.Matrix
+	if proj != nil {
+		x = proj.recur(pre, start, T, a)
+		if first == last {
+			x = a.Rows(x, lo, hi)
+		}
+		first++
+	} else {
+		if start+T <= pre.Rows {
+			x = a.Rows(pre, start, start+T)
+		} else {
+			x = a.NewMatrix(T, pre.Cols)
+			for t := 0; t < T; t++ {
+				copy(x.Row(t), pre.Row(min(start+t, pre.Rows-1)))
+			}
+		}
+		if last < 0 {
+			return a.Rows(x, lo, hi)
+		}
+	}
+	for i := first; i < len(s.Layers); i++ {
+		x = s.inferLayerAt(&i, x, lo, hi, last, a, pk)
+	}
+	return x
 }
 
 // Infer returns rows [lo, hi) of Forward(x), bit for bit, as an
@@ -54,37 +167,38 @@ func rowWise(l Layer) bool {
 // custom Layer type falls back to its Forward (correct, but
 // cache-writing — such a model must not be shared).
 func (s *Sequential) Infer(x *tensor.Matrix, lo, hi int, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	last := -1 // the last row-mixing layer
-	for i, l := range s.Layers {
-		if !rowWise(l) {
-			last = i
-		}
+	if _, last, _ := s.split(); last < 0 {
+		x, hi, lo = a.Rows(x, lo, hi), hi-lo, 0
 	}
-	if last < 0 {
-		x = a.Rows(x, lo, hi)
-	}
-	for i := 0; i < len(s.Layers); i++ {
-		at := i
-		switch l := s.Layers[i].(type) {
-		case *Dense:
-			y := a.NewMatrix(x.Rows, l.Out)
-			tensor.MatMulPackedBiasActInto(y, x, pk.of(l.w), l.b.W, s.fusedAct(&i))
-			x = y
-		case *MultiHeadSelfAttention:
-			if at == last {
-				x = l.inferRows(x, lo, hi, s.fusedAct(&i), a, pk)
-				continue // it took the range itself
-			}
-			x = l.inferRows(x, 0, x.Rows, s.fusedAct(&i), a, pk)
-		case inferLayer:
-			x = l.infer(x, a, pk)
-		default:
-			//dqnlint:allow hotalloc custom-Layer fallback: every built-in layer takes the arena infer path above; Forward's caches only run for user layer types, which the zero-alloc pins never ship
-			x = l.Forward(x)
-		}
+	pre := a.NewMatrix(x.Rows, s.PrefixCols(x.Cols))
+	s.InferPrefix(pre, x, a, pk)
+	return s.InferWindow(pre, 0, x.Rows, lo, hi, a, pk)
+}
+
+// inferLayerAt runs layer *i over x and returns its output; at the last
+// row-mixing layer (index last) the output is cut to rows [lo, hi). A
+// layer that takes a following Activation into its GEMM advances *i
+// past it.
+func (s *Sequential) inferLayerAt(i *int, x *tensor.Matrix, lo, hi, last int, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+	at := *i
+	switch l := s.Layers[at].(type) {
+	case *Dense:
+		y := a.NewMatrix(x.Rows, l.Out)
+		tensor.MatMulPackedBiasActInto(y, x, pk.of(l.w), l.b.W, s.fusedAct(i))
+		return y
+	case *MultiHeadSelfAttention:
 		if at == last {
-			x = a.Rows(x, lo, hi)
+			return l.inferRows(x, lo, hi, s.fusedAct(i), a, pk) // it takes the range itself
 		}
+		x = l.inferRows(x, 0, x.Rows, s.fusedAct(i), a, pk)
+	case inferLayer:
+		x = l.infer(x, a, pk)
+	default:
+		//dqnlint:allow hotalloc custom-Layer fallback: every built-in layer takes the arena infer path above; Forward's caches only run for user layer types, which the zero-alloc pins never ship
+		x = l.Forward(x)
+	}
+	if at == last {
+		x = a.Rows(x, lo, hi)
 	}
 	return x
 }
@@ -134,23 +248,40 @@ func (a *Activation) infer(x *tensor.Matrix, ar *tensor.Arena, _ *Packs) *tensor
 	return y
 }
 
-func (l *LSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	hs := a.NewMatrix(x.Rows, l.Hidden)
-	l.inferInto(hs, 0, false, x, a, pk)
+func (l *LSTM) zCols() int                     { return 4 * l.Hidden }
+func (l *LSTM) zPack(pk *Packs) *tensor.Packed { return pk.of(l.wx) }
+
+func (l *LSTM) recur(z *tensor.Matrix, start, T int, a *tensor.Arena) *tensor.Matrix {
+	hs := a.NewMatrix(T, l.Hidden)
+	l.recurInto(hs, 0, false, z, 0, start, T, a)
 	return hs
 }
 
-// inferInto runs the recurrence over x — from the last row to the
-// first when rev — and writes h_t into columns [col, col+Hidden) of
-// out's row t. A BLSTM's two directions write the two halves of one
-// output this way: no reversed copy of the input, none of the backward
-// outputs, no concatenation.
-func (l *LSTM) inferInto(out *tensor.Matrix, col int, rev bool, x *tensor.Matrix, a *tensor.Arena, pk *Packs) {
-	T, H := x.Rows, l.Hidden
-	// All four gate pre-activations for every timestep in one wide GEMM
-	// (the i|f|o|g blocks are columns of the same 4H-wide weight).
-	z := a.NewMatrix(T, 4*H)
-	tensor.MatMulPackedInto(z, x, pk.of(l.wx))
+func (l *LSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+	return inferRecurrent(l, x, a, pk)
+}
+
+// inferRecurrent is a recurrent layer over all rows of x: the input
+// projection of every row in one GEMM, then the recurrence.
+func inferRecurrent(r recurrent, x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+	z := a.NewMatrix(x.Rows, r.zCols())
+	tensor.MatMulPackedInto(z, x, r.zPack(pk))
+	return r.recur(z, 0, x.Rows, a)
+}
+
+// recurInto runs the recurrence over a T-row window — from the last row
+// to the first when rev — and writes h_t into columns [col, col+Hidden)
+// of out's row t. Step t's gate pre-activations are the 4·Hidden
+// columns of z from zc in row min(start+t, z.Rows−1) (the i|f|o|g
+// blocks are columns of one 4H-wide weight, so one GEMM made them all);
+// each step copies that row into its own scratch before the recurrent
+// product and the gates consume it, so z is never written. A BLSTM's
+// two directions write the two halves of one output this way: no
+// reversed copy of the input, none of the backward outputs, no
+// concatenation.
+func (l *LSTM) recurInto(out *tensor.Matrix, col int, rev bool, z *tensor.Matrix, zc, start, T int, a *tensor.Arena) {
+	H := l.Hidden
+	zs := a.Alloc(4 * H)
 	hPrev := a.AllocZero(H)
 	c := a.AllocZero(H)
 	bias := l.b.W.Data
@@ -159,19 +290,28 @@ func (l *LSTM) inferInto(out *tensor.Matrix, col int, rev bool, x *tensor.Matrix
 		if rev {
 			t = T - 1 - s
 		}
-		zr := z.Row(t)
-		tensor.AddVecMatInto(zr, hPrev, l.wh.W)
+		copy(zs, z.Row(min(start+t, z.Rows-1))[zc:zc+4*H])
+		tensor.AddVecMatInto(zs, hPrev, l.wh.W)
 		h := out.Row(t)[col : col+H]
-		GatesInto(zr, bias, c, h)
+		tensor.GatesInto(zs, bias, c, h)
 		hPrev = h
 	}
 }
 
-func (b *BLSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	out := a.NewMatrix(x.Rows, 2*b.Hidden)
-	b.fwd.inferInto(out, 0, false, x, a, pk)
-	b.bwd.inferInto(out, b.Hidden, true, x, a, pk)
+func (b *BLSTM) zCols() int                     { return 8 * b.Hidden }
+func (b *BLSTM) zPack(pk *Packs) *tensor.Packed { return pk.blstmOf(b) }
+
+// recur runs both directions over one projection: the forward LSTM's
+// z in columns [0, 4H), the backward one's in [4H, 8H).
+func (b *BLSTM) recur(z *tensor.Matrix, start, T int, a *tensor.Arena) *tensor.Matrix {
+	out := a.NewMatrix(T, 2*b.Hidden)
+	b.fwd.recurInto(out, 0, false, z, 0, start, T, a)
+	b.bwd.recurInto(out, b.Hidden, true, z, 4*b.Hidden, start, T, a)
 	return out
+}
+
+func (b *BLSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
+	return inferRecurrent(b, x, a, pk)
 }
 
 // inferRows is attention for output rows [lo, hi): queries only for

@@ -88,6 +88,14 @@ func rowRangeModels() []rowRangeCase {
 		{"pooled: meanpool", NewSequential(
 			NewLSTM(6, 4, r), NewMeanPool(), NewActivation("sigmoid")), 7, true},
 		{"pooled: takelast", NewSequential(NewLSTM(6, 4, r), NewTakeLast()), 7, true},
+		{"prefix ends before attention", NewSequential(
+			NewDense(6, 8, r), NewActivation("tanh"), NewLayerNorm(8),
+			NewMultiHeadSelfAttention(8, 8, 2, 4, 4, r), NewActivation("tanh"),
+			NewBLSTM(8, 5, r), NewDense(10, 1, r)), 12, false},
+		{"layernorm before the blstm", NewSequential(
+			NewDense(6, 12, r), NewActivation("tanh"), NewLayerNorm(12),
+			NewBLSTM(12, 6, r), NewMultiHeadSelfAttention(12, 8, 2, 4, 4, r),
+			NewDense(8, 1, r)), 11, false},
 		{"no row-mixing layer", NewSequential(
 			NewDense(6, 8, r), NewActivation("relu"), NewLayerNorm(8), NewDense(8, 3, r)), 9, false},
 	}
@@ -142,6 +150,58 @@ func TestInferRowRangeBitwise(t *testing.T) {
 					for i, v := range qgot.Data {
 						if w := qfull[lo*want.Cols+i]; math.Float32bits(v) != math.Float32bits(w) {
 							t.Fatalf("%s quant [%d,%d): element %d differs bitwise: %v vs full-range %v", tc.name, lo, hi, i, v, w)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestInferWindowMatchesInfer is the stream-prefix contract: a prefix
+// computed once over a whole sequence, in two row blocks, and a window
+// run from it at any start — rows past the sequence end repeating its
+// last row — give exactly what Infer gives on that window's rows.
+func TestInferWindowMatchesInfer(t *testing.T) {
+	withBackends(t, func(t *testing.T) {
+		for _, tc := range rowRangeModels() {
+			in := tc.m.Layers[0].Spec().In
+			for _, n := range []int{1, tc.T - 1, 2*tc.T + 3} {
+				if n < 1 {
+					continue
+				}
+				seq := sparseInput(n, in, 200+uint64(n))
+				a, pk := tensor.NewArena(), NewPacks()
+				pre := tensor.New(n, tc.m.PrefixCols(in))
+				cut := n / 3
+				for _, blk := range [][2]int{{0, cut}, {cut, n}} {
+					a.Reset()
+					tc.m.InferPrefix(a.Rows(pre, blk[0], blk[1]), a.Rows(seq, blk[0], blk[1]), a, pk)
+				}
+				outRows := tc.T
+				if tc.pool {
+					outRows = 1
+				}
+				for _, start := range []int{0, max(0, n-tc.T), n / 2, n - 1} {
+					win := tensor.New(tc.T, in)
+					for r := 0; r < tc.T; r++ {
+						copy(win.Row(r), seq.Row(min(start+r, n-1)))
+					}
+					for _, rg := range [][2]int{{0, outRows}, {outRows / 2, outRows}, {0, 1}} {
+						if rg[0] >= rg[1] {
+							continue
+						}
+						a.Reset()
+						want := tc.m.Infer(win, rg[0], rg[1], a, pk).Clone()
+						a.Reset()
+						got := tc.m.InferWindow(pre, start, tc.T, rg[0], rg[1], a, pk)
+						if got.Rows != want.Rows || got.Cols != want.Cols {
+							t.Fatalf("%s n=%d start=%d %v: shape %dx%d, want %dx%d", tc.name, n, start, rg, got.Rows, got.Cols, want.Rows, want.Cols)
+						}
+						for i, v := range got.Data {
+							if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+								t.Fatalf("%s n=%d start=%d %v: element %d differs bitwise: window %v infer %v", tc.name, n, start, rg, i, v, want.Data[i])
+							}
 						}
 					}
 				}

@@ -83,36 +83,6 @@ func (l *LSTM) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return l.hs.Clone()
 }
 
-// GatesInto applies one LSTM timestep's gate math: zr is the 4H-wide
-// pre-activation row (input GEMM plus recurrence, bias not yet added),
-// bias the 4H-wide gate bias, c the carried cell state (updated in
-// place to c_t), and h receives h_t. Gate blocks are i|f|o|g. The
-// per-element expressions are exactly Forward's — one bias add, the
-// same sigmoid/tanh rounding, the same c/h products in the same order —
-// so the fused kernel is bit-identical to the unfused loops (enforced
-// by the difftest harness). zr is consumed as scratch: the kernel runs
-// the three sigmoid blocks and the candidate tanh block through the
-// vectorized slice transcendentals in place, then combines them.
-func GatesInto(zr, bias, c, h []float64) {
-	H := len(h)
-	if len(zr) != 4*H || len(bias) != 4*H || len(c) != H {
-		panic("nn: GatesInto length mismatch")
-	}
-	for j, bv := range bias {
-		zr[j] += bv
-	}
-	tensor.SigmoidSlice(zr[:3*H], zr[:3*H])
-	tensor.TanhSlice(zr[3*H:], zr[3*H:])
-	gi, gf, go_, gg := zr[:H], zr[H:2*H], zr[2*H:3*H], zr[3*H:]
-	for k := 0; k < H; k++ {
-		c[k] = gf[k]*c[k] + gi[k]*gg[k]
-	}
-	tensor.TanhSlice(h, c)
-	for k := 0; k < H; k++ {
-		h[k] *= go_[k]
-	}
-}
-
 func (l *LSTM) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	T, H := l.x.Rows, l.Hidden
 	dx := tensor.New(T, l.In)

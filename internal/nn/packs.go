@@ -47,3 +47,16 @@ func (pk *Packs) kvOf(m *MultiHeadSelfAttention) *tensor.Packed {
 	pk.m[m] = pp
 	return pp
 }
+
+// blstmOf returns the fused [fwd.wx | bwd.wx] pack of a BLSTM: both
+// directions' input projections in one GEMM, for a window or for a
+// whole stream's prefix. Like kvOf it changes no bit.
+func (pk *Packs) blstmOf(b *BLSTM) *tensor.Packed {
+	if got := pk.m[b]; got != nil {
+		return got
+	}
+	//dqnlint:allow hotalloc pack warm-up: the fused BLSTM input-weight concat is built and packed once per session on its first use, then served from the cache
+	pp := tensor.Pack(tensor.ConcatCols(b.fwd.wx.W, b.bwd.wx.W))
+	pk.m[b] = pp
+	return pp
+}

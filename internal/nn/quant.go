@@ -176,7 +176,7 @@ func (l *qLSTM) qinferInto(out *tensor.MatrixF32, col int, rev bool, x *tensor.M
 		zr := z.Row(t)
 		tensor.QAddVecMatInto(zr, hPrev, l.wh)
 		hr := out.Row(t)[col : col+H]
-		// Same structure as the exact path's GatesInto: bias add, the
+		// Same structure as the exact path's tensor.GatesInto: bias add, the
 		// three sigmoid blocks and the candidate tanh block through the
 		// vectorized slice transcendentals, then the c/h combines.
 		for j, bv := range l.b {

@@ -11,9 +11,12 @@ import (
 
 // benchStream is a 1000-packet Poisson stream over 8 input ports at
 // about 0.6 load on a 10 Gb/s egress port.
-func benchStream() []PacketIn {
-	r := rng.New(2)
-	stream := make([]PacketIn, 1000)
+func benchStream() []PacketIn { return benchStreamN(1000, 2) }
+
+// benchStreamN is benchStream's traffic, n packets from seed.
+func benchStreamN(n int, seed uint64) []PacketIn {
+	r := rng.New(seed)
+	stream := make([]PacketIn, n)
 	tm := 0.0
 	for i := range stream {
 		tm += r.Exp(1e6)
@@ -56,6 +59,30 @@ func BenchmarkPredictStreamShipped(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchPredictStream(b, p)
+}
+
+// BenchmarkPredictDeviceShipped times one PredictDevice call of the
+// shipped model at the shape of a FatTree16 device in the benchmark's
+// offline_fattree16 workload: four port streams of 89 packets, each
+// tiled by 5 windows (160 window rows for 89 packets). Where
+// PredictStreamShipped's 1 000-packet stream shows the per-window cost,
+// this shows the per-device cost the engine pays.
+func BenchmarkPredictDeviceShipped(b *testing.B) {
+	p, err := Load(filepath.Join("..", "..", "models", "switch8-std.ptm.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ports := make([]PortStream, 4)
+	pkts := 0
+	for i := range ports {
+		ports[i] = PortStream{Stream: benchStreamN(89, 3+uint64(i)), RateBps: 10e9}
+		pkts += len(ports[i].Stream)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.PredictDevice(ports, des.FIFO)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pkts), "ns/pkt")
 }
 
 // BenchmarkLoad loads the benchmark's default model with Load and with

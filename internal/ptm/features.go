@@ -199,20 +199,3 @@ func (ck Chunk) Materialize(rows [][]float64, c int, sc *MinMax) *tensor.Matrix 
 	}
 	return w
 }
-
-// materializeInto is Materialize against a flat n×NumFeatures feature
-// buffer, writing into a reusable window matrix (x.Rows is the chunk
-// length).
-func (ck Chunk) materializeInto(x *tensor.Matrix, flat []float64, n int, sc *MinMax) {
-	for t := 0; t < x.Rows; t++ {
-		src := ck.Start + t
-		if src >= n {
-			src = n - 1
-		}
-		row := x.Row(t)
-		copy(row, flat[src*NumFeatures:(src+1)*NumFeatures])
-		if sc != nil {
-			sc.Transform(row)
-		}
-	}
-}

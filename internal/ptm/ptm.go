@@ -192,6 +192,10 @@ func (p *PTM) PredictStream(stream []PacketIn, kind des.SchedKind, rateBps float
 		p.inferChunks(s, s, out, 0, 1)
 		return out
 	}
+	if p.qnet == nil {
+		s.arena.Reset()
+		p.prefixTo(s, len(stream)) // the workers read the whole prefix
+	}
 	var wg sync.WaitGroup
 	panics := make([]*guard.WorkerError, nw)
 	for w := 0; w < nw; w++ {

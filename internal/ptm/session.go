@@ -7,24 +7,28 @@ import (
 )
 
 // session is the reusable scratch state of PTM inference: flat
-// feature/aux buffers, the chunk list, one window matrix, and the
-// tensor arena and weight packs behind the network's cache-free Infer
-// path. All of it is grow-only, so once a session has seen its largest
-// stream, every further prediction runs with zero heap allocations
-// (pinned by TestPredictDeviceZeroAllocs).
+// feature/aux buffers, the chunk list, the stream prefix, and the
+// tensor arena and weight packs behind the network's cache-free
+// inference path. All of it is grow-only, so once a session has seen
+// its largest stream, every further prediction runs with zero heap
+// allocations (pinned by TestPredictDeviceZeroAllocs).
 //
 // A session is not goroutine-safe; it is owned by one *PTM and used by
 // its single-threaded prediction paths. Shard-parallel callers give
 // each shard its own model clone (CloneModel), hence its own session;
-// PredictStream's chunk-parallel workers each get a private one.
+// PredictStream's chunk-parallel workers each get a private one for
+// their windows and read the stream's prefix from the shared one.
 type session struct {
 	arena   *tensor.Arena
 	packs   *nn.Packs // weight matrices repacked for the blocked GEMM kernels
-	feats   []float64 // n × NumFeatures, row-major
+	feats   []float64 // n × NumFeatures, row-major, scaled
 	tx      []float64
 	backlog []float64
 	chunks  []Chunk
-	x       *tensor.Matrix // TimeSteps × NumFeatures window
+	pre     []float64     // n × Net.PrefixCols: the stream prefix
+	featM   tensor.Matrix // header over feats
+	preM    tensor.Matrix // header over pre
+	preDone int           // prefix rows computed so far
 
 	// Quantized-backend scratch (allocated only when the model runs
 	// with WithQuantized): the float32 window and its arena.
@@ -33,7 +37,7 @@ type session struct {
 }
 
 func newSession(timeSteps int, quant bool) *session {
-	s := &session{arena: tensor.NewArena(), packs: nn.NewPacks(), x: tensor.New(timeSteps, NumFeatures)}
+	s := &session{arena: tensor.NewArena(), packs: nn.NewPacks()}
 	if quant {
 		s.fx = tensor.NewF32(timeSteps, NumFeatures)
 		s.farena = tensor.NewArenaF32()
@@ -51,16 +55,45 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// window featurizes stream into the session's flat buffers and tiles
-// it with chunks.
+// window featurizes and scales stream into the session's flat buffers,
+// tiles it with chunks, and — on the exact backend — sizes the stream
+// prefix every window reads: the per-packet part of the network
+// (nn.Sequential.InferPrefix), computed once per packet rather than
+// once per window that covers it. prefixTo fills it as the window sweep
+// first reaches each row, so the rows a window reads were written just
+// before it, not a whole stream earlier (measured against building it
+// up front: EXPERIMENTS.md, "Per-window work once per stream").
 func (p *PTM) window(s *session, stream []PacketIn, kind des.SchedKind, rateBps float64) {
 	n := len(stream)
 	s.feats = growFloats(s.feats, n*NumFeatures)
 	s.tx = growFloats(s.tx, n)
 	s.backlog = growFloats(s.backlog, n)
 	featurizeFlat(s.feats, s.tx, s.backlog, stream, kind, p.NumPorts, rateBps)
+	if p.Feat != nil {
+		for i := 0; i < n; i++ {
+			p.Feat.Transform(s.feats[i*NumFeatures : (i+1)*NumFeatures])
+		}
+	}
+	s.featM = tensor.Matrix{Rows: n, Cols: NumFeatures, Data: s.feats}
 	//dqnlint:allow hotalloc grow-only: appends into the session's reused chunk slice; it grows only until the largest stream has been seen
 	s.chunks = chunksAppend(s.chunks[:0], n, p.TimeSteps, p.Margin)
+	if p.qnet != nil {
+		return
+	}
+	pc := p.Net.PrefixCols(NumFeatures)
+	s.pre = growFloats(s.pre, n*pc)
+	s.preM = tensor.Matrix{Rows: n, Cols: pc, Data: s.pre}
+	s.preDone = 0
+}
+
+// prefixTo extends the stream prefix to rows [0, upto), with scratch
+// from s.arena.
+func (p *PTM) prefixTo(s *session, upto int) {
+	if s.preDone >= upto {
+		return
+	}
+	p.Net.InferPrefix(s.arena.Rows(&s.preM, s.preDone, upto), s.arena.Rows(&s.featM, s.preDone, upto), s.arena, s.packs)
+	s.preDone = upto
 }
 
 // predictInto is the allocation-free core of every prediction path:
@@ -82,12 +115,16 @@ func (p *PTM) inferChunks(s, src *session, dst []float64, w, stride int) {
 	n := len(dst)
 	for i := w; i < len(src.chunks); i += stride {
 		ck := src.chunks[i]
-		ck.materializeInto(s.x, src.feats, n, p.Feat)
 		lo, hi := ck.Lo, min(ck.Hi, n-ck.Start)
 		if p.qnet != nil {
 			// Opt-in quantized backend: same windows, same consume
-			// logic, int8/float32 network in between.
-			s.fx.CopyFromF64(s.x)
+			// logic, its own per-window int8/float32 network.
+			for t := 0; t < p.TimeSteps; t++ {
+				row := min(ck.Start+t, n-1) * NumFeatures
+				for j, v := range src.feats[row : row+NumFeatures] {
+					s.fx.Data[t*NumFeatures+j] = float32(v)
+				}
+			}
 			s.farena.Reset()
 			y := p.qnet.Infer(s.fx, lo, hi, s.farena)
 			for t := 0; t < y.Rows; t++ {
@@ -96,7 +133,10 @@ func (p *PTM) inferChunks(s, src *session, dst []float64, w, stride int) {
 			continue
 		}
 		s.arena.Reset()
-		y := p.Net.Infer(s.x, lo, hi, s.arena, s.packs)
+		if s == src {
+			p.prefixTo(s, min(n, ck.Start+p.TimeSteps))
+		}
+		y := p.Net.InferWindow(&src.preM, ck.Start, p.TimeSteps, lo, hi, s.arena, s.packs)
 		for t := 0; t < y.Rows; t++ {
 			p.consumePred(dst, y.At(t, 0), ck.Start+lo+t, src.tx, src.backlog)
 		}

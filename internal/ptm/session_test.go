@@ -3,6 +3,7 @@ package ptm
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"deepqueuenet/internal/des"
@@ -69,28 +70,66 @@ func forwardReference(p *PTM, stream []PacketIn, kind des.SchedKind, rateBps flo
 	return out
 }
 
-// TestPredictStreamMatchesForwardReference: both prediction paths —
-// the session path and the chunk-parallel path — ask the network only
-// for the rows they consume and must still produce the reference's
-// sojourns bit for bit, exact and quantized, at every stream length
-// from one packet to past three windows (short streams, the anchored
-// final chunk, every Lo/Hi the tiling produces).
-// Lengths run downwards so stale-buffer reuse would be caught.
-func TestPredictStreamMatchesForwardReference(t *testing.T) {
-	for _, quant := range []bool{false, true} {
-		p := sessionModel(t)
-		if quant {
-			if err := p.WithQuantized(); err != nil {
+// referenceModels are the architectures the prediction paths are held
+// to the reference on: the default, the paper's Table 1 (a 200-wide
+// first BLSTM, so a 1 600-wide stream prefix), and the shipped trained
+// switch8 model, whose gate pre-activations have a trained model's
+// distribution.
+func referenceModels(t *testing.T) []referenceModel {
+	t.Helper()
+	synth := func(arch Arch) func() *PTM {
+		return func() *PTM {
+			p, err := Synthetic(arch, 8, 1)
+			if err != nil {
 				t.Fatal(err)
 			}
+			return p
 		}
-		for n := 3*p.TimeSteps + 1; n >= 1; n-- {
-			stream := testStream(n, 50+uint64(n))
-			want := forwardReference(p, stream, des.WFQ, 10e9)
-			label := fmt.Sprintf("quant=%v n=%d", quant, n)
-			for _, workers := range []int{1, 3} {
-				got := p.PredictStream(stream, des.WFQ, 10e9, workers)
-				sojournsBitsEqual(t, fmt.Sprintf("%s PredictStream(workers=%d)", label, workers), got, want)
+	}
+	return []referenceModel{
+		{"default", synth(Arch{})},
+		{"paper", synth(PaperArch)},
+		{"shipped", func() *PTM {
+			p, err := Load(filepath.Join("..", "..", "models", "switch8-std.ptm.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+	}
+}
+
+type referenceModel struct {
+	name string
+	load func() *PTM
+}
+
+// TestPredictStreamMatchesForwardReference: both prediction paths —
+// the session path, which computes each stream's prefix once and runs
+// every window from it, and the chunk-parallel path — ask the network
+// only for the rows they consume and must still produce the
+// reference's sojourns bit for bit, exact and quantized, at every
+// stream length from one packet to past three windows (short streams,
+// the anchored final chunk, every Lo/Hi the tiling produces), on every
+// reference architecture. Lengths run downwards so stale-buffer reuse
+// would be caught.
+func TestPredictStreamMatchesForwardReference(t *testing.T) {
+	for _, m := range referenceModels(t) {
+		for _, quant := range []bool{false, true} {
+			p := m.load()
+			if quant {
+				if err := p.WithQuantized(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := 3*p.TimeSteps + 1; n >= 1; n-- {
+				stream := testStream(n, 50+uint64(n))
+				want := forwardReference(p, stream, des.WFQ, 10e9)
+				label := fmt.Sprintf("%s quant=%v n=%d", m.name, quant, n)
+				for _, workers := range []int{1, 3} {
+					got := p.PredictStream(stream, des.WFQ, 10e9, workers)
+					sojournsBitsEqual(t, fmt.Sprintf("%s PredictStream(workers=%d)", label, workers), got, want)
+				}
 			}
 		}
 	}

@@ -48,30 +48,54 @@ func matMulPacked(dst []float64, ds int, a []float64, as, m int, p *Packed) {
 		return
 	}
 	np := (N + 7) / 8
-	npFull := 0 // panels the assembly takes: the full ones, when it runs at all
-	if useAsmKernels && K > 0 {
-		npFull = N / 8
+	if !useAsmKernels || K == 0 {
+		matMulPackedGo(dst, ds, a, as, m, p)
+		return
 	}
-	if npFull > 0 {
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			for pi := 0; pi < npFull; pi++ {
-				gemm4x8(&dst[i*ds+pi*8], ds, &a[i*as], as, &p.data[pi*K*8], K)
-			}
-		}
-		for ; i < m; i++ {
-			for pi := 0; pi < npFull; pi++ {
-				gemm1x8(&dst[i*ds+pi*8], &a[i*as], &p.data[pi*K*8], K)
-			}
+	npFull := N / 8
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		for pi := 0; pi < npFull; pi++ {
+			gemm4x8(&dst[i*ds+pi*8], ds, &a[i*as], as, &p.data[pi*K*8], K)
 		}
 	}
-	// Portable microkernel for the panels the assembly did not take (the
-	// zero-padded last one, or all of them): 8 accumulators per panel,
-	// partial stores past N.
-	for i := 0; i < m && npFull < np; i++ {
+	for ; i < m; i++ {
+		for pi := 0; pi < npFull; pi++ {
+			gemm1x8(&dst[i*ds+pi*8], &a[i*as], &p.data[pi*K*8], K)
+		}
+	}
+	if npFull == np {
+		return
+	}
+	// The zero-padded last panel runs the same kernels into a 4×8 stack
+	// tile, and only its N mod 8 real columns are copied out: the padded
+	// lanes are computed and dropped, as the portable loop does.
+	j, w := npFull*8, N-npFull*8
+	panel := &p.data[npFull*K*8]
+	var tile [32]float64
+	i = 0
+	for ; i+4 <= m; i += 4 {
+		gemm4x8(&tile[0], 8, &a[i*as], as, panel, K)
+		for r := 0; r < 4; r++ {
+			copy(dst[(i+r)*ds+j:(i+r)*ds+j+w], tile[r*8:r*8+w])
+		}
+	}
+	for ; i < m; i++ {
+		gemm1x8(&tile[0], &a[i*as], panel, K)
+		copy(dst[i*ds+j:i*ds+j+w], tile[:w])
+	}
+}
+
+// matMulPackedGo is the portable form of matMulPacked, for builds and
+// CPUs without the assembly: 8 accumulators per panel, partial stores
+// past N.
+func matMulPackedGo(dst []float64, ds int, a []float64, as, m int, p *Packed) {
+	K, N := p.K, p.N
+	np := (N + 7) / 8
+	for i := 0; i < m; i++ {
 		arow := a[i*as : i*as+K]
 		orow := dst[i*ds : i*ds+N]
-		for pi := npFull; pi < np; pi++ {
+		for pi := 0; pi < np; pi++ {
 			var c0, c1, c2, c3, c4, c5, c6, c7 float64
 			panel := p.data[pi*K*8 : (pi+1)*K*8]
 			for k := 0; k < K; k++ {

@@ -3,7 +3,6 @@ package difftest
 import (
 	"testing"
 
-	"deepqueuenet/internal/nn"
 	"deepqueuenet/internal/rng"
 	"deepqueuenet/internal/tensor"
 )
@@ -39,6 +38,18 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 	gb := make([]float64, 64)
 	gc := make([]float64, 16)
 	gh := make([]float64, 16)
+	emb := tensor.New(32, 15)
+	fillRand(r, emb, false)
+	embW := tensor.New(15, 12)
+	fillRand(r, embW, false)
+	embP := tensor.Pack(embW)
+	embDst := tensor.New(32, 12)
+	zr10 := make([]float64, 40)
+	gb10 := make([]float64, 40)
+	gc10 := make([]float64, 10)
+	gh10 := make([]float64, 10)
+	scores := tensor.New(16, 32)
+	fillRand(r, scores, false)
 	dstT := tensor.New(32, 32)
 	var kt tensor.Packed
 	ktBuf := make([]float64, tensor.PackedLen(8, 32))
@@ -65,7 +76,11 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 		{"ExpSlice remainder", func() { tensor.ExpSlice(ys[:10], xs[:10]) }},
 		{"SigmoidSlice remainder", func() { tensor.SigmoidSlice(ys[:10], xs[:10]) }},
 		{"TanhSlice remainder", func() { tensor.TanhSlice(ys[:10], xs[:10]) }},
-		{"GatesInto", func() { nn.GatesInto(zr, gb, gc, gh) }},
+		{"GatesInto", func() { tensor.GatesInto(zr, gb, gc, gh) }},
+		{"GatesInto H=10", func() { tensor.GatesInto(zr10, gb10, gc10, gh10) }},
+		{"MatMulPackedInto edge panel", func() { tensor.MatMulPackedInto(embDst, emb, embP) }},
+		{"Scale", func() { scores.Scale(0.5) }},
+		{"SoftmaxRows", func() { tensor.SoftmaxRows(scores) }},
 		{"QMatMulInto", func() { tensor.QMatMulInto(dstf, af, q) }},
 		{"QMatMulBiasActInto", func() { tensor.QMatMulBiasActInto(dstf, af, q, nil, tensor.ActTanh) }},
 		{"QAddVecMatInto", func() { tensor.QAddVecMatInto(accf, hf, q) }},

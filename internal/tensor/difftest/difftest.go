@@ -107,7 +107,7 @@ func refAct(v float64, act tensor.ActKind) float64 {
 	return v
 }
 
-// RefGates is the scalar reference of nn.GatesInto: per element, bias
+// RefGates is the scalar reference of tensor.GatesInto: per element, bias
 // add, sigmoid on the i/f/o blocks and tanh on the candidate block,
 // then c' = f·c + i·g and h = o·tanh(c'), everything through scalar
 // math.Exp/math.Tanh in the exact order the fused kernel documents.
@@ -131,5 +131,33 @@ func RefGates(zr, bias, c, h []float64) {
 	}
 	for k := 0; k < H; k++ {
 		h[k] = gout[k] * math.Tanh(c[k])
+	}
+}
+
+// RefSoftmaxRows is the scalar reference of tensor.SoftmaxRows, the
+// loop it ran before its vector glue: per row, the max by `v > m` from
+// -Inf, the subtraction of it, math.Exp, one left-to-right sum, and the
+// division by a positive sum.
+func RefSoftmaxRows(m *tensor.Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		maxv := math.Inf(-1)
+		for _, v := range row {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		for j, v := range row {
+			row[j] = math.Exp(v - maxv)
+		}
+		sum := 0.0
+		for _, e := range row {
+			sum += e
+		}
+		if sum > 0 {
+			for j := range row {
+				row[j] /= sum
+			}
+		}
 	}
 }

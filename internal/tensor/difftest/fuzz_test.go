@@ -21,6 +21,9 @@ func FuzzMatMulKernels(f *testing.F) {
 	f.Add(byte(5), byte(8), byte(16), uint64(11), byte(1))
 	f.Add(byte(32), byte(20), byte(48), uint64(3), byte(0))
 	f.Add(byte(7), byte(2), byte(17), uint64(99), byte(3))
+	f.Add(byte(32), byte(15), byte(12), uint64(5), byte(0)) // the embedding: a 4-column edge panel
+	f.Add(byte(16), byte(16), byte(1), uint64(6), byte(3))  // the head: one column
+	f.Add(byte(13), byte(15), byte(12), uint64(8), byte(1)) // 4-row blocks plus a 1-row tail on the edge panel
 	f.Fuzz(func(t *testing.T, mb, kb, nb byte, seed uint64, spice byte) {
 		m := int(mb % 33)
 		k := int(kb % 33)
@@ -101,6 +104,66 @@ func FuzzSliceTranscendentals(f *testing.F) {
 					checkScalarBits(t, op.name, op.slice, op.scalar, xs)
 				}
 			}()
+		}
+	})
+}
+
+// FuzzSoftmaxRows feeds raw float64 bit patterns through Matrix.Scale
+// and SoftmaxRows — attention's score glue — with the assembly and
+// vector kernels on and off, against a scalar multiply and
+// RefSoftmaxRows. data[0] picks the row length (1–33), the next eight
+// bytes the scale, and every further eight bytes one element; a partial
+// last row is dropped. Every element must carry the reference's bits
+// (any NaN matches any NaN): the vector max, subtraction and division,
+// their scalar tails, and the one scalar chain of the sum.
+func FuzzSoftmaxRows(f *testing.F) {
+	raw := func(cols byte, scale float64, xs ...float64) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte{cols - 1}, math.Float64bits(scale))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(raw(4, 0.35, 0.1, -0.2, 0.3, 0.7, 2, 2, 2, 2))                       // an all-equal row
+	f.Add(raw(5, 1, negZero, -1, 0, -3, negZero))                              // a ±0 maximum
+	f.Add(raw(3, 1, math.Inf(-1), math.Inf(-1), math.Inf(-1)))                 // nothing above -Inf
+	f.Add(raw(6, 2, math.NaN(), 1, math.Inf(1), 5e-324, -800, 3))              // NaN, +Inf, a subnormal, an exp underflow
+	f.Add(raw(1, -0.5, 7, negZero, math.NaN()))                                // one-element rows
+	f.Add(raw(9, 0.125, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 8, 7, 6, 5, 4, 3, 2, 1)) // a 1-element tail per row
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		cols := 1 + int(data[0]%33)
+		scale := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+		rows := min((len(data)-9)/8/cols, 8)
+		if rows == 0 {
+			return
+		}
+		in := tensor.New(rows, cols)
+		for i := range in.Data {
+			in.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[9+8*i:]))
+		}
+		want := in.Clone()
+		for i := range want.Data {
+			want.Data[i] *= scale
+		}
+		RefSoftmaxRows(want)
+		for _, asm := range []bool{false, true} {
+			for _, vec := range []bool{false, true} {
+				prevAsm, prevVec := tensor.SetAsmKernels(asm), tensor.SetVecKernels(vec)
+				got := in.Clone()
+				got.Scale(scale)
+				tensor.SoftmaxRows(got)
+				tensor.SetAsmKernels(prevAsm)
+				tensor.SetVecKernels(prevVec)
+				for i := range want.Data {
+					if !sameBits(got.Data[i], want.Data[i]) {
+						t.Fatalf("asm=%v vec=%v %dx%d scale %v: element %d (input %v) got %v want %v", asm, vec, rows, cols, scale, i, in.Data[i], got.Data[i], want.Data[i])
+					}
+				}
+			}
 		}
 	})
 }

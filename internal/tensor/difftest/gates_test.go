@@ -1,43 +1,65 @@
 package difftest
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
-	"deepqueuenet/internal/nn"
 	"deepqueuenet/internal/rng"
 	"deepqueuenet/internal/tensor"
 )
 
-// TestGatesIntoMatchesReference gates the fused BLSTM gate kernel: for
-// random pre-activations (including saturating magnitudes), nn.GatesInto
-// must produce the same cell and hidden state bits as the scalar
-// reference, with the vector transcendentals both on and off. Bitwise
-// identity is the strictest possible ULP budget (0 ULP) — the fused
-// kernel reorders nothing per element, it only blocks the loops.
+// TestGatesIntoMatchesReference gates the LSTM gate step: for every
+// width H = 1…17 (whole 4-lane groups, every tail length, and blocks
+// that straddle groups) and H = 33, tensor.GatesInto must produce the same
+// cell and hidden state bits as the scalar reference, with the vector
+// kernels both on and off. The inputs are narrow (every tanh lane on
+// its polynomial branch), wide (exp branches, saturation, sigmoid lanes
+// beyond the vector kernel's exact range, which must fall back whole),
+// and spiced with ±0, subnormals, ±Inf and NaN in the pre-activations,
+// the bias and the cell state. Bitwise identity is the strictest
+// possible ULP budget (0 ULP) — the kernel reorders nothing per
+// element, it only blocks the loops.
 func TestGatesIntoMatchesReference(t *testing.T) {
+	gateSpecials := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, math.NaN(), math.Inf(1), math.Inf(-1)}
 	withBackends(t, func(t *testing.T) {
 		r := rng.New(404)
-		for _, H := range []int{1, 3, 8, 16, 10, 33} {
-			for trial := 0; trial < 20; trial++ {
+		widths := []int{33}
+		for H := 1; H <= 17; H++ {
+			widths = append(widths, H)
+		}
+		for _, H := range widths {
+			for trial := 0; trial < 24; trial++ {
 				zr := make([]float64, 4*H)
 				bias := make([]float64, 4*H)
 				c := make([]float64, H)
 				h := make([]float64, H)
-				for j := range zr {
-					zr[j] = r.Uniform(-8, 8)
-					bias[j] = r.Uniform(-2, 2)
+				span := 8.0
+				switch trial % 4 {
+				case 1:
+					span = 0.25 // narrow
+				case 2:
+					span = 60 // saturating
 				}
-				if trial%4 == 0 {
-					// Saturation: push some gates far into the flat regions.
-					for j := range zr {
-						if r.Intn(3) == 0 {
-							zr[j] = r.Uniform(-60, 60)
-						}
-					}
+				for j := range zr {
+					zr[j] = r.Uniform(-span, span)
+					bias[j] = r.Uniform(-2, 2)
 				}
 				for k := range c {
 					c[k] = r.Uniform(-3, 3)
+				}
+				switch trial % 8 {
+				case 3:
+					// Beyond the vector sigmoid's exact range: one lane.
+					zr[r.Intn(3*H)] = r.Uniform(705, 800) * float64(1-2*r.Intn(2))
+				case 7:
+					for _, v := range [][]float64{zr, bias, c} {
+						for j := range v {
+							if r.Intn(4) == 0 {
+								v[j] = gateSpecials[r.Intn(len(gateSpecials))]
+							}
+						}
+					}
 				}
 
 				zrRef := append([]float64(nil), zr...)
@@ -45,9 +67,10 @@ func TestGatesIntoMatchesReference(t *testing.T) {
 				hRef := make([]float64, H)
 				RefGates(zrRef, bias, cRef, hRef)
 
-				nn.GatesInto(zr, bias, c, h)
-				bitsEqualSlice(t, "GatesInto c", c, cRef)
-				bitsEqualSlice(t, "GatesInto h", h, hRef)
+				tensor.GatesInto(zr, bias, c, h)
+				label := fmt.Sprintf("GatesInto H=%d trial %d", H, trial)
+				bitsEqualSlice(t, label+" c", c, cRef)
+				bitsEqualSlice(t, label+" h", h, hRef)
 			}
 		}
 	})

@@ -180,6 +180,10 @@ func AddInPlace(a, b *Matrix) {
 
 // Scale multiplies every element of m by s in place.
 func (m *Matrix) Scale(s float64) {
+	if useAsmKernels {
+		vscale(m.Data, s)
+		return
+	}
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
@@ -193,9 +197,19 @@ func (m *Matrix) Apply(f func(float64) float64) {
 }
 
 // SoftmaxRows applies softmax independently to each row of m in place.
+// With the assembly kernels on, the row max and the subtraction of it
+// (vmaxsub) and the sum and the division by it (vsumdiv) run as vector
+// code around ExpSlice, each element rounding as in the loops below,
+// which are the portable path.
 func SoftmaxRows(m *Matrix) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
+		if useAsmKernels {
+			vmaxsub(row)
+			ExpSlice(row, row)
+			vsumdiv(row)
+			continue
+		}
 		maxv := math.Inf(-1)
 		for _, v := range row {
 			if v > maxv {

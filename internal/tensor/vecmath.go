@@ -86,3 +86,48 @@ func TanhSlice(dst, x []float64) {
 		dst[i] = math.Tanh(v)
 	}
 }
+
+// GatesInto applies one LSTM timestep's gate math: zr is the 4H-wide
+// pre-activation row (input GEMM plus recurrence, bias not yet added),
+// bias the 4H-wide gate bias, c the carried cell state (updated in
+// place to c_t), and h receives h_t. Gate blocks are i|f|o|g. The
+// per-element expressions are exactly nn.LSTM.Forward's — one bias
+// add, the same sigmoid/tanh rounding, the same c/h products in the
+// same order — so the result is bit-identical to those loops (enforced
+// by the difftest harness against difftest.RefGates). zr is consumed
+// as scratch: the sigmoid blocks and the candidate tanh block are
+// computed into it in place, then combined.
+//
+// With the vector kernels on, the whole step is one assembly call
+// (vgates). The Go code below is the portable path, and finishes a step
+// whose sigmoid pre-activations leave vgates' exact range from the
+// group where vgates stopped.
+func GatesInto(zr, bias, c, h []float64) {
+	H := len(h)
+	if len(zr) != 4*H || len(bias) != 4*H || len(c) != H {
+		panic("tensor: GatesInto length mismatch")
+	}
+	if H == 0 {
+		return
+	}
+	j := 0 // zr[:j] holds sigmoids, zr[j:] biased pre-activations
+	if useVecKernels {
+		if j = vgates(zr, bias, c, h); j < 0 {
+			return
+		}
+	} else {
+		for k, bv := range bias {
+			zr[k] += bv
+		}
+	}
+	SigmoidSlice(zr[j:3*H], zr[j:3*H])
+	TanhSlice(zr[3*H:], zr[3*H:])
+	gi, gf, go_, gg := zr[:H], zr[H:2*H], zr[2*H:3*H], zr[3*H:]
+	for k := 0; k < H; k++ {
+		c[k] = gf[k]*c[k] + gi[k]*gg[k]
+	}
+	TanhSlice(h, c)
+	for k := 0; k < H; k++ {
+		h[k] *= go_[k]
+	}
+}

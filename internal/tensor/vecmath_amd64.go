@@ -20,6 +20,18 @@ func vsigmoidblk(dst, x []float64) int
 func vtanhblk(dst, x []float64) int
 
 //go:noescape
+func vgates(zr, bias, c, h []float64) int
+
+//go:noescape
+func vscale(x []float64, s float64)
+
+//go:noescape
+func vmaxsub(x []float64)
+
+//go:noescape
+func vsumdiv(x []float64)
+
+//go:noescape
 func vexpf8(dst, x []float32) int
 
 //go:noescape

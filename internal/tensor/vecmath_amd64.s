@@ -224,30 +224,33 @@ GLOBL tanhbig<>(SB), RODATA|NOPTR, $32
 	VPSLLQ $52, Y4, Y4        \
 	VMULPD Y4, Y0, Y0         // · 2^n
 
-// TAILLOAD gathers the R10 ∈ {1, 2, 3} elements at (SI)(AX*8) into
-// the low lanes of y (x is its low half) and zeroes the lanes above;
-// clobbers X1. See vexpblk for why the loads are scalar.
-#define TAILLOAD(x, y) \
-	VMOVSD (SI)(AX*8), x      \ // lane 0; lanes 1–3 zeroed
-	CMPQ R10, $2              \
-	JLT  6(PC)                \
-	VMOVHPD 8(SI)(AX*8), x, x \ // lane 1
-	CMPQ R10, $3              \
-	JLT  3(PC)                \
-	VMOVSD 16(SI)(AX*8), X1   \ // lane 2
+// TAILLOADAT gathers the R10 ∈ {1, 2, 3} elements at (base)(AX*8)
+// into the low lanes of y (x is its low half) and zeroes the lanes
+// above; clobbers X1. See vexpblk for why the loads are scalar.
+#define TAILLOADAT(base, x, y) \
+	VMOVSD (base)(AX*8), x      \ // lane 0; lanes 1–3 zeroed
+	CMPQ R10, $2                \
+	JLT  6(PC)                  \
+	VMOVHPD 8(base)(AX*8), x, x \ // lane 1
+	CMPQ R10, $3                \
+	JLT  3(PC)                  \
+	VMOVSD 16(base)(AX*8), X1   \ // lane 2
 	VINSERTF128 $1, X1, y, y
 
-// TAILSTORE scatters the low R10 ∈ {1, 2, 3} lanes of y (x is its low
-// half) to (DI)(AX*8); clobbers X1.
-#define TAILSTORE(x, y) \
-	VMOVSD x, (DI)(AX*8)      \
-	CMPQ R10, $2              \
-	JLT  6(PC)                \
-	VMOVHPD x, 8(DI)(AX*8)    \
-	CMPQ R10, $3              \
-	JLT  3(PC)                \
-	VEXTRACTF128 $1, y, X1    \
-	VMOVSD X1, 16(DI)(AX*8)
+// TAILSTOREAT scatters the low R10 ∈ {1, 2, 3} lanes of y (x is its
+// low half) to (base)(AX*8); clobbers X1.
+#define TAILSTOREAT(base, x, y) \
+	VMOVSD x, (base)(AX*8)      \
+	CMPQ R10, $2                \
+	JLT  6(PC)                  \
+	VMOVHPD x, 8(base)(AX*8)    \
+	CMPQ R10, $3                \
+	JLT  3(PC)                  \
+	VEXTRACTF128 $1, y, X1      \
+	VMOVSD X1, 16(base)(AX*8)
+
+#define TAILLOAD(x, y) TAILLOADAT(SI, x, y)
+#define TAILSTORE(x, y) TAILSTOREAT(DI, x, y)
 
 // func vexpblk(dst, x []float64) int
 // Writes dst[i] = exp(x[i]) group by group while every lane in the
@@ -452,6 +455,376 @@ tanhstoretail:
 	MOVQ CX, AX
 tanhdone:
 	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func vgates(zr, bias, c, h []float64) int
+// One LSTM timestep's gate math for H = len(h): zr = zr + bias, the
+// sigmoid of the i|f|o blocks and the tanh of the g block in place,
+// c = f·c + i·g, h = tanh(c)·o — nn.GatesInto's passes in one call,
+// each op rounding like its Go expression (no FMA outside EXPCORE and
+// tanh's exp branch, which replicate archExp). Every pass runs whole
+// 4-lane groups plus one gathered tail group, and reads a group at the
+// offset some earlier pass of this call stored it at, so the loads
+// forward from those stores. Returns -1.
+//
+// The sigmoid is exact only for |z + b| ≤ 704 (see vexpblk). At the
+// first sigmoid group with a lane outside that range (or NaN) the
+// kernel stops: it adds the bias to zr from that group to the end and
+// returns the group's index j, leaving zr[:j] as sigmoids, zr[j:] as
+// pre-activations, and c and h untouched, for the caller to finish.
+TEXT ·vgates(SB), NOSPLIT, $0-104
+	MOVQ zr_base+0(FP), R14
+	MOVQ bias_base+24(FP), SI
+	MOVQ c_base+48(FP), R11
+	MOVQ h_base+72(FP), R12
+	MOVQ h_len+80(FP), CX     // H
+	LEAQ (CX)(CX*2), R13      // 3H: the sigmoid span
+	LEAQ (R13)(CX*1), R8      // 4H
+	MOVQ $-1, R9              // the group the sigmoid pass stopped at
+
+	VMOVUPD absmask<>(SB), Y15
+	VMOVUPD expsafe<>(SB), Y14
+	VMOVUPD explog2e<>(SB), Y12
+	VMOVUPD expln2u<>(SB), Y11
+	VMOVUPD expln2l<>(SB), Y10
+	VMOVUPD expc0625<>(SB), Y9
+
+	// Sigmoid pass over [0, 3H): zr = 1/(1+exp(-(z + b))).
+	XORQ AX, AX
+gsloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, R13
+	JGT  gstail
+	VMOVUPD (R14)(AX*8), Y0
+	VADDPD (SI)(AX*8), Y0, Y0
+gsgroup:
+	VANDPD Y15, Y0, Y1
+	VCMPPD $0x12, Y14, Y1, Y2 // |x| ≤ 704, LE_OQ (false for NaN)
+	VMOVMSKPD Y2, DX
+	CMPL DX, $0xF
+	JNE  gsstop
+	VXORPD signmask<>(SB), Y0, Y0
+	EXPCORE
+	VADDPD expone<>(SB), Y0, Y1
+	VMOVUPD expone<>(SB), Y2
+	VDIVPD Y1, Y2, Y0
+	CMPQ BX, R13
+	JGT  gsstoretail
+	VMOVUPD Y0, (R14)(AX*8)
+	MOVQ BX, AX
+	JMP  gsloop
+gstail:
+	MOVQ R13, R10
+	SUBQ AX, R10
+	JZ   gbloop // AX = 3H: on to the g block
+	TAILLOADAT(R14, X0, Y0)
+	TAILLOADAT(SI, X3, Y3)
+	VADDPD Y3, Y0, Y0
+	JMP  gsgroup
+gsstoretail:
+	TAILSTOREAT(R14, X0, Y0)
+	MOVQ R13, AX
+	JMP  gbloop
+gsstop:
+	MOVQ AX, R9
+
+	// Bias pass over [AX, 4H): zr = z + b. AX is 3H (the g block) or
+	// the group the sigmoid pass stopped at.
+gbloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, R8
+	JGT  gbtail
+	VMOVUPD (R14)(AX*8), Y0
+	VADDPD (SI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (R14)(AX*8)
+	MOVQ BX, AX
+	JMP  gbloop
+gbtail:
+	MOVQ R8, R10
+	SUBQ AX, R10
+	JZ   gbdone
+	TAILLOADAT(R14, X0, Y0)
+	TAILLOADAT(SI, X3, Y3)
+	VADDPD Y3, Y0, Y0
+	TAILSTOREAT(R14, X0, Y0)
+gbdone:
+	CMPQ R9, $0
+	JLT  gblocks
+	MOVQ R9, ret+96(FP)
+	VZEROUPPER
+	RET
+
+gblocks:
+	// Block bases: i at R14, f at R8, o at R9, g at R13. The first tanh
+	// pass runs on g in place, then the cell pass, then the second tanh
+	// pass from c into h; the tanh pass tells them apart by DI.
+	LEAQ (R14)(CX*8), R8
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R13
+	MOVQ R13, SI
+	MOVQ R13, DI
+	VMOVUPD tanh625<>(SB), Y14
+
+gtanh:
+	// Tanh pass over [0, H): (DI) = tanh((SI)), vtanhblk's group body.
+	XORQ AX, AX
+gtloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  gttail
+	VMOVUPD (SI)(AX*8), Y8
+gtgroup:
+	VANDPD Y15, Y8, Y7
+	VANDNPD Y8, Y15, Y5
+	VCMPPD $0x1D, Y14, Y7, Y13
+	VMOVMSKPD Y13, DX
+	TESTL DX, DX
+	JZ   gtpoly
+	VMULPD exptwo<>(SB), Y7, Y0
+	EXPCORE
+	VADDPD expone<>(SB), Y0, Y1
+	VMOVUPD exptwo<>(SB), Y2
+	VDIVPD Y1, Y2, Y2
+	VMOVUPD expone<>(SB), Y1
+	VSUBPD Y2, Y1, Y6
+	VXORPD Y5, Y6, Y6
+gtpoly:
+	VMULPD Y8, Y8, Y1
+	VMOVUPD tanhp0<>(SB), Y2
+	VMULPD Y1, Y2, Y2
+	VADDPD tanhp1<>(SB), Y2, Y2
+	VMULPD Y1, Y2, Y2
+	VADDPD tanhp2<>(SB), Y2, Y2
+	VADDPD tanhq0<>(SB), Y1, Y3
+	VMULPD Y1, Y3, Y3
+	VADDPD tanhq1<>(SB), Y3, Y3
+	VMULPD Y1, Y3, Y3
+	VADDPD tanhq2<>(SB), Y3, Y3
+	VMULPD Y1, Y8, Y4
+	VMULPD Y2, Y4, Y4
+	VDIVPD Y3, Y4, Y4
+	VADDPD Y8, Y4, Y4
+	TESTL DX, DX
+	JZ   gtzero
+	VBLENDVPD Y13, Y6, Y4, Y4
+	VCMPPD $0x1E, tanhbig<>(SB), Y7, Y1
+	VMOVUPD expone<>(SB), Y2
+	VXORPD Y5, Y2, Y2
+	VBLENDVPD Y1, Y2, Y4, Y4
+gtzero:
+	VXORPD Y1, Y1, Y1
+	VCMPPD $0x00, Y1, Y8, Y1
+	VBLENDVPD Y1, Y8, Y4, Y4
+	CMPQ BX, CX
+	JGT  gtstoretail
+	VMOVUPD Y4, (DI)(AX*8)
+	MOVQ BX, AX
+	JMP  gtloop
+gttail:
+	MOVQ CX, R10
+	SUBQ AX, R10
+	JZ   gtdone
+	TAILLOADAT(SI, X8, Y8)
+	JMP  gtgroup
+gtstoretail:
+	TAILSTOREAT(DI, X4, Y4)
+gtdone:
+	CMPQ DI, R12
+	JEQ  gmul
+
+	// Cell pass over [0, H): c = f·c + i·g.
+	XORQ AX, AX
+gcloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  gctail
+	VMOVUPD (R8)(AX*8), Y0
+	VMULPD (R11)(AX*8), Y0, Y0
+	VMOVUPD (R14)(AX*8), Y2
+	VMULPD (R13)(AX*8), Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VMOVUPD Y0, (R11)(AX*8)
+	MOVQ BX, AX
+	JMP  gcloop
+gctail:
+	MOVQ CX, R10
+	SUBQ AX, R10
+	JZ   gcdone
+	TAILLOADAT(R8, X0, Y0)
+	TAILLOADAT(R11, X2, Y2)
+	VMULPD Y2, Y0, Y0
+	TAILLOADAT(R14, X3, Y3)
+	TAILLOADAT(R13, X2, Y2)
+	VMULPD Y2, Y3, Y3
+	VADDPD Y3, Y0, Y0
+	TAILSTOREAT(R11, X0, Y0)
+gcdone:
+	MOVQ R11, SI
+	MOVQ R12, DI
+	JMP  gtanh
+
+gmul:
+	// Output pass over [0, H): h = tanh(c)·o.
+	XORQ AX, AX
+gmloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  gmtail
+	VMOVUPD (R12)(AX*8), Y0
+	VMULPD (R9)(AX*8), Y0, Y0
+	VMOVUPD Y0, (R12)(AX*8)
+	MOVQ BX, AX
+	JMP  gmloop
+gmtail:
+	MOVQ CX, R10
+	SUBQ AX, R10
+	JZ   gmdone
+	TAILLOADAT(R12, X0, Y0)
+	TAILLOADAT(R9, X2, Y2)
+	VMULPD Y2, Y0, Y0
+	TAILSTOREAT(R12, X0, Y0)
+gmdone:
+	MOVQ $-1, ret+96(FP)
+	VZEROUPPER
+	RET
+
+// --- softmax and scale glue (AVX, no FMA) ---
+//
+// Each lane rounds exactly like the scalar Go expression it replaces;
+// the 1–3 element tails run as scalar VEX ops of the same kind.
+
+DATA neginf<>+0(SB)/8, $0xFFF0000000000000
+DATA neginf<>+8(SB)/8, $0xFFF0000000000000
+DATA neginf<>+16(SB)/8, $0xFFF0000000000000
+DATA neginf<>+24(SB)/8, $0xFFF0000000000000
+GLOBL neginf<>(SB), RODATA|NOPTR, $32
+
+// func vscale(x []float64, s float64)
+// x[i] = x[i]·s.
+TEXT ·vscale(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), CX
+	VBROADCASTSD s+24(FP), Y1
+	XORQ AX, AX
+scloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  sctail
+	VMOVUPD (DI)(AX*8), Y0
+	VMULPD Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	MOVQ BX, AX
+	JMP  scloop
+sctail:
+	CMPQ AX, CX
+	JGE  scdone
+	VMOVSD (DI)(AX*8), X0
+	VMULSD X1, X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  sctail
+scdone:
+	VZEROUPPER
+	RET
+
+// func vmaxsub(x []float64)
+// x[i] = x[i] - max(x), the max as the scalar loop `if v > m { m = v }`
+// from m = -Inf finds it. VMAXPD v, m returns v exactly when v > m and
+// m otherwise (a NaN v included), so each lane keeps that loop's
+// running max of its own elements, and the lanes reduce to the same
+// value — up to the sign of a zero maximum, which no x[i] - max can
+// show: ±0 - ±0 rounds to +0 or -0 and either is exp'd to 1, and a
+// nonzero v minus a zero is v.
+TEXT ·vmaxsub(SB), NOSPLIT, $0-24
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), CX
+	VMOVUPD neginf<>(SB), Y0
+	XORQ AX, AX
+mxloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  mxreduce
+	VMOVUPD (DI)(AX*8), Y1
+	VMAXPD Y0, Y1, Y0
+	MOVQ BX, AX
+	JMP  mxloop
+mxreduce:
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD X0, X1, X0
+	VUNPCKHPD X0, X0, X1
+	VMAXSD X0, X1, X0
+mxtail:
+	CMPQ AX, CX
+	JGE  mxsub
+	VMOVSD (DI)(AX*8), X1
+	VMAXSD X0, X1, X0
+	INCQ AX
+	JMP  mxtail
+mxsub:
+	VBROADCASTSD X0, Y2
+	XORQ AX, AX
+sbloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  sbtail
+	VMOVUPD (DI)(AX*8), Y1
+	VSUBPD Y2, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	MOVQ BX, AX
+	JMP  sbloop
+sbtail:
+	CMPQ AX, CX
+	JGE  sbdone
+	VMOVSD (DI)(AX*8), X1
+	VSUBSD X2, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  sbtail
+sbdone:
+	VZEROUPPER
+	RET
+
+// func vsumdiv(x []float64)
+// sum = x[0] + x[1] + … as one left-to-right scalar chain from +0 (its
+// order sets the bits); then, if sum > 0, x[i] = x[i]/sum.
+TEXT ·vsumdiv(SB), NOSPLIT, $0-24
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), CX
+	VXORPD X0, X0, X0
+	XORQ AX, AX
+suloop:
+	CMPQ AX, CX
+	JGE  sucheck
+	VADDSD (DI)(AX*8), X0, X0
+	INCQ AX
+	JMP  suloop
+sucheck:
+	VXORPD X1, X1, X1
+	VCMPSD $0x1E, X1, X0, X2 // sum > 0, GT_OQ (false for NaN)
+	VMOVMSKPD X2, DX
+	TESTL $1, DX
+	JZ   dvdone
+	VBROADCASTSD X0, Y1
+	XORQ AX, AX
+dvloop:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  dvtail
+	VMOVUPD (DI)(AX*8), Y2
+	VDIVPD Y1, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	MOVQ BX, AX
+	JMP  dvloop
+dvtail:
+	CMPQ AX, CX
+	JGE  dvdone
+	VMOVSD (DI)(AX*8), X2
+	VDIVSD X1, X2, X2
+	VMOVSD X2, (DI)(AX*8)
+	INCQ AX
+	JMP  dvtail
+dvdone:
 	VZEROUPPER
 	RET
 

@@ -10,9 +10,13 @@ const vecSupported = false
 
 var useVecKernels = false
 
-func vexpblk(dst, x []float64) int     { panic("tensor: no vector kernels") }
-func vsigmoidblk(dst, x []float64) int { panic("tensor: no vector kernels") }
-func vtanhblk(dst, x []float64) int    { panic("tensor: no vector kernels") }
-func vexpf8(dst, x []float32) int      { panic("tensor: no vector kernels") }
-func vsigmoidf8(dst, x []float32) int  { panic("tensor: no vector kernels") }
-func vtanhf8(dst, x []float32) int     { panic("tensor: no vector kernels") }
+func vexpblk(dst, x []float64) int        { panic("tensor: no vector kernels") }
+func vsigmoidblk(dst, x []float64) int    { panic("tensor: no vector kernels") }
+func vtanhblk(dst, x []float64) int       { panic("tensor: no vector kernels") }
+func vgates(zr, bias, c, h []float64) int { panic("tensor: no vector kernels") }
+func vscale(x []float64, s float64)       { panic("tensor: no vector kernels") }
+func vmaxsub(x []float64)                 { panic("tensor: no vector kernels") }
+func vsumdiv(x []float64)                 { panic("tensor: no vector kernels") }
+func vexpf8(dst, x []float32) int         { panic("tensor: no vector kernels") }
+func vsigmoidf8(dst, x []float32) int     { panic("tensor: no vector kernels") }
+func vtanhf8(dst, x []float32) int        { panic("tensor: no vector kernels") }
