@@ -96,6 +96,7 @@ bench-smoke:
 # test`.
 fuzz:
 	$(GO) test ./internal/ptm -fuzz FuzzPTMLoad -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/ptm -fuzz FuzzPredictDeviceReuse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/topo -fuzz FuzzBuildTopo -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzMatMulKernels -fuzztime $(FUZZTIME) -run '^$$'

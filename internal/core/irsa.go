@@ -464,8 +464,9 @@ func indexTraversals(pkts []*packet) (map[int][]entry, []int) {
 }
 
 // propagate recomputes per-packet arrival estimates from the current
-// sojourns and returns the largest change in any final departure time.
-// A NaN or ±Inf estimate is returned as-is (not swallowed by the max
+// sojourns and returns the largest change in any hop's arrival
+// estimate. A packet's delivery time enters only the NaN/±Inf check: a
+// NaN or ±Inf estimate is returned as-is (not swallowed by the max
 // comparison) so the divergence watchdog sees the poisoning immediately.
 func propagate(pkts []*packet) float64 {
 	maxDelta := 0.0
@@ -528,7 +529,9 @@ func (s *Sim) inferDevice(dev int, plan *devicePlan, pkts []*packet,
 	}
 	// Every egress port of the device in one call against the clone's
 	// inference scratch; streams and outputs live in plan-owned reusable
-	// buffers.
+	// buffers. The same PortStream serves a port on every sweep, so a
+	// port's windows whose inputs did not move since the last sweep are
+	// not re-run (ptm.PortStream).
 	for i := range plan.ports {
 		pp := &plan.ports[i]
 		pp.stream = growStream(pp.stream, len(pp.es))

@@ -36,7 +36,11 @@ type DeviceModel interface {
 // egress-port streams of one device, each sorted by arrival time, are
 // predicted in a single call that may reuse the model's internal
 // inference scratch and writes sojourns into the caller-owned
-// PortStream.Out slices (grown when too small).
+// PortStream.Out slices (grown when too small). A PortStream may also
+// carry what the last call on it computed: pass the same PortStream for
+// the same port on every call to let the model skip the work whose
+// inputs did not change, or a fresh one to get none. Either way the
+// sojourns are the same bits.
 type DevicePredictor interface {
 	PredictDevice(ports []ptm.PortStream, kind des.SchedKind)
 }

@@ -189,12 +189,12 @@ func (p *PTM) PredictStream(stream []PacketIn, kind des.SchedKind, rateBps float
 	// cell on every call, the sequential ones included.
 	nw := min(workers, len(s.chunks))
 	if nw <= 1 {
-		p.inferChunks(s, s, out, 0, 1)
+		p.inferChunks(s, s, nil, out, 0, 1)
 		return out
 	}
 	if p.qnet == nil {
 		s.arena.Reset()
-		p.prefixTo(s, len(stream)) // the workers read the whole prefix
+		p.prefixTo(s, 0, len(stream)) // the workers read the whole prefix
 	}
 	var wg sync.WaitGroup
 	panics := make([]*guard.WorkerError, nw)
@@ -208,7 +208,7 @@ func (p *PTM) PredictStream(stream []PacketIn, kind des.SchedKind, rateBps float
 				}
 			}()
 			// Chunks tile the stream, so workers write disjoint positions.
-			p.inferChunks(newSession(p.TimeSteps, p.qnet != nil), s, out, w, nw)
+			p.inferChunks(newSession(p.TimeSteps, p.qnet != nil), s, nil, out, w, nw)
 		}(w)
 	}
 	wg.Wait()

@@ -1,6 +1,8 @@
 package ptm
 
 import (
+	"math"
+
 	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/nn"
 	"deepqueuenet/internal/tensor"
@@ -18,6 +20,11 @@ import (
 // each shard its own model clone (CloneModel), hence its own session;
 // PredictStream's chunk-parallel workers each get a private one for
 // their windows and read the stream's prefix from the shared one.
+//
+// A session serves every port of every device its model predicts, so
+// it keeps nothing from one call to the next but buffer capacity. What
+// a port's last call computed lives in that port's PortStream (its
+// memo), which PredictDevice reads to skip unchanged windows.
 type session struct {
 	arena   *tensor.Arena
 	packs   *nn.Packs // weight matrices repacked for the blocked GEMM kernels
@@ -28,7 +35,12 @@ type session struct {
 	pre     []float64     // n × Net.PrefixCols: the stream prefix
 	featM   tensor.Matrix // header over feats
 	preM    tensor.Matrix // header over pre
-	preDone int           // prefix rows computed so far
+	preDone int           // end of the last prefix rows filled; rows a skipped window alone reads stay unfilled
+
+	// windowsRun counts the windows this session has actually inferred
+	// (a window a port memo supplies is not counted); tests read it to
+	// see that reuse happens.
+	windowsRun int
 
 	// Quantized-backend scratch (allocated only when the model runs
 	// with WithQuantized): the float32 window and its arena.
@@ -86,22 +98,33 @@ func (p *PTM) window(s *session, stream []PacketIn, kind des.SchedKind, rateBps 
 	s.preDone = 0
 }
 
-// prefixTo extends the stream prefix to rows [0, upto), with scratch
-// from s.arena.
-func (p *PTM) prefixTo(s *session, upto int) {
-	if s.preDone >= upto {
+// prefixTo fills the stream prefix rows [max(s.preDone, from), upto),
+// with scratch from s.arena. Windows arrive in stream order, so rows
+// below s.preDone that a window reads were filled for an earlier,
+// overlapping window; rows that only skipped windows read are never
+// computed.
+func (p *PTM) prefixTo(s *session, from, upto int) {
+	from = max(from, s.preDone)
+	if from >= upto {
 		return
 	}
-	p.Net.InferPrefix(s.arena.Rows(&s.preM, s.preDone, upto), s.arena.Rows(&s.featM, s.preDone, upto), s.arena, s.packs)
+	p.Net.InferPrefix(s.arena.Rows(&s.preM, from, upto), s.arena.Rows(&s.featM, from, upto), s.arena, s.packs)
 	s.preDone = upto
 }
 
 // predictInto is the allocation-free core of every prediction path:
 // featurize, window, and infer the chunks one by one into dst, which
-// must be len(stream) long.
-func (p *PTM) predictInto(s *session, dst []float64, stream []PacketIn, kind des.SchedKind, rateBps float64) {
+// must be len(stream) long. A non-nil m is the port's memo of its last
+// call: windows whose input rows it holds bit for bit are not run.
+func (p *PTM) predictInto(s *session, m *portMemo, dst []float64, stream []PacketIn, kind des.SchedKind, rateBps float64) {
 	p.window(s, stream, kind, rateBps)
-	p.inferChunks(s, s, dst, 0, 1)
+	if m == nil || p.qnet != nil {
+		p.inferChunks(s, s, nil, dst, 0, 1)
+		return
+	}
+	m.begin(p, s.feats, kind, rateBps)
+	p.inferChunks(s, s, m, dst, 0, 1)
+	m.valid = true
 }
 
 // inferChunks runs chunks w, w+stride, … of the stream windowed in src
@@ -110,8 +133,11 @@ func (p *PTM) predictInto(s *session, dst []float64, stream []PacketIn, kind des
 // their predictions into dst. The network is asked only for the rows a
 // chunk is consumed for — its interior [Lo, Hi), cut at the stream end
 // — which is what makes an interior window cost half a window's
-// attention and head.
-func (p *PTM) inferChunks(s, src *session, dst []float64, w, stride int) {
+// attention and head. A non-nil m (single-threaded exact path only,
+// after m.begin) supplies the raw outputs of every window whose input
+// rows are unchanged since the port's last call, and records the raw
+// outputs of every window that runs.
+func (p *PTM) inferChunks(s, src *session, m *portMemo, dst []float64, w, stride int) {
 	n := len(dst)
 	for i := w; i < len(src.chunks); i += stride {
 		ck := src.chunks[i]
@@ -127,18 +153,31 @@ func (p *PTM) inferChunks(s, src *session, dst []float64, w, stride int) {
 			}
 			s.farena.Reset()
 			y := p.qnet.Infer(s.fx, lo, hi, s.farena)
+			s.windowsRun++
 			for t := 0; t < y.Rows; t++ {
 				p.consumePred(dst, y.At(t, 0), ck.Start+lo+t, src.tx, src.backlog)
 			}
 			continue
 		}
+		end := min(n, ck.Start+p.TimeSteps)
+		if m != nil && m.unchanged(src.feats, ck.Start, end) {
+			for pos := ck.Start + lo; pos < ck.Start+hi; pos++ {
+				p.consumePred(dst, m.raw[pos], pos, src.tx, src.backlog)
+			}
+			continue
+		}
 		s.arena.Reset()
 		if s == src {
-			p.prefixTo(s, min(n, ck.Start+p.TimeSteps))
+			p.prefixTo(s, ck.Start, end)
 		}
 		y := p.Net.InferWindow(&src.preM, ck.Start, p.TimeSteps, lo, hi, s.arena, s.packs)
+		s.windowsRun++
 		for t := 0; t < y.Rows; t++ {
-			p.consumePred(dst, y.At(t, 0), ck.Start+lo+t, src.tx, src.backlog)
+			v := y.At(t, 0)
+			if m != nil {
+				m.raw[ck.Start+lo+t] = v
+			}
+			p.consumePred(dst, v, ck.Start+lo+t, src.tx, src.backlog)
 		}
 	}
 }
@@ -171,17 +210,101 @@ func (p *PTM) getSession() *session {
 // PortStream is one egress port's inference batch inside PredictDevice:
 // the sorted ingress stream, the port line rate, and the output slice
 // the sojourn predictions are written to (reused when large enough).
+//
+// A PortStream also remembers its last PredictDevice call on the exact
+// backend: the scaled feature rows every window read and the raw
+// network output of every position. A window whose input rows, stream
+// length, model network, window shape, discipline and line rate are
+// bit-identical to that call's takes its recorded outputs instead of
+// running; they then go through this call's clamp, SEC and target
+// inverse, so the sojourns are the bits a fresh PortStream gets. Pass
+// the same PortStream for the same port on every call (an IRSA sweep
+// per call) to get that reuse, or a fresh one to get none. The memo
+// assumes the network's weights do not change between two calls on one
+// PortStream: nothing but nn.Train mutates them, and nothing trains a
+// model while it predicts. Copies of a PortStream share one memo.
 type PortStream struct {
 	Stream  []PacketIn
 	RateBps float64
 	Out     []float64
+
+	memo *portMemo // nil until the first exact call
+}
+
+// portMemo is one port's record of its last exact PredictDevice call.
+// Its buffers are grow-only and written in place, so a port whose
+// stream length stays the same allocates nothing after its first call.
+// They are per port and never swapped with the session's: sessions are
+// shared by every port of every device a model clone serves, so a swap
+// would trade buffers of different sizes and reallocate every sweep.
+type portMemo struct {
+	valid bool // key, feats and raw describe one whole call
+	key   memoKey
+	buf   []float64 // backs feats and raw
+	feats []float64 // n × NumFeatures scaled feature rows the windows read
+	raw   []float64 // n raw network outputs, by consumed position
+
+	// Per-call comparison state: rows [0, scan) are compared (and
+	// copied in where they differed); dirty is the last that differed.
+	scan, dirty int
+}
+
+// memoKey is the shape of a call: every input of the windows' outputs
+// other than their feature rows.
+type memoKey struct {
+	net           *nn.Sequential
+	n             int // stream length; it fixes the chunk tiling
+	steps, margin int
+	kind          des.SchedKind
+	rate          uint64 // math.Float64bits of the line rate
+}
+
+// begin readies m for a call over the scaled rows feats. When the call
+// has the shape of the recorded one, its rows are compared window by
+// window as the sweep reaches them (unchanged); otherwise they are
+// copied in whole and every window runs. m stays invalid until the
+// call completes, so a call that panics half way leaves nothing
+// half-recorded to reuse.
+func (m *portMemo) begin(p *PTM, feats []float64, kind des.SchedKind, rateBps float64) {
+	n := len(feats) / NumFeatures
+	key := memoKey{net: p.Net, n: n, steps: p.TimeSteps, margin: p.Margin, kind: kind, rate: math.Float64bits(rateBps)}
+	same := m.valid && m.key == key
+	m.valid, m.key = false, key
+	m.buf = growFloats(m.buf, len(feats)+n)
+	m.feats, m.raw = m.buf[:len(feats)], m.buf[len(feats):]
+	m.scan, m.dirty = 0, -1
+	if !same {
+		copy(m.feats, feats)
+		m.scan, m.dirty = n, n
+	}
+}
+
+// unchanged reports whether rows [start, end) of feats are bitwise the
+// rows the memo recorded. It compares each row once, copying the ones
+// that differ into the memo; windows must be asked in stream order.
+func (m *portMemo) unchanged(feats []float64, start, end int) bool {
+	for r := m.scan; r < end; r++ {
+		row := feats[r*NumFeatures : (r+1)*NumFeatures]
+		old := m.feats[r*NumFeatures : (r+1)*NumFeatures]
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(old[j]) {
+				copy(old, row)
+				m.dirty = r
+				break
+			}
+		}
+	}
+	m.scan = max(m.scan, end)
+	return m.dirty < start
 }
 
 // PredictDevice predicts sojourn times for every egress port of one
 // device in a single batched call: all ports' windows run through one
 // session (one arena, one window matrix, shared flat buffers) instead
 // of a PredictStream round-trip per port. Each port's predictions land
-// in ports[i].Out. Not goroutine-safe.
+// in ports[i].Out. On the exact backend a port skips every window whose
+// inputs are unchanged since its previous call (see PortStream). Not
+// goroutine-safe.
 func (p *PTM) PredictDevice(ports []PortStream, kind des.SchedKind) {
 	s := p.getSession()
 	for i := range ports {
@@ -191,6 +314,10 @@ func (p *PTM) PredictDevice(ports []PortStream, kind des.SchedKind) {
 			continue
 		}
 		ps.Out = growFloats(ps.Out, len(ps.Stream))
-		p.predictInto(s, ps.Out, ps.Stream, kind, ps.RateBps)
+		if ps.memo == nil && p.qnet == nil {
+			//dqnlint:allow hotalloc one-time lazy init: a port's memo is built on its first exact call and reused for the PortStream's lifetime
+			ps.memo = &portMemo{}
+		}
+		p.predictInto(s, ps.memo, ps.Out, ps.Stream, kind, ps.RateBps)
 	}
 }

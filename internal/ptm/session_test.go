@@ -180,7 +180,9 @@ func TestPredictStreamAllocatesOnlyItsResult(t *testing.T) {
 }
 
 // TestPredictDeviceZeroAllocs: the device-batched path must also run
-// allocation-free once warm, including its per-port Out slices.
+// allocation-free once warm, including its per-port Out slices and
+// memos — on the reuse path (a warm identical call runs no window) and
+// on the path where every window runs.
 func TestPredictDeviceZeroAllocs(t *testing.T) {
 	p := sessionModel(t)
 	ports := []PortStream{
@@ -192,6 +194,28 @@ func TestPredictDeviceZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictDevice allocated %.0f times per device; want 0", allocs)
+	}
+	if ran := predictCounting(p, ports, des.FIFO); ran != 0 {
+		t.Fatalf("warm identical call ran %d windows; want 0 (all reused)", ran)
+	}
+
+	// Alternate two sets of streams of the same lengths: every call
+	// changes every row, so every window runs and every memo is rewritten.
+	alt := [][]PacketIn{testStream(80, 6), testStream(33, 7)}
+	allocs = testing.AllocsPerRun(10, func() {
+		for i := range ports {
+			ports[i].Stream, alt[i] = alt[i], ports[i].Stream
+		}
+		p.PredictDevice(ports, des.FIFO)
+	})
+	if allocs != 0 {
+		t.Fatalf("PredictDevice with changed streams allocated %.0f times per device; want 0", allocs)
+	}
+	for i := range ports {
+		ports[i].Stream, alt[i] = alt[i], ports[i].Stream
+	}
+	if ran, all := predictCounting(p, ports, des.FIFO), totalWindows(p, ports); ran != all {
+		t.Fatalf("call with changed streams ran %d windows; want all %d", ran, all)
 	}
 }
 
