@@ -6,8 +6,8 @@ package deepqueuenet
 // digests every per-packet departure time bit-for-bit. The digests are
 // committed under testdata/golden; any change to the inference hot path
 // that perturbs even one ULP of one departure time fails these tests.
-// Each scenario also runs with Shards=1 and Shards=8 so the model-
-// parallel decomposition is proven not to leak into results.
+// Each scenario also runs with Shards=2, 3 and 8 so the worker
+// schedule is proven not to leak into results.
 //
 // Regenerate after an *intentional* semantic change with:
 //
@@ -121,11 +121,12 @@ func TestGoldenTraces(t *testing.T) {
 			res1 := runGoldenCase(t, gc, 1)
 			d1 := deliveryDigest(res1)
 
-			res8 := runGoldenCase(t, gc, 8)
-			d8 := deliveryDigest(res8)
-			if d1 != d8 {
-				t.Fatalf("%s: digest differs between Shards=1 (%s) and Shards=8 (%s): sharding leaked into results",
-					gc.name, d1, d8)
+			// An odd worker count drains the device queue unevenly.
+			for _, shards := range []int{2, 3, 8} {
+				if d := deliveryDigest(runGoldenCase(t, gc, shards)); d != d1 {
+					t.Fatalf("%s: digest differs between Shards=1 (%s) and Shards=%d (%s): the worker schedule leaked into results",
+						gc.name, d1, shards, d)
+				}
 			}
 
 			// The observability seam must be read-only: an attached

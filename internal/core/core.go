@@ -3,7 +3,7 @@
 // correspondence (SInit, §3.1), the PFM (Eqs. 6–7) as each device's
 // egress-port grouping of the packets routed through it, the
 // PTM-driven device operators, and the IRSA execution engine (SRun,
-// §3.2.4) with shard-parallel inference — the CPU analogue of the paper's
+// §3.2.4) with worker-parallel inference — the CPU analogue of the paper's
 // multi-GPU model parallelism (Fig. 11).
 package core
 
@@ -53,8 +53,9 @@ type Config struct {
 	// device to the exact FIFO-serialization fallback as if its model
 	// had failed validation.
 	WrapDevice func(switchID int, m DeviceModel) DeviceModel
-	// Shards is the number of parallel inference shards ("GPUs").
-	// 0 means 1.
+	// Shards is the number of parallel inference workers ("GPUs"). Every
+	// IRSA sweep they pull devices off one heaviest-first queue. 0 means
+	// 1.
 	Shards int
 	// Iterations caps IRSA iterations; 0 uses diameter(G) (Theorem 3.1).
 	Iterations int
@@ -64,8 +65,10 @@ type Config struct {
 	// iteration contractive when per-device prediction error feeds back
 	// through downstream arrival estimates at high load.
 	Damping float64
-	// MeasureShards runs the shards sequentially and records each
-	// shard's compute time in Result.ShardWork. The resulting
+	// MeasureShards runs each sweep sequentially, giving every device in
+	// queue order to the worker slot with the least time so far in the
+	// sweep (what idle workers pulling from the queue do), and records
+	// the slots' compute time in Result.ShardWork. The resulting
 	// total-work/critical-path ratio is the model-parallel speedup an
 	// N-accelerator deployment achieves (Fig. 11 / Table 7) — measurable
 	// even on a single-CPU host where wall-clock parallel speedup is
@@ -185,8 +188,10 @@ type Result struct {
 	// failed.
 	FinalDelta float64
 	Converged  bool
-	// ShardWork is the per-shard compute time accumulated over all
-	// iterations (filled when Config.MeasureShards is set).
+	// ShardWork is the worker slots' compute time accumulated over all
+	// iterations, busiest first: entry i sums the i-th busiest slot of
+	// every sweep, so entry 0 is the critical path (filled when
+	// Config.MeasureShards is set).
 	ShardWork []float64
 	// DegradedDevices lists (sorted) the devices whose PTM was missing
 	// or failed validation and that therefore ran the exact

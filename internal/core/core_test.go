@@ -188,15 +188,18 @@ func TestShardCountDoesNotChangeResults(t *testing.T) {
 		}
 		return res.PathDelays(true)
 	}
-	a, b := run(1), run(4)
-	for k, av := range a {
-		bv := b[k]
-		if len(av) != len(bv) {
-			t.Fatalf("path %s sample count differs: %d vs %d", k, len(av), len(bv))
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				t.Fatalf("path %s sample %d differs: %v vs %v", k, i, av[i], bv[i])
+	a := run(1)
+	for _, shards := range []int{2, 3, 8} {
+		b := run(shards)
+		for k, av := range a {
+			bv := b[k]
+			if len(av) != len(bv) {
+				t.Fatalf("shards=%d: path %s sample count differs: %d vs %d", shards, k, len(av), len(bv))
+			}
+			for i := range av {
+				if av[i] != bv[i] {
+					t.Fatalf("shards=%d: path %s sample %d differs: %v vs %v", shards, k, i, av[i], bv[i])
+				}
 			}
 		}
 	}
@@ -223,48 +226,6 @@ func TestHostEgressExactness(t *testing.T) {
 	want := (tx - 1e-6) + tx
 	if math.Abs(pkts[1].sojourn[0]-want) > 1e-15 {
 		t.Fatalf("second packet sojourn %v, want %v", pkts[1].sojourn[0], want)
-	}
-}
-
-func TestPartitionDevicesBalance(t *testing.T) {
-	devices := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	work := func(d int) int { return d + 1 }
-	shards := PartitionDevices(devices, work, 3)
-	if len(shards) != 3 {
-		t.Fatalf("%d shards", len(shards))
-	}
-	seen := map[int]bool{}
-	loads := make([]int, 3)
-	for i, s := range shards {
-		for _, d := range s {
-			if seen[d] {
-				t.Fatalf("device %d assigned twice", d)
-			}
-			seen[d] = true
-			loads[i] += work(d)
-		}
-	}
-	if len(seen) != len(devices) {
-		t.Fatal("device lost in partition")
-	}
-	minL, maxL := loads[0], loads[0]
-	for _, l := range loads {
-		if l < minL {
-			minL = l
-		}
-		if l > maxL {
-			maxL = l
-		}
-	}
-	if maxL-minL > 8 { // LPT on 1..8 across 3 shards is near-balanced
-		t.Fatalf("unbalanced shards: %v", loads)
-	}
-}
-
-func TestPartitionSingleShard(t *testing.T) {
-	s := PartitionDevices([]int{3, 1, 2}, func(int) int { return 1 }, 1)
-	if len(s) != 1 || len(s[0]) != 3 {
-		t.Fatalf("single shard %v", s)
 	}
 }
 

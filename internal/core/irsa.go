@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"deepqueuenet/internal/des"
@@ -42,10 +43,11 @@ type portPlan struct {
 // devicePlan is one device's precomputed inference work. Packet routes
 // are fixed for a run, so the egress-port grouping never changes across
 // IRSA iterations; building it once removes the per-iteration map
-// rebuild, and the plan-owned buffers give the shard loop its
-// steady-state zero-allocation property (TestInferDeviceZeroAllocs). A
-// device belongs to exactly one shard, so its plan is only ever touched
-// by that shard's worker.
+// rebuild, and the plan-owned buffers give the sweep its steady-state
+// zero-allocation property (TestInferDeviceZeroAllocs). A device runs
+// on one worker per sweep, but not always the same one: the join that
+// ends a sweep orders one worker's writes to the plan before the next
+// worker's reads.
 type devicePlan struct {
 	isHost bool
 	ports  []portPlan
@@ -127,15 +129,6 @@ func fillStream(stream []ptm.PacketIn, es []entry, pkts []*packet) {
 	}
 }
 
-// growStream returns buf resized to n, reusing its backing array when
-// large enough.
-func growStream(buf []ptm.PacketIn, n int) []ptm.PacketIn {
-	if cap(buf) < n {
-		return make([]ptm.PacketIn, n)
-	}
-	return buf[:n]
-}
-
 // Run executes the simulation: TGen, initial inference, and the
 // Iterative Re-Sequencing Algorithm (Algorithm 1). Per Theorem 3.1 at
 // most diameter(G) iterations are needed, and Run stops earlier once no
@@ -151,14 +144,14 @@ func (s *Sim) Run(duration float64) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: ctx is checked
-// between IRSA iterations and between devices inside each shard loop, so
-// a cancel or deadline stops the run within one device inference. On
+// between IRSA iterations and before each device a worker pulls, so a
+// cancel or deadline stops the run within one device inference. On
 // cancellation it returns the partial Result assembled from the current
 // estimates together with an error matching guard.ErrCanceled or
 // guard.ErrDeadline (and the underlying context error).
 //
 // Three further failure modes surface as errors instead of process
-// faults: a panic inside a shard goroutine is recovered into a
+// faults: a panic inside an inference worker is recovered into a
 // *guard.ShardError; a diverging or NaN-poisoned delta sequence aborts
 // with a *guard.DivergenceError carrying the delta trace; and a device
 // whose model is missing or fails validation is degraded to the exact
@@ -175,13 +168,8 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	if damping <= 0 {
 		damping = 0.7
 	}
-	if damping > 1 {
-		damping = 1
-	}
-	shards := s.Cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
+	damping = min(damping, 1)
+	shards := max(s.Cfg.Shards, 1)
 
 	byDevice, devices := indexTraversals(pkts)
 
@@ -202,7 +190,9 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	// computed once; iterations only re-sort entries in place.
 	plans := buildPlans(devices, byDevice, pkts)
 
-	shardSets := PartitionDevices(devices, func(d int) int { return len(byDevice[d]) }, shards)
+	sw := &sweeper{s: s, ctx: ctx, queue: queueOrder(devices, plans, devModels), plans: plans, pkts: pkts,
+		models: devModels, replicas: make([]map[DeviceModel]DeviceModel, shards), errs: make([]error, shards),
+		work: make([]time.Duration, shards), runToEnd: s.Cfg.EpochSink != nil}
 
 	diameter := s.G.Diameter()
 	// Theorem 3.1 bounds convergence by the number of device hops a
@@ -212,13 +202,9 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	maxIter := s.Cfg.Iterations
 	if maxIter <= 0 {
 		for _, p := range pkts {
-			if len(p.hops) > maxIter {
-				maxIter = len(p.hops)
-			}
+			maxIter = max(maxIter, len(p.hops))
 		}
-		if maxIter == 0 {
-			maxIter = 1
-		}
+		maxIter = max(maxIter, 1)
 		if damping < 1 {
 			// Damped updates converge geometrically rather than in one
 			// sweep per hop; allow extra iterations (the eps check stops
@@ -234,11 +220,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 			prev[i] = make([]float64, len(p.sojourn))
 		}
 	}
-	shardWork := make([]float64, len(shardSets))
-	shardClones := make([]map[DeviceModel]DeviceModel, len(shardSets))
-	for i := range shardClones {
-		shardClones[i] = make(map[DeviceModel]DeviceModel)
-	}
+	shardWork := make([]float64, shards)
 	// finish assembles the (possibly partial) Result from the current
 	// estimates — also the exit path for canceled and failed runs, so
 	// callers get the partial trace alongside the error for diagnosis.
@@ -282,15 +264,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 			view = epochView(pkts, digest)
 		}
 	}
-	// One error slot per shard: each worker writes only its own slot, so
-	// panic reports need no lock. obsWork is the observer's per-shard
-	// wall-time accumulator with the same single-writer discipline.
-	shardErrs := make([]error, len(shardSets))
 	obs := s.Cfg.Observer
-	var obsWork []time.Duration
-	if obs != nil {
-		obsWork = make([]time.Duration, len(shardSets))
-	}
 	for iter := startIter; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return finish(guard.FromContext(err))
@@ -300,37 +274,23 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		if obs != nil {
 			//dqnlint:allow detguard wall-clock observer instrumentation; timing is reported, never fed back into simulation state
 			iterStart = time.Now()
-			for i := range obsWork {
-				obsWork[i] = 0
-			}
 		}
 		if damping < 1 {
 			for i, p := range pkts {
 				copy(prev[i], p.sojourn)
 			}
 		}
+		err := sw.sweep(iter)
 		if s.Cfg.MeasureShards {
-			// Sequential execution with per-shard timing: the clean way
-			// to measure the model-parallel critical path regardless of
-			// host core count.
-			for si, shard := range shardSets {
-				//dqnlint:allow detguard wall-clock shard-timing instrumentation; measures compute cost, never feeds simulation state
-				t0 := time.Now()
-				shardErrs[si] = s.runShard(ctx, iter, si, shard, plans, pkts, devModels, shardClones[si], obsWork, ckptOn)
-				shardWork[si] += time.Since(t0).Seconds()
+			// Slot i sums the i-th busiest worker of every sweep, so
+			// ShardWork[0] is the run's critical path.
+			slots := slices.Clone(sw.work)
+			slices.Sort(slots)
+			for i, w := range slots {
+				shardWork[len(slots)-1-i] += w.Seconds()
 			}
-		} else {
-			var wg sync.WaitGroup
-			for si, shard := range shardSets {
-				wg.Add(1)
-				go func(si int, shard []int) {
-					defer wg.Done()
-					shardErrs[si] = s.runShard(ctx, iter, si, shard, plans, pkts, devModels, shardClones[si], obsWork, ckptOn)
-				}(si, shard)
-			}
-			wg.Wait()
 		}
-		if err := errors.Join(shardErrs...); err != nil {
+		if err != nil {
 			return finish(err)
 		}
 		if err := ctx.Err(); err != nil && !ckptOn {
@@ -355,7 +315,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		finalDelta = delta
 		if obs != nil {
 			//dqnlint:allow detguard wall-clock observer instrumentation; timing is reported, never fed back into simulation state
-			obs.ObserveIteration(IterationEvent{Iter: iter, Delta: delta, Duration: time.Since(iterStart), ShardWork: obsWork})
+			obs.ObserveIteration(IterationEvent{Iter: iter, Delta: delta, Duration: time.Since(iterStart), ShardWork: sw.work})
 		}
 		if err := watchdog.Observe(iter, delta); err != nil {
 			return finish(err)
@@ -380,68 +340,151 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	return finish(nil)
 }
 
-// runShard infers every device of one shard, stopping early on
-// cancellation and recovering any panic into a *guard.ShardError so a
-// crashing device model cannot take down the process. obsWork (set iff
-// an Observer is attached) accumulates this shard's inference wall time
-// for the iteration; each shard writes only its own slot. runToEnd
-// (set iff an epoch checkpoint sink is attached) disables the per-device
-// cancellation short-circuit: a partially inferred iteration is not a
-// resumable boundary, so the shard finishes its devices and the caller
-// snapshots before surfacing the cancel.
-func (s *Sim) runShard(ctx context.Context, iter, si int, shard []int,
-	plans map[int]*devicePlan, pkts []*packet,
-	devModels map[int]DeviceModel, clones map[DeviceModel]DeviceModel,
-	obsWork []time.Duration, runToEnd bool) error {
+// queueOrder returns the run's device queue, heaviest first: switches
+// that run a model by their estimated DNN windows (Σ over egress ports
+// of ⌈n/16⌉+1 for n packets), then hosts and degraded switches, whose
+// exact serialization costs next to nothing; ties go to the lower
+// device ID. The estimate is structural, so the order is the same on
+// every run of a scenario.
+func queueOrder(devices []int, plans map[int]*devicePlan, models map[int]DeviceModel) []int {
+	cost := func(d int) (c int) {
+		if models[d] != nil {
+			for _, pp := range plans[d].ports {
+				c += (len(pp.es)+15)/16 + 1
+			}
+		}
+		return c
+	}
+	q := slices.Clone(devices) // sorted by ID
+	slices.SortStableFunc(q, func(a, b int) int { return cmp.Compare(cost(b), cost(a)) })
+	return q
+}
 
-	obs := s.Cfg.Observer
-	for _, d := range shard {
-		if !runToEnd && ctx.Err() != nil {
-			return nil // the caller maps ctx.Err() to the cancel error
+// sweeper runs the device inferences of a run's IRSA sweeps on Shards
+// workers. Every sweep, each worker pulls the next device off the one
+// queue (queueOrder) until it is empty, so no worker idles while
+// devices remain. A device runs on the pulling worker's replica of its
+// model with the device's own plan: replicas of one model share its
+// network, so a port's memo of its last sweep is reused by whichever
+// worker runs the port next (ptm.PortStream). Inside a sweep a device
+// reads only the previous sweep's arrival estimates and writes only
+// its own traversals' sojourns, so which worker runs it changes no bit.
+type sweeper struct {
+	s        *Sim
+	ctx      context.Context
+	queue    []int
+	plans    map[int]*devicePlan
+	pkts     []*packet
+	models   map[int]DeviceModel
+	replicas []map[DeviceModel]DeviceModel // per worker
+	errs     []error                       // per worker; each writes only its own slot
+	work     []time.Duration               // per worker, this sweep's inference wall time
+	// runToEnd (set iff an epoch checkpoint sink is attached) disables
+	// the per-device cancellation poll: a partially inferred sweep is
+	// not a resumable boundary, so the sweep finishes and the caller
+	// snapshots before surfacing the cancel.
+	runToEnd bool
+
+	iter   int
+	next   atomic.Int64 // queue index of the next device to pull
+	failed atomic.Bool  // a device failed: no worker pulls another
+}
+
+// sweep infers every device once. Workers pull devices off the queue
+// on their own goroutines, worker 0 on the calling one. With
+// MeasureShards the calling goroutine runs them all, giving each, in
+// queue order, to the worker slot with the least time so far in the
+// sweep: the schedule idle workers pulling from the queue follow,
+// timed without contention for cores, so a slot's time is the compute
+// one accelerator per worker would spend (Fig. 11 / Table 7) whatever
+// the host's core count.
+func (w *sweeper) sweep(iter int) error {
+	w.iter = iter
+	w.next.Store(0)
+	w.failed.Store(false)
+	clear(w.errs)
+	clear(w.work)
+	if w.s.Cfg.MeasureShards {
+		for q := 0; q < len(w.queue) && !w.failed.Load() && (w.runToEnd || w.ctx.Err() == nil); q++ {
+			w.infer(slices.Index(w.work, slices.Min(w.work)), w.queue[q])
 		}
-		var t0 time.Time
-		if obs != nil {
-			//dqnlint:allow detguard wall-clock observer instrumentation; timing is reported, never fed back into simulation state
-			t0 = time.Now()
-		}
-		err := s.inferDeviceGuarded(iter, si, d, plans[d], pkts, devModels[d], clones)
-		if obs != nil {
-			//dqnlint:allow detguard wall-clock observer instrumentation; timing is reported, never fed back into simulation state
-			dur := time.Since(t0)
-			obsWork[si] += dur
-			obs.ObserveInference(inferenceEvent(si, d, plans[d], devModels[d], dur))
-		}
-		if err != nil {
-			return err
+		return errors.Join(w.errs...)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(w.errs); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w.pull(i)
+		}(i)
+	}
+	w.pull(0)
+	wg.Wait()
+	return errors.Join(w.errs...)
+}
+
+// pull runs devices off the queue on worker i until the queue is
+// empty, a device fails, or the run is canceled (the caller maps
+// ctx.Err() to the cancel error).
+func (w *sweeper) pull(i int) {
+	for !w.failed.Load() && (w.runToEnd || w.ctx.Err() == nil) {
+		q := int(w.next.Add(1)) - 1
+		if q >= len(w.queue) || !w.infer(i, w.queue[q]) {
+			return
 		}
 	}
-	return nil
+}
+
+// infer runs device d on worker i and reports whether it succeeded. A
+// failure is recorded, and stops further pulls, before the observer
+// hears of the device.
+func (w *sweeper) infer(i, d int) bool {
+	timed := w.s.Cfg.Observer != nil || w.s.Cfg.MeasureShards
+	var t0 time.Time
+	if timed {
+		//dqnlint:allow detguard wall-clock worker-timing instrumentation; timing is reported, never fed back into simulation state
+		t0 = time.Now()
+	}
+	if w.replicas[i] == nil {
+		w.replicas[i] = make(map[DeviceModel]DeviceModel)
+	}
+	err := w.s.inferDeviceGuarded(w.iter, i, d, w.plans[d], w.pkts, w.models[d], w.replicas[i])
+	if err != nil {
+		w.errs[i] = err
+		w.failed.Store(true)
+	}
+	if timed {
+		//dqnlint:allow detguard wall-clock worker-timing instrumentation; timing is reported, never fed back into simulation state
+		dur := time.Since(t0)
+		w.work[i] += dur
+		if obs := w.s.Cfg.Observer; obs != nil {
+			obs.ObserveInference(inferenceEvent(i, d, w.plans[d], w.models[d], dur))
+		}
+	}
+	return err == nil
 }
 
 // inferenceEvent assembles the observer's view of one device inference.
-func inferenceEvent(si, dev int, plan *devicePlan, model DeviceModel, dur time.Duration) InferenceEvent {
-	ev := InferenceEvent{Device: dev, Shard: si, Duration: dur}
-	if plan != nil {
-		ev.Ports = len(plan.ports)
-		for i := range plan.ports {
-			ev.Packets += len(plan.ports[i].es)
-		}
-		ev.Host = plan.isHost
-		ev.Degraded = !plan.isHost && model == nil
+func inferenceEvent(w, dev int, plan *devicePlan, model DeviceModel, dur time.Duration) InferenceEvent {
+	ev := InferenceEvent{Device: dev, Shard: w, Duration: dur, Ports: len(plan.ports),
+		Host: plan.isHost, Degraded: !plan.isHost && model == nil}
+	for i := range plan.ports {
+		ev.Packets += len(plan.ports[i].es)
 	}
 	return ev
 }
 
-// inferDeviceGuarded runs inferDevice with panic isolation.
-func (s *Sim) inferDeviceGuarded(iter, si, dev int, plan *devicePlan, pkts []*packet,
-	model DeviceModel, clones map[DeviceModel]DeviceModel) (err error) {
+// inferDeviceGuarded runs inferDevice with panic isolation; w is the
+// worker, reported as the ShardError's shard.
+func (s *Sim) inferDeviceGuarded(iter, w, dev int, plan *devicePlan, pkts []*packet,
+	model DeviceModel, replicas map[DeviceModel]DeviceModel) (err error) {
 
 	defer func() {
-		if se := guard.Recovered(si, dev, iter, recover()); se != nil {
+		if se := guard.Recovered(w, dev, iter, recover()); se != nil {
 			err = se
 		}
 	}()
-	s.inferDevice(dev, plan, pkts, model, clones)
+	s.inferDevice(dev, plan, pkts, model, replicas)
 	return nil
 }
 
@@ -501,11 +544,8 @@ func propagate(pkts []*packet) float64 {
 // switch without a usable model (nil here = degraded) runs the exact
 // serialization fallback on every egress port.
 func (s *Sim) inferDevice(dev int, plan *devicePlan, pkts []*packet,
-	model DeviceModel, clones map[DeviceModel]DeviceModel) {
+	model DeviceModel, replicas map[DeviceModel]DeviceModel) {
 
-	if plan == nil {
-		return
-	}
 	if plan.isHost {
 		serializeFIFOInPlace(plan.ports[0].es, pkts)
 		return
@@ -518,23 +558,23 @@ func (s *Sim) inferDevice(dev int, plan *devicePlan, pkts []*packet,
 		}
 		return
 	}
-	rep := clones[model]
+	rep := replicas[model]
 	if rep == nil {
 		rep = model.CloneModel()
-		clones[model] = rep
+		replicas[model] = rep
 	}
 	kind := s.Cfg.Sched.Kind
 	for i := range plan.ports {
 		sortEntriesByArrival(plan.ports[i].es, pkts)
 	}
-	// Every egress port of the device in one call against the clone's
+	// Every egress port of the device in one call against the replica's
 	// inference scratch; streams and outputs live in plan-owned reusable
 	// buffers. The same PortStream serves a port on every sweep, so a
 	// port's windows whose inputs did not move since the last sweep are
 	// not re-run (ptm.PortStream).
 	for i := range plan.ports {
 		pp := &plan.ports[i]
-		pp.stream = growStream(pp.stream, len(pp.es))
+		pp.stream = slices.Grow(pp.stream[:0], len(pp.es))[:len(pp.es)]
 		fillStream(pp.stream, pp.es, pkts)
 		plan.batch[i].Stream = pp.stream
 		plan.batch[i].RateBps = pp.rate
@@ -631,28 +671,4 @@ func (s *Sim) collect(pkts []*packet, byDevice map[int][]entry, iters, diameter,
 		res.DeviceVisits[d] = vs
 	}
 	return res
-}
-
-// PartitionDevices splits devices into n balanced shards using
-// longest-processing-time-first on the given work estimate. This is the
-// model-parallel network decomposition of Fig. 11.
-func PartitionDevices(devices []int, work func(int) int, n int) [][]int {
-	if n <= 1 {
-		return [][]int{append([]int(nil), devices...)}
-	}
-	sorted := append([]int(nil), devices...)
-	sort.Slice(sorted, func(a, b int) bool { return work(sorted[a]) > work(sorted[b]) })
-	shards := make([][]int, n)
-	loads := make([]int, n)
-	for _, d := range sorted {
-		best := 0
-		for i := 1; i < n; i++ {
-			if loads[i] < loads[best] {
-				best = i
-			}
-		}
-		shards[best] = append(shards[best], d)
-		loads[best] += work(d)
-	}
-	return shards
 }

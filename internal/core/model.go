@@ -9,14 +9,14 @@ import (
 
 // DeviceModel abstracts the trained per-device TM model the engine
 // drives: device-batched sojourn prediction over every egress-port
-// stream, goroutine-safe cloning for shard parallelism, the training
+// stream, goroutine-safe cloning for parallel workers, the training
 // device degree, and structural validation. *ptm.PTM is the canonical
 // implementation (via PTMModel); alternative backends and
 // fault-injection mocks implement it directly.
 //
 // Implementations must be comparable (pointer receivers or small structs
-// of comparable fields): the engine keys its per-shard clone cache on the
-// DeviceModel value.
+// of comparable fields): the engine keys its per-worker replica cache on
+// the DeviceModel value.
 type DeviceModel interface {
 	DevicePredictor
 	// CloneModel returns an independent copy safe to use from another
@@ -49,8 +49,9 @@ type DevicePredictor interface {
 // is promoted from *ptm.PTM, the zero-allocation batched inference path.
 type PTMModel struct{ *ptm.PTM }
 
-// CloneModel implements DeviceModel.
-func (m PTMModel) CloneModel() DeviceModel { return PTMModel{m.PTM.Clone()} }
+// CloneModel implements DeviceModel with a replica: it shares the
+// network, so a port's memo survives a move between workers.
+func (m PTMModel) CloneModel() DeviceModel { return PTMModel{m.PTM.Replica()} }
 
 // Ports implements DeviceModel.
 func (m PTMModel) Ports() int { return m.PTM.NumPorts }

@@ -16,8 +16,8 @@ type IterationEvent struct {
 	// Duration is the wall-clock time of the whole iteration (inference
 	// sweep, damping, propagation).
 	Duration time.Duration
-	// ShardWork is the per-shard inference wall time of this iteration,
-	// indexed by shard — the Fig. 11 model-parallel load picture. The
+	// ShardWork is the per-worker inference wall time of this iteration,
+	// indexed by worker — the Fig. 11 model-parallel load picture. The
 	// slice is owned by the engine and reused across iterations:
 	// observers must copy it if they retain it beyond the call.
 	ShardWork []time.Duration
@@ -25,11 +25,12 @@ type IterationEvent struct {
 
 // InferenceEvent describes one device inference inside an IRSA
 // iteration: the unit of work the per-device batching (Fig. 11)
-// schedules across shards.
+// schedules across workers.
 type InferenceEvent struct {
 	// Device is the topology node ID.
 	Device int
-	// Shard is the shard that executed the inference.
+	// Shard is the worker that executed the inference; a device may run
+	// on a different worker every iteration.
 	Shard int
 	// Ports is the number of egress ports inferred.
 	Ports int
@@ -48,7 +49,7 @@ type InferenceEvent struct {
 // Observer receives engine telemetry. A nil Config.Observer costs one
 // nil check per call site and nothing else: no clocks are read and no
 // events are built. Implementations must be goroutine-safe —
-// ObserveInference is called concurrently from every shard goroutine.
+// ObserveInference is called concurrently from every worker goroutine.
 // Observers must not mutate anything reachable from the event, and the
 // engine never lets observer timing feed back into simulation state, so
 // an attached observer cannot perturb results (golden traces stay
@@ -58,7 +59,7 @@ type Observer interface {
 	// propagation sweep computed Delta and before the stopping rule
 	// consumes it.
 	ObserveIteration(IterationEvent)
-	// ObserveInference fires once per device inference, from the shard
+	// ObserveInference fires once per device inference, from the worker
 	// goroutine that ran it.
 	ObserveInference(InferenceEvent)
 }

@@ -81,6 +81,30 @@ func TestTrainDeterministicGivenSeedAndWorkers(t *testing.T) {
 	}
 }
 
+// TestTrainBitIdenticalAcrossWorkers: the gradient is reduced over a
+// fixed set of batch shards in shard order, so 1, 2 and 3 workers —
+// 3 does not divide the shard count — train bit-identical parameters
+// over several epochs with a ragged last batch.
+func TestTrainBitIdenticalAcrossWorkers(t *testing.T) {
+	ds := toyDataset(50, 6, 23)
+	train := func(workers int) []*Param {
+		m := buildToy(29)
+		Train(m, ds, TrainConfig{Epochs: 3, BatchSize: 12, LR: 0.01, Workers: workers, Seed: 31, ClipNorm: 1})
+		return m.Params()
+	}
+	want := train(1)
+	for _, workers := range []int{2, 3} {
+		got := train(workers)
+		for i := range want {
+			for j, w := range want[i].W.Data {
+				if math.Float64bits(got[i].W.Data[j]) != math.Float64bits(w) {
+					t.Fatalf("workers=%d: param %d[%d] = %v, workers=1 gives %v", workers, i, j, got[i].W.Data[j], w)
+				}
+			}
+		}
+	}
+}
+
 func TestWorkerCountDoesNotChangeGradientMath(t *testing.T) {
 	// One full-batch step with 1 vs 3 workers must produce (nearly)
 	// identical parameters: gradient averaging is associative.

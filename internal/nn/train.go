@@ -72,14 +72,26 @@ func sampleLoss(m *Sequential, ds *Dataset, idx int, train bool) (sse float64, n
 	return sse, hi - lo
 }
 
+// gradShards is the number of pieces every minibatch gradient is
+// reduced over. Sample i of a batch belongs to shard i mod gradShards;
+// each shard sums its samples' gradients from zero in batch order, and
+// the shards are added into the master gradient in shard order. Workers
+// only decide which goroutine computes which shard, so the trained
+// weights do not depend on them. Four shards give the weights that
+// Workers 4 gave when the reduction followed the worker count.
+const gradShards = 4
+
 // TrainConfig controls the data-parallel training loop.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
-	Workers   int // data-parallel replicas; 0 means GOMAXPROCS
-	Seed      uint64
-	ClipNorm  float64 // 0 disables gradient clipping
+	// Workers is the number of goroutines computing the gradient
+	// shards: 0 means GOMAXPROCS, and more than gradShards run as
+	// gradShards. The trained weights are the same for every value.
+	Workers  int
+	Seed     uint64
+	ClipNorm float64 // 0 disables gradient clipping
 	// LogEvery, if > 0, records the loss every LogEvery optimizer steps.
 	LogEvery int
 	OnStep   func(step int, loss float64)
@@ -93,10 +105,10 @@ type TrainResult struct {
 }
 
 // Train fits the model to the dataset with data-parallel minibatch SGD
-// (Adam). Worker replicas each process a shard of every minibatch and
-// their gradients are averaged into the master model — the CPU analogue
-// of the paper's multi-GPU training. The master model is updated in
-// place.
+// (Adam). Every minibatch is split into gradShards shards, each run on
+// its own model replica, and their gradients are averaged into the
+// master model in shard order — the CPU analogue of the paper's
+// multi-GPU training. The master model is updated in place.
 func Train(model *Sequential, ds *Dataset, cfg TrainConfig) TrainResult {
 	if ds.Len() == 0 {
 		return TrainResult{}
@@ -104,9 +116,7 @@ func Train(model *Sequential, ds *Dataset, cfg TrainConfig) TrainResult {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Workers > ds.Len() {
-		cfg.Workers = ds.Len()
-	}
+	cfg.Workers = min(cfg.Workers, gradShards)
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
@@ -117,7 +127,7 @@ func Train(model *Sequential, ds *Dataset, cfg TrainConfig) TrainResult {
 		cfg.Epochs = 1
 	}
 
-	replicas := make([]*Sequential, cfg.Workers)
+	replicas := make([]*Sequential, gradShards)
 	for i := range replicas {
 		replicas[i] = model.Clone()
 	}
@@ -135,8 +145,8 @@ func Train(model *Sequential, ds *Dataset, cfg TrainConfig) TrainResult {
 				end = len(perm)
 			}
 			batch := perm[start:end]
-			losses := make([]float64, cfg.Workers)
-			counts := make([]int, cfg.Workers)
+			losses := make([]float64, gradShards)
+			counts := make([]int, gradShards)
 			panics := make([]*guard.WorkerError, cfg.Workers)
 			var wg sync.WaitGroup
 			for w := 0; w < cfg.Workers; w++ {
@@ -148,29 +158,31 @@ func Train(model *Sequential, ds *Dataset, cfg TrainConfig) TrainResult {
 							panics[w] = we
 						}
 					}()
-					rep := replicas[w]
-					rep.ZeroGrads()
-					for bi := w; bi < len(batch); bi += cfg.Workers {
-						sse, n := sampleLoss(rep, ds, batch[bi], true)
-						losses[w] += sse
-						counts[w] += n
+					for sh := w; sh < gradShards; sh += cfg.Workers {
+						rep := replicas[sh]
+						rep.ZeroGrads()
+						for bi := sh; bi < len(batch); bi += gradShards {
+							sse, n := sampleLoss(rep, ds, batch[bi], true)
+							losses[sh] += sse
+							counts[sh] += n
+						}
 					}
 				}(w)
 			}
 			wg.Wait()
 			guard.RethrowWorkers(panics)
 
-			// Average worker gradients into the master gradients.
+			// Average the shard gradients into the master gradients.
 			master := model.Params()
 			for _, p := range master {
 				p.G.Zero()
 			}
 			scale := 1 / float64(len(batch))
 			loss, positions := 0.0, 0
-			for w := 0; w < cfg.Workers; w++ {
-				loss += losses[w]
-				positions += counts[w]
-				for pi, p := range replicas[w].Params() {
+			for sh := range replicas {
+				loss += losses[sh]
+				positions += counts[sh]
+				for pi, p := range replicas[sh].Params() {
 					for j, g := range p.G.Data {
 						master[pi].G.Data[j] += g * scale
 					}

@@ -34,7 +34,7 @@ type EngineObserver struct {
 
 	mu        sync.Mutex
 	deltas    []float64
-	shardWork map[int]time.Duration // accumulated per shard across iterations
+	shardWork map[int]time.Duration // accumulated per worker across iterations
 	shardCtr  map[int]*Gauge
 }
 
@@ -83,7 +83,7 @@ func (o *EngineObserver) ObserveIteration(ev core.IterationEvent) {
 		o.shardWork[si] += w
 		g, ok := o.shardCtr[si]
 		if !ok {
-			g = o.reg.Gauge("dqn_shard_work_seconds", "accumulated inference wall time per shard",
+			g = o.reg.Gauge("dqn_shard_work_seconds", "accumulated inference wall time per inference worker (the shard label is the worker index)",
 				L("shard", strconv.Itoa(si)))
 			o.shardCtr[si] = g
 		}
@@ -113,8 +113,8 @@ func (o *EngineObserver) Deltas() []float64 {
 	return append([]float64(nil), o.deltas...)
 }
 
-// ShardWork returns the accumulated per-shard inference wall time,
-// indexed by shard (missing shards are zero).
+// ShardWork returns the accumulated per-worker inference wall time,
+// indexed by worker (missing workers are zero).
 func (o *EngineObserver) ShardWork() []time.Duration {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -132,7 +132,7 @@ func (o *EngineObserver) ShardWork() []time.Duration {
 }
 
 // WriteSummary renders the human-readable -obs-summary block: the
-// convergence story (iterations, delta trace), the per-shard work
+// convergence story (iterations, delta trace), the per-worker work
 // balance, and the full registry in exposition format — so an offline
 // run's telemetry reads exactly like a scrape of a served run.
 func (o *EngineObserver) WriteSummary(w io.Writer) error {

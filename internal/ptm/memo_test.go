@@ -28,12 +28,9 @@ func freshOuts(p *PTM, ports []PortStream, kind des.SchedKind) [][]float64 {
 // predictCounting runs p.PredictDevice and returns how many windows it
 // actually ran.
 func predictCounting(p *PTM, ports []PortStream, kind des.SchedKind) int {
-	before := 0
-	if p.sess != nil {
-		before = p.sess.windowsRun
-	}
+	before := p.WindowsRun()
 	p.PredictDevice(ports, kind)
-	return p.sess.windowsRun - before
+	return p.WindowsRun() - before
 }
 
 // changedWindows counts the chunks of a port that read a feature row
@@ -94,7 +91,8 @@ func totalWindows(p *PTM, ports []PortStream) int {
 // TestPredictDeviceReusesUnchangedWindows: a second PredictDevice call
 // on the same PortStreams runs exactly the windows whose input rows
 // moved, every change of the call's shape (stream length, discipline,
-// line rate, window margin, network) runs everything again, the prefix
+// line rate, window margin, network) runs everything again — a replica
+// shares the network, so it runs nothing again — the prefix
 // is filled only for windows that run, and every output is bit-equal
 // to a fresh PortStream on a fresh clone.
 func TestPredictDeviceReusesUnchangedWindows(t *testing.T) {
@@ -188,6 +186,23 @@ func TestPredictDeviceReusesUnchangedWindows(t *testing.T) {
 	t.Run("clone", func(t *testing.T) {
 		// Equal weights, another network: no reuse either.
 		second(t, func(p *PTM, ports []PortStream) (*PTM, des.SchedKind) { return p.Clone(), kind }, all)
+	})
+	t.Run("replica", func(t *testing.T) {
+		// Two replicas of one model share its network: PortStreams
+		// alternated between them keep their memos.
+		p := sessionModel(t)
+		ports := memoPorts()
+		want := freshOuts(p, ports, kind)
+		reps := []*PTM{p.Replica(), p.Replica()}
+		if ran := predictCounting(reps[0], ports, kind); ran != totalWindows(p, ports) {
+			t.Fatalf("first call ran %d windows, want all %d", ran, totalWindows(p, ports))
+		}
+		for call := 1; call <= 4; call++ {
+			if ran := predictCounting(reps[call%2], ports, kind); ran != 0 {
+				t.Errorf("call %d on replica %d ran %d windows, want 0", call, call%2, ran)
+			}
+			checkOuts(t, fmt.Sprintf("call %d", call), ports, want)
+		}
 	})
 	t.Run("clone-other-weights", func(t *testing.T) {
 		second(t, func(p *PTM, ports []PortStream) (*PTM, des.SchedKind) {

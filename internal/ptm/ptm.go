@@ -101,12 +101,12 @@ type PTM struct {
 	// sess is the lazily-created single-threaded inference scratch
 	// (flat buffers + tensor arena). It makes the sequential prediction
 	// paths allocation-free in steady state and — like the layer caches
-	// it replaces — non-goroutine-safe; parallel callers use Clone.
+	// it replaces — non-goroutine-safe; parallel callers use Replica.
 	sess *session
 
 	// qnet is the opt-in int8/float32 inference backend, built by
-	// WithQuantized. It is immutable once built, so Clone shares it
-	// across replicas. nil means the exact float64 path (the default).
+	// WithQuantized. It is immutable once built, so Clone and Replica
+	// share it. nil means the exact float64 path (the default).
 	qnet *nn.QuantSequential
 }
 
@@ -516,13 +516,25 @@ func (p *PTM) WithQuantized() error {
 // Quantized reports whether the quantized inference backend is active.
 func (p *PTM) Quantized() bool { return p.qnet != nil }
 
-// Clone returns an independent copy sharing no mutable state (for
-// shard-parallel inference). The quantized network, when present, is
-// immutable and therefore shared.
+// Clone returns an independent copy sharing no mutable state: its
+// weights may change without touching p's. The quantized network, when
+// present, is immutable and therefore shared.
 func (p *PTM) Clone() *PTM {
 	c := *p
 	c.Net = p.Net.Clone()
 	c.sess = nil // sessions are per-owner scratch, never shared
+	return &c
+}
+
+// Replica returns a copy of p for parallel inference: it shares p's
+// network, scalers and SEC bins, which prediction only reads, and owns
+// its own session, like WithoutSEC. Because the network is shared, a
+// PortStream's memo is reused whichever replica predicts it next.
+// Replicas follow the weights of p, so nothing may train p while they
+// predict; use Clone for a copy whose weights change on their own.
+func (p *PTM) Replica() *PTM {
+	c := *p
+	c.sess = nil
 	return &c
 }
 

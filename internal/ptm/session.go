@@ -16,8 +16,8 @@ import (
 // allocations (pinned by TestPredictDeviceZeroAllocs).
 //
 // A session is not goroutine-safe; it is owned by one *PTM and used by
-// its single-threaded prediction paths. Shard-parallel callers give
-// each shard its own model clone (CloneModel), hence its own session;
+// its single-threaded prediction paths. Parallel callers give each
+// worker its own replica (Replica), hence its own session;
 // PredictStream's chunk-parallel workers each get a private one for
 // their windows and read the stream's prefix from the shared one.
 //
@@ -38,8 +38,8 @@ type session struct {
 	preDone int           // end of the last prefix rows filled; rows a skipped window alone reads stay unfilled
 
 	// windowsRun counts the windows this session has actually inferred
-	// (a window a port memo supplies is not counted); tests read it to
-	// see that reuse happens.
+	// (a window a port memo supplies is not counted); WindowsRun reads
+	// it, so tests see that reuse happens.
 	windowsRun int
 
 	// Quantized-backend scratch (allocated only when the model runs
@@ -205,6 +205,17 @@ func (p *PTM) getSession() *session {
 		p.sess = newSession(p.TimeSteps, p.qnet != nil)
 	}
 	return p.sess
+}
+
+// WindowsRun returns how many DNN windows p's prediction paths have
+// run on its own session; a window a PortStream's memo supplied is not
+// counted. It reads the session unguarded, so call it only while p is
+// not predicting.
+func (p *PTM) WindowsRun() int {
+	if p.sess == nil {
+		return 0
+	}
+	return p.sess.windowsRun
 }
 
 // PortStream is one egress port's inference batch inside PredictDevice:
