@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for `make fuzz`; raise for longer local campaigns.
 FUZZTIME ?= 15s
 
-.PHONY: build test race vet lint check purego golden resume-golden analytic-gates bench-smoke metrics-smoke fuzz
+.PHONY: build test race vet lint check purego golden resume-golden analytic-gates paper-gates bench-smoke metrics-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -32,9 +32,9 @@ lint:
 # suite under the race detector (the shard fan-out and DLib are the
 # concurrency-bearing paths it watches), the kernel suites on the
 # portable build, the golden-trace determinism digests, the
-# analytic-tier accuracy gates, the /metrics consistency smoke, and the
-# repository benchmark smoke.
-check: vet lint race purego golden resume-golden analytic-gates metrics-smoke bench-smoke
+# analytic-tier and paper-table accuracy gates, the /metrics consistency
+# smoke, and the repository benchmark smoke.
+check: vet lint race purego golden resume-golden analytic-gates paper-gates metrics-smoke bench-smoke
 
 # purego runs the kernel-bearing packages on the portable build, where
 # the assembly and vector kernels are not compiled in at all; the
@@ -71,6 +71,16 @@ resume-golden:
 #   go test -run TestAnalyticAccuracyGates -update-golden .
 analytic-gates:
 	$(GO) test -run TestAnalyticAccuracyGates -count=1 .
+
+# paper-gates runs the quick Tables 4/5/6 and Fig. 9 of cmd/paper from
+# the shipped models and checks every row's w1 and Pearson rho against
+# testdata/golden/paper_gates.json, plus the paper's shape claims
+# (DeepQueueNet beats every baseline on every shared row; the unseen
+# Fig. 9 load stays within a fixed factor of a seen one). Regenerate the
+# per-row thresholds after an intentional model or engine change with:
+#   go test -run TestPaperAccuracyGates -update-golden .
+paper-gates:
+	$(GO) test -run TestPaperAccuracyGates -count=1 .
 
 # bench-smoke builds the repository benchmark (benchmark/, named by
 # BENCHMARK.json) against the current tree and runs every workload for a

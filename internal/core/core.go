@@ -65,15 +65,6 @@ type Config struct {
 	// iteration contractive when per-device prediction error feeds back
 	// through downstream arrival estimates at high load.
 	Damping float64
-	// MeasureShards runs each sweep sequentially, giving every device in
-	// queue order to the worker slot with the least time so far in the
-	// sweep (what idle workers pulling from the queue do), and records
-	// the slots' compute time in Result.ShardWork. The resulting
-	// total-work/critical-path ratio is the model-parallel speedup an
-	// N-accelerator deployment achieves (Fig. 11 / Table 7) — measurable
-	// even on a single-CPU host where wall-clock parallel speedup is
-	// physically impossible.
-	MeasureShards bool
 	// Observer, when non-nil, receives per-iteration and per-device-
 	// inference telemetry (internal/obs.EngineObserver is the standard
 	// implementation). nil costs one pointer check per call site; the
@@ -188,11 +179,6 @@ type Result struct {
 	// failed.
 	FinalDelta float64
 	Converged  bool
-	// ShardWork is the worker slots' compute time accumulated over all
-	// iterations, busiest first: entry i sums the i-th busiest slot of
-	// every sweep, so entry 0 is the critical path (filled when
-	// Config.MeasureShards is set).
-	ShardWork []float64
 	// DegradedDevices lists (sorted) the devices whose PTM was missing
 	// or failed validation and that therefore ran the exact
 	// transmission-time + FIFO-serialization fallback model. A non-empty

@@ -152,21 +152,6 @@ func TestShardPanicIsolated(t *testing.T) {
 	}
 }
 
-func TestShardPanicIsolatedMeasureShards(t *testing.T) {
-	// The sequential (MeasureShards) execution path recovers too.
-	sim, hosts := lineSim(t, Config{
-		Sched:         des.SchedConfig{Kind: des.FIFO},
-		MeasureShards: true,
-		DeviceFor:     func(int) DeviceModel { return &panicModel{} },
-	})
-	addTestFlow(sim, hosts)
-	_, err := sim.Run(0.001)
-	var se *guard.ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("want *guard.ShardError, got %v", err)
-	}
-}
-
 // TestCancellationStopsWithinOneIteration pins RunContext's cancellation
 // latency at both grains: the run ends inside the iteration the cancel
 // lands in, and within it every shard starts at most one further device

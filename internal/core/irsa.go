@@ -220,7 +220,6 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 			prev[i] = make([]float64, len(p.sojourn))
 		}
 	}
-	shardWork := make([]float64, shards)
 	// finish assembles the (possibly partial) Result from the current
 	// estimates — also the exit path for canceled and failed runs, so
 	// callers get the partial trace alongside the error for diagnosis.
@@ -228,9 +227,6 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	finish := func(err error) (*Result, error) {
 		res := s.collect(pkts, byDevice, iters, diameter, maxIter)
 		res.FinalDelta, res.Converged = finalDelta, converged
-		if s.Cfg.MeasureShards {
-			res.ShardWork = shardWork
-		}
 		res.DegradedReasons = degraded
 		for d := range degraded {
 			res.DegradedDevices = append(res.DegradedDevices, d)
@@ -280,17 +276,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 				copy(prev[i], p.sojourn)
 			}
 		}
-		err := sw.sweep(iter)
-		if s.Cfg.MeasureShards {
-			// Slot i sums the i-th busiest worker of every sweep, so
-			// ShardWork[0] is the run's critical path.
-			slots := slices.Clone(sw.work)
-			slices.Sort(slots)
-			for i, w := range slots {
-				shardWork[len(slots)-1-i] += w.Seconds()
-			}
-		}
-		if err != nil {
+		if err := sw.sweep(iter); err != nil {
 			return finish(err)
 		}
 		if err := ctx.Err(); err != nil && !ckptOn {
@@ -378,7 +364,7 @@ type sweeper struct {
 	models   map[int]DeviceModel
 	replicas []map[DeviceModel]DeviceModel // per worker
 	errs     []error                       // per worker; each writes only its own slot
-	work     []time.Duration               // per worker, this sweep's inference wall time
+	work     []time.Duration               // per worker, this sweep's inference wall time (timed for an observer)
 	// runToEnd (set iff an epoch checkpoint sink is attached) disables
 	// the per-device cancellation poll: a partially inferred sweep is
 	// not a resumable boundary, so the sweep finishes and the caller
@@ -391,25 +377,13 @@ type sweeper struct {
 }
 
 // sweep infers every device once. Workers pull devices off the queue
-// on their own goroutines, worker 0 on the calling one. With
-// MeasureShards the calling goroutine runs them all, giving each, in
-// queue order, to the worker slot with the least time so far in the
-// sweep: the schedule idle workers pulling from the queue follow,
-// timed without contention for cores, so a slot's time is the compute
-// one accelerator per worker would spend (Fig. 11 / Table 7) whatever
-// the host's core count.
+// on their own goroutines, worker 0 on the calling one.
 func (w *sweeper) sweep(iter int) error {
 	w.iter = iter
 	w.next.Store(0)
 	w.failed.Store(false)
 	clear(w.errs)
 	clear(w.work)
-	if w.s.Cfg.MeasureShards {
-		for q := 0; q < len(w.queue) && !w.failed.Load() && (w.runToEnd || w.ctx.Err() == nil); q++ {
-			w.infer(slices.Index(w.work, slices.Min(w.work)), w.queue[q])
-		}
-		return errors.Join(w.errs...)
-	}
 	var wg sync.WaitGroup
 	for i := 1; i < len(w.errs); i++ {
 		wg.Add(1)
@@ -439,9 +413,9 @@ func (w *sweeper) pull(i int) {
 // failure is recorded, and stops further pulls, before the observer
 // hears of the device.
 func (w *sweeper) infer(i, d int) bool {
-	timed := w.s.Cfg.Observer != nil || w.s.Cfg.MeasureShards
+	obs := w.s.Cfg.Observer
 	var t0 time.Time
-	if timed {
+	if obs != nil {
 		//dqnlint:allow detguard wall-clock worker-timing instrumentation; timing is reported, never fed back into simulation state
 		t0 = time.Now()
 	}
@@ -453,13 +427,11 @@ func (w *sweeper) infer(i, d int) bool {
 		w.errs[i] = err
 		w.failed.Store(true)
 	}
-	if timed {
+	if obs != nil {
 		//dqnlint:allow detguard wall-clock worker-timing instrumentation; timing is reported, never fed back into simulation state
 		dur := time.Since(t0)
 		w.work[i] += dur
-		if obs := w.s.Cfg.Observer; obs != nil {
-			obs.ObserveInference(inferenceEvent(i, d, w.plans[d], w.models[d], dur))
-		}
+		obs.ObserveInference(inferenceEvent(i, d, w.plans[d], w.models[d], dur))
 	}
 	return err == nil
 }

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // IterationEvent describes one completed IRSA iteration — the runtime
 // view of the fixed-point recursion Theorem 3.1 bounds. Delta is the
@@ -62,4 +65,21 @@ type Observer interface {
 	// ObserveInference fires once per device inference, from the worker
 	// goroutine that ran it.
 	ObserveInference(InferenceEvent)
+}
+
+// ReplaySweep returns the per-worker busy time of one sweep on n
+// workers whose device inferences take durs, in queue order: each
+// device goes to the worker that frees up first, the one with the least
+// time so far (ties to the lower index), which is what the engine's
+// workers pulling from the sweep's queue do. Fed the InferenceEvent
+// durations of a Shards-1 run, one sweep at a time, it gives the
+// critical path of n workers that do not contend for cores — one
+// accelerator each (Fig. 11, Table 7) — whatever the host's core count.
+// n must be at least 1.
+func ReplaySweep(durs []time.Duration, n int) []time.Duration {
+	slots := make([]time.Duration, n)
+	for _, d := range durs {
+		slots[slices.Index(slots, slices.Min(slots))] += d
+	}
+	return slots
 }

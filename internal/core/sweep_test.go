@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,40 +46,49 @@ func line8Sim(t *testing.T, cfg Config) *Sim {
 	return sim
 }
 
-// sweepLog records which devices each iteration inferred, and on which
-// workers.
+// sweepLog records which devices each iteration inferred, on which
+// workers, and each inference's duration in the order reported.
 type sweepLog struct {
 	mu      sync.Mutex
 	cur     map[int]int // device → inferences in the current iteration
+	curDurs []time.Duration
 	iters   []map[int]int
+	durs    [][]time.Duration
 	workers map[int]bool
 }
 
 func (l *sweepLog) ObserveIteration(IterationEvent) {
 	l.mu.Lock()
 	l.iters = append(l.iters, l.cur)
-	l.cur = map[int]int{}
+	l.durs = append(l.durs, l.curDurs)
+	l.cur, l.curDurs = map[int]int{}, nil
 	l.mu.Unlock()
 }
 
 func (l *sweepLog) ObserveInference(ev InferenceEvent) {
 	l.mu.Lock()
 	l.cur[ev.Device]++
+	l.curDurs = append(l.curDurs, ev.Duration)
 	l.workers[ev.Shard] = true
 	l.mu.Unlock()
 }
 
-// TestSweepInfersEveryDeviceOnce: at every worker count, and in the
-// sequential MeasureShards schedule, each iteration infers every
-// device exactly once, on a worker inside [0, Shards); the measured
-// schedule puts work on every slot.
+// TestSweepInfersEveryDeviceOnce: at every worker count each iteration
+// infers every device exactly once, on a worker inside [0, Shards).
+// The measure cases are Table 7's measurement: a Shards-1 run's
+// inference durations, replayed sweep by sweep onto that many workers
+// (ReplaySweep), keep every sweep's total and put work on every worker.
 func TestSweepInfersEveryDeviceOnce(t *testing.T) {
 	for _, measure := range []bool{false, true} {
 		for _, shards := range workerCounts {
 			t.Run(fmt.Sprintf("shards=%d/measure=%v", shards, measure), func(t *testing.T) {
 				log := &sweepLog{cur: map[int]int{}, workers: map[int]bool{}}
+				runShards := shards
+				if measure {
+					runShards = 1
+				}
 				sim := line8Sim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}, Echo: true,
-					Shards: shards, MeasureShards: measure, Observer: log})
+					Shards: runShards, Observer: log})
 				res, err := sim.Run(0.0002)
 				if err != nil {
 					t.Fatal(err)
@@ -97,19 +107,27 @@ func TestSweepInfersEveryDeviceOnce(t *testing.T) {
 					}
 				}
 				for w := range log.workers {
-					if w < 0 || w >= shards {
-						t.Errorf("inference reported on worker %d of %d", w, shards)
+					if w < 0 || w >= runShards {
+						t.Errorf("inference reported on worker %d of %d", w, runShards)
 					}
 				}
 				if measure {
-					// More devices than slots: least-time-first reaches
-					// every slot in the first sweep.
-					if len(res.ShardWork) != shards {
-						t.Fatalf("ShardWork has %d slots, want %d", len(res.ShardWork), shards)
-					}
-					for i, w := range res.ShardWork {
-						if w <= 0 {
-							t.Errorf("slot %d of %d got no work: %v", i, shards, res.ShardWork)
+					// More devices than workers: least-time-first reaches
+					// every worker in every sweep.
+					for it, durs := range log.durs {
+						var total, replayed time.Duration
+						for _, d := range durs {
+							total += d
+						}
+						slots := ReplaySweep(durs, shards)
+						for i, w := range slots {
+							replayed += w
+							if w <= 0 {
+								t.Errorf("iteration %d: worker %d of %d got no work: %v", it, i, shards, slots)
+							}
+						}
+						if replayed != total {
+							t.Errorf("iteration %d: replay holds %v of the sweep's %v", it, replayed, total)
 						}
 					}
 				}
@@ -201,5 +219,38 @@ func TestFailedDeviceStopsTheSweep(t *testing.T) {
 				t.Errorf("%d device calls began in the failing sweep with %d workers", n, shards)
 			}
 		})
+	}
+}
+
+// TestReplaySweep pins the replay on hand-made durations: each device,
+// in queue order, goes to the worker with the least time so far, ties
+// to the lower index.
+func TestReplaySweep(t *testing.T) {
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	for _, c := range []struct {
+		durs []time.Duration
+		n    int
+		want []time.Duration
+	}{
+		{ms(), 2, ms(0, 0)},
+		{ms(5, 3, 2), 1, ms(10)},
+		// 5→w0, 3→w1, 2→w1 (3 < 5), then 4 on the 5/5 tie → w0.
+		{ms(5, 3, 2, 4), 2, ms(9, 5)},
+		{ms(4, 4, 4, 4), 4, ms(4, 4, 4, 4)},
+		// More workers than devices: the rest stay idle.
+		{ms(7, 1), 4, ms(7, 1, 0, 0)},
+		// Heaviest first keeps the critical path at the longest device.
+		{ms(8, 3, 3, 2), 2, ms(8, 8)},
+		{ms(1, 1, 1, 6), 3, ms(7, 1, 1)},
+	} {
+		if got := ReplaySweep(c.durs, c.n); !slices.Equal(got, c.want) {
+			t.Errorf("ReplaySweep(%v, %d) = %v, want %v", c.durs, c.n, got, c.want)
+		}
 	}
 }

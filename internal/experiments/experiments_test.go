@@ -4,7 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"deepqueuenet/internal/core"
 	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/topo"
 	"deepqueuenet/internal/traffic"
@@ -235,5 +237,32 @@ func TestRendererTables(t *testing.T) {
 	}
 	if s := Fig10(tm).String(); !strings.Contains(s, "0.400") {
 		t.Fatalf("fig10 render: %q", s)
+	}
+}
+
+// TestTable7SpeedupSumsPerSweepCriticalPaths pins Table 7's speedup
+// column on hand-made sweeps: total work over the sum of each sweep's
+// busiest worker, not over one worker's total across sweeps.
+func TestTable7SpeedupSumsPerSweepCriticalPaths(t *testing.T) {
+	ms := time.Millisecond
+	rec := &sweepRecorder{}
+	// Two sweeps reported through the observer, queue order.
+	for _, sweep := range [][]time.Duration{{5 * ms, 3 * ms, 2 * ms, 4 * ms}, {6 * ms, 1 * ms, 1 * ms}} {
+		for _, d := range sweep {
+			rec.ObserveInference(core.InferenceEvent{Duration: d})
+		}
+		rec.ObserveIteration(core.IterationEvent{})
+	}
+	// n=2: sweep 1 → (9, 5), sweep 2 → (6, 2): 22 / (9 + 6).
+	for _, c := range []struct {
+		n    int
+		want float64
+	}{{1, 1}, {2, 22.0 / 15}, {4, 22.0 / 11}} {
+		if got := rec.speedup(c.n); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("speedup(%d) = %v, want %v", c.n, got, c.want)
+		}
+	}
+	if got := (&sweepRecorder{}).speedup(2); got != 0 {
+		t.Errorf("speedup of no recorded work = %v, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"deepqueuenet/internal/core"
@@ -19,10 +20,45 @@ type ScaleRow struct {
 	Shards   int
 	Packets  int
 	Elapsed  time.Duration
-	// Speedup is the model-parallel speedup: total shard work divided by
-	// the critical path (the slowest shard). It is what an N-accelerator
-	// deployment achieves, measured independently of host core count.
+	// Speedup is the model-parallel speedup: total inference work
+	// divided by the critical path (the busiest worker, summed over
+	// sweeps). It is what an N-accelerator deployment achieves, measured
+	// independently of host core count.
 	Speedup float64
+}
+
+// sweepRecorder keeps the device inference durations of a Shards-1
+// run, one slice per IRSA sweep, in the order the queue ran them.
+type sweepRecorder struct {
+	sweeps [][]time.Duration
+	cur    []time.Duration
+}
+
+func (r *sweepRecorder) ObserveIteration(core.IterationEvent) {
+	r.sweeps, r.cur = append(r.sweeps, r.cur), nil
+}
+
+// ObserveInference needs no lock: a Shards-1 run reports from one
+// goroutine.
+func (r *sweepRecorder) ObserveInference(ev core.InferenceEvent) {
+	r.cur = append(r.cur, ev.Duration)
+}
+
+// speedup replays every recorded sweep onto n workers (core.ReplaySweep)
+// and returns total work over the sum of the sweeps' critical paths.
+func (r *sweepRecorder) speedup(n int) float64 {
+	var total, critical time.Duration
+	for _, durs := range r.sweeps {
+		slots := core.ReplaySweep(durs, n)
+		for _, w := range slots {
+			total += w
+		}
+		critical += slices.Max(slots)
+	}
+	if critical <= 0 {
+		return 0
+	}
+	return float64(total) / float64(critical)
 }
 
 // Table7 reproduces Table 7: execution time of DES, MimicNet, and
@@ -99,28 +135,26 @@ func Table7(o Opts) ([]ScaleRow, *Table, error) {
 		}
 		rows = append(rows, ScaleRow{Topology: c.name, Method: "MimicNet", Shards: 1, Elapsed: time.Since(t0)})
 
-		// DeepQueueNet at 1/2/4 shards. MeasureShards times every shard's
-		// compute so the speedup column reflects the model-parallel
-		// critical path (one accelerator per shard), not the host's core
-		// count.
+		// DeepQueueNet at 1/2/4 shards. The speedup column replays a
+		// recorded Shards-1 run's per-device inference times onto that
+		// many workers, sweep by sweep, as the engine's workers pull
+		// from its queue: the critical path of one accelerator per
+		// worker, whatever the host's core count. The recorded run also
+		// warms the process up, so the first timed run does not pay for
+		// it. The wall time is a real run at that many workers, so it
+		// shows what this host's cores give.
+		rec := &sweepRecorder{}
+		if _, _, err := sc.RunDQNCfg(model, core.Config{Shards: 1, Observer: rec}); err != nil {
+			return nil, nil, err
+		}
 		for _, shards := range shardCounts {
 			t0 = time.Now()
-			_, res, err := sc.RunDQNCfg(model, core.Config{Shards: shards, MeasureShards: true})
-			if err != nil {
+			if _, _, err := sc.RunDQNCfg(model, core.Config{Shards: shards}); err != nil {
 				return nil, nil, err
 			}
 			el := time.Since(t0)
-			row := ScaleRow{Topology: c.name, Method: "DeepQueueNet", Shards: shards, Elapsed: el}
-			total, max := 0.0, 0.0
-			for _, w := range res.ShardWork {
-				total += w
-				if w > max {
-					max = w
-				}
-			}
-			if max > 0 {
-				row.Speedup = total / max
-			}
+			row := ScaleRow{Topology: c.name, Method: "DeepQueueNet", Shards: shards, Elapsed: el,
+				Speedup: rec.speedup(shards)}
 			rows = append(rows, row)
 			o.logf("table7: %s DQN x%d done in %v (parallel speedup %.2fx)", c.name, shards, el, row.Speedup)
 		}

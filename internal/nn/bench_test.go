@@ -12,11 +12,11 @@ func benchModel() *Sequential {
 	r := rng.New(1)
 	return NewSequential(
 		NewDense(15, 12, r),
-		NewActivation("tanh"),
+		NewTanh(),
 		NewBLSTM(12, 16, r),
 		NewBLSTM(32, 10, r),
 		NewMultiHeadSelfAttention(20, 16, 2, 8, 8, r),
-		NewActivation("tanh"),
+		NewTanh(),
 		NewDense(16, 1, r),
 	)
 }

@@ -16,12 +16,12 @@ import (
 // the output rows its caller consumes.
 //
 // Row-range contract. A consumed output row depends on every input row
-// through the row-mixing layers (recurrence, attention, pooling, custom
-// layers), so layers up to and including the last of those see all T
-// rows; the row-wise layers behind it (Dense, Activation, LayerNorm)
-// see hi − lo rows; a model with no row-mixing layer is cut before its
-// first layer. Attention, when it is that last layer, projects queries,
-// scores, softmaxes and mixes only the consumed rows itself. Each
+// through the row-mixing layers (BLSTM, attention, custom layers), so
+// layers up to and including the last of those see all T rows; the
+// row-wise layers behind it (Dense, Tanh) see hi − lo rows; a model
+// with no row-mixing layer is cut before its first layer. Attention,
+// when it is that last layer, projects queries, scores, softmaxes and
+// mixes only the consumed rows itself. Each
 // surviving row keeps exactly its own operations in its own order — the
 // kernels accumulate every output element on its own — so the range
 // changes cost, never values: Infer(x, lo, hi) is rows [lo, hi) of
@@ -29,7 +29,7 @@ import (
 //
 // Stream prefix. The same argument cuts the front of the model: the
 // row-wise layers before the first row-mixing layer, and that layer's
-// input projection z = x·Wx when it is an LSTM or BLSTM, give each row
+// input projection z = x·Wx when it is a BLSTM, give each row
 // a value that depends on that row alone. InferPrefix computes that
 // prefix for any run of rows, InferWindow runs the rest of the model on
 // a window of prefix rows, and Infer is the two over its own rows. A
@@ -45,22 +45,11 @@ type inferLayer interface {
 	infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix
 }
 
-// recurrent is a row-mixing layer whose input enters only through the
-// row-wise projection z = x·Wx: the stream prefix can hold z.
-type recurrent interface {
-	zCols() int
-	zPack(pk *Packs) *tensor.Packed
-	// recur runs the recurrence over the T-row window whose row t has
-	// the projection z row min(start+t, z.Rows−1). It reads z and
-	// writes only its own arena scratch.
-	recur(z *tensor.Matrix, start, T int, a *tensor.Arena) *tensor.Matrix
-}
-
 // rowWise reports whether l maps each input row to the same output row
 // on its own.
 func rowWise(l Layer) bool {
 	switch l.(type) {
-	case *Dense, *Activation, *LayerNorm:
+	case *Dense, *Tanh:
 		return true
 	}
 	return false
@@ -68,10 +57,10 @@ func rowWise(l Layer) bool {
 
 // split returns the index of the first row-mixing layer (len(Layers)
 // when there is none) and of the last (−1 when there is none), and the
-// first one as a recurrent layer when it is an LSTM or BLSTM: its input
-// projection then ends the stream prefix (nil: the prefix is the
-// row-wise layers' output alone).
-func (s *Sequential) split() (first, last int, proj recurrent) {
+// first one when it is a BLSTM: its input projection z = x·Wx then ends
+// the stream prefix (nil: the prefix is the row-wise layers' output
+// alone).
+func (s *Sequential) split() (first, last int, proj *BLSTM) {
 	first, last = len(s.Layers), -1
 	for i, l := range s.Layers {
 		if !rowWise(l) {
@@ -79,7 +68,7 @@ func (s *Sequential) split() (first, last int, proj recurrent) {
 		}
 	}
 	if first < len(s.Layers) {
-		proj, _ = s.Layers[first].(recurrent)
+		proj, _ = s.Layers[first].(*BLSTM)
 	}
 	return first, last, proj
 }
@@ -89,7 +78,7 @@ func (s *Sequential) split() (first, last int, proj recurrent) {
 func (s *Sequential) PrefixCols(in int) int {
 	first, _, proj := s.split()
 	if proj != nil {
-		return proj.zCols()
+		return 8 * proj.Hidden
 	}
 	for _, l := range s.Layers[:first] {
 		if d, ok := l.(*Dense); ok {
@@ -109,7 +98,7 @@ func (s *Sequential) InferPrefix(dst, x *tensor.Matrix, a *tensor.Arena, pk *Pac
 		x = s.inferLayerAt(&i, x, 0, x.Rows, -1, a, pk)
 	}
 	if proj != nil {
-		tensor.MatMulPackedInto(dst, x, proj.zPack(pk))
+		tensor.MatMulPackedInto(dst, x, pk.blstmOf(proj))
 		return
 	}
 	if dst.Rows != x.Rows || dst.Cols != x.Cols {
@@ -157,9 +146,8 @@ func (s *Sequential) InferWindow(pre *tensor.Matrix, start, T, lo, hi int, a *te
 
 // Infer returns rows [lo, hi) of Forward(x), bit for bit, as an
 // (hi−lo)-row matrix backed by a and valid until a.Reset; copy it out
-// to keep it. A model that pools to one row takes the range (0, 1).
-// pk is the caller's weight-pack cache (packed on first use); neither
-// it nor a may be shared across goroutines.
+// to keep it. pk is the caller's weight-pack cache (packed on first
+// use); neither it nor a may be shared across goroutines.
 //
 // Unlike Forward, Infer does not touch layer caches: when every layer
 // is one of the built-in kinds, a single *Sequential may be shared by
@@ -177,8 +165,7 @@ func (s *Sequential) Infer(x *tensor.Matrix, lo, hi int, a *tensor.Arena, pk *Pa
 
 // inferLayerAt runs layer *i over x and returns its output; at the last
 // row-mixing layer (index last) the output is cut to rows [lo, hi). A
-// layer that takes a following Activation into its GEMM advances *i
-// past it.
+// layer that takes a following Tanh into its GEMM advances *i past it.
 func (s *Sequential) inferLayerAt(i *int, x *tensor.Matrix, lo, hi, last int, a *tensor.Arena, pk *Packs) *tensor.Matrix {
 	at := *i
 	switch l := s.Layers[at].(type) {
@@ -204,69 +191,23 @@ func (s *Sequential) inferLayerAt(i *int, x *tensor.Matrix, lo, hi, last int, a 
 }
 
 // fusedAct lets a layer that ends in a GEMM (Dense, attention) take a
-// following Activation into that GEMM's epilogue, one pass over the
-// output rows: if layer *i+1 is an Activation it returns its kind and
-// advances *i past it.
+// following Tanh into that GEMM's epilogue, one pass over the output
+// rows: if layer *i+1 is a Tanh it returns ActTanh and advances *i past
+// it.
 func (s *Sequential) fusedAct(i *int) tensor.ActKind {
 	if *i+1 < len(s.Layers) {
-		if av, ok := s.Layers[*i+1].(*Activation); ok {
+		if _, ok := s.Layers[*i+1].(*Tanh); ok {
 			*i++
-			return av.actKind()
+			return tensor.ActTanh
 		}
 	}
 	return tensor.ActNone
 }
 
-// actKind maps the activation name to the fused-kernel enum.
-func (a *Activation) actKind() tensor.ActKind {
-	switch a.Kind {
-	case "tanh":
-		return tensor.ActTanh
-	case "relu":
-		return tensor.ActRelu
-	case "sigmoid":
-		return tensor.ActSigmoid
-	}
-	return tensor.ActNone
-}
-
-func (a *Activation) infer(x *tensor.Matrix, ar *tensor.Arena, _ *Packs) *tensor.Matrix {
+func (a *Tanh) infer(x *tensor.Matrix, ar *tensor.Arena, _ *Packs) *tensor.Matrix {
 	y := ar.NewMatrix(x.Rows, x.Cols)
-	switch a.Kind {
-	case "tanh":
-		tensor.TanhSlice(y.Data, x.Data)
-	case "sigmoid":
-		tensor.SigmoidSlice(y.Data, x.Data)
-	case "relu":
-		for i, v := range x.Data {
-			if v < 0 {
-				v = 0
-			}
-			y.Data[i] = v
-		}
-	}
+	tensor.TanhSlice(y.Data, x.Data)
 	return y
-}
-
-func (l *LSTM) zCols() int                     { return 4 * l.Hidden }
-func (l *LSTM) zPack(pk *Packs) *tensor.Packed { return pk.of(l.wx) }
-
-func (l *LSTM) recur(z *tensor.Matrix, start, T int, a *tensor.Arena) *tensor.Matrix {
-	hs := a.NewMatrix(T, l.Hidden)
-	l.recurInto(hs, 0, false, z, 0, start, T, a)
-	return hs
-}
-
-func (l *LSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	return inferRecurrent(l, x, a, pk)
-}
-
-// inferRecurrent is a recurrent layer over all rows of x: the input
-// projection of every row in one GEMM, then the recurrence.
-func inferRecurrent(r recurrent, x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	z := a.NewMatrix(x.Rows, r.zCols())
-	tensor.MatMulPackedInto(z, x, r.zPack(pk))
-	return r.recur(z, 0, x.Rows, a)
 }
 
 // recurInto runs the recurrence over a T-row window — from the last row
@@ -298,11 +239,10 @@ func (l *LSTM) recurInto(out *tensor.Matrix, col int, rev bool, z *tensor.Matrix
 	}
 }
 
-func (b *BLSTM) zCols() int                     { return 8 * b.Hidden }
-func (b *BLSTM) zPack(pk *Packs) *tensor.Packed { return pk.blstmOf(b) }
-
-// recur runs both directions over one projection: the forward LSTM's
-// z in columns [0, 4H), the backward one's in [4H, 8H).
+// recur runs both directions over the T-row window whose row t has the
+// projection z row min(start+t, z.Rows−1): the forward LSTM's z in
+// columns [0, 4H), the backward one's in [4H, 8H). It reads z and
+// writes only its own arena scratch.
 func (b *BLSTM) recur(z *tensor.Matrix, start, T int, a *tensor.Arena) *tensor.Matrix {
 	out := a.NewMatrix(T, 2*b.Hidden)
 	b.fwd.recurInto(out, 0, false, z, 0, start, T, a)
@@ -310,8 +250,12 @@ func (b *BLSTM) recur(z *tensor.Matrix, start, T int, a *tensor.Arena) *tensor.M
 	return out
 }
 
+// infer is the BLSTM over all rows of x: both directions' input
+// projections of every row in one GEMM, then the recurrence.
 func (b *BLSTM) infer(x *tensor.Matrix, a *tensor.Arena, pk *Packs) *tensor.Matrix {
-	return inferRecurrent(b, x, a, pk)
+	z := a.NewMatrix(x.Rows, 8*b.Hidden)
+	tensor.MatMulPackedInto(z, x, pk.blstmOf(b))
+	return b.recur(z, 0, x.Rows, a)
 }
 
 // inferRows is attention for output rows [lo, hi): queries only for
@@ -346,51 +290,5 @@ func (m *MultiHeadSelfAttention) inferRows(x *tensor.Matrix, lo, hi int, act ten
 	}
 	y := a.NewMatrix(R, m.Out)
 	tensor.MatMulPackedBiasActInto(y, concat, pk.of(m.wo), m.bo.W, act)
-	return y
-}
-
-func (t *TakeLast) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.Matrix {
-	return a.Rows(x, x.Rows-1, x.Rows)
-}
-
-func (t *TakeAt) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.Matrix {
-	i := max(0, min(t.Index, x.Rows-1))
-	return a.Rows(x, i, i+1)
-}
-
-func (p *MeanPool) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.Matrix {
-	out := a.NewMatrixZero(1, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	out.Scale(1 / float64(x.Rows))
-	return out
-}
-
-func (l *LayerNorm) infer(x *tensor.Matrix, a *tensor.Arena, _ *Packs) *tensor.Matrix {
-	y := a.NewMatrix(x.Rows, x.Cols)
-	for t := 0; t < x.Rows; t++ {
-		row := x.Row(t)
-		mean := 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(len(row))
-		variance := 0.0
-		for _, v := range row {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= float64(len(row))
-		inv := 1 / math.Sqrt(variance+lnEps)
-		yr := y.Row(t)
-		for j, v := range row {
-			nrv := (v - mean) * inv
-			yr[j] = nrv*l.gamma.W.Data[j] + l.beta.W.Data[j]
-		}
-	}
 	return y
 }

@@ -11,18 +11,17 @@ import (
 )
 
 // inferTestModel exercises every built-in layer kind, including the
-// dense+activation fusion peephole and the attention/BLSTM paths.
+// dense+tanh and attention+tanh fusion peepholes.
 func inferTestModel() *Sequential {
 	r := rng.New(42)
 	return NewSequential(
 		NewDense(6, 12, r),
-		NewActivation("tanh"),
+		NewTanh(),
 		NewBLSTM(12, 8, r),
-		NewLayerNorm(16),
 		NewMultiHeadSelfAttention(16, 10, 2, 4, 4, r),
-		NewActivation("relu"),
+		NewTanh(),
 		NewDense(10, 5, r),
-		NewActivation("sigmoid"),
+		NewTanh(),
 		NewDense(5, 1, r),
 	)
 }
@@ -62,42 +61,36 @@ type rowRangeCase struct {
 	name string
 	m    *Sequential
 	T    int
-	pool bool // output is one row: the only range is (0, 1)
 }
 
 func rowRangeModels() []rowRangeCase {
 	r := rng.New(7)
 	ptmArch := func(in, heads, dk, dv int) *Sequential {
 		return NewSequential(
-			NewDense(in, 12, r), NewActivation("tanh"),
+			NewDense(in, 12, r), NewTanh(),
 			NewBLSTM(12, 16, r), NewBLSTM(32, 10, r),
-			NewMultiHeadSelfAttention(20, 16, heads, dk, dv, r), NewActivation("tanh"),
+			NewMultiHeadSelfAttention(20, 16, heads, dk, dv, r), NewTanh(),
 			NewDense(16, 1, r))
 	}
 	return []rowRangeCase{
-		{"shipped architecture", ptmArch(15, 2, 8, 8), 32, false},
-		{"T not a multiple of 8", ptmArch(15, 2, 8, 8), 13, false},
-		{"DV 5, DK 3, 3 heads", ptmArch(9, 3, 3, 5), 11, false},
-		{"DV 12 (two value panels)", ptmArch(9, 1, 8, 12), 10, false},
-		{"every layer kind", inferTestModel(), 16, false},
+		{"shipped architecture", ptmArch(15, 2, 8, 8), 32},
+		{"T not a multiple of 8", ptmArch(15, 2, 8, 8), 13},
+		{"DV 5, DK 3, 3 heads", ptmArch(9, 3, 3, 5), 11},
+		{"DV 12 (two value panels)", ptmArch(9, 1, 8, 12), 10},
+		{"every layer kind", inferTestModel(), 16},
 		{"recurrence behind attention", NewSequential(
-			NewMultiHeadSelfAttention(6, 8, 2, 4, 4, r), NewActivation("tanh"),
-			NewLSTM(8, 5, r), NewLayerNorm(5), NewDense(5, 2, r)), 9, false},
-		{"pooled: takeat", NewSequential(
-			NewDense(6, 8, r), NewBLSTM(8, 4, r), NewTakeAt(3), NewDense(8, 2, r)), 7, true},
-		{"pooled: meanpool", NewSequential(
-			NewLSTM(6, 4, r), NewMeanPool(), NewActivation("sigmoid")), 7, true},
-		{"pooled: takelast", NewSequential(NewLSTM(6, 4, r), NewTakeLast()), 7, true},
+			NewMultiHeadSelfAttention(6, 8, 2, 4, 4, r), NewTanh(),
+			NewBLSTM(8, 5, r), NewDense(10, 2, r)), 9},
 		{"prefix ends before attention", NewSequential(
-			NewDense(6, 8, r), NewActivation("tanh"), NewLayerNorm(8),
-			NewMultiHeadSelfAttention(8, 8, 2, 4, 4, r), NewActivation("tanh"),
-			NewBLSTM(8, 5, r), NewDense(10, 1, r)), 12, false},
-		{"layernorm before the blstm", NewSequential(
-			NewDense(6, 12, r), NewActivation("tanh"), NewLayerNorm(12),
+			NewDense(6, 8, r), NewTanh(), NewDense(8, 8, r),
+			NewMultiHeadSelfAttention(8, 8, 2, 4, 4, r), NewTanh(),
+			NewBLSTM(8, 5, r), NewDense(10, 1, r)), 12},
+		{"row-wise layers before the blstm", NewSequential(
+			NewDense(6, 12, r), NewTanh(), NewDense(12, 12, r), NewTanh(),
 			NewBLSTM(12, 6, r), NewMultiHeadSelfAttention(12, 8, 2, 4, 4, r),
-			NewDense(8, 1, r)), 11, false},
+			NewDense(8, 1, r)), 11},
 		{"no row-mixing layer", NewSequential(
-			NewDense(6, 8, r), NewActivation("relu"), NewLayerNorm(8), NewDense(8, 3, r)), 9, false},
+			NewDense(6, 8, r), NewTanh(), NewDense(8, 8, r), NewTanh(), NewDense(8, 3, r)), 9},
 	}
 }
 
@@ -123,15 +116,11 @@ func TestInferRowRangeBitwise(t *testing.T) {
 			qfull := append([]float32(nil), qwant.Data...)
 
 			a, pk := tensor.NewArena(), NewPacks()
-			outRows := tc.T
-			if tc.pool {
-				outRows = 1
+			if want.Rows != tc.T {
+				t.Fatalf("%s: Forward returned %d rows, want %d", tc.name, want.Rows, tc.T)
 			}
-			if want.Rows != outRows {
-				t.Fatalf("%s: Forward returned %d rows, want %d", tc.name, want.Rows, outRows)
-			}
-			for lo := 0; lo < outRows; lo++ {
-				for hi := lo + 1; hi <= outRows; hi++ {
+			for lo := 0; lo < tc.T; lo++ {
+				for hi := lo + 1; hi <= tc.T; hi++ {
 					a.Reset()
 					got := tc.m.Infer(x, lo, hi, a, pk)
 					if got.Rows != hi-lo || got.Cols != want.Cols {
@@ -178,19 +167,12 @@ func TestInferWindowMatchesInfer(t *testing.T) {
 					a.Reset()
 					tc.m.InferPrefix(a.Rows(pre, blk[0], blk[1]), a.Rows(seq, blk[0], blk[1]), a, pk)
 				}
-				outRows := tc.T
-				if tc.pool {
-					outRows = 1
-				}
 				for _, start := range []int{0, max(0, n-tc.T), n / 2, n - 1} {
 					win := tensor.New(tc.T, in)
 					for r := 0; r < tc.T; r++ {
 						copy(win.Row(r), seq.Row(min(start+r, n-1)))
 					}
-					for _, rg := range [][2]int{{0, outRows}, {outRows / 2, outRows}, {0, 1}} {
-						if rg[0] >= rg[1] {
-							continue
-						}
+					for _, rg := range [][2]int{{0, tc.T}, {tc.T / 2, tc.T}, {0, 1}} {
 						a.Reset()
 						want := tc.m.Infer(win, rg[0], rg[1], a, pk).Clone()
 						a.Reset()
@@ -231,9 +213,7 @@ func TestInferRejectsBadRange(t *testing.T) {
 // arena fast path, which would silently fall back to cache-writing
 // Forward and break model sharing across shards.
 func TestInferLayerCoverage(t *testing.T) {
-	r := rng.New(1)
-	layers := append(inferTestModel().Layers, NewTakeLast(), NewTakeAt(3), NewMeanPool(), NewLSTM(4, 4, r))
-	for _, l := range layers {
+	for _, l := range inferTestModel().Layers {
 		switch l.(type) {
 		case *Dense, *MultiHeadSelfAttention, inferLayer:
 		default:

@@ -7,9 +7,10 @@ import (
 	"deepqueuenet/internal/tensor"
 )
 
-// LSTM is a unidirectional long short-term memory layer mapping a T×In
-// sequence to a T×Hidden sequence. Gate order within the 4·Hidden block is
-// input (i), forget (f), output (o), candidate (g).
+// LSTM is one direction of a BLSTM: a unidirectional long short-term
+// memory mapping a T×In sequence to a T×Hidden sequence. Gate order
+// within the 4·Hidden block is input (i), forget (f), output (o),
+// candidate (g).
 type LSTM struct {
 	In, Hidden int
 	wx, wh, b  *Param
@@ -168,15 +169,13 @@ func (l *LSTM) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} }
 
-func (l *LSTM) Clone() Layer {
+func (l *LSTM) Clone() *LSTM {
 	c := &LSTM{In: l.In, Hidden: l.Hidden,
 		wx: &Param{Name: l.wx.Name, W: l.wx.W.Clone(), G: tensor.New(l.In, 4*l.Hidden)},
 		wh: &Param{Name: l.wh.Name, W: l.wh.W.Clone(), G: tensor.New(l.Hidden, 4*l.Hidden)},
 		b:  &Param{Name: l.b.Name, W: l.b.W.Clone(), G: tensor.New(1, 4*l.Hidden)}}
 	return c
 }
-
-func (l *LSTM) Spec() LayerSpec { return LayerSpec{Kind: "lstm", In: l.In, Hidden: l.Hidden} }
 
 // BLSTM is a bidirectional LSTM: a forward and a backward LSTM over the
 // same input, outputs concatenated to T×(2·Hidden). This is the encoder
@@ -210,7 +209,7 @@ func (b *BLSTM) Params() []*Param { return append(b.fwd.Params(), b.bwd.Params()
 
 func (b *BLSTM) Clone() Layer {
 	return &BLSTM{In: b.In, Hidden: b.Hidden,
-		fwd: b.fwd.Clone().(*LSTM), bwd: b.bwd.Clone().(*LSTM)}
+		fwd: b.fwd.Clone(), bwd: b.bwd.Clone()}
 }
 
 func (b *BLSTM) Spec() LayerSpec { return LayerSpec{Kind: "blstm", In: b.In, Hidden: b.Hidden} }

@@ -18,7 +18,6 @@ type LayerSpec struct {
 	Heads  int    `json:"heads,omitempty"`
 	DK     int    `json:"dk,omitempty"`
 	DV     int    `json:"dv,omitempty"`
-	Index  int    `json:"index,omitempty"`
 }
 
 // Sequential chains layers into a model. Forward output of layer i feeds
@@ -102,7 +101,7 @@ func (s *Sequential) Specs() []LayerSpec {
 }
 
 // Build constructs a model from layer specs with weights initialized from
-// the given seed.
+// the given seed. The kinds are "dense", "act:tanh", "blstm" and "mha".
 func Build(specs []LayerSpec, seed uint64) (*Sequential, error) {
 	r := rng.New(seed)
 	layers := make([]Layer, 0, len(specs))
@@ -110,22 +109,12 @@ func Build(specs []LayerSpec, seed uint64) (*Sequential, error) {
 		switch sp.Kind {
 		case "dense":
 			layers = append(layers, NewDense(sp.In, sp.Out, r))
-		case "lstm":
-			layers = append(layers, NewLSTM(sp.In, sp.Hidden, r))
+		case "act:tanh":
+			layers = append(layers, NewTanh())
 		case "blstm":
 			layers = append(layers, NewBLSTM(sp.In, sp.Hidden, r))
 		case "mha":
 			layers = append(layers, NewMultiHeadSelfAttention(sp.In, sp.Out, sp.Heads, sp.DK, sp.DV, r))
-		case "takelast":
-			layers = append(layers, NewTakeLast())
-		case "takeat":
-			layers = append(layers, NewTakeAt(sp.Index))
-		case "layernorm":
-			layers = append(layers, NewLayerNorm(sp.In))
-		case "meanpool":
-			layers = append(layers, NewMeanPool())
-		case "act:tanh", "act:relu", "act:sigmoid":
-			layers = append(layers, NewActivation(sp.Kind[len("act:"):]))
 		default:
 			return nil, fmt.Errorf("nn: unknown layer kind %q", sp.Kind)
 		}
@@ -165,7 +154,7 @@ const maxLoadParams = 1 << 26
 func checkSpecBudget(specs []LayerSpec) error {
 	var total int64
 	for i, sp := range specs {
-		dims := []int{sp.In, sp.Out, sp.Hidden, sp.Heads, sp.DK, sp.DV, sp.Index}
+		dims := []int{sp.In, sp.Out, sp.Hidden, sp.Heads, sp.DK, sp.DV}
 		for _, d := range dims {
 			if d < 0 {
 				return fmt.Errorf("nn: layer %d (%s): negative dimension in saved spec", i, sp.Kind)
@@ -180,14 +169,10 @@ func checkSpecBudget(specs []LayerSpec) error {
 		switch sp.Kind {
 		case "dense":
 			cost = in*out + out
-		case "lstm":
-			cost = 4 * h * (in + h + 1)
 		case "blstm":
 			cost = 8 * h * (in + h + 1)
 		case "mha":
 			cost = heads*in*(2*dk+dv) + heads*dv*out + out
-		case "layernorm":
-			cost = 2 * in
 		}
 		total += cost
 		if cost > maxLoadParams || total > maxLoadParams {
@@ -199,7 +184,7 @@ func checkSpecBudget(specs []LayerSpec) error {
 
 var (
 	savedModelKeys = []string{"specs", "weights"}
-	layerSpecKeys  = []string{"kind", "in", "out", "hidden", "heads", "dk", "dv", "index"}
+	layerSpecKeys  = []string{"kind", "in", "out", "hidden", "heads", "dk", "dv"}
 )
 
 // ReadSavedModel reads the object Marshal writes from r, with the strict
@@ -243,8 +228,6 @@ func readLayerSpec(r *strictjson.Reader) (LayerSpec, error) {
 			sp.DK, err = r.Int()
 		case "dv":
 			sp.DV, err = r.Int()
-		case "index":
-			sp.Index, err = r.Int()
 		}
 		return err
 	})

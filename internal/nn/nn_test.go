@@ -19,7 +19,7 @@ func buildToy(seed uint64) *Sequential {
 	r := rng.New(seed)
 	return NewSequential(
 		NewDense(2, 8, r),
-		NewActivation("tanh"),
+		NewTanh(),
 		NewBLSTM(8, 6, r),
 		NewMultiHeadSelfAttention(12, 8, 2, 4, 4, r),
 		NewDense(8, 1, r),
@@ -155,9 +155,24 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte(`{"specs":[{"kind":"wat"}],"weights":[]}`)); err == nil {
 		t.Fatal("expected error for unknown layer kind")
 	}
-	// An unknown activation used to reach NewActivation's panic.
-	if _, err := Unmarshal([]byte(`{"specs":[{"kind":"act:wat"}],"weights":[]}`)); err == nil {
-		t.Fatal("expected error for unknown activation")
+	// An unknown activation used to reach a constructor's panic. The
+	// rest are the kinds and the spec key of the seed's seq2one readouts,
+	// which no model uses any more: each error names what it refused.
+	for _, c := range []struct{ spec, name string }{
+		{`{"kind":"act:wat"}`, `"act:wat"`},
+		{`{"kind":"takelast"}`, `"takelast"`},
+		{`{"kind":"takeat"}`, `"takeat"`},
+		{`{"kind":"meanpool"}`, `"meanpool"`},
+		{`{"kind":"layernorm","in":4}`, `"layernorm"`},
+		{`{"kind":"lstm","in":4,"hidden":4}`, `"lstm"`},
+		{`{"kind":"act:relu"}`, `"act:relu"`},
+		{`{"kind":"act:sigmoid"}`, `"act:sigmoid"`},
+		{`{"kind":"dense","in":4,"out":4,"index":2}`, `"index"`},
+	} {
+		_, err := Unmarshal([]byte(`{"specs":[` + c.spec + `],"weights":[]}`))
+		if err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("Unmarshal(%s) = %v, want an error naming %s", c.spec, err, c.name)
+		}
 	}
 }
 
@@ -311,14 +326,15 @@ func TestDatasetSplit(t *testing.T) {
 
 func TestBuildPaperScaleArchitecture(t *testing.T) {
 	// Table 1 of the paper: 2-layer BLSTM (200, 100), 3 heads (64, 32),
-	// time steps 21. Verify the architecture builds and runs forward.
+	// time steps 21. Verify the seq2seq stack builds and predicts one
+	// value per input row.
 	specs := []LayerSpec{
 		{Kind: "dense", In: 14, Out: 32},
 		{Kind: "act:tanh"},
 		{Kind: "blstm", In: 32, Hidden: 200},
 		{Kind: "blstm", In: 400, Hidden: 100},
 		{Kind: "mha", In: 200, Out: 64, Heads: 3, DK: 64, DV: 32},
-		{Kind: "takelast"},
+		{Kind: "act:tanh"},
 		{Kind: "dense", In: 64, Out: 1},
 	}
 	m, err := Build(specs, 1)
@@ -327,8 +343,8 @@ func TestBuildPaperScaleArchitecture(t *testing.T) {
 	}
 	x := tensor.New(21, 14)
 	y := m.Forward(x)
-	if y.Rows != 1 || y.Cols != 1 {
-		t.Fatalf("output shape %dx%d", y.Rows, y.Cols)
+	if y.Rows != 21 || y.Cols != 1 {
+		t.Fatalf("output shape %dx%d, want 21x1", y.Rows, y.Cols)
 	}
 	if m.NumParams() < 100000 {
 		t.Fatalf("paper-scale model suspiciously small: %d params", m.NumParams())

@@ -13,9 +13,8 @@ import (
 // the result is immutable and safe to share across goroutines (all
 // per-inference scratch comes from the caller's ArenaF32). The exact
 // float64 path stays the default — this backend is opt-in
-// (ptm.WithQuantized / dqnet -quant / dqnserve -quant) and its accuracy
-// is gated by the committed golden-scenario thresholds rather than
-// bit-identity.
+// (ptm.WithQuantized / dqnet -quant) and its accuracy is gated by the
+// committed golden-scenario thresholds rather than bit-identity.
 
 // qLayer is one quantized layer's forward pass.
 type qLayer interface {
@@ -36,20 +35,12 @@ func Quantize(s *Sequential) (*QuantSequential, error) {
 	for i := 0; i < len(s.Layers); i++ {
 		switch l := s.Layers[i].(type) {
 		case *Dense:
-			q := &qDense{out: l.Out, w: tensor.QuantizeMat(l.w.W), b: f32Row(l.b.W), act: tensor.ActNone}
-			// Fold a following activation into the dense kernel, like the
-			// exact path's Dense+Activation peephole.
-			if i+1 < len(s.Layers) {
-				if av, ok := s.Layers[i+1].(*Activation); ok {
-					q.act = av.actKind()
-					i++
-				}
-			}
-			qs.layers = append(qs.layers, q)
-		case *Activation:
-			qs.layers = append(qs.layers, &qAct{act: l.actKind()})
-		case *LSTM:
-			qs.layers = append(qs.layers, quantLSTM(l))
+			// A following tanh folds into the dense kernel, like the
+			// exact path's Dense+Tanh peephole.
+			qs.layers = append(qs.layers, &qDense{out: l.Out, w: tensor.QuantizeMat(l.w.W),
+				b: f32Row(l.b.W), act: s.fusedAct(&i)})
+		case *Tanh:
+			qs.layers = append(qs.layers, qTanh{})
 		case *BLSTM:
 			qs.layers = append(qs.layers, &qBLSTM{fwd: quantLSTM(l.fwd), bwd: quantLSTM(l.bwd)})
 		case *MultiHeadSelfAttention:
@@ -61,14 +52,6 @@ func Quantize(s *Sequential) (*QuantSequential, error) {
 				bo:   f32Row(l.bo.W),
 			}
 			qs.layers = append(qs.layers, q)
-		case *TakeLast:
-			qs.layers = append(qs.layers, &qTakeAt{index: -1})
-		case *TakeAt:
-			qs.layers = append(qs.layers, &qTakeAt{index: l.Index})
-		case *MeanPool:
-			qs.layers = append(qs.layers, &qMeanPool{})
-		case *LayerNorm:
-			qs.layers = append(qs.layers, &qLayerNorm{gamma: f32Row(l.gamma.W), beta: f32Row(l.beta.W)})
 		default:
 			return nil, fmt.Errorf("nn: Quantize: no quantized form for layer type %T", l)
 		}
@@ -76,7 +59,7 @@ func Quantize(s *Sequential) (*QuantSequential, error) {
 	qs.last = -1
 	for i, l := range qs.layers {
 		switch l.(type) {
-		case *qDense, *qAct, *qLayerNorm:
+		case *qDense, qTanh:
 		default:
 			qs.last = i
 		}
@@ -137,30 +120,25 @@ func (d *qDense) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF
 	return y
 }
 
-type qAct struct{ act tensor.ActKind }
+type qTanh struct{}
 
-func (q *qAct) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
+func (qTanh) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
 	y := a.NewMatrix(x.Rows, x.Cols)
 	copy(y.Data, x.Data)
 	for i := 0; i < y.Rows; i++ {
-		tensor.ApplyActF32(y.Row(i), q.act)
+		tensor.ApplyActF32(y.Row(i), tensor.ActTanh)
 	}
 	return y
 }
 
+// qLSTM is one direction of a qBLSTM.
 type qLSTM struct {
 	hidden int
 	wx, wh *tensor.QuantMat
 	b      []float32
 }
 
-func (l *qLSTM) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
-	hs := a.NewMatrix(x.Rows, l.hidden)
-	l.qinferInto(hs, 0, false, x, a)
-	return hs
-}
-
-// qinferInto is LSTM.inferInto over float32: the recurrence from either
+// qinferInto is LSTM.recurInto over float32: the recurrence from either
 // end, h_t written into columns [col, col+hidden) of out's row t.
 func (l *qLSTM) qinferInto(out *tensor.MatrixF32, col int, rev bool, x *tensor.MatrixF32, a *tensor.ArenaF32) {
 	T, H := x.Rows, l.hidden
@@ -252,63 +230,5 @@ func (m *qMHA) qinferRows(x *tensor.MatrixF32, lo, hi int, a *tensor.ArenaF32) *
 	}
 	y := a.NewMatrix(R, m.out)
 	tensor.QMatMulBiasActInto(y, concat, m.wo, m.bo, tensor.ActNone)
-	return y
-}
-
-// qTakeAt reads out one timestep; index -1 means the last (TakeLast).
-type qTakeAt struct{ index int }
-
-func (t *qTakeAt) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
-	i := t.index
-	if i < 0 {
-		i = 0
-	}
-	if t.index == -1 || i >= x.Rows {
-		i = x.Rows - 1
-	}
-	out := a.NewMatrix(1, x.Cols)
-	copy(out.Row(0), x.Row(i))
-	return out
-}
-
-type qMeanPool struct{}
-
-func (p *qMeanPool) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
-	out := a.NewMatrixZero(1, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			out.Data[j] += v
-		}
-	}
-	inv := 1 / float32(x.Rows)
-	for j := range out.Data {
-		out.Data[j] *= inv
-	}
-	return out
-}
-
-type qLayerNorm struct{ gamma, beta []float32 }
-
-func (l *qLayerNorm) qinfer(x *tensor.MatrixF32, a *tensor.ArenaF32) *tensor.MatrixF32 {
-	y := a.NewMatrix(x.Rows, x.Cols)
-	for t := 0; t < x.Rows; t++ {
-		row := x.Row(t)
-		var mean float32
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float32(len(row))
-		var variance float32
-		for _, v := range row {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= float32(len(row))
-		inv := 1 / float32(math.Sqrt(float64(variance)+lnEps))
-		yr := y.Row(t)
-		for j, v := range row {
-			yr[j] = (v-mean)*inv*l.gamma[j] + l.beta[j]
-		}
-	}
 	return y
 }

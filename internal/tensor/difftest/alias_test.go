@@ -39,7 +39,7 @@ func TestAliasPanicSweep(t *testing.T) {
 		{"MatMulBiasActInto dst==a", func() { tensor.MatMulBiasActInto(sq, sq, other, bias, tensor.ActTanh) }},
 		{"MatMulBiasActInto dst==w", func() { tensor.MatMulBiasActInto(sq, other, sq, bias, tensor.ActTanh) }},
 		{"MatMulPackedInto dst==a", func() { tensor.MatMulPackedInto(sq, sq, pk) }},
-		{"MatMulPackedBiasActInto dst==a", func() { tensor.MatMulPackedBiasActInto(sq, sq, pk, bias, tensor.ActSigmoid) }},
+		{"MatMulPackedBiasActInto dst==a", func() { tensor.MatMulPackedBiasActInto(sq, sq, pk, bias, tensor.ActTanh) }},
 		{"AddVecMatInto dst==w", func() { tensor.AddVecMatInto(other.Row(0), row, other) }},
 		{"AddVecMatInto dst==h", func() { tensor.AddVecMatInto(row, row, other) }},
 		{"MatMulPackedColsInto dst==a", func() { tensor.MatMulPackedColsInto(sq, 0, sq, 0, pk) }},

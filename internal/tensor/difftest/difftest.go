@@ -93,16 +93,8 @@ func RefBiasAct(dst *tensor.Matrix, bias *tensor.Matrix, act tensor.ActKind) {
 }
 
 func refAct(v float64, act tensor.ActKind) float64 {
-	switch act {
-	case tensor.ActTanh:
+	if act == tensor.ActTanh {
 		return math.Tanh(v)
-	case tensor.ActRelu:
-		if v < 0 {
-			return 0
-		}
-		return v
-	case tensor.ActSigmoid:
-		return 1 / (1 + math.Exp(-v))
 	}
 	return v
 }

@@ -35,26 +35,15 @@ type ActKind uint8
 const (
 	ActNone ActKind = iota
 	ActTanh
-	ActRelu
-	ActSigmoid
 )
 
-// Sigmoid is the logistic function 1/(1+e^-v), shared with internal/nn
-// so fused and unfused paths round identically.
+// Sigmoid is the logistic function 1/(1+e^-v), shared by SigmoidSlice
+// and internal/nn's LSTM training pass so both round identically.
 func Sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 func applyAct(row []float64, act ActKind) {
-	switch act {
-	case ActTanh:
+	if act == ActTanh {
 		TanhSlice(row, row)
-	case ActRelu:
-		for j, v := range row {
-			if v < 0 {
-				row[j] = 0
-			}
-		}
-	case ActSigmoid:
-		SigmoidSlice(row, row)
 	}
 }
 

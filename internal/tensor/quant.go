@@ -175,17 +175,8 @@ func QMatMulBiasActInto(dst, a *MatrixF32, w *QuantMat, bias []float32, act ActK
 // ApplyActF32 applies the fused activation kind to a float32 row using
 // the fast transcendentals.
 func ApplyActF32(row []float32, act ActKind) {
-	switch act {
-	case ActTanh:
+	if act == ActTanh {
 		FastTanhSlice(row, row)
-	case ActRelu:
-		for j, v := range row {
-			if v < 0 {
-				row[j] = 0
-			}
-		}
-	case ActSigmoid:
-		FastSigmoidSlice(row, row)
 	}
 }
 
