@@ -198,8 +198,8 @@ type (
 	// DLib stores trained device models.
 	DLib = core.DLib
 	// EngineDeviceModel abstracts the per-device model the engine
-	// drives; implement it to plug in alternative inference backends
-	// via SimConfig.DeviceFor.
+	// drives; implement it and return it from SimConfig.WrapDevice to
+	// instrument a device or put another backend in front of it.
 	EngineDeviceModel = core.DeviceModel
 	// PTMDeviceModel adapts a *DeviceModel (PTM) to EngineDeviceModel.
 	PTMDeviceModel = core.PTMModel

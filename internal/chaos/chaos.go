@@ -208,14 +208,6 @@ func (c *chaosModel) CloneModel() core.DeviceModel {
 	return &chaosModel{inner: c.inner.CloneModel(), in: c.in}
 }
 
-// Ports implements core.DeviceModel.
-func (c *chaosModel) Ports() int { return c.inner.Ports() }
-
-// Validate implements core.DeviceModel. Chaos wraps only validated
-// models (core applies WrapDevice after the validation gate), and the
-// injected faults must read as runtime faults, not structural ones.
-func (c *chaosModel) Validate() error { return c.inner.Validate() }
-
 // WrapRunner wraps a serve.Runner with job-level fault injection:
 // added latency before the run and a context canceled mid-run. With
 // both job-level rates zero it returns next unchanged.

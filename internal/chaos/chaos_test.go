@@ -26,8 +26,6 @@ func (echoModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 	}
 }
 func (m echoModel) CloneModel() core.DeviceModel { return m }
-func (echoModel) Ports() int                     { return 4 }
-func (echoModel) Validate() error                { return nil }
 
 // predictOne runs m on a one-packet, one-port device and returns the
 // prediction.
@@ -105,9 +103,6 @@ func TestCloneSharesInjectorCounts(t *testing.T) {
 	predictOne(m)
 	if in.Count(FaultNaN) != 2 {
 		t.Fatalf("clone must share the injector: count %d, want 2", in.Count(FaultNaN))
-	}
-	if m.Ports() != 4 || clone.Validate() != nil {
-		t.Fatal("wrapper must delegate Ports/Validate")
 	}
 }
 

@@ -29,22 +29,21 @@ func (m *slowSignalModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind)
 	fillTransmission(ports)
 }
 func (m *slowSignalModel) CloneModel() DeviceModel { return m }
-func (m *slowSignalModel) Ports() int              { return 0 }
-func (m *slowSignalModel) Validate() error         { return nil }
 
 // TestRunContextConcurrentCancelRace cancels a running RunContext from
 // many goroutines at once, mid-IRSA, under the race detector: the run
 // must stop with guard.ErrCanceled and still hand back partial results,
 // with no data race between the cancelers and the inference shards.
+// line8 with echo legs bounds the run far above the iterations a cancel
+// may take to land.
 func TestRunContextConcurrentCancelRace(t *testing.T) {
 	m := &slowSignalModel{firstCall: make(chan struct{})}
-	sim, hosts := lineSim(t, Config{
+	sim := line8Sim(t, Config{
 		Sched:      des.SchedConfig{Kind: des.FIFO},
-		Iterations: 100,
+		Echo:       true,
 		Shards:     2,
-		DeviceFor:  func(int) DeviceModel { return m },
+		WrapDevice: func(int, DeviceModel) DeviceModel { return m },
 	})
-	addTestFlow(sim, hosts)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -95,8 +94,6 @@ func (p *passthroughModel) PredictDevice(ports []ptm.PortStream, k des.SchedKind
 func (p *passthroughModel) CloneModel() DeviceModel {
 	return &passthroughModel{inner: p.inner.CloneModel(), calls: p.calls}
 }
-func (p *passthroughModel) Ports() int      { return p.inner.Ports() }
-func (p *passthroughModel) Validate() error { return p.inner.Validate() }
 
 // TestWrapDeviceHook: Config.WrapDevice wraps every resolved device
 // model, and the engine runs the wrapper.

@@ -39,7 +39,7 @@ func line4Sim(t *testing.T, cfg Config) *Sim {
 // the loop runs to its bound. Result must say which, with the delta it
 // ended on.
 func TestResultReportsConvergence(t *testing.T) {
-	exact := line4Sim(t, Config{DeviceFor: func(int) DeviceModel { return nil }, Damping: 1})
+	exact := line4Sim(t, Config{Model: tinyModel(4), WrapDevice: func(int, DeviceModel) DeviceModel { return nil }, Damping: 1})
 	res, err := exact.Run(0.0005)
 	if err != nil {
 		t.Fatal(err)

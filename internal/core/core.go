@@ -39,26 +39,21 @@ type Config struct {
 	Sched des.SchedConfig
 	// Echo reflects packets at destinations to measure RTT.
 	Echo bool
-	// Model is the trained device model for all switches.
+	// Model is the trained device model for all switches. It is
+	// required, and it must have at least as many ports as the largest
+	// switch degree.
 	Model *ptm.PTM
-	// DeviceFor returns a per-switch DeviceModel implementation,
-	// overriding Model for that switch (nil to fall through).
-	// This is the seam for alternative inference backends and for fault
-	// injection in tests.
-	DeviceFor func(switchID int) DeviceModel
-	// WrapDevice, when set, wraps every switch's resolved and validated
-	// device model just before the run — the job-level seam for fault
-	// injection (internal/chaos) and instrumentation. Returning the
-	// model unchanged is the identity; returning nil degrades the
-	// device to the exact FIFO-serialization fallback as if its model
-	// had failed validation.
+	// WrapDevice, when set, wraps every switch's validated device model
+	// (PTMModel{Model}) just before the run — the one per-device seam,
+	// for fault injection (internal/chaos), instrumentation and the
+	// batching plane. Returning the model unchanged is the identity;
+	// returning nil degrades the device to the exact FIFO-serialization
+	// fallback as if its model had failed validation.
 	WrapDevice func(switchID int, m DeviceModel) DeviceModel
 	// Shards is the number of parallel inference workers ("GPUs"). Every
 	// IRSA sweep they pull devices off one heaviest-first queue. 0 means
 	// 1.
 	Shards int
-	// Iterations caps IRSA iterations; 0 uses diameter(G) (Theorem 3.1).
-	Iterations int
 	// Damping blends each iteration's predicted sojourns with the
 	// previous estimate: s ← Damping·ŝ + (1−Damping)·s. 1 disables
 	// damping; 0 uses the default 0.7. Damping keeps the fixed-point
@@ -140,17 +135,15 @@ type Sim struct {
 // negative-rate link, which would otherwise produce +Inf transmission
 // times during inference, is rejected with a descriptive error.
 func NewSim(g *topo.Graph, rt *topo.Routing, cfg Config) (*Sim, error) {
-	if cfg.Model == nil && cfg.DeviceFor == nil {
+	if cfg.Model == nil {
 		return nil, errors.New("core: no device model configured")
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid topology: %w", err)
 	}
-	if cfg.Model != nil {
-		if d := g.MaxSwitchDegree(); cfg.Model.NumPorts < d {
-			return nil, fmt.Errorf("core: device model trained for %d ports cannot drive degree-%d switches",
-				cfg.Model.NumPorts, d)
-		}
+	if d := g.MaxSwitchDegree(); cfg.Model.NumPorts < d {
+		return nil, fmt.Errorf("core: device model trained for %d ports cannot drive degree-%d switches",
+			cfg.Model.NumPorts, d)
 	}
 	return &Sim{G: g, RT: rt, Cfg: cfg}, nil
 }

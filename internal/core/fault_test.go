@@ -24,8 +24,6 @@ func (m *panicModel) PredictDevice([]ptm.PortStream, des.SchedKind) {
 	panic("mock ptm exploded")
 }
 func (m *panicModel) CloneModel() DeviceModel { return m }
-func (m *panicModel) Ports() int              { return 0 }
-func (m *panicModel) Validate() error         { return nil }
 
 // inflatingModel doubles its predicted sojourns on every call: a learned
 // model destabilizing over the inference horizon. Shared across clones
@@ -44,8 +42,6 @@ func (m *inflatingModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) 
 	}
 }
 func (m *inflatingModel) CloneModel() DeviceModel { return m }
-func (m *inflatingModel) Ports() int              { return 0 }
-func (m *inflatingModel) Validate() error         { return nil }
 
 // cancelRun is the shared state of one canceled run's device models: the
 // first device call cancels the run's context (a cancellation landing
@@ -90,8 +86,6 @@ func (m *cancelingModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) 
 	fillTransmission(ports)
 }
 func (m *cancelingModel) CloneModel() DeviceModel { return m }
-func (m *cancelingModel) Ports() int              { return 0 }
-func (m *cancelingModel) Validate() error         { return nil }
 
 // fillTransmission predicts every packet's bare transmission time, the
 // sojourn of a queue that is always empty.
@@ -122,14 +116,14 @@ func TestShardPanicIsolated(t *testing.T) {
 	victim := -1
 	sim, hosts := lineSim(t, Config{
 		Sched: des.SchedConfig{Kind: des.FIFO},
-		DeviceFor: func(sw int) DeviceModel {
+		WrapDevice: func(sw int, m DeviceModel) DeviceModel {
 			if victim < 0 {
-				victim = sw // first switch asked for becomes the victim
+				victim = sw // first switch wrapped becomes the victim
 			}
 			if sw == victim {
 				return bad
 			}
-			return nil
+			return m
 		},
 	})
 	addTestFlow(sim, hosts)
@@ -170,11 +164,10 @@ func TestCancellationStopsWithinOneIteration(t *testing.T) {
 	}
 	sim, err := NewSim(g, rt, Config{
 		Sched:      des.SchedConfig{Kind: des.FIFO},
-		Iterations: 100,
 		Shards:     2,
 		Model:      tinyModel(4),
 		Observer:   run,
-		DeviceFor:  func(sw int) DeviceModel { return &cancelingModel{run: run, dev: sw} },
+		WrapDevice: func(sw int, _ DeviceModel) DeviceModel { return &cancelingModel{run: run, dev: sw} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +185,7 @@ func TestCancellationStopsWithinOneIteration(t *testing.T) {
 		t.Fatal("canceled run must return the partial result")
 	}
 	if res.Iterations > 2 {
-		t.Fatalf("cancel mid-iteration 0 ran %d iterations, want <= 2 of 100", res.Iterations)
+		t.Fatalf("cancel mid-iteration 0 ran %d iterations, want <= 2 of %d", res.Iterations, res.Bound)
 	}
 	late := map[int]int{} // shard → device calls begun after the cancel
 	for _, d := range run.late {
@@ -220,15 +213,16 @@ func TestDeadlineBeforeStart(t *testing.T) {
 	}
 }
 
+// TestDivergenceWatchdogTrips runs line8 with echo legs, whose
+// Theorem 3.1 bound leaves room for guard.DefaultPatience growth steps.
 func TestDivergenceWatchdogTrips(t *testing.T) {
 	m := &inflatingModel{sojourn: 1e-6}
-	sim, hosts := lineSim(t, Config{
+	sim := line8Sim(t, Config{
 		Sched:      des.SchedConfig{Kind: des.FIFO},
-		Iterations: 60,
+		Echo:       true,
 		Damping:    1, // undamped: let the inflation feed straight through
-		DeviceFor:  func(int) DeviceModel { return m },
+		WrapDevice: func(int, DeviceModel) DeviceModel { return m },
 	})
-	addTestFlow(sim, hosts)
 	res, err := sim.Run(0.001)
 	var de *guard.DivergenceError
 	if !errors.As(err, &de) {
@@ -237,8 +231,8 @@ func TestDivergenceWatchdogTrips(t *testing.T) {
 	if len(de.Trace) == 0 {
 		t.Fatal("DivergenceError must carry the delta trace")
 	}
-	if res.Iterations >= 60 {
-		t.Fatalf("watchdog must abort before maxIter, ran %d", res.Iterations)
+	if res.Bound <= guard.DefaultPatience || res.Iterations >= res.Bound {
+		t.Fatalf("watchdog must abort before the bound, ran %d of %d", res.Iterations, res.Bound)
 	}
 	for _, d := range de.Trace {
 		if math.IsNaN(d) {
@@ -255,8 +249,7 @@ func TestNaNSojournTripsWatchdog(t *testing.T) {
 	nan := &inflatingModel{sojourn: math.NaN()}
 	sim, hosts := lineSim(t, Config{
 		Sched:      des.SchedConfig{Kind: des.FIFO},
-		Iterations: 60,
-		DeviceFor:  func(int) DeviceModel { return nan },
+		WrapDevice: func(int, DeviceModel) DeviceModel { return nan },
 	})
 	addTestFlow(sim, hosts)
 	_, err := sim.Run(0.001)
@@ -269,37 +262,23 @@ func TestNaNSojournTripsWatchdog(t *testing.T) {
 	}
 }
 
+// TestInvalidModelDegradesDevice: a model that fails validation
+// degrades every switch, each with the validation failure as its
+// reason, and the run still completes on the FIFO fallback.
 func TestInvalidModelDegradesDevice(t *testing.T) {
-	g := topo.Line(3, topo.DefaultLAN)
-	hosts := g.Hosts()
-	rt, err := g.Route([]topo.FlowDef{{FlowID: 1, Src: hosts[0], Dst: hosts[2]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := g.Switches()[1]
-	sim, err := NewSim(g, rt, Config{
-		Sched: des.SchedConfig{Kind: des.FIFO},
-		Model: tinyModel(4),
-		DeviceFor: func(sw int) DeviceModel {
-			if sw == bad {
-				return PTMModel{nanModel(4)}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim, hosts := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}, Model: nanModel(4)})
 	addTestFlow(sim, hosts)
 	res, err := sim.Run(0.001)
 	if err != nil {
-		t.Fatalf("one invalid PTM must degrade, not fail: %v", err)
+		t.Fatalf("an invalid PTM must degrade, not fail: %v", err)
 	}
-	if !res.Degraded() || len(res.DegradedDevices) != 1 || res.DegradedDevices[0] != bad {
-		t.Fatalf("degraded set %v, want [%d]", res.DegradedDevices, bad)
+	if switches := sim.G.Switches(); len(res.DegradedDevices) != len(switches) {
+		t.Fatalf("degraded set %v, want every switch %v", res.DegradedDevices, switches)
 	}
-	if !strings.Contains(res.DegradedReasons[bad], "non-finite") {
-		t.Fatalf("reason should name the validation failure: %q", res.DegradedReasons[bad])
+	for _, d := range res.DegradedDevices {
+		if !strings.Contains(res.DegradedReasons[d], "non-finite") {
+			t.Fatalf("reason should name the validation failure: %q", res.DegradedReasons[d])
+		}
 	}
 	if len(res.Deliveries) == 0 {
 		t.Fatal("degraded run must still deliver packets")
@@ -311,26 +290,22 @@ func TestInvalidModelDegradesDevice(t *testing.T) {
 	}
 }
 
+// TestMissingModelDegradesDevice: a wrapper that returns no model for
+// some switches degrades exactly those.
 func TestMissingModelDegradesDevice(t *testing.T) {
-	g := topo.Line(3, topo.DefaultLAN)
-	hosts := g.Hosts()
-	rt, err := g.Route([]topo.FlowDef{{FlowID: 1, Src: hosts[0], Dst: hosts[2]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered := g.Switches()[0]
-	sim, err := NewSim(g, rt, Config{
+	covered := -1
+	sim, hosts := lineSim(t, Config{
 		Sched: des.SchedConfig{Kind: des.FIFO},
-		DeviceFor: func(sw int) DeviceModel {
+		WrapDevice: func(sw int, m DeviceModel) DeviceModel {
+			if covered < 0 {
+				covered = sw
+			}
 			if sw == covered {
-				return PTMModel{tinyModel(4)}
+				return m
 			}
 			return nil // every other switch has no model at all
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	addTestFlow(sim, hosts)
 	res, err := sim.Run(0.001)
 	if err != nil {
@@ -343,37 +318,6 @@ func TestMissingModelDegradesDevice(t *testing.T) {
 		if d == covered {
 			t.Fatalf("covered switch %d wrongly degraded (%v)", covered, res.DegradedReasons)
 		}
-	}
-}
-
-func TestUndersizedPerDeviceModelDegrades(t *testing.T) {
-	// A per-device override trained for fewer ports than the switch
-	// degree degrades that switch instead of producing garbage features.
-	g := topo.Line(3, topo.DefaultLAN)
-	hosts := g.Hosts()
-	rt, _ := g.Route([]topo.FlowDef{{FlowID: 1, Src: hosts[0], Dst: hosts[2]}})
-	mid := g.Switches()[1] // degree 3: two neighbours + host
-	small := tinyModel(2)
-	sim, err := NewSim(g, rt, Config{
-		Sched: des.SchedConfig{Kind: des.FIFO},
-		Model: tinyModel(4),
-		DeviceFor: func(sw int) DeviceModel {
-			if sw == mid {
-				return PTMModel{small}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addTestFlow(sim, hosts)
-	res, err := sim.Run(0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.DegradedDevices) != 1 || res.DegradedDevices[0] != mid {
-		t.Fatalf("degraded set %v, want [%d]: %v", res.DegradedDevices, mid, res.DegradedReasons)
 	}
 }
 

@@ -199,18 +199,15 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 	// packet's stream can traverse. With echo legs the round trip doubles
 	// the path, so the effective bound is the longest per-packet hop
 	// sequence (= diameter for one-way runs).
-	maxIter := s.Cfg.Iterations
-	if maxIter <= 0 {
-		for _, p := range pkts {
-			maxIter = max(maxIter, len(p.hops))
-		}
-		maxIter = max(maxIter, 1)
-		if damping < 1 {
-			// Damped updates converge geometrically rather than in one
-			// sweep per hop; allow extra iterations (the eps check stops
-			// earlier when the delta gets there — see Run).
-			maxIter += maxIter / 2
-		}
+	maxIter := 1
+	for _, p := range pkts {
+		maxIter = max(maxIter, len(p.hops))
+	}
+	if damping < 1 {
+		// Damped updates converge geometrically rather than in one
+		// sweep per hop; allow extra iterations (the eps check stops
+		// earlier when the delta gets there — see Run).
+		maxIter += maxIter / 2
 	}
 	// Damping needs the previous iteration's sojourns.
 	var prev [][]float64

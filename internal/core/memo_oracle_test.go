@@ -28,8 +28,6 @@ func (f freshPorts) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
 }
 
 func (f freshPorts) CloneModel() core.DeviceModel { return freshPorts{f.inner.CloneModel()} }
-func (f freshPorts) Ports() int                   { return f.inner.Ports() }
-func (f freshPorts) Validate() error              { return f.inner.Validate() }
 
 // TestPortReuseMatchesFreshPorts: the golden wan shape (Abilene,
 // BC-like traffic), whose IRSA sweeps repeat about a quarter of their

@@ -185,8 +185,6 @@ func (m *failingModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 	fillTransmission(ports)
 }
 func (m *failingModel) CloneModel() DeviceModel { return m }
-func (m *failingModel) Ports() int              { return 0 }
-func (m *failingModel) Validate() error         { return nil }
 
 // TestFailedDeviceStopsTheSweep: once a device's panic is recorded, no
 // worker pulls another device in that sweep. Each worker reports at
@@ -198,7 +196,7 @@ func TestFailedDeviceStopsTheSweep(t *testing.T) {
 			run := &failRun{release: make(chan struct{}), byWorker: map[int]int{}}
 			run.victim.Store(-1)
 			sim := line8Sim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}, Shards: shards, Observer: run,
-				DeviceFor: func(sw int) DeviceModel { return &failingModel{run: run, dev: sw} }})
+				WrapDevice: func(sw int, _ DeviceModel) DeviceModel { return &failingModel{run: run, dev: sw} }})
 			_, err := sim.Run(0.001)
 			var se *guard.ShardError
 			if !errors.As(err, &se) {

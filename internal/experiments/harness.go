@@ -129,6 +129,7 @@ func CachedModel(o Opts, name string, spec ptm.TrainSpec) (*ptm.PTM, error) {
 		return m, nil
 	}
 	o.logf("training device model %s (ports=%d, streams=%d)...", name, spec.Ports, spec.Streams)
+	//dqnlint:allow detguard training time is only logged; the trained weights do not read it
 	t0 := time.Now()
 	m, rep, err := ptm.TrainDevice(spec)
 	if err != nil {

@@ -71,9 +71,9 @@ func Table4(o Opts) ([]GeneralityRow, *Table, error) {
 			func(s metrics.PathStats) float64 { return s.AvgRTT })
 		row.RhoP99, row.RhoP99Lo, row.RhoP99Hi = metrics.PearsonPathwise(predStats, truthStats,
 			func(s metrics.PathStats) float64 { return s.P99RTT })
-		for k, tv := range truthStats {
+		for _, k := range metrics.SortedPaths(truthStats) {
 			if pv, ok := predStats[k]; ok {
-				row.Scatter = append(row.Scatter, [2]float64{tv.AvgRTT, pv.AvgRTT})
+				row.Scatter = append(row.Scatter, [2]float64{truthStats[k].AvgRTT, pv.AvgRTT})
 			}
 		}
 		rows = append(rows, row)

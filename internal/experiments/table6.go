@@ -71,11 +71,11 @@ func Table6(o Opts) ([]TMRow, *Table, error) {
 
 		// RTT CDF points for Fig. 10.
 		var allT, allP []float64
-		for _, v := range truth {
-			allT = append(allT, v...)
+		for _, k := range metrics.SortedPaths(truth) {
+			allT = append(allT, truth[k]...)
 		}
-		for _, v := range pred {
-			allP = append(allP, v...)
+		for _, k := range metrics.SortedPaths(pred) {
+			allP = append(allP, pred[k]...)
 		}
 		if ct, err := metrics.NewCDF(allT); err == nil {
 			if cp, err := metrics.NewCDF(allP); err == nil {

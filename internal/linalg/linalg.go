@@ -42,6 +42,22 @@ func Clone(a [][]float64) [][]float64 {
 	return out
 }
 
+// rect validates that m is a non-ragged rows×cols matrix and returns
+// its shape. Every row must have exactly len(m[0]) columns.
+func rect(op string, m [][]float64) (rows, cols int) {
+	rows = len(m)
+	if rows == 0 {
+		return 0, 0
+	}
+	cols = len(m[0])
+	for i, r := range m {
+		if len(r) != cols {
+			panic(fmt.Sprintf("linalg: %s: ragged matrix: row %d has %d columns, want %d", op, i, len(r), cols))
+		}
+	}
+	return rows, cols
+}
+
 // Mul returns a×b. Both operands must be rectangular (no ragged rows)
 // with matching inner dimensions; violations panic with the offending
 // shape.

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -164,4 +165,38 @@ func TestMulVecHelpers(t *testing.T) {
 	if Dot(v, mv) != 10 {
 		t.Fatalf("Dot %v", Dot(v, mv))
 	}
+}
+
+func wantPanic(t *testing.T, substr string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, substr) {
+			t.Fatalf("want panic containing %q, got %v", substr, r)
+		}
+	}()
+	f()
+}
+
+// TestRaggedRejected: the allocating kernels must reject ragged
+// operands with a descriptive panic instead of silently mis-multiplying
+// (the historical bug: Mul only checked the first row of a).
+func TestRaggedRejected(t *testing.T) {
+	ragged := [][]float64{{1, 2, 3}, {4, 5}, {6, 7, 8}}
+	square := Eye(3)
+	vec := []float64{1, 2, 3}
+
+	wantPanic(t, "ragged", func() { Mul(ragged, square) })
+	wantPanic(t, "ragged", func() { Mul(square, ragged) })
+	wantPanic(t, "ragged", func() { Add(square, ragged) })
+	wantPanic(t, "ragged", func() { VecMat(vec, ragged) })
+	wantPanic(t, "row 1 has 2 columns", func() { MatVec(ragged, vec) })
+}
+
+// TestShapeMismatchMessages: dimension mismatches must name the shapes.
+func TestShapeMismatchMessages(t *testing.T) {
+	wantPanic(t, "2x3 × 2x2", func() { Mul(Zeros(2, 3), Zeros(2, 2)) })
+	wantPanic(t, "2x2 + 3x2", func() { Add(Zeros(2, 2), Zeros(3, 2)) })
+	wantPanic(t, "2-vector × 3x3", func() { VecMat([]float64{1, 2}, Eye(3)) })
 }

@@ -19,11 +19,13 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// simPackages are the deterministic simulation packages: their output
-// must be bit-identical across runs (IRSA re-sequencing, Theorem 3.1),
-// so wall-clock reads, global randomness, and map-order leaks are
-// forbidden there.
-var simPackages = []string{"internal/core", "internal/des", "internal/ptm", "internal/topo"}
+// simPackages are the deterministic simulation packages and the
+// evaluation code that reduces their output to the paper's tables:
+// both must be bit-identical across runs (IRSA re-sequencing, Theorem
+// 3.1; the paper gates), so wall-clock reads, global randomness, and
+// map-order leaks are forbidden there.
+var simPackages = []string{"internal/core", "internal/des", "internal/ptm", "internal/topo",
+	"internal/metrics", "internal/experiments"}
 
 // floatPackages hold the numeric kernels (PTM inference, SEC binning,
 // training math) where branching on exact float equality is a latent

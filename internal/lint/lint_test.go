@@ -183,8 +183,9 @@ func TestWatches(t *testing.T) {
 	if !FloatEq.Watches("internal/linalg") {
 		t.Error("floateq must watch internal/linalg")
 	}
-	if !DetGuard.Watches("internal/core") || DetGuard.Watches("internal/serve") {
-		t.Error("detguard watches the simulation packages only")
+	if !DetGuard.Watches("internal/core") || !DetGuard.Watches("internal/metrics") ||
+		!DetGuard.Watches("internal/experiments") || DetGuard.Watches("internal/serve") {
+		t.Error("detguard watches the simulation and evaluation packages only")
 	}
 }
 

@@ -287,11 +287,24 @@ func (ps PathSamples) Stats() map[string]PathStats {
 	return out
 }
 
+// SortedPaths returns the path IDs of m in ascending order: path maps
+// are reduced in this order, so a table is a pure function of its
+// inputs rather than of Go's randomized map iteration.
+func SortedPaths[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // CompareStats computes the paper's path-wise normalized w1 summary from
 // per-path statistics. Paths present in only one map are ignored.
 func CompareStats(pred, truth map[string]PathStats) Summary {
 	var pa, ta, p9, t9, pj, tj, pj9, tj9 []float64
-	for k, tv := range truth {
+	for _, k := range SortedPaths(truth) {
+		tv := truth[k]
 		pv, ok := pred[k]
 		if !ok {
 			continue
@@ -325,7 +338,8 @@ func Compare(pred, truth PathSamples) Summary {
 // correlate.
 func PearsonPathwise(pred, truth map[string]PathStats, stat func(PathStats) float64) (rho, lo, hi float64) {
 	var xs, ys []float64
-	for k, tv := range truth {
+	for _, k := range SortedPaths(truth) {
+		tv := truth[k]
 		pv, ok := pred[k]
 		if !ok {
 			continue

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -220,6 +221,29 @@ func TestCompareIgnoresMissingPaths(t *testing.T) {
 	s := Compare(pred, truth)
 	if s.AvgRTTW1 != 0 {
 		t.Fatalf("missing path affected result: %+v", s)
+	}
+}
+
+// TestPearsonPathwiseSameBits: the correlation's sums run over the
+// paths in one fixed order, so repeated calls on the same 64-path maps
+// return the same bits (ranging over the maps gave a different order,
+// and different last bits, on almost every call).
+func TestPearsonPathwiseSameBits(t *testing.T) {
+	r := rng.New(5)
+	pred, truth := map[string]PathStats{}, map[string]PathStats{}
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprintf("p%02d", i)
+		truth[k] = PathStats{AvgRTT: r.Uniform(1e-6, 1e-3)}
+		pred[k] = PathStats{AvgRTT: truth[k].AvgRTT * r.Uniform(0.5, 1.5)}
+	}
+	avg := func(s PathStats) float64 { return s.AvgRTT }
+	rho0, lo0, hi0 := PearsonPathwise(pred, truth, avg)
+	for call := 1; call < 20; call++ {
+		rho, lo, hi := PearsonPathwise(pred, truth, avg)
+		if math.Float64bits(rho) != math.Float64bits(rho0) || math.Float64bits(lo) != math.Float64bits(lo0) ||
+			math.Float64bits(hi) != math.Float64bits(hi0) {
+			t.Fatalf("call %d: (%v, %v, %v), first call (%v, %v, %v)", call, rho, lo, hi, rho0, lo0, hi0)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func TestTrainBitIdenticalAcrossWorkers(t *testing.T) {
 	ds := toyDataset(50, 6, 23)
 	train := func(workers int) []*Param {
 		m := buildToy(29)
-		Train(m, ds, TrainConfig{Epochs: 3, BatchSize: 12, LR: 0.01, Workers: workers, Seed: 31, ClipNorm: 1})
+		Train(m, ds, TrainConfig{Epochs: 3, BatchSize: 12, LR: 0.01, Workers: workers, Seed: 31})
 		return m.Params()
 	}
 	want := train(1)
@@ -294,25 +294,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 	if math.Abs(p.W.Data[0]-3) > 1e-3 {
 		t.Fatalf("Adam converged to %v, want 3", p.W.Data[0])
-	}
-}
-
-func TestClipGrads(t *testing.T) {
-	p := &Param{Name: "w", W: tensor.New(1, 2), G: tensor.New(1, 2)}
-	p.G.Data[0], p.G.Data[1] = 3, 4 // norm 5
-	norm := ClipGrads([]*Param{p}, 1)
-	if norm != 5 {
-		t.Fatalf("pre-clip norm %v", norm)
-	}
-	got := math.Hypot(p.G.Data[0], p.G.Data[1])
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("post-clip norm %v", got)
-	}
-	// Below the threshold: untouched.
-	p.G.Data[0], p.G.Data[1] = 0.3, 0.4
-	ClipGrads([]*Param{p}, 1)
-	if p.G.Data[0] != 0.3 {
-		t.Fatal("clip modified small gradient")
 	}
 }
 

@@ -42,24 +42,3 @@ func (a *Adam) Step() {
 		}
 	}
 }
-
-// ClipGrads scales all gradients so their global L2 norm is at most max.
-// Returns the pre-clip norm.
-func ClipGrads(params []*Param, max float64) float64 {
-	total := 0.0
-	for _, p := range params {
-		for _, g := range p.G.Data {
-			total += g * g
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm > max && norm > 0 {
-		s := max / norm
-		for _, p := range params {
-			for j := range p.G.Data {
-				p.G.Data[j] *= s
-			}
-		}
-	}
-	return norm
-}

@@ -89,12 +89,10 @@ type TrainConfig struct {
 	// Workers is the number of goroutines computing the gradient
 	// shards: 0 means GOMAXPROCS, and more than gradShards run as
 	// gradShards. The trained weights are the same for every value.
-	Workers  int
-	Seed     uint64
-	ClipNorm float64 // 0 disables gradient clipping
+	Workers int
+	Seed    uint64
 	// LogEvery, if > 0, records the loss every LogEvery optimizer steps.
 	LogEvery int
-	OnStep   func(step int, loss float64)
 }
 
 // TrainResult reports the loss trajectory of a training run.
@@ -191,9 +189,6 @@ func Train(model *Sequential, ds *Dataset, cfg TrainConfig) TrainResult {
 			if positions > 0 {
 				loss /= float64(positions)
 			}
-			if cfg.ClipNorm > 0 {
-				ClipGrads(master, cfg.ClipNorm)
-			}
 			opt.Step()
 			for _, rep := range replicas {
 				rep.SyncFrom(model)
@@ -205,9 +200,6 @@ func Train(model *Sequential, ds *Dataset, cfg TrainConfig) TrainResult {
 			if cfg.LogEvery > 0 && step%cfg.LogEvery == 0 {
 				res.Steps = append(res.Steps, step)
 				res.Losses = append(res.Losses, loss)
-				if cfg.OnStep != nil {
-					cfg.OnStep(step, loss)
-				}
 			}
 		}
 		if epochBatches > 0 {

@@ -41,9 +41,3 @@ func (h *Handle) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
 // CloneModel implements core.DeviceModel. The handle carries no
 // mutable inference state, so every shard shares it.
 func (h *Handle) CloneModel() core.DeviceModel { return h }
-
-// Ports implements core.DeviceModel.
-func (h *Handle) Ports() int { return h.inner.Ports() }
-
-// Validate implements core.DeviceModel.
-func (h *Handle) Validate() error { return h.inner.Validate() }

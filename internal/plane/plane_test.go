@@ -45,8 +45,6 @@ func (f *fakeModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 }
 
 func (f *fakeModel) CloneModel() core.DeviceModel { return f }
-func (f *fakeModel) Ports() int                   { return 1 }
-func (f *fakeModel) Validate() error              { return nil }
 
 func onePort(n int) []ptm.PortStream {
 	stream := make([]ptm.PacketIn, n)

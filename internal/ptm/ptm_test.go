@@ -1,6 +1,7 @@
 package ptm
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"testing"
@@ -176,7 +177,7 @@ func TestGenerateStreamProducesTraffic(t *testing.T) {
 }
 
 // trainTiny trains a small PTM on 2-port FIFO traffic; shared by tests.
-func trainTiny(t *testing.T, sched des.SchedConfig) (*PTM, TrainReport, TrainSpec) {
+func trainTiny(t *testing.T, sched des.SchedConfig, workers int) (*PTM, TrainReport, TrainSpec) {
 	t.Helper()
 	spec := TrainSpec{
 		Ports:  2,
@@ -192,7 +193,7 @@ func trainTiny(t *testing.T, sched des.SchedConfig) (*PTM, TrainReport, TrainSpe
 	spec.Train.Epochs = 6
 	spec.Train.BatchSize = 64
 	spec.Train.LR = 0.003
-	spec.Train.Workers = 4
+	spec.Train.Workers = workers
 	p, rep, err := TrainDevice(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +205,7 @@ func TestTrainDeviceFIFO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	p, rep, spec := trainTiny(t, des.SchedConfig{Kind: des.FIFO})
+	p, rep, spec := trainTiny(t, des.SchedConfig{Kind: des.FIFO}, 4)
 	if rep.Windows < 200 {
 		t.Fatalf("only %d windows", rep.Windows)
 	}
@@ -222,6 +223,23 @@ func TestTrainDeviceFIFO(t *testing.T) {
 		t.Fatalf("exogenous w1 %v", w1)
 	}
 	t.Logf("FIFO PTM: %d windows, val w1 %.4f, exo w1 %.4f", rep.Windows, rep.ValW1, w1)
+
+	// The whole DUtil pipeline, not only nn.Train, gives the same model
+	// file whatever the worker count.
+	want, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		q, _, _ := trainTiny(t, des.SchedConfig{Kind: des.FIFO}, workers)
+		got, err := q.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Workers %d trained a different model file than Workers 4 (%d vs %d bytes)", workers, len(got), len(want))
+		}
+	}
 }
 
 func TestSECReducesBias(t *testing.T) {

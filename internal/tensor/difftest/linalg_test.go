@@ -10,12 +10,13 @@ import (
 )
 
 // TestLinalgTensorParity pins the cross-package numeric contract: the
-// nested-slice linalg.MulInto (which skips exact-zero a terms) and the
-// flat blocked tensor.MatMulInto (which never skips) must agree bit for
-// bit on finite inputs — the "+0 accumulator absorbs ±0 terms" argument
-// in blocked.go, proven over random shapes with exact zeros and -0
-// sprinkled in. The training stack is on linalg, inference on tensor;
-// this sweep is what lets them share golden expectations.
+// nested-slice linalg.Mul (which skips exact-zero a terms) and the flat
+// blocked tensor.MatMulInto (which never skips) must agree bit for bit
+// on finite inputs — the "+0 accumulator absorbs ±0 terms" argument in
+// blocked.go, proven over random shapes with exact zeros and -0
+// sprinkled in. linalg serves the MAP fits and the LDQBD solver, while
+// training and inference run on nn/tensor; this sweep is what keeps
+// one product meaning the same bits in both.
 func TestLinalgTensorParity(t *testing.T) {
 	withBackends(t, func(t *testing.T) {
 		r := rng.New(808)
@@ -26,28 +27,31 @@ func TestLinalgTensorParity(t *testing.T) {
 			a := randNested(r, n, k)
 			b := randNested(r, k, m)
 
-			dst := linalg.Zeros(n, m)
-			linalg.MulInto(dst, a, b)
+			want := linalg.Mul(a, b)
 
-			_, _, aflat := linalg.Flatten(a)
-			_, _, bflat := linalg.Flatten(b)
-			ta := &tensor.Matrix{Rows: n, Cols: k, Data: aflat}
-			tb := &tensor.Matrix{Rows: k, Cols: m, Data: bflat}
 			td := tensor.New(n, m)
-			tensor.MatMulInto(td, ta, tb)
+			tensor.MatMulInto(td, flat(a), flat(b))
 
 			for i := 0; i < n; i++ {
 				for j := 0; j < m; j++ {
 					got := td.At(i, j)
-					want := dst[i][j]
-					if math.Float64bits(got) != math.Float64bits(want) {
+					if math.Float64bits(got) != math.Float64bits(want[i][j]) {
 						t.Fatalf("trial %d (%dx%dx%d): element (%d,%d) differs: tensor %v linalg %v",
-							trial, n, k, m, i, j, got, want)
+							trial, n, k, m, i, j, got, want[i][j])
 					}
 				}
 			}
 		}
 	})
+}
+
+// flat copies a non-ragged nested matrix into a row-major tensor.
+func flat(a [][]float64) *tensor.Matrix {
+	out := tensor.New(len(a), len(a[0]))
+	for i, row := range a {
+		copy(out.Data[i*out.Cols:(i+1)*out.Cols], row)
+	}
+	return out
 }
 
 // randNested draws a rows×cols nested matrix with exact zeros and
