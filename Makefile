@@ -20,11 +20,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the six repo-specific analyzers — floateq, detguard,
-# goguard and errdiscard per file, hotalloc and locksafe over the
-# cross-package call graph — over the tree including _test.go files.
-# Exits non-zero on any diagnostic not suppressed by a //dqnlint:allow
-# directive.
+# lint runs the five repo-specific analyzers — floateq, detguard,
+# goguard, errdiscard and locksafe — over the tree including _test.go
+# files. Exits non-zero on any diagnostic not suppressed by a
+# //dqnlint:allow directive, and on a directive that names no analyzer
+# or gives no reason. It is the one gating dqnlint run (make check and
+# CI's check job run it).
 lint:
 	$(GO) run ./cmd/dqnlint -tests .
 

@@ -1,20 +1,19 @@
-// Command dqnlint runs the repository's static-analysis suite: six
+// Command dqnlint runs the repository's static-analysis suite: five
 // analyzers enforcing the invariants DeepQueueNet's correctness rests
-// on but the compiler cannot check — four per-file checks (IRSA
+// on but neither the compiler nor the tests check — IRSA
 // bit-determinism, float-safe numeric kernels, goroutine panic
-// isolation, intact error chains) and two cross-package flow-aware
-// checks (zero-alloc hot path, lock discipline). It is stdlib-only and
-// wired into `make lint` / `make check`.
+// isolation, intact error chains and lock discipline. It is stdlib-only
+// and wired into `make lint` / `make check`.
 //
 // Usage:
 //
-//	dqnlint [flags] [module-root]
+//	dqnlint [-tests] [module-root]
 //
-// -tests also lints in-package _test.go files; -sarif emits SARIF 2.1.0
-// for GitHub code scanning.
+// -tests also lints in-package _test.go files.
 //
 // Exit status: 0 when no diagnostics, 1 when any non-allowlisted
-// diagnostic fires, 2 on usage or load errors.
+// diagnostic fires (a malformed //dqnlint:allow directive is one), 2 on
+// usage or load errors.
 package main
 
 import (
@@ -32,10 +31,7 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("dqnlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		sarifOut = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (GitHub code scanning)")
-		tests    = fs.Bool("tests", false, "also lint in-package _test.go files")
-	)
+	tests := fs.Bool("tests", false, "also lint in-package _test.go files")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: dqnlint [flags] [module-root]\n")
 		fs.PrintDefaults()
@@ -58,23 +54,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "dqnlint:", err)
 		return 2
 	}
-	analyzers := lint.Analyzers()
-	diags := lint.Lint(mod, analyzers)
-
-	if *sarifOut {
-		if err := lint.WriteSARIF(stdout, mod.Dir, analyzers, diags); err != nil {
-			fmt.Fprintln(stderr, "dqnlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(stderr, "dqnlint: %d diagnostic(s)\n", len(diags))
-		}
+	diags := lint.Lint(mod, lint.Analyzers())
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "dqnlint: %d diagnostic(s)\n", len(diags))
 		return 1
 	}
 	return 0

@@ -24,7 +24,7 @@ type slowSignalModel struct {
 
 func (m *slowSignalModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 	m.calls.Add(1)
-	m.once.Do(func() { close(m.firstCall) }) //dqnlint:allow hotalloc test double: not the pinned inference path
+	m.once.Do(func() { close(m.firstCall) })
 	time.Sleep(200 * time.Microsecond)
 	fillTransmission(ports)
 }

@@ -37,7 +37,7 @@ func (m *inflatingModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) 
 		ps := &ports[i]
 		ps.Out = ps.Out[:0]
 		for range ps.Stream {
-			ps.Out = append(ps.Out, m.sojourn) //dqnlint:allow hotalloc test double: not the pinned inference path
+			ps.Out = append(ps.Out, m.sojourn)
 		}
 	}
 }
@@ -77,7 +77,7 @@ func (m *cancelingModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) 
 	r := m.run
 	if r.ctx.Err() != nil {
 		r.mu.Lock()
-		r.late = append(r.late, m.dev) //dqnlint:allow hotalloc test double: not the pinned inference path
+		r.late = append(r.late, m.dev)
 		r.mu.Unlock()
 	}
 	if r.calls.Add(1) == 1 {
@@ -94,7 +94,7 @@ func fillTransmission(ports []ptm.PortStream) {
 		ps := &ports[i]
 		ps.Out = ps.Out[:0]
 		for _, p := range ps.Stream {
-			ps.Out = append(ps.Out, float64(p.Size*8)/ps.RateBps) //dqnlint:allow hotalloc test double: not the pinned inference path
+			ps.Out = append(ps.Out, float64(p.Size*8)/ps.RateBps)
 		}
 	}
 }

@@ -142,7 +142,7 @@ func Lookup(bins []Bin, key float64) *Bin {
 	if len(bins) == 0 {
 		return nil
 	}
-	i := sort.Search(len(bins), func(i int) bool { return bins[i].Hi >= key }) //dqnlint:allow hotalloc the closure stays on the stack: sort.Search does not let f escape, so Lookup is allocation-free (covered by the zero-alloc pins)
+	i := sort.Search(len(bins), func(i int) bool { return bins[i].Hi >= key })
 	if i == len(bins) {
 		return &bins[len(bins)-1]
 	}

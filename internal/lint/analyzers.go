@@ -5,16 +5,17 @@ import (
 	"go/types"
 )
 
-// Analyzers returns every dqnlint analyzer in stable order: the four
-// per-file syntactic checks and the two cross-package, flow-aware
-// checks (hot-path allocations, lock discipline).
+// Analyzers returns every dqnlint analyzer in stable order: float
+// equality, determinism, goroutine panic isolation, error chains and
+// lock discipline. The zero-alloc hot path has no analyzer: the
+// AllocsPerRun pins in ptm, core, nn, chaos and tensor/difftest gate it
+// at run time.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatEq,
 		DetGuard,
 		GoGuard,
 		ErrDiscard,
-		HotAlloc,
 		LockSafe,
 	}
 }
@@ -66,14 +67,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// identObj returns the object an identifier uses or defines.
-func identObj(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
-}
-
 // isBuiltinCall reports whether the call invokes a language builtin
 // (append, len, copy, ...) or is a type conversion.
 func isBuiltinCall(info *types.Info, call *ast.CallExpr) bool {
@@ -87,6 +80,25 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	_, isB := info.Uses[id].(*types.Builtin)
 	return isB
+}
+
+// isPanicCall reports whether call invokes the panic builtin.
+func isPanicCall(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "panic" {
+		return false
+	}
+	_, isB := info.Uses[id].(*types.Builtin)
+	return isB
+}
+
+// isInterfaceMethod reports whether fn is declared on an interface.
+func isInterfaceMethod(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	return types.IsInterface(sig.Recv().Type())
 }
 
 // isPkgFunc reports whether obj is the package-level function

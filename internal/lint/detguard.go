@@ -15,7 +15,6 @@ import (
 // run to run.
 var DetGuard = &Analyzer{
 	Name:     "detguard",
-	Doc:      "flags time.Now, global math/rand, and unsorted map-range output in deterministic sim packages",
 	Packages: simPackages,
 	Run:      runDetGuard,
 }

@@ -15,7 +15,6 @@ import (
 // friends are matched through).
 var ErrDiscard = &Analyzer{
 	Name: "errdiscard",
-	Doc:  "flags `_ =` error discards and fmt.Errorf wrapping an error without %w",
 	Run:  runErrDiscard,
 }
 

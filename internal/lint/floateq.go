@@ -20,7 +20,6 @@ import (
 // drift the test exists to catch.
 var FloatEq = &Analyzer{
 	Name:     "floateq",
-	Doc:      "flags ==/!= on floating-point operands in numeric kernel packages",
 	Packages: floatPackages,
 	Run:      runFloatEq,
 }

@@ -15,7 +15,6 @@ import (
 // ordinary helpers does not force an allow directive.
 var GoGuard = &Analyzer{
 	Name: "goguard",
-	Doc:  "flags go statements whose function never defers a recover (shard panic isolation)",
 	Run:  runGoGuard,
 }
 
@@ -38,36 +37,6 @@ func runGoGuard(pass *Pass) {
 			return false // the spawned body was just analyzed
 		})
 	}
-}
-
-// funcIndex is the declared-function index shared with the call graph:
-// it maps declared functions to their bodies across every loaded
-// package, so call chains can be followed cross-package.
-type funcIndex struct {
-	decl map[*types.Func]*ast.FuncDecl
-	pkg  map[*types.Func]*Package
-}
-
-func buildFuncIndex(all []*Package) *funcIndex {
-	idx := &funcIndex{decl: map[*types.Func]*ast.FuncDecl{}, pkg: map[*types.Func]*Package{}}
-	for _, p := range all {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					idx.decl[obj] = fd
-					idx.pkg[obj] = p
-				}
-			}
-		}
-	}
-	return idx
 }
 
 // goroutineGuarded reports whether the goroutine entered through call

@@ -22,11 +22,11 @@ import (
 
 // Diagnostic is one analyzer finding at a source position.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String formats the diagnostic in the conventional file:line:col form.
@@ -36,11 +36,9 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named invariant check over a type-checked package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, enable/disable flags,
-	// and //dqnlint:allow directives.
+	// Name identifies the analyzer in diagnostics and //dqnlint:allow
+	// directives.
 	Name string
-	// Doc is a one-line description shown by dqnlint -list.
-	Doc string
 	// Packages restricts the analyzer to these module-relative import
 	// paths (e.g. "internal/core"). Empty means every package.
 	Packages []string
@@ -65,11 +63,8 @@ func (a *Analyzer) Watches(relPath string) bool {
 // Pass carries one analyzer run over one package.
 type Pass struct {
 	Pkg *Package
-	// All is every loaded module package, for cross-package resolution
-	// (goguard follows call chains into other packages).
-	All []*Package
-	// Ctx holds the shared cross-package facts (call graph, hot-path
-	// closure) built once per Lint run.
+	// Ctx holds the shared cross-package facts (the function index)
+	// built once per Lint run.
 	Ctx *Context
 
 	analyzer *Analyzer
@@ -90,9 +85,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Lint runs the given analyzers over every package, honoring each
 // analyzer's package filter and the //dqnlint:allow directives in the
-// source. Packages are analyzed in parallel (the shared fact layer is
-// built once up front so the fan-out only reads); diagnostics come back
-// sorted by file, line, column, analyzer.
+// source, and reports every directive that names no analyzer or gives
+// no justification. Packages are analyzed in parallel (the shared fact
+// layer is built once up front so the fan-out only reads); diagnostics
+// come back sorted by file, line, column, analyzer.
 func Lint(mod *Module, analyzers []*Analyzer) []Diagnostic {
 	ctx := NewContext(mod.Pkgs)
 	results := make([][]Diagnostic, len(mod.Pkgs))
@@ -139,8 +135,9 @@ func Lint(mod *Module, analyzers []*Analyzer) []Diagnostic {
 		panic(p)
 	}
 	var out []Diagnostic
-	for _, r := range results {
+	for i, r := range results {
 		out = append(out, r...)
+		out = append(out, mod.Pkgs[i].badAllows...)
 	}
 	sortDiagnostics(out)
 	return out
@@ -154,7 +151,7 @@ func LintPackage(pkg *Package, all []*Package, an *Analyzer) []Diagnostic {
 }
 
 func lintPackage(ctx *Context, pkg *Package, an *Analyzer) []Diagnostic {
-	pass := &Pass{Pkg: pkg, All: ctx.All, Ctx: ctx, analyzer: an}
+	pass := &Pass{Pkg: pkg, Ctx: ctx, analyzer: an}
 	an.Run(pass)
 	out := pass.diags[:0]
 	for _, d := range pass.diags {
@@ -187,15 +184,23 @@ func sortDiagnostics(ds []Diagnostic) {
 //	//dqnlint:allow <analyzer>[,<analyzer>|all] <one-line justification>
 //
 // placed either at the end of the offending line or on the line directly
-// above it. The justification is required by convention (reviewed, not
-// machine-enforced).
+// above it. Lint reports a directive whose names are not all analyzers
+// of Analyzers() (or "all"), or that has no justification: a directive
+// left behind by a deleted analyzer, or a misspelled one, would
+// otherwise suppress nothing unnoticed.
 const AllowPrefix = "dqnlint:allow"
 
 // allows maps file → line → analyzer names suppressed at that line.
 type allows map[string]map[int][]string
 
-// collectAllows scans a file's comments for //dqnlint:allow directives.
-func collectAllows(fset *token.FileSet, file *ast.File, into allows) {
+// collectAllows scans a file's comments for //dqnlint:allow directives,
+// recording the names they suppress in p.allows and a finding for each
+// malformed one in p.badAllows.
+func collectAllows(fset *token.FileSet, file *ast.File, p *Package) {
+	known := map[string]bool{"all": true}
+	for _, an := range Analyzers() {
+		known[an.Name] = true
+	}
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
@@ -203,17 +208,28 @@ func collectAllows(fset *token.FileSet, file *ast.File, into allows) {
 			if !strings.HasPrefix(text, AllowPrefix) {
 				continue
 			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, AllowPrefix))
-			fields := strings.Fields(rest)
+			pos := fset.Position(c.Pos())
+			bad := func(format string, args ...any) {
+				p.badAllows = append(p.badAllows, Diagnostic{Analyzer: "allow",
+					File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: fmt.Sprintf(format, args...)})
+			}
+			fields := strings.Fields(strings.TrimPrefix(text, AllowPrefix))
+			if len(fields) < 2 {
+				bad("directive has no justification: write //%s <analyzer> <why>", AllowPrefix)
+			}
 			if len(fields) == 0 {
 				continue
 			}
 			names := strings.Split(fields[0], ",")
-			pos := fset.Position(c.Pos())
-			m := into[pos.Filename]
+			for _, name := range names {
+				if !known[name] {
+					bad("directive names %q, which is no dqnlint analyzer", name)
+				}
+			}
+			m := p.allows[pos.Filename]
 			if m == nil {
 				m = make(map[int][]string)
-				into[pos.Filename] = m
+				p.allows[pos.Filename] = m
 			}
 			m[pos.Line] = append(m[pos.Line], names...)
 		}

@@ -171,6 +171,29 @@ func Stamp() time.Time {
 	if diags := Lint(mod, Analyzers()); len(diags) != 0 {
 		t.Fatalf("allow directive should suppress the diagnostic, got %v", diags)
 	}
+
+	// A directive naming no analyzer (a deleted or misspelled one) and a
+	// directive without a justification are findings themselves.
+	writeFile(t, filepath.Join(root, "internal", "clockutil", "clock.go"), `package clockutil
+
+func Noop() {
+	//dqnlint:allow detgaurd a misspelled (or deleted) analyzer name
+	_ = 0
+	//dqnlint:allow detguard
+	_ = 1
+}
+`)
+	mod, err = Load(root, false)
+	if err != nil {
+		t.Fatalf("reloading scratch module: %v", err)
+	}
+	diags = Lint(mod, Analyzers())
+	if len(diags) != 2 || diags[0].Analyzer != "allow" || diags[0].Line != 4 ||
+		!strings.Contains(diags[0].Message, `"detgaurd"`) ||
+		diags[1].Analyzer != "allow" || diags[1].Line != 6 ||
+		!strings.Contains(diags[1].Message, "no justification") {
+		t.Fatalf("want the unknown name at line 4 and the missing justification at line 6, got %v", diags)
+	}
 }
 
 func TestWatches(t *testing.T) {

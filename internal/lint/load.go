@@ -18,13 +18,13 @@ import (
 // Package is one parsed and type-checked package of the module.
 type Package struct {
 	Path  string // full import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 
-	allows allows
+	allows    allows
+	badAllows []Diagnostic // malformed allow directives, reported by Lint
 }
 
 // Module is the loaded module: every package parsed and type-checked
@@ -33,7 +33,6 @@ type Package struct {
 // source (no compiled export data, no external tooling).
 type Module struct {
 	Path string // module path from go.mod
-	Dir  string
 	Fset *token.FileSet
 	Pkgs []*Package // sorted by import path
 }
@@ -63,7 +62,7 @@ func Load(dir string, includeTests bool) (*Module, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	mod := &Module{Path: modPath, Dir: abs, Fset: fset}
+	mod := &Module{Path: modPath, Fset: fset}
 
 	dirs, err := packageDirs(abs)
 	if err != nil {
@@ -115,7 +114,7 @@ func Load(dir string, includeTests bool) (*Module, error) {
 // the golden-file self-tests, whose fixtures are self-contained.
 func LoadDir(dir, importPath string) (*Package, error) {
 	fset := token.NewFileSet()
-	mod := &Module{Path: importPath, Dir: dir, Fset: fset}
+	mod := &Module{Path: importPath, Fset: fset}
 	ld := &loader{
 		mod:      mod,
 		parsed:   make(map[string]*Package),
@@ -193,13 +192,13 @@ func (ld *loader) parseDir(importPath, dir string) (*Package, error) {
 	if primary == "" {
 		return nil, nil // test-only directory with external test package
 	}
-	pkg := &Package{Path: importPath, Dir: dir, Fset: ld.mod.Fset, allows: make(allows)}
+	pkg := &Package{Path: importPath, Fset: ld.mod.Fset, allows: make(allows)}
 	for _, p := range files {
 		if p.file.Name.Name != primary {
 			continue
 		}
 		pkg.Files = append(pkg.Files, p.file)
-		collectAllows(ld.mod.Fset, p.file, pkg.allows)
+		collectAllows(ld.mod.Fset, p.file, pkg)
 	}
 	return pkg, nil
 }

@@ -1,6 +1,6 @@
 // Package locksafe is the golden fixture for the lock-discipline
 // analyzer: leaks on return paths, blocking operations under a held
-// mutex, dynamic callbacks under a lock, and lock copies.
+// mutex, and dynamic callbacks under a lock.
 package locksafe
 
 import (
@@ -78,16 +78,6 @@ func (s *store) nonBlockingSelect() {
 	case v := <-s.ch: // receive as a select comm clause is the select's own wait
 		s.vals["v"] = v
 	default:
-	}
-}
-
-func byValue(s store) int { // want "parameter copies a lock"
-	return len(s.vals)
-}
-
-func rangeCopy(xs []store) {
-	for _, x := range xs { // want "range value copies a lock"
-		_ = x.vals
 	}
 }
 

@@ -181,7 +181,6 @@ func (s *Sequential) inferLayerAt(i *int, x *tensor.Matrix, lo, hi, last int, a 
 	case inferLayer:
 		x = l.infer(x, a, pk)
 	default:
-		//dqnlint:allow hotalloc custom-Layer fallback: every built-in layer takes the arena infer path above; Forward's caches only run for user layer types, which the zero-alloc pins never ship
 		x = l.Forward(x)
 	}
 	if at == last {

@@ -27,7 +27,6 @@ func (pk *Packs) of(p *Param) *tensor.Packed {
 	if got := pk.m[p]; got != nil {
 		return got
 	}
-	//dqnlint:allow hotalloc pack warm-up: each weight matrix is packed once per session on its first window, then served from the cache
 	pp := tensor.Pack(p.W)
 	pk.m[p] = pp
 	return pp
@@ -42,7 +41,6 @@ func (pk *Packs) kvOf(m *MultiHeadSelfAttention) *tensor.Packed {
 	if got := pk.m[m]; got != nil {
 		return got
 	}
-	//dqnlint:allow hotalloc pack warm-up: the fused KV weight concat is built and packed once per session on its first window, then served from the cache
 	pp := tensor.Pack(tensor.ConcatCols(m.wk.W, m.wv.W))
 	pk.m[m] = pp
 	return pp
@@ -55,7 +53,6 @@ func (pk *Packs) blstmOf(b *BLSTM) *tensor.Packed {
 	if got := pk.m[b]; got != nil {
 		return got
 	}
-	//dqnlint:allow hotalloc pack warm-up: the fused BLSTM input-weight concat is built and packed once per session on its first use, then served from the cache
 	pp := tensor.Pack(tensor.ConcatCols(b.fwd.wx.W, b.bwd.wx.W))
 	pk.m[b] = pp
 	return pp

@@ -35,7 +35,7 @@ func (p *Plane) Wrap(inner core.DeviceModel, tag string) *Handle {
 // PredictDevice implements core.DeviceModel: the engine's device call
 // parks here until the worker fills every port's Out slice.
 func (h *Handle) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
-	h.p.Predict(h.inner, ports, kind, h.tag) //dqnlint:allow hotalloc submission boundary: the plane's call/channel bookkeeping is per device call, not per window; the warm worker's inference path keeps its own AllocsPerRun pins
+	h.p.Predict(h.inner, ports, kind, h.tag)
 }
 
 // CloneModel implements core.DeviceModel. The handle carries no

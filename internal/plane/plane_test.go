@@ -39,7 +39,7 @@ func (f *fakeModel) PredictDevice(ports []ptm.PortStream, _ des.SchedKind) {
 		ps := &ports[i]
 		ps.Out = ps.Out[:0]
 		for j := range ps.Stream {
-			ps.Out = append(ps.Out, float64(j)) //dqnlint:allow hotalloc test double: not the pinned inference path
+			ps.Out = append(ps.Out, float64(j))
 		}
 	}
 }

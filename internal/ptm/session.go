@@ -61,7 +61,6 @@ func newSession(timeSteps int, quant bool) *session {
 // large enough.
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		//dqnlint:allow hotalloc grow-only: reallocates only when a stream outgrows every prior one; steady state reuses the backing array (pinned by TestPredictDeviceZeroAllocs)
 		return make([]float64, n)
 	}
 	return buf[:n]
@@ -87,7 +86,6 @@ func (p *PTM) window(s *session, stream []PacketIn, kind des.SchedKind, rateBps 
 		}
 	}
 	s.featM = tensor.Matrix{Rows: n, Cols: NumFeatures, Data: s.feats}
-	//dqnlint:allow hotalloc grow-only: appends into the session's reused chunk slice; it grows only until the largest stream has been seen
 	s.chunks = chunksAppend(s.chunks[:0], n, p.TimeSteps, p.Margin)
 	if p.qnet != nil {
 		return
@@ -201,7 +199,6 @@ func (p *PTM) consumePred(dst []float64, v float64, pos int, tx, backlog []float
 // getSession returns the model's lazily-created inference session.
 func (p *PTM) getSession() *session {
 	if p.sess == nil {
-		//dqnlint:allow hotalloc one-time lazy init: the session (arena + window matrix) is built on the first prediction and reused for the model's lifetime
 		p.sess = newSession(p.TimeSteps, p.qnet != nil)
 	}
 	return p.sess
@@ -326,7 +323,6 @@ func (p *PTM) PredictDevice(ports []PortStream, kind des.SchedKind) {
 		}
 		ps.Out = growFloats(ps.Out, len(ps.Stream))
 		if ps.memo == nil && p.qnet == nil {
-			//dqnlint:allow hotalloc one-time lazy init: a port's memo is built on its first exact call and reused for the PortStream's lifetime
 			ps.memo = &portMemo{}
 		}
 		p.predictInto(s, ps.memo, ps.Out, ps.Stream, kind, ps.RateBps)

@@ -182,40 +182,57 @@ func TestPredictStreamAllocatesOnlyItsResult(t *testing.T) {
 // TestPredictDeviceZeroAllocs: the device-batched path must also run
 // allocation-free once warm, including its per-port Out slices and
 // memos — on the reuse path (a warm identical call runs no window) and
-// on the path where every window runs.
+// on the path where every window runs — under every discipline (the
+// feature rows differ per discipline) and on the quantized backend,
+// which keeps no memo and so runs every window on every call.
 func TestPredictDeviceZeroAllocs(t *testing.T) {
-	p := sessionModel(t)
-	ports := []PortStream{
-		{Stream: testStream(80, 4), RateBps: 10e9},
-		{Stream: testStream(33, 5), RateBps: 1e9},
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		p.PredictDevice(ports, des.FIFO)
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictDevice allocated %.0f times per device; want 0", allocs)
-	}
-	if ran := predictCounting(p, ports, des.FIFO); ran != 0 {
-		t.Fatalf("warm identical call ran %d windows; want 0 (all reused)", ran)
-	}
+	for _, quant := range []bool{false, true} {
+		for _, kind := range []des.SchedKind{des.FIFO, des.SP, des.WRR, des.DRR, des.WFQ} {
+			p := sessionModel(t)
+			if quant {
+				if err := p.WithQuantized(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ports := []PortStream{
+				{Stream: testStream(80, 4), RateBps: 10e9},
+				{Stream: testStream(33, 5), RateBps: 1e9},
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				p.PredictDevice(ports, kind)
+			})
+			if allocs != 0 {
+				t.Fatalf("PredictDevice(kind %d, quantized=%v) allocated %.0f times per device; want 0", kind, quant, allocs)
+			}
+			all := totalWindows(p, ports)
+			want := 0
+			if quant {
+				want = all
+			}
+			if ran := predictCounting(p, ports, kind); ran != want {
+				t.Fatalf("kind %d, quantized=%v: warm identical call ran %d windows; want %d", kind, quant, ran, want)
+			}
 
-	// Alternate two sets of streams of the same lengths: every call
-	// changes every row, so every window runs and every memo is rewritten.
-	alt := [][]PacketIn{testStream(80, 6), testStream(33, 7)}
-	allocs = testing.AllocsPerRun(10, func() {
-		for i := range ports {
-			ports[i].Stream, alt[i] = alt[i], ports[i].Stream
+			// Alternate two sets of streams of the same lengths: every call
+			// changes every row, so every window runs and every memo is
+			// rewritten.
+			alt := [][]PacketIn{testStream(80, 6), testStream(33, 7)}
+			allocs = testing.AllocsPerRun(10, func() {
+				for i := range ports {
+					ports[i].Stream, alt[i] = alt[i], ports[i].Stream
+				}
+				p.PredictDevice(ports, kind)
+			})
+			if allocs != 0 {
+				t.Fatalf("PredictDevice(kind %d, quantized=%v) with changed streams allocated %.0f times per device; want 0", kind, quant, allocs)
+			}
+			for i := range ports {
+				ports[i].Stream, alt[i] = alt[i], ports[i].Stream
+			}
+			if ran := predictCounting(p, ports, kind); ran != all {
+				t.Fatalf("kind %d, quantized=%v: call with changed streams ran %d windows; want all %d", kind, quant, ran, all)
+			}
 		}
-		p.PredictDevice(ports, des.FIFO)
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictDevice with changed streams allocated %.0f times per device; want 0", allocs)
-	}
-	for i := range ports {
-		ports[i].Stream, alt[i] = alt[i], ports[i].Stream
-	}
-	if ran, all := predictCounting(p, ports, des.FIFO), totalWindows(p, ports); ran != all {
-		t.Fatalf("call with changed streams ran %d windows; want all %d", ran, all)
 	}
 }
 

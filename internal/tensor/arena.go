@@ -35,7 +35,6 @@ func (a *Arena) Alloc(n int) []float64 {
 		return s
 	}
 	// Slab exhausted: overflow allocation, consolidated at next Reset.
-	//dqnlint:allow hotalloc cold-start overflow: fires only until Reset regrows the slab to the observed peak; a warmed arena never reaches this line
 	return make([]float64, n)
 }
 
@@ -51,7 +50,6 @@ func (a *Arena) AllocZero(n int) []float64 {
 // header returns a recycled Matrix header.
 func (a *Arena) header() *Matrix {
 	if a.nhdr == len(a.hdrs) {
-		//dqnlint:allow hotalloc header pool growth: a new Matrix header is minted only until the arena has seen its peak header count, then reused forever
 		a.hdrs = append(a.hdrs, &Matrix{})
 	}
 	a.nhdr++
@@ -96,7 +94,6 @@ func (a *Arena) NewMatrixZero(rows, cols int) *Matrix {
 // so the next cycle runs allocation-free.
 func (a *Arena) Reset() {
 	if a.want > len(a.slab) {
-		//dqnlint:allow hotalloc slab regrow: runs once per demand increase; after warm-up every cycle reuses the slab (the property the zero-alloc tests pin)
 		a.slab = make([]float64, a.want)
 	}
 	a.off = 0

@@ -53,6 +53,10 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 	dstT := tensor.New(32, 32)
 	var kt tensor.Packed
 	ktBuf := make([]float64, tensor.PackedLen(8, 32))
+	bf := tensor.NewF32(20, 48)
+	bf.CopyFromF64(b)
+	dstTf := tensor.NewF32(32, 32)
+	colf := tensor.NewF32(32, 8)
 
 	pins := []struct {
 		name string
@@ -61,6 +65,7 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 		{"MatMulInto", func() { tensor.MatMulInto(dst, a, b) }},
 		{"MatMulPackedInto", func() { tensor.MatMulPackedInto(dst, a, p) }},
 		{"MatMulPackedBiasActInto", func() { tensor.MatMulPackedBiasActInto(dst, a, p, bias, tensor.ActTanh) }},
+		{"MatMulBiasActInto", func() { tensor.MatMulBiasActInto(dst, a, b, bias, tensor.ActTanh) }},
 		{"MatMulTInto", func() { tensor.MatMulTInto(dstT, a, a) }},
 		{"AddVecMatInto", func() { tensor.AddVecMatInto(acc, h, b) }},
 		{"PackFrom reuse", func() { p.PackFrom(b) }},
@@ -84,6 +89,9 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 		{"QMatMulInto", func() { tensor.QMatMulInto(dstf, af, q) }},
 		{"QMatMulBiasActInto", func() { tensor.QMatMulBiasActInto(dstf, af, q, nil, tensor.ActTanh) }},
 		{"QAddVecMatInto", func() { tensor.QAddVecMatInto(accf, hf, q) }},
+		{"MatMulF32Into", func() { tensor.MatMulF32Into(dstf, af, bf) }},
+		{"MatMulTF32Into", func() { tensor.MatMulTF32Into(dstTf, af, af) }},
+		{"ColSliceF32Into", func() { tensor.ColSliceF32Into(colf, af, 4, 12) }},
 	}
 	for _, pin := range pins {
 		pin := pin

@@ -19,7 +19,6 @@ func NewF32(rows, cols int) *MatrixF32 {
 	if rows < 0 || cols < 0 {
 		panic("tensor: negative dimension")
 	}
-	//dqnlint:allow hotalloc constructor: NewF32 mints caller-owned storage by contract; hot paths reach it only through one-time session init
 	return &MatrixF32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
@@ -62,7 +61,6 @@ func (a *ArenaF32) Alloc(n int) []float32 {
 		a.off += n
 		return s
 	}
-	//dqnlint:allow hotalloc cold-start overflow: fires only until Reset regrows the slab to the observed peak; a warmed arena never reaches this line
 	return make([]float32, n)
 }
 
@@ -77,7 +75,6 @@ func (a *ArenaF32) AllocZero(n int) []float32 {
 
 func (a *ArenaF32) header() *MatrixF32 {
 	if a.nhdr == len(a.hdrs) {
-		//dqnlint:allow hotalloc header pool growth: a new header is minted only until the arena has seen its peak header count, then reused forever
 		a.hdrs = append(a.hdrs, &MatrixF32{})
 	}
 	a.nhdr++
@@ -118,7 +115,6 @@ func (a *ArenaF32) NewMatrixZero(rows, cols int) *MatrixF32 {
 // slab to the observed demand if it overflowed.
 func (a *ArenaF32) Reset() {
 	if a.want > len(a.slab) {
-		//dqnlint:allow hotalloc slab regrow: runs once per demand increase; after warm-up every cycle reuses the slab
 		a.slab = make([]float32, a.want)
 	}
 	a.off = 0

@@ -33,7 +33,6 @@ func PackedLen(k, n int) int { return (n + 7) / 8 * k * 8 }
 func (p *Packed) PackFrom(b *Matrix) {
 	need := PackedLen(b.Rows, b.Cols)
 	if cap(p.data) < need {
-		//dqnlint:allow hotalloc pack warm-up: a panel buffer is minted once per session/weight shape and reused across every window after
 		p.data = make([]float64, need)
 	}
 	p.PackCols(p.data[:need], b, 0, b.Cols)

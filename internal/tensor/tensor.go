@@ -21,7 +21,6 @@ func New(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic("tensor: negative dimension")
 	}
-	//dqnlint:allow hotalloc constructor: New mints caller-owned storage by contract; hot paths reach it only through one-time session init
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
