@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for `make fuzz`; raise for longer local campaigns.
 FUZZTIME ?= 15s
 
-.PHONY: build test race vet lint check purego golden resume-golden analytic-gates paper-gates bench-smoke metrics-smoke fuzz
+.PHONY: build test race vet lint check purego golden analytic-gates paper-gates bench-smoke metrics-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -11,8 +11,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The full race suite trains models and replays the golden/resume
-# scenarios under the detector; on a small machine that can exceed go
+# The full race suite trains models and replays the golden scenarios
+# under the detector; on a small machine that can exceed go
 # test's default 10m per-package timeout, so give it real headroom.
 race:
 	$(GO) test -race -timeout 45m ./...
@@ -35,7 +35,7 @@ lint:
 # portable build, the golden-trace determinism digests, the
 # analytic-tier and paper-table accuracy gates, the /metrics consistency
 # smoke, and the repository benchmark smoke.
-check: vet lint race purego golden resume-golden analytic-gates paper-gates metrics-smoke bench-smoke
+check: vet lint race purego golden analytic-gates paper-gates metrics-smoke bench-smoke
 
 # purego runs the kernel-bearing packages on the portable build, where
 # the assembly and vector kernels are not compiled in at all; the
@@ -57,13 +57,6 @@ metrics-smoke:
 # (testdata/golden/routing_bits.json, TestRoutingBitsFixture).
 golden:
 	$(GO) test -run 'TestGoldenTraces|TestRoutingBitsFixture' -count=1 .
-
-# resume-golden proves checkpointed resume is bit-identical: each golden
-# scenario is crashed at an epoch boundary, resumed from its snapshot,
-# and the resumed digest must equal both the uninterrupted run and the
-# committed golden digest (at Shards=1 and 8).
-resume-golden:
-	$(GO) test -run 'TestResume' -count=1 .
 
 # analytic-gates bounds the degradation ladder's analytic tier against
 # the DES ground truth on every golden scenario (thresholds committed
@@ -109,7 +102,6 @@ fuzz:
 	$(GO) test ./internal/ptm -fuzz FuzzPTMLoad -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/ptm -fuzz FuzzPredictDeviceReuse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/topo -fuzz FuzzBuildTopo -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./internal/checkpoint -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzMatMulKernels -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzQuantRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/tensor/difftest -fuzz FuzzSliceTranscendentals -fuzztime $(FUZZTIME) -run '^$$'

@@ -17,14 +17,11 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"syscall"
 	"time"
 
 	"deepqueuenet/internal/analytic"
-	"deepqueuenet/internal/chaos"
-	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/core"
 	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/guard"
@@ -163,7 +160,7 @@ func runFlags(fs *flag.FlagSet) (spec *experiments.Spec, modelPath *string, shar
 
 // loadModel resolves the -model flag: a trained model file, or the
 // literal "synth" for a deterministic synthetic (untrained) 8-port
-// model — enough for checkpoint/resume drills without a training run.
+// model — enough for smoke runs without a training run.
 func loadModel(path string) (*ptm.PTM, error) {
 	if path == "synth" {
 		return ptm.Synthetic(synthArch, 8, 1)
@@ -180,9 +177,6 @@ func cmdSim(ctx context.Context, args []string) error {
 	tracePath := fs.String("trace", "", "write per-device packet traces (CSV)")
 	timeout := fs.Duration("timeout", 0, "wall-clock run deadline (0 = none; ^C always cancels)")
 	obsSummary := fs.Bool("obs-summary", false, "print engine telemetry (delta trace, shard work, metrics) after the run")
-	ckptDir := fs.String("checkpoint-dir", "", "persist an epoch snapshot there at every IRSA iteration (enables checkpointing)")
-	resume := fs.Bool("resume", false, "resume from the snapshot in -checkpoint-dir (fails if missing or from a different run)")
-	crashAfter := fs.Int("crash-after", 0, "chaos drill: crash the run after the Nth epoch snapshot is on disk (exit nonzero)")
 	printDigest := fs.Bool("digest", false, "print the bit-exact delivery-trace digest")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -206,39 +200,6 @@ func cmdSim(ctx context.Context, args []string) error {
 	rctx, cancel := withTimeout(ctx, *timeout)
 	defer cancel()
 	observer, runCfg := obsConfig(*obsSummary, *shards)
-	if *crashAfter > 0 && *ckptDir == "" {
-		return fmt.Errorf("-crash-after requires -checkpoint-dir")
-	}
-	if *ckptDir != "" {
-		modelDigest, err := checkpoint.ModelDigest(model)
-		if err != nil {
-			return err
-		}
-		w := &checkpoint.Writer{
-			Path:        filepath.Join(*ckptDir, "run.ckpt"),
-			TopoDigest:  checkpoint.TopoDigest(sc.G),
-			ModelDigest: modelDigest,
-			Seed:        sc.Seed,
-		}
-		sink := w.Sink()
-		if *crashAfter > 0 {
-			sink = chaos.New(chaos.Config{CrashAfterEpochs: *crashAfter}).WrapEpochSink(sink)
-		}
-		runCfg.EpochSink = sink
-		if *resume {
-			snap, err := checkpoint.Load(w.Path)
-			if err != nil {
-				return fmt.Errorf("-resume: %w", err)
-			}
-			if err := snap.Validate(w.TopoDigest, w.ModelDigest); err != nil {
-				return fmt.Errorf("-resume: %w", err)
-			}
-			runCfg.Resume = snap.EpochState()
-			fmt.Printf("resuming from %s at IRSA iteration %d\n", w.Path, snap.Iter)
-		}
-	} else if *resume {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
 	t0 := time.Now()
 	pred, res, err := sc.RunDQNCfgCtx(rctx, model, runCfg)
 	defer dumpObs(observer)
@@ -247,9 +208,6 @@ func cmdSim(ctx context.Context, args []string) error {
 			fmt.Printf("partial results after %d/%d IRSA iterations (%d deliveries):\n",
 				res.Iterations, res.Bound, len(res.Deliveries))
 			printPathStats(pred)
-		}
-		if errors.Is(err, guard.ErrCrash) {
-			return fmt.Errorf("chaos drill crashed the run (snapshot persisted in %s): %w", *ckptDir, err)
 		}
 		return describeRunErr(err)
 	}

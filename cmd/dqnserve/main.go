@@ -101,9 +101,6 @@ func run(args []string) error {
 	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: *maxShards, MaxDuration: *maxDur}
 	runner.CacheEvictions = reg.Counter("dqn_runner_cache_evictions_total",
 		"runner cache entries dropped by the cache bounds (model registry, named topologies)")
-	if *stateDir != "" {
-		runner.Checkpoints = obs.NewCheckpointMetrics(reg)
-	}
 	var pl *plane.Plane
 	if *planeOn {
 		pl = plane.New(plane.Config{MaxBatch: *planeBatch, Metrics: plane.NewMetrics(reg)})
@@ -145,7 +142,7 @@ func run(args []string) error {
 		return err
 	}
 	if *stateDir != "" {
-		fmt.Printf("durable job state in %s (checkpoint every iteration)\n", *stateDir)
+		fmt.Printf("durable job state in %s\n", *stateDir)
 	}
 	if *brownout {
 		fmt.Println("brownout enabled: overload and deadline pressure answer at reduced fidelity instead of shedding")

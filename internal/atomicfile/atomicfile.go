@@ -1,8 +1,8 @@
 // Package atomicfile is the repository's one durable file write: model
-// files, checkpoint snapshots and durable job records all replace their
-// file through WriteFile, so a crash at any point leaves either the
-// previous file or the new one — never a torn file that a resume digest
-// or a model load would trip over. It imports nothing from the module,
+// files and durable job records both replace their file through
+// WriteFile, so a crash at any point leaves either the previous file or
+// the new one — never a torn file that a model load or a job recovery
+// would trip over. It imports nothing from the module,
 // so every package that persists state can use it.
 package atomicfile
 
@@ -19,11 +19,9 @@ var rename = os.Rename
 
 // WriteFile replaces path with data. It writes a temporary file in
 // path's own directory (a rename across filesystems is not atomic),
-// fsyncs it unless noSync, sets perm, and renames it over path. On any
-// failure the temporary file is removed and path keeps its previous
-// content. noSync is for callers on tmpfs (tests, benchmarks) that pay
-// for an fsync without gaining durability.
-func WriteFile(path string, data []byte, perm fs.FileMode, noSync bool) error {
+// fsyncs it, sets perm, and renames it over path. On any failure the
+// temporary file is removed and path keeps its previous content.
+func WriteFile(path string, data []byte, perm fs.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
@@ -38,10 +36,8 @@ func WriteFile(path string, data []byte, perm fs.FileMode, noSync bool) error {
 	if _, err := tmp.Write(data); err != nil {
 		return fail("write", err)
 	}
-	if !noSync {
-		if err := tmp.Sync(); err != nil {
-			return fail("sync", err)
-		}
+	if err := tmp.Sync(); err != nil {
+		return fail("sync", err)
 	}
 	if err := tmp.Chmod(perm); err != nil {
 		return fail("chmod", err)

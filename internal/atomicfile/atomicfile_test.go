@@ -26,15 +26,14 @@ func TestWriteFileReplacesAndSetsPerm(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.json")
 	for i, tc := range []struct {
-		data   string
-		perm   fs.FileMode
-		noSync bool
+		data string
+		perm fs.FileMode
 	}{
-		{"first", 0o644, false},
-		{"second, longer than the first", 0o600, true},
-		{"3", 0o644, false},
+		{"first", 0o644},
+		{"second, longer than the first", 0o600},
+		{"3", 0o644},
 	} {
-		if err := WriteFile(path, []byte(tc.data), tc.perm, tc.noSync); err != nil {
+		if err := WriteFile(path, []byte(tc.data), tc.perm); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		got, err := os.ReadFile(path)
@@ -61,8 +60,8 @@ func TestWriteFileReplacesAndSetsPerm(t *testing.T) {
 // left behind.
 func TestWriteFileFailedRenameKeepsOld(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	if err := WriteFile(path, []byte("old snapshot"), 0o600, false); err != nil {
+	path := filepath.Join(dir, "job.json")
+	if err := WriteFile(path, []byte("old record"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +79,7 @@ func TestWriteFileFailedRenameKeepsOld(t *testing.T) {
 	}
 	defer func() { rename = os.Rename }()
 
-	err := WriteFile(path, []byte("new snapshot"), 0o600, false)
+	err := WriteFile(path, []byte("new record"), 0o600)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the rename failure", err)
 	}
@@ -88,10 +87,10 @@ func TestWriteFileFailedRenameKeepsOld(t *testing.T) {
 		t.Fatalf("temporary file %q is outside the destination directory %q", tmpPath, dir)
 	}
 	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "old snapshot" {
-		t.Fatalf("after a failed rename the file reads %q, %v; want the old snapshot", got, err)
+	if err != nil || string(got) != "old record" {
+		t.Fatalf("after a failed rename the file reads %q, %v; want the old record", got, err)
 	}
-	if names := readDir(t, dir); len(names) != 1 || names[0] != "run.ckpt" {
-		t.Fatalf("directory holds %v after a failed rename, want only run.ckpt", names)
+	if names := readDir(t, dir); len(names) != 1 || names[0] != "job.json" {
+		t.Fatalf("directory holds %v after a failed rename, want only job.json", names)
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"deepqueuenet/internal/core"
 	"deepqueuenet/internal/des"
-	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/rng"
 	"deepqueuenet/internal/serve"
@@ -42,12 +41,6 @@ const (
 	// FaultCancel cancels a job's context mid-run — the engine must
 	// return partial results with guard.ErrCanceled.
 	FaultCancel
-	// FaultCrash simulates process death at an epoch boundary: the
-	// epoch's checkpoint is persisted first, then the run dies with
-	// guard.ErrCrash. The serving layer must leave the job's durable
-	// record non-terminal so a restarted server re-enqueues and resumes
-	// it from that checkpoint.
-	FaultCrash
 	numFaults
 )
 
@@ -62,8 +55,6 @@ func (f Fault) String() string {
 		return "latency"
 	case FaultCancel:
 		return "cancel"
-	case FaultCrash:
-		return "crash"
 	}
 	return "unknown"
 }
@@ -79,12 +70,6 @@ type Config struct {
 	NaNRate     float64 // model: NaN-poisoning probability per port stream
 	LatencyRate float64 // model + job: sleep probability
 	CancelRate  float64 // job: mid-run context-cancel probability
-	CrashRate   float64 // epoch: post-checkpoint crash probability per boundary
-
-	// CrashAfterEpochs, when > 0, makes the Nth epoch boundary crash
-	// deterministically instead of rolling CrashRate — the form resume
-	// tests use to kill a run at an exact, reproducible iteration.
-	CrashAfterEpochs int
 
 	// Latency is the injected sleep duration. <= 0 uses 2ms.
 	Latency time.Duration
@@ -245,35 +230,4 @@ func (c *chaosRunner) Run(ctx context.Context, req *serve.Request, mode serve.Ru
 		ctx = cctx
 	}
 	return c.next.Run(ctx, req, mode)
-}
-
-// WrapEpochSink wraps a checkpoint sink with crash injection: the inner
-// sink runs first — the epoch's snapshot is durably on disk — and then
-// the wrapper kills the run with guard.ErrCrash, exactly the window a
-// real process death at an epoch boundary leaves behind. Crashes fire
-// deterministically at the CrashAfterEpochs-th boundary when set,
-// otherwise by rolling CrashRate per boundary. With neither configured
-// it returns next unchanged.
-func (in *Injector) WrapEpochSink(next core.EpochSink) core.EpochSink {
-	if in.cfg.CrashRate <= 0 && in.cfg.CrashAfterEpochs <= 0 {
-		return next
-	}
-	var boundaries atomic.Uint64
-	return func(st *core.EpochState) error {
-		if err := next(st); err != nil {
-			return err
-		}
-		n := boundaries.Add(1)
-		if in.cfg.CrashAfterEpochs > 0 {
-			if n == uint64(in.cfg.CrashAfterEpochs) {
-				in.counts[FaultCrash].Add(1)
-				return fmt.Errorf("chaos: epoch boundary %d: %w", n, guard.ErrCrash)
-			}
-			return nil
-		}
-		if in.roll(FaultCrash, in.cfg.CrashRate) {
-			return fmt.Errorf("chaos: epoch boundary %d: %w", n, guard.ErrCrash)
-		}
-		return nil
-	}
 }

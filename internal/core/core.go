@@ -66,29 +66,6 @@ type Config struct {
 	// observer's clock reads never feed back into simulation state, so
 	// attaching one cannot perturb results.
 	Observer Observer
-	// EpochSink, when non-nil, receives the engine's complete
-	// fixed-point state at every IRSA iteration boundary short of
-	// convergence (internal/checkpoint.Writer is the standard persistent
-	// implementation). The handed EpochState aliases live engine
-	// buffers — sinks serialize before returning. A sink error aborts
-	// the run with that error. nil costs one pointer check per
-	// iteration.
-	//
-	// With a sink attached, a canceled or expiring context no longer
-	// aborts mid-iteration: the engine finishes the in-flight iteration
-	// to reach a consistent boundary, hands the sink that boundary, and
-	// then returns the cancel error — trading at most one iteration of
-	// cancellation latency for zero lost progress. This is what lets a
-	// draining server persist a resumable checkpoint inside its SIGTERM
-	// budget.
-	EpochSink EpochSink
-	// Resume, when non-nil, restores a mid-run snapshot captured by an
-	// EpochSink instead of starting from the initial estimate: the run
-	// continues from Resume.Iter with bit-identical state. The snapshot
-	// is validated against the freshly regenerated traffic (digest,
-	// packet count, hop shape) and refused with ErrResumeMismatch on
-	// any difference.
-	Resume *EpochState
 }
 
 // hop is one device traversal on a packet's path.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -192,7 +191,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 
 	sw := &sweeper{s: s, ctx: ctx, queue: queueOrder(devices, plans, devModels), plans: plans, pkts: pkts,
 		models: devModels, replicas: make([]map[DeviceModel]DeviceModel, shards), errs: make([]error, shards),
-		work: make([]time.Duration, shards), runToEnd: s.Cfg.EpochSink != nil}
+		work: make([]time.Duration, shards)}
 
 	diameter := s.G.Diameter()
 	// Theorem 3.1 bounds convergence by the number of device hops a
@@ -232,33 +231,8 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		return res, err
 	}
 	watchdog := &guard.Watchdog{}
-	// Checkpointing state: view aliases the live sojourn buffers so an
-	// epoch snapshot refresh is a few scalar stores, keeping the epoch
-	// loop allocation-free. The traffic digest is computed once per run
-	// and only when a sink or a resume actually needs it.
-	ckptOn := s.Cfg.EpochSink != nil
-	var view *EpochState
-	startIter := 0
-	if ckptOn || s.Cfg.Resume != nil {
-		digest := trafficDigest(pkts)
-		if r := s.Cfg.Resume; r != nil {
-			if err := restoreEpoch(r, pkts, digest, maxIter); err != nil {
-				return finish(err)
-			}
-			watchdog.Restore(r.WatchdogTrace, r.WatchdogGrowth)
-			startIter = r.Iter
-			iters, finalDelta = r.Iter, r.Delta
-			// Arrival estimates are derived state: recompute them from
-			// the restored sojourns exactly as the uninterrupted run's
-			// last propagate left them.
-			propagate(pkts)
-		}
-		if ckptOn {
-			view = epochView(pkts, digest)
-		}
-	}
 	obs := s.Cfg.Observer
-	for iter := startIter; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return finish(guard.FromContext(err))
 		}
@@ -276,11 +250,7 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		if err := sw.sweep(iter); err != nil {
 			return finish(err)
 		}
-		if err := ctx.Err(); err != nil && !ckptOn {
-			// With a checkpoint sink attached the iteration runs to its
-			// boundary instead (a consistent snapshot is worth at most
-			// one iteration of cancellation latency); the loop-top check
-			// surfaces the cancel right after the final snapshot.
+		if err := ctx.Err(); err != nil {
 			return finish(guard.FromContext(err))
 		}
 		if damping < 1 && iter > 0 {
@@ -306,17 +276,6 @@ func (s *Sim) RunContext(ctx context.Context, duration float64) (*Result, error)
 		if delta <= convergeEps {
 			converged = true
 			break
-		}
-		if ckptOn {
-			// Epoch boundary: the view's sojourn slices alias live state,
-			// so only the scalars need refreshing before the sink
-			// serializes.
-			view.Iter = iters
-			view.Delta = delta
-			view.WatchdogTrace, view.WatchdogGrowth = watchdog.State()
-			if serr := s.Cfg.EpochSink(view); serr != nil {
-				return finish(fmt.Errorf("core: epoch checkpoint at iteration %d: %w", iters, serr))
-			}
 		}
 	}
 
@@ -362,11 +321,6 @@ type sweeper struct {
 	replicas []map[DeviceModel]DeviceModel // per worker
 	errs     []error                       // per worker; each writes only its own slot
 	work     []time.Duration               // per worker, this sweep's inference wall time (timed for an observer)
-	// runToEnd (set iff an epoch checkpoint sink is attached) disables
-	// the per-device cancellation poll: a partially inferred sweep is
-	// not a resumable boundary, so the sweep finishes and the caller
-	// snapshots before surfacing the cancel.
-	runToEnd bool
 
 	iter   int
 	next   atomic.Int64 // queue index of the next device to pull
@@ -398,7 +352,7 @@ func (w *sweeper) sweep(iter int) error {
 // empty, a device fails, or the run is canceled (the caller maps
 // ctx.Err() to the cancel error).
 func (w *sweeper) pull(i int) {
-	for !w.failed.Load() && (w.runToEnd || w.ctx.Err() == nil) {
+	for !w.failed.Load() && w.ctx.Err() == nil {
 		q := int(w.next.Add(1)) - 1
 		if q >= len(w.queue) || !w.infer(i, w.queue[q]) {
 			return

@@ -172,32 +172,6 @@ func (w *Watchdog) Trace() []float64 {
 	return append([]float64(nil), w.trace...)
 }
 
-// State exposes the watchdog's resumable state: the delta trace and the
-// current growth streak. The returned slice aliases the watchdog's
-// internal buffer — callers must copy it before the next Observe if
-// they retain it. Checkpointing uses this to make a restored run's
-// divergence judgment bit-identical to the uninterrupted one.
-func (w *Watchdog) State() (trace []float64, growth int) {
-	return w.trace, w.growth
-}
-
-// Restore reinstates a state captured with State. The trace slice is
-// copied, so the checkpoint's buffer stays untouched.
-func (w *Watchdog) Restore(trace []float64, growth int) {
-	w.trace = append(w.trace[:0], trace...)
-	if growth < 0 {
-		growth = 0
-	}
-	w.growth = growth
-}
-
-// ErrCrash marks a simulated process death injected by the chaos layer
-// at an epoch boundary (after the epoch's checkpoint was persisted).
-// Serving layers treat a crash-terminated job like real process death:
-// the job's durable record stays non-terminal and its checkpoint stays
-// on disk, so a restarted server re-enqueues and resumes it.
-var ErrCrash = errors.New("guard: injected crash at epoch boundary (chaos drill)")
-
 // WorkerError is a panic recovered on a data-parallel worker goroutine
 // (training replicas, batched PTM inference fan-out). recover only
 // intercepts panics on the goroutine that panicked, so a worker panic

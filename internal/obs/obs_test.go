@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -28,6 +29,26 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 	if v, ok := reg.Value("test_ops_total"); !ok || v != workers*per {
 		t.Fatalf("registry Value = %v,%v", v, ok)
+	}
+	// An unknown family takes Value's early return; registering another
+	// family right after must find the registry lock free.
+	if v, ok := reg.Value("test_missing_total"); ok || v != 0 {
+		t.Fatalf("registry Value of an unknown family = %v,%v, want 0,false", v, ok)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Error(r)
+			}
+			close(done)
+		}()
+		reg.Counter("test_after_miss_total", "registered after a Value miss")
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("registry lock still held after Value on an unknown family")
 	}
 }
 

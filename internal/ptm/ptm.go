@@ -478,7 +478,7 @@ func (p *PTM) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return atomicfile.WriteFile(path, data, 0o644, false)
+	return atomicfile.WriteFile(path, data, 0o644)
 }
 
 // Load reads a PTM from a file. Read, decode, and validation failures

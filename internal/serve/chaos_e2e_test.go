@@ -523,34 +523,26 @@ func TestChaosBreakerRefusesWhenAnalyticFails(t *testing.T) {
 	}
 }
 
-// TestChaosKillRestartResumeStorm is the storm's kill→restart→resume
-// phase: a batch of durable jobs runs under probabilistic epoch-boundary
-// crashes (simulated process death; the epoch's snapshot is already on
-// disk when the crash fires), the server drains, and a clean server on
-// the same state directory resumes every interrupted job. Every job —
-// crashed or not — must end completed with a digest bit-identical to a
-// never-killed run of the same request.
-func TestChaosKillRestartResumeStorm(t *testing.T) {
+// TestChaosKillRestartRerunStorm is the storm's kill→restart→re-run
+// phase: a batch of durable jobs at one and two shards is admitted, the
+// engines park mid-run, and a drain interrupts every job, running or
+// queued. A clean server on the same state directory re-runs every
+// interrupted job from scratch: each must end completed, restarted
+// once, with a digest bit-identical to a never-killed run of the same
+// request, and both processes' accounting must balance.
+func TestChaosKillRestartRerunStorm(t *testing.T) {
 	const jobs = 6
 	stateDir := t.TempDir()
+	reqFor := func(seed uint64) *serve.Request { return durableReq(seed, 1+int(seed%2)) }
 
 	// Ground truth: never-killed digests per seed.
 	want := make(map[uint64]string, jobs)
-	truth := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2}
 	for seed := uint64(1); seed <= jobs; seed++ {
-		req := serve.Request{Topo: "line4", Duration: 0.0002, Shards: 2, Seed: seed}
-		res, err := truth.Run(context.Background(), &req, serve.RunExact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[seed] = res.Digest
+		want[seed] = uninterruptedDigest(t, *reqFor(seed))
 	}
 
-	inj := chaos.New(chaos.Config{Seed: 11, CrashRate: 0.4})
-	runner1 := &serve.ScenarioRunner{
-		DefaultModel: testModel(t), MaxShards: 2,
-		NoSyncCheckpoints: true, WrapEpochSink: inj.WrapEpochSink,
-	}
+	gate := newEngineGate(4)
+	runner1 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, WrapDevice: gate.wrap}
 	srv1 := mustServe(t, serve.Config{
 		Workers: 2, QueueDepth: jobs, RetryMax: -1, StateDir: stateDir,
 	}, runner1)
@@ -558,72 +550,76 @@ func TestChaosKillRestartResumeStorm(t *testing.T) {
 	ids := make(map[uint64]string, jobs)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	crashed := 0
 	for seed := uint64(1); seed <= jobs; seed++ {
 		wg.Add(1)
 		go func(seed uint64) {
-			defer wg.Done()
-			req := &serve.Request{Topo: "line4", Duration: 0.0002, Shards: 2, Seed: seed}
-			res, id, err := srv1.SubmitJob(context.Background(), req)
+			defer func() {
+				if we := guard.RecoveredWorker(int(seed), recover()); we != nil {
+					t.Error(we)
+				}
+				wg.Done()
+			}()
+			_, id, err := srv1.SubmitJob(context.Background(), reqFor(seed))
 			mu.Lock()
 			defer mu.Unlock()
 			ids[seed] = id
-			switch {
-			case err == nil:
-				if res.Digest != want[seed] {
-					t.Errorf("seed %d: un-crashed digest %q != ground truth %q", seed, res.Digest, want[seed])
-				}
-			case errors.Is(err, guard.ErrCrash):
-				crashed++
-			default:
-				t.Errorf("seed %d: unexpected outcome %v", seed, err)
+			if !errors.Is(err, guard.ErrCanceled) {
+				t.Errorf("seed %d: outcome %v, want guard.ErrCanceled from the drain", seed, err)
 			}
 		}(seed)
 	}
-	wg.Wait()
-	if crashed == 0 {
-		t.Fatal("crash rate 0.4 over 6 jobs injected nothing; the phase proved nothing")
+	<-gate.entered // an engine is mid-run
+	deadline := time.Now().Add(10 * time.Second)
+	for srv1.Snapshot().Accepted < jobs && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	t.Logf("kill phase: %d/%d jobs crashed at epoch boundaries", crashed, jobs)
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv1.Drain(dctx); err != nil {
+	drained := make(chan error, 1)
+	go func() {
+		defer func() {
+			if we := guard.RecoveredWorker(0, recover()); we != nil {
+				drained <- we
+			}
+		}()
+		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		drained <- srv1.Drain(dctx)
+	}()
+	awaitDraining(t, srv1)
+	close(gate.release)
+	if err := <-drained; err != nil {
 		t.Fatalf("drain after kill phase: %v", err)
 	}
+	wg.Wait()
+	st := srv1.Snapshot()
+	assertBalanced(t, st)
+	if st.Accepted != jobs || st.Canceled != jobs {
+		t.Fatalf("kill phase stats %+v, want all %d jobs admitted and interrupted", st, jobs)
+	}
+	for seed, id := range ids {
+		if rec := awaitStatus(t, srv1, id, serve.JobInterrupted); rec.Restarts != 0 {
+			t.Fatalf("seed %d: pre-restart record has Restarts = %d", seed, rec.Restarts)
+		}
+	}
 
-	// Restart without chaos: every interrupted job must resume from its
-	// snapshot and complete with the never-killed digest.
-	runner2 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, NoSyncCheckpoints: true}
+	// Restart without a gate: every interrupted job must re-run and
+	// complete with the never-killed digest.
+	runner2 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2}
 	srv2 := mustServe(t, serve.Config{
 		Workers: 2, QueueDepth: jobs, RetryMax: -1, StateDir: stateDir,
 	}, runner2)
-	deadline := time.Now().Add(30 * time.Second)
 	for seed := uint64(1); seed <= jobs; seed++ {
-		id := ids[seed]
-		for {
-			rec, err := srv2.Job(id)
-			if err == nil && rec.Status == serve.JobCompleted {
-				if rec.Result == nil || rec.Result.Digest != want[seed] {
-					t.Errorf("seed %d: resumed digest %+v != never-killed %q", seed, rec.Result, want[seed])
-				}
-				break
-			}
-			if !time.Now().Before(deadline) {
-				t.Fatalf("seed %d (job %s) never completed after restart (last: %+v, err %v)", seed, id, rec, err)
-			}
-			time.Sleep(2 * time.Millisecond)
+		rec := awaitStatus(t, srv2, ids[seed], serve.JobCompleted)
+		if rec.Restarts != 1 {
+			t.Errorf("seed %d: record restarts = %d, want 1", seed, rec.Restarts)
+		}
+		if rec.Result == nil || rec.Result.Digest != want[seed] {
+			t.Errorf("seed %d: re-run digest %+v != never-killed %q", seed, rec.Result, want[seed])
 		}
 	}
-	dctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	if err := srv2.Drain(dctx2); err != nil {
-		t.Fatalf("drain after resume phase: %v", err)
-	}
-	st := srv2.Snapshot()
-	if got := st.Shed + st.Rejected + st.Completed + st.Failed + st.Canceled + st.Deadline; got != st.Received {
-		t.Errorf("restart dispositions %d != received %d (%+v)", got, st.Received, st)
-	}
-	if st.Completed != uint64(crashed) {
-		t.Errorf("restarted process completed %d jobs, want the %d crashed ones", st.Completed, crashed)
+	drainWithin(t, srv2, 30*time.Second)
+	st = srv2.Snapshot()
+	assertBalanced(t, st)
+	if st.Completed != jobs || st.Received != jobs {
+		t.Errorf("restarted process stats %+v, want all %d recovered jobs completed", st, jobs)
 	}
 }

@@ -13,10 +13,10 @@ import (
 )
 
 // Job statuses. pending and interrupted are recoverable: a restarted
-// server re-enqueues them. parked is a dead letter: the job failed in a
-// way that charged its model's circuit breaker, so its checkpoint is
-// kept on disk for inspection but it is not retried automatically. The
-// remaining statuses are terminal.
+// server re-enqueues them and re-runs each from scratch. parked is a
+// dead letter: the job failed in a way that charged its model's circuit
+// breaker, so its record is kept on disk for inspection but it is not
+// retried automatically. The remaining statuses are terminal.
 const (
 	JobPending     = "pending"
 	JobInterrupted = "interrupted"
@@ -35,10 +35,6 @@ type JobRecord struct {
 	ID      string   `json:"id"`
 	Request *Request `json:"request"`
 	Status  string   `json:"status"`
-	// Progress is the highest IRSA iteration count the server observed
-	// for this job (from partial results at interruption); the resume
-	// path reports Progress−snapshot.Iter as epochs lost.
-	Progress int `json:"progress,omitempty"`
 	// Restarts counts how many server processes have picked this job up
 	// beyond the one that admitted it.
 	Restarts int     `json:"restarts,omitempty"`
@@ -52,11 +48,12 @@ func (r *JobRecord) recoverable() bool {
 	return r.Status == JobPending || r.Status == JobInterrupted
 }
 
-// jobStore persists job records and checkpoints under one state
-// directory:
+// jobStore persists job records under one state directory:
 //
 //	<dir>/jobs/<id>.json  — JobRecord, atomically replaced per transition
-//	<dir>/ckpt/<id>.ckpt  — latest epoch snapshot (internal/checkpoint)
+//
+// Any other entry under <dir> (such as the ckpt/ snapshots of older
+// servers) is ignored.
 type jobStore struct {
 	dir string
 
@@ -67,10 +64,8 @@ type jobStore struct {
 // openJobStore creates the layout and seeds the ID sequence past every
 // existing record, so a restarted server never reuses an ID.
 func openJobStore(dir string) (*jobStore, error) {
-	for _, sub := range []string{"jobs", "ckpt"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("serve: create state dir: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		return nil, fmt.Errorf("serve: create state dir: %w", err)
 	}
 	st := &jobStore{dir: dir}
 	entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
@@ -113,11 +108,6 @@ func (st *jobStore) recordPath(id string) string {
 	return filepath.Join(st.dir, "jobs", id+".json")
 }
 
-// CheckpointPathFor is where a job's epoch snapshots live.
-func (st *jobStore) checkpointPath(id string) string {
-	return filepath.Join(st.dir, "ckpt", id+".ckpt")
-}
-
 // put atomically replaces the record file (atomicfile.WriteFile: a
 // crash leaves the previous record or the new one, never a torn file).
 func (st *jobStore) put(rec *JobRecord) error {
@@ -125,7 +115,7 @@ func (st *jobStore) put(rec *JobRecord) error {
 	if err != nil {
 		return fmt.Errorf("serve: marshal job record: %w", err)
 	}
-	if err := atomicfile.WriteFile(st.recordPath(rec.ID), data, 0o600, false); err != nil {
+	if err := atomicfile.WriteFile(st.recordPath(rec.ID), data, 0o600); err != nil {
 		return fmt.Errorf("serve: persist job record: %w", err)
 	}
 	return nil
@@ -144,16 +134,9 @@ func (st *jobStore) get(id string) (*JobRecord, error) {
 	return &rec, nil
 }
 
-// remove deletes a record and its checkpoint (admission rollback for
-// shed jobs).
+// remove deletes a record (admission rollback for shed jobs).
 func (st *jobStore) remove(id string) {
 	os.Remove(st.recordPath(id))
-	os.Remove(st.checkpointPath(id))
-}
-
-// removeCheckpoint discards a finished job's snapshot.
-func (st *jobStore) removeCheckpoint(id string) {
-	os.Remove(st.checkpointPath(id))
 }
 
 // recoverable scans for records a restarted server must re-enqueue,

@@ -1,39 +1,42 @@
 package serve_test
 
 // Durability suite: admitted jobs must survive process death. Both
-// interruption paths — graceful drain (SIGTERM) and an injected crash
-// at an epoch boundary — must leave a recoverable record plus a
-// checkpoint, and a second server opened on the same state directory
-// must re-enqueue the job, resume it from the snapshot, and finish with
-// a digest bit-identical to a never-interrupted run. Terminal
-// accounting (received = shed+rejected+completed+failed+canceled+
-// deadline) must balance in every process.
+// interruption paths — a process that dies mid-run, and a graceful
+// drain (SIGTERM) — must leave a recoverable record, and a second
+// server opened on that state directory must re-enqueue the job, re-run
+// it from scratch, and finish with a digest bit-identical to a
+// never-interrupted run. Terminal accounting (received = shed+rejected+
+// completed+failed+canceled+deadline) must balance in every process.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"deepqueuenet/internal/chaos"
-	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/core"
+	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/guard"
+	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/serve"
 )
 
 // durableReq is the shared workload: deterministic, multi-iteration,
 // CPU-cheap.
-func durableReq(seed uint64) *serve.Request {
-	return &serve.Request{Topo: "line4", Duration: 0.0002, Shards: 2, Seed: seed}
+func durableReq(seed uint64, shards int) *serve.Request {
+	return &serve.Request{Topo: "line4", Duration: 0.0002, Shards: shards, Seed: seed}
 }
 
 // uninterruptedDigest runs the request straight through a fresh runner:
-// the ground truth a resumed job must reproduce bit for bit.
+// the ground truth a re-run job must reproduce bit for bit.
 func uninterruptedDigest(t *testing.T, req serve.Request) string {
 	t.Helper()
 	r := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2}
@@ -42,6 +45,60 @@ func uninterruptedDigest(t *testing.T, req serve.Request) string {
 		t.Fatal(err)
 	}
 	return res.Digest
+}
+
+// engineGate parks an engine mid-run: installed as
+// ScenarioRunner.WrapDevice, it lets the first `after` device
+// predictions through and holds every later one until release closes.
+// entered closes when the first prediction parks.
+type engineGate struct {
+	after   int64
+	calls   atomic.Int64
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newEngineGate(after int64) *engineGate {
+	return &engineGate{after: after, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// wrap has core.Config.WrapDevice's signature.
+func (g *engineGate) wrap(_ int, m core.DeviceModel) core.DeviceModel {
+	return &gatedModel{inner: m, g: g}
+}
+
+// gatedModel delegates every prediction unchanged, so a gated run's
+// digest is the ungated one.
+type gatedModel struct {
+	inner core.DeviceModel
+	g     *engineGate
+}
+
+func (m *gatedModel) PredictDevice(ports []ptm.PortStream, kind des.SchedKind) {
+	if m.g.calls.Add(1) > m.g.after {
+		m.g.once.Do(func() { close(m.g.entered) })
+		<-m.g.release
+	}
+	m.inner.PredictDevice(ports, kind)
+}
+
+func (m *gatedModel) CloneModel() core.DeviceModel {
+	return &gatedModel{inner: m.inner.CloneModel(), g: m.g}
+}
+
+// awaitDraining waits until Drain has flipped the server's drain flag,
+// then gives Drain's cancel loop, which runs right after it, a beat.
+func awaitDraining(t *testing.T, s *serve.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !s.Draining() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !s.Draining() {
+		t.Fatal("drain never started")
+	}
+	time.Sleep(100 * time.Millisecond)
 }
 
 // assertBalanced checks the terminal-accounting invariant for one
@@ -84,61 +141,68 @@ func drainWithin(t *testing.T, s *serve.Server, budget time.Duration) time.Durat
 	return time.Since(start)
 }
 
-// TestDurableCrashRestartResume is the crash leg: a chaos crash at the
-// first epoch boundary (simulated process death, after that epoch's
-// snapshot hit disk) must leave an interrupted record, and a restarted
-// server must resume the job from the snapshot and complete it with the
-// uninterrupted digest.
-func TestDurableCrashRestartResume(t *testing.T) {
-	stateDir := t.TempDir()
-	req := durableReq(5)
+// TestDurableCrashRestartReruns is the crash leg: the engine is parked
+// mid-run, and the state directory as it stands then — what a process
+// killed at that instant leaves on disk — is copied for a second server.
+// The record reads pending; the second server re-runs the job and
+// completes it with the uninterrupted digest.
+func TestDurableCrashRestartReruns(t *testing.T) {
+	stateDir, deadDir := t.TempDir(), t.TempDir()
+	req := durableReq(5, 2)
 	want := uninterruptedDigest(t, *req)
 
-	inj := chaos.New(chaos.Config{CrashAfterEpochs: 1})
-	runner1 := &serve.ScenarioRunner{
-		DefaultModel: testModel(t), MaxShards: 2,
-		NoSyncCheckpoints: true, WrapEpochSink: inj.WrapEpochSink,
-	}
+	gate := newEngineGate(4)
+	runner1 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, WrapDevice: gate.wrap}
 	srv1 := mustServe(t, serve.Config{
 		Workers: 1, QueueDepth: 1, RetryMax: -1, StateDir: stateDir,
 	}, runner1)
 
-	_, id, err := srv1.SubmitJob(context.Background(), req)
-	if !errors.Is(err, guard.ErrCrash) {
-		t.Fatalf("crash-injected submit: err = %v, want guard.ErrCrash", err)
+	type outcome struct {
+		res *serve.Result
+		id  string
+		err error
 	}
-	if id == "" {
-		t.Fatal("durable submit returned no job ID")
-	}
-	rec := awaitStatus(t, srv1, id, serve.JobInterrupted)
-	snap, err := checkpoint.Load(stateDir + "/ckpt/" + id + ".ckpt")
-	if err != nil {
-		t.Fatalf("interrupted job left no loadable checkpoint: %v", err)
-	}
-	if snap.Iter != 1 {
-		t.Fatalf("crash snapshot at iteration %d, want 1", snap.Iter)
-	}
-	drainWithin(t, srv1, 10*time.Second)
-	assertBalanced(t, srv1.Snapshot())
+	clientDone := make(chan outcome, 1)
+	go func() {
+		defer func() {
+			if we := guard.RecoveredWorker(0, recover()); we != nil {
+				clientDone <- outcome{err: we}
+			}
+		}()
+		res, id, err := srv1.SubmitJob(context.Background(), req)
+		clientDone <- outcome{res, id, err}
+	}()
+	<-gate.entered // engine is mid-run
 
-	// Restart: a clean server on the same state directory re-enqueues
-	// the interrupted job and resumes it from the snapshot.
-	runner2 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, NoSyncCheckpoints: true}
+	// The process dies here: keep its job records as they stand.
+	jobs, err := os.ReadDir(filepath.Join(stateDir, "jobs"))
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("state dir holds %d records (err %v), want the one running job", len(jobs), err)
+	}
+	if err := os.MkdirAll(filepath.Join(deadDir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(stateDir, "jobs", jobs[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(deadDir, "jobs", jobs[0].Name()), data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: a clean server on the dead process's state directory
+	// re-enqueues the job and re-runs it.
+	runner2 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2}
 	srv2 := mustServe(t, serve.Config{
-		Workers: 1, QueueDepth: 1, RetryMax: -1, StateDir: stateDir,
+		Workers: 1, QueueDepth: 1, RetryMax: -1, StateDir: deadDir,
 	}, runner2)
-	rec = awaitStatus(t, srv2, id, serve.JobCompleted)
+	id := strings.TrimSuffix(jobs[0].Name(), ".json")
+	rec := awaitStatus(t, srv2, id, serve.JobCompleted)
 	if rec.Restarts != 1 {
 		t.Fatalf("record restarts = %d, want 1", rec.Restarts)
 	}
 	if rec.Result == nil || rec.Result.Digest != want {
-		t.Fatalf("resumed job digest = %+v, want %s", rec.Result, want)
-	}
-	if rec.Result.ResumedFrom != 1 {
-		t.Fatalf("resumed job restored at iteration %d, want 1", rec.Result.ResumedFrom)
-	}
-	if _, err := os.Stat(stateDir + "/ckpt/" + id + ".ckpt"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("completed job's checkpoint not cleaned up: %v", err)
+		t.Fatalf("re-run job digest = %+v, want %s", rec.Result, want)
 	}
 	drainWithin(t, srv2, 10*time.Second)
 	st := srv2.Snapshot()
@@ -146,37 +210,40 @@ func TestDurableCrashRestartResume(t *testing.T) {
 	if st.Completed != 1 || st.Received != 1 {
 		t.Fatalf("restarted process stats %+v, want exactly the recovered job completed", st)
 	}
+
+	// The parked process, released, finishes its own copy of the job.
+	close(gate.release)
+	out := <-clientDone
+	if out.err != nil || out.id != id || out.res.Digest != want {
+		t.Fatalf("released original run: id %q err %v result %+v, want %s with %s", out.id, out.err, out.res, id, want)
+	}
+	drainWithin(t, srv1, 10*time.Second)
+	assertBalanced(t, srv1.Snapshot())
 }
 
-// TestDurableDrainWritesCheckpointAndRestores is the SIGTERM leg: a
-// drain arriving mid-run must interrupt the job, persist its final
-// snapshot inside the drain budget, and leave a record a restarted
-// server completes — with the client that stayed connected observing
-// one coherent (canceled) outcome.
-func TestDurableDrainWritesCheckpointAndRestores(t *testing.T) {
+// TestDurableDrainInterruptsAndReruns is the SIGTERM leg: a drain
+// arriving mid-run must cancel the job inside the drain budget and mark
+// its record interrupted — with the client that stayed connected
+// observing one coherent (canceled) outcome — and a second server on
+// the same state directory must re-run it to the never-interrupted
+// digest, at one shard and at two.
+func TestDurableDrainInterruptsAndReruns(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			testDrainInterruptsAndReruns(t, shards)
+		})
+	}
+}
+
+func testDrainInterruptsAndReruns(t *testing.T, shards int) {
 	stateDir := t.TempDir()
-	req := durableReq(6)
+	req := durableReq(6, shards)
 	want := uninterruptedDigest(t, *req)
 
-	// The gated sink parks the engine at its first epoch boundary —
-	// after the snapshot hit disk — until the drain has begun, so the
-	// drain deterministically lands mid-run.
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	var once sync.Once
-	runner1 := &serve.ScenarioRunner{
-		DefaultModel: testModel(t), MaxShards: 2, NoSyncCheckpoints: true,
-		WrapEpochSink: func(next core.EpochSink) core.EpochSink {
-			return func(st *core.EpochState) error {
-				err := next(st)
-				once.Do(func() {
-					close(entered)
-					<-gate
-				})
-				return err
-			}
-		},
-	}
+	// The gate parks the engine past its first sweep until the drain
+	// has begun, so the drain deterministically lands mid-run.
+	gate := newEngineGate(4)
+	runner1 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, WrapDevice: gate.wrap}
 	srv1 := mustServe(t, serve.Config{
 		Workers: 1, QueueDepth: 1, RetryMax: -1, StateDir: stateDir,
 	}, runner1)
@@ -187,26 +254,28 @@ func TestDurableDrainWritesCheckpointAndRestores(t *testing.T) {
 	}
 	clientDone := make(chan outcome, 1)
 	go func() {
+		defer func() {
+			if we := guard.RecoveredWorker(0, recover()); we != nil {
+				clientDone <- outcome{err: we}
+			}
+		}()
 		_, id, err := srv1.SubmitJob(context.Background(), req)
 		clientDone <- outcome{id, err}
 	}()
-	<-entered // engine is mid-run, first snapshot persisted
+	<-gate.entered // engine is mid-run
 
 	drained := make(chan time.Duration, 1)
 	go func() {
+		defer func() {
+			if we := guard.RecoveredWorker(1, recover()); we != nil {
+				t.Error(we)
+				drained <- 0
+			}
+		}()
 		drained <- drainWithin(t, srv1, 10*time.Second)
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for !srv1.Draining() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !srv1.Draining() {
-		t.Fatal("drain never started")
-	}
-	// Drain cancels every active job immediately after flipping the
-	// flag; give that loop a beat before releasing the engine.
-	time.Sleep(100 * time.Millisecond)
-	close(gate)
+	awaitDraining(t, srv1)
+	close(gate.release)
 
 	out := <-clientDone
 	if !errors.Is(out.err, guard.ErrCanceled) {
@@ -219,25 +288,18 @@ func TestDurableDrainWritesCheckpointAndRestores(t *testing.T) {
 	if rec.Restarts != 0 {
 		t.Fatalf("pre-restart record has Restarts = %d", rec.Restarts)
 	}
-	snap, err := checkpoint.Load(stateDir + "/ckpt/" + out.id + ".ckpt")
-	if err != nil {
-		t.Fatalf("drained job left no loadable checkpoint: %v", err)
-	}
-	if snap.Iter < 1 {
-		t.Fatalf("drained snapshot at iteration %d, want >= 1", snap.Iter)
-	}
 	assertBalanced(t, srv1.Snapshot())
 
-	runner2 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, NoSyncCheckpoints: true}
+	runner2 := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2}
 	srv2 := mustServe(t, serve.Config{
 		Workers: 1, QueueDepth: 1, RetryMax: -1, StateDir: stateDir,
 	}, runner2)
 	rec = awaitStatus(t, srv2, out.id, serve.JobCompleted)
-	if rec.Result == nil || rec.Result.Digest != want {
-		t.Fatalf("restored job digest = %+v, want %s", rec.Result, want)
+	if rec.Restarts != 1 {
+		t.Fatalf("record restarts = %d, want 1", rec.Restarts)
 	}
-	if rec.Result.ResumedFrom < 1 {
-		t.Fatalf("restored job ResumedFrom = %d, want >= 1", rec.Result.ResumedFrom)
+	if rec.Result == nil || rec.Result.Digest != want {
+		t.Fatalf("re-run job digest = %+v, want %s", rec.Result, want)
 	}
 	drainWithin(t, srv2, 10*time.Second)
 	assertBalanced(t, srv2.Snapshot())
@@ -248,7 +310,7 @@ func TestDurableDrainWritesCheckpointAndRestores(t *testing.T) {
 // without touching the filesystem.
 func TestDurableJobEndpoint(t *testing.T) {
 	stateDir := t.TempDir()
-	runner := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2, NoSyncCheckpoints: true}
+	runner := &serve.ScenarioRunner{DefaultModel: testModel(t), MaxShards: 2}
 	srv := mustServe(t, serve.Config{
 		Workers: 1, QueueDepth: 1, RetryMax: -1, StateDir: stateDir,
 	}, runner)

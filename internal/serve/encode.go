@@ -57,10 +57,6 @@ func appendResult(b []byte, res *Result) ([]byte, error) {
 	b = appendJSONFloat(b, res.ElapsedMs)
 	b = append(b, `,"attempts":`...)
 	b = strconv.AppendInt(b, int64(res.Attempts), 10)
-	if res.ResumedFrom != 0 {
-		b = append(b, `,"resumed_from":`...)
-		b = strconv.AppendInt(b, int64(res.ResumedFrom), 10)
-	}
 	return append(b, '}'), nil
 }
 

@@ -257,7 +257,7 @@ func runCell(t *testing.T, c cell, model *ptm.PTM, want map[uint64]string) {
 		pl = plane.New(plane.Config{MaxBatch: 8})
 		defer pl.Close()
 	}
-	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: 2, Plane: pl, NoSyncCheckpoints: true}
+	runner := &serve.ScenarioRunner{DefaultModel: model, MaxShards: 2, Plane: pl}
 	runner.WrapDevice = inj.WrapDevice
 	cr := &cellRunner{next: inj.WrapRunner(runner), parked: make(chan struct{}, workers)}
 	cfg := serve.Config{
@@ -460,7 +460,7 @@ func TestDrainTimeoutKeepsAccountingBalanced(t *testing.T) {
 					errs <- we
 				}
 			}()
-			_, err := srv.Submit(context.Background(), durableReq(uint64(i+1)))
+			_, err := srv.Submit(context.Background(), durableReq(uint64(i+1), 2))
 			errs <- err
 		}()
 	}

@@ -35,9 +35,9 @@ type serverMetrics struct {
 	retries   *obs.Counter
 	panics    *obs.Counter
 
-	// Durable-job lifecycle: interruptions that left a resumable record
-	// (drain, injected crash), parked dead letters, and recovered jobs a
-	// restarted server re-enqueued.
+	// Durable-job lifecycle: drain interruptions that left a recoverable
+	// record, parked dead letters, and recovered jobs a restarted server
+	// re-enqueued.
 	interrupted *obs.Counter
 	parked      *obs.Counter
 	recovered   *obs.Counter
@@ -69,7 +69,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		retries: reg.Counter("dqn_retries_total", "transient-failure re-executions"),
 		panics:  reg.Counter("dqn_panics_total", "worker-level recovered panics"),
 		interrupted: reg.Counter("dqn_jobs_interrupted_total",
-			"jobs interrupted with a resumable durable record (drain or injected crash)"),
+			"jobs interrupted by a drain with a recoverable durable record"),
 		parked: reg.Counter("dqn_jobs_parked_total",
 			"jobs parked as dead letters after breaker-worthy failures"),
 		recovered: reg.Counter("dqn_jobs_recovered_total",

@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 
-	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
 )
@@ -14,10 +13,10 @@ import (
 const maxModelEntries = maxWireKeys
 
 // modelRegistry is the warm model registry: one entry per model path,
-// holding the loaded base model and its lazily computed content digest.
-// Entries are shared across all concurrent requests — a model is loaded
-// once and digested once, no matter how many cold-start requests race
-// for it — and the entry count is LRU-bounded at maxModelEntries.
+// holding the loaded base model. Entries are shared across all
+// concurrent requests — a model is loaded once, no matter how many
+// cold-start requests race for it — and the entry count is LRU-bounded
+// at maxModelEntries.
 type modelRegistry struct {
 	mu      sync.Mutex
 	clock   uint64
@@ -40,15 +39,11 @@ type modelLoad struct {
 
 // modelEntry holds one model path's loaded model, immutable after
 // construction and shared read-only, so a request's model is a stable
-// identity the inference plane can key its warm workers on. The digest is
-// computed at most once under the entry lock.
+// identity the inference plane can key its warm workers on.
 type modelEntry struct {
 	used uint64 // LRU stamp, maintained under modelRegistry.mu
 
 	base *ptm.PTM
-
-	mu     sync.Mutex
-	digest string
 }
 
 // entry returns the warm entry for path, invoking load exactly once per
@@ -94,8 +89,7 @@ func (mr *modelRegistry) entry(path string, evict *obs.Counter, load func() (*pt
 }
 
 // evictLocked drops least-recently-used entries beyond maxModelEntries.
-// The default-model entry ("") is exempt: it is the hot path and costs
-// nothing to load, but its digest is worth keeping warm.
+// The default-model entry ("") is exempt: it is the hot path.
 // Requests already holding an evicted entry keep using it safely — its
 // model is immutable.
 func (mr *modelRegistry) evictLocked() {
@@ -125,20 +119,4 @@ func (mr *modelRegistry) len() int {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
 	return len(mr.entries)
-}
-
-// baseDigest returns the SHA-256 identity of the entry's base model,
-// computed once. Checkpoint compatibility is keyed on it.
-func (e *modelEntry) baseDigest() (string, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.digest != "" {
-		return e.digest, nil
-	}
-	d, err := checkpoint.ModelDigest(e.base)
-	if err != nil {
-		return "", err
-	}
-	e.digest = d
-	return d, nil
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/obs"
 	"deepqueuenet/internal/ptm"
@@ -25,17 +27,20 @@ func registryTestModel(t *testing.T) *ptm.PTM {
 }
 
 // TestRegistryColdStartSingleflight hammers one path with 32 concurrent
-// cold-start requesters and verifies the model is loaded exactly once,
-// every caller gets the same entry and the same lazily computed digest.
-// Run under -race this also proves the registry's locking discipline.
+// cold-start requesters and verifies the model is loaded exactly once
+// and every caller gets the same entry. The load blocks until the other
+// 31 requesters are parked on it, so every one of them takes the
+// waiter's early return; the registry lock is then taken again, under a
+// timeout, to show that return released it. Run under -race this also
+// proves the registry's locking discipline.
 func TestRegistryColdStartSingleflight(t *testing.T) {
 	base := registryTestModel(t)
 	var loads atomic.Int64
 	mr := &modelRegistry{}
+	release := make(chan struct{})
 
 	const goroutines = 32
 	entries := make([]*modelEntry, goroutines)
-	digests := make([]string, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
@@ -48,6 +53,7 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 			}()
 			e, err := mr.entry("models/a.json", nil, func() (*ptm.PTM, error) {
 				loads.Add(1)
+				<-release
 				return base, nil
 			})
 			if err != nil {
@@ -55,15 +61,14 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 				return
 			}
 			entries[i] = e
-			d, err := e.baseDigest()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			digests[i] = d
 		}(i)
 	}
+	// The loader and every waiter block on a channel inside entry; a
+	// waiter still holding mr.mu would leave the rest on the mutex.
+	waitParked(t, "(*modelRegistry).entry", goroutines)
+	close(release)
 	wg.Wait()
+	withTimeout(t, "registry lock after the cold-start wait", func() { mr.len() })
 
 	if n := loads.Load(); n != 1 {
 		t.Fatalf("cold-start loads = %d, want exactly 1 (singleflight)", n)
@@ -72,12 +77,54 @@ func TestRegistryColdStartSingleflight(t *testing.T) {
 		if entries[i] != entries[0] {
 			t.Fatalf("goroutine %d got a different entry", i)
 		}
-		if digests[i] != digests[0] {
-			t.Fatalf("goroutine %d got a different digest", i)
-		}
 	}
 	if entries[0].base != base {
 		t.Fatal("the entry does not hold the loaded model")
+	}
+}
+
+// waitParked polls the goroutine dump until n goroutines are blocked on
+// a channel receive with frame on their stack, failing after 5 s.
+func waitParked(t *testing.T, frame string, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, frame) {
+				got++
+			}
+		}
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines parked in %s, want %d", got, frame, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// withTimeout runs fn and fails the test if it has not returned within
+// 5 s — the form every lock re-take check uses, so a leaked lock fails
+// the test instead of hanging it.
+func withTimeout(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer func() {
+			if we := guard.RecoveredWorker(0, recover()); we != nil {
+				t.Error(we)
+			}
+			close(done)
+		}()
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: still blocked after 5 s (a lock left held?)", what)
 	}
 }
 
@@ -139,8 +186,8 @@ func TestRegistryLRUBound(t *testing.T) {
 	}
 }
 
-// TestTopoCacheBound pins the runner's named-topology cache (graph +
-// checkpoint digest, one entry per name) at the registry's entry bound
+// TestTopoCacheBound pins the runner's named-topology cache (one graph
+// per name) at the registry's entry bound
 // and at its size bound: a client walking distinct topology names cannot
 // grow it, every drop is counted, and a cached name resolves to the same
 // shared graph.
@@ -179,9 +226,6 @@ func TestTopoCacheBound(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("a cached topology name resolved to two different graphs")
-	}
-	if a.topoDigest() == "" || a.topoDigest() != checkpoint.TopoDigest(a.g) {
-		t.Fatal("cached digest disagrees with checkpoint.TopoDigest")
 	}
 	// A graph too large for the size bound even alone is refused from its
 	// name as a bad request, before its builder runs, and never cached.

@@ -7,13 +7,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"sync"
 	"time"
 
 	"deepqueuenet/internal/analytic"
-	"deepqueuenet/internal/checkpoint"
 	"deepqueuenet/internal/core"
 	"deepqueuenet/internal/experiments"
 	"deepqueuenet/internal/metrics"
@@ -69,15 +67,6 @@ type Request struct {
 	//   "fast"  — answer analytically right away, skipping the queue
 	//             and the model entirely (O(µs), no per-packet trace).
 	Fidelity string `json:"fidelity,omitempty"`
-
-	// Serve-internal durability fields, set by the server for durable
-	// jobs — never part of the wire API or the persisted record.
-	// CheckpointPath is where the job snapshots its epoch state at every
-	// IRSA iteration boundary (and where an existing snapshot is resumed
-	// from); LastProgress is the highest iteration count a previous
-	// process reported, used to account epochs lost to a crash.
-	CheckpointPath string `json:"-"`
-	LastProgress   int    `json:"-"`
 }
 
 // modelKey is the circuit-breaker identity of the request.
@@ -131,10 +120,6 @@ type Result struct {
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// Attempts counts runner executions including retries.
 	Attempts int `json:"attempts"`
-	// ResumedFrom is the IRSA iteration this run was restored at when it
-	// picked up a checkpoint from an interrupted predecessor (0 = ran
-	// from scratch).
-	ResumedFrom int `json:"resumed_from,omitempty"`
 }
 
 // RunMode is one rung of the degradation ladder, in fidelity order.
@@ -183,15 +168,6 @@ type ScenarioRunner struct {
 	// WrapDevice, when set, is passed through to core.Config.WrapDevice
 	// on every non-degraded run — the chaos-injection seam.
 	WrapDevice func(switchID int, m core.DeviceModel) core.DeviceModel
-	// WrapEpochSink, when set, wraps each durable job's checkpoint sink
-	// — the chaos crash-injection seam.
-	WrapEpochSink func(core.EpochSink) core.EpochSink
-	// Checkpoints, when non-nil, records snapshot and resume metrics
-	// for durable jobs.
-	Checkpoints *obs.CheckpointMetrics
-	// NoSyncCheckpoints skips the per-snapshot fsync (tests and
-	// benchmarks on tmpfs).
-	NoSyncCheckpoints bool
 	// Plane, when non-nil, routes every device prediction through the
 	// shared cross-request inference plane: the resolved model is
 	// wrapped in a plane handle (innermost, below WrapDevice) so all
@@ -215,19 +191,10 @@ const maxCachedTopoPairs = experiments.MaxTopoNodes * experiments.MaxTopoNodes
 
 // namedTopo is one topology of the request grammar, shared by every
 // request that names it: the graph, which carries its own compiled
-// routing fabric, and the checkpoint digest durable jobs need.
+// routing fabric.
 type namedTopo struct {
 	g     *topo.Graph
 	pairs int // NumNodes()², the unit of maxCachedTopoPairs
-
-	digestOnce sync.Once
-	digest     string
-}
-
-// topoDigest returns the graph's checkpoint digest, computed on first use.
-func (t *namedTopo) topoDigest() string {
-	t.digestOnce.Do(func() { t.digest = checkpoint.TopoDigest(t.g) })
-	return t.digest
 }
 
 // entry resolves the warm registry entry for a model path. Cold-start
@@ -382,77 +349,18 @@ func (r *ScenarioRunner) Run(ctx context.Context, req *Request, mode RunMode) (*
 	if err != nil {
 		return nil, err
 	}
-	model := ent.base
 	cfg := core.Config{Shards: shards, WrapDevice: r.deviceWrap(req)}
-	resumedFrom := 0
-	if req.CheckpointPath != "" {
-		// Durable job: attach the checkpoint sink and, when a snapshot
-		// from an interrupted predecessor exists and digest-matches this
-		// run, resume from it.
-		modelDigest, derr := ent.baseDigest()
-		if derr != nil {
-			return nil, fmt.Errorf("%w: %w", errModelInvalid, derr)
-		}
-		w := &checkpoint.Writer{
-			Path:        req.CheckpointPath,
-			TopoDigest:  nt.topoDigest(),
-			ModelDigest: modelDigest,
-			Seed:        sc.Seed,
-			NoSync:      r.NoSyncCheckpoints,
-			Metrics:     r.Checkpoints,
-		}
-		sink := w.Sink()
-		if r.WrapEpochSink != nil {
-			sink = r.WrapEpochSink(sink)
-		}
-		cfg.EpochSink = sink
-		if snap, lerr := checkpoint.Load(req.CheckpointPath); lerr == nil {
-			if verr := snap.Validate(w.TopoDigest, w.ModelDigest); verr == nil {
-				cfg.Resume = snap.EpochState()
-				resumedFrom = snap.Iter
-				if r.Checkpoints != nil {
-					r.Checkpoints.Resumes.Inc()
-					if req.LastProgress > snap.Iter {
-						r.Checkpoints.EpochsLost.Add(uint64(req.LastProgress - snap.Iter))
-					}
-				}
-			} else if r.Checkpoints != nil {
-				r.Checkpoints.ResumeFailures.Inc()
-			}
-		} else if !errors.Is(lerr, fs.ErrNotExist) && r.Checkpoints != nil {
-			// A snapshot that exists but cannot be decoded: count it and
-			// run from scratch — robustness over resumption.
-			r.Checkpoints.ResumeFailures.Inc()
-		}
-	}
-	samples, res, err := sc.RunDQNCfgCtx(ctx, model, cfg)
-	if err != nil && cfg.Resume != nil && errors.Is(err, core.ErrResumeMismatch) {
-		// The snapshot matched our digests but not the regenerated
-		// traffic (e.g. a generator change across versions): drop it and
-		// run from scratch rather than failing the job.
-		if r.Checkpoints != nil {
-			r.Checkpoints.ResumeFailures.Inc()
-		}
-		cfg.Resume = nil
-		resumedFrom = 0
-		samples, res, err = sc.RunDQNCfgCtx(ctx, model, cfg)
-	}
+	samples, res, err := sc.RunDQNCfgCtx(ctx, ent.base, cfg)
 	if err != nil {
-		if req.CheckpointPath != "" && res != nil {
-			// Durable jobs report partial progress with the error so the
-			// server can account epochs lost on resume.
-			return &Result{Scenario: sc.Name, Iterations: res.Iterations, ResumedFrom: resumedFrom}, err
-		}
 		return nil, err
 	}
 	out := &Result{
-		Scenario:    sc.Name,
-		Deliveries:  len(res.Deliveries),
-		Iterations:  res.Iterations,
-		Bound:       res.Bound,
-		ResumedFrom: resumedFrom,
-		Digest:      Digest(res),
-		ElapsedMs:   float64(time.Since(start)) / float64(time.Millisecond),
+		Scenario:   sc.Name,
+		Deliveries: len(res.Deliveries),
+		Iterations: res.Iterations,
+		Bound:      res.Bound,
+		Digest:     Digest(res),
+		ElapsedMs:  float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	out.Mode = "model"
 	out.Fidelity = mode.Fidelity()

@@ -70,12 +70,12 @@ type Config struct {
 	// grow. <= 0 uses 2 MiB.
 	MaxBodyBytes int64
 	// StateDir, when non-empty, makes jobs durable: every admitted job
-	// gets an atomically persisted JSON record under StateDir, running
-	// jobs checkpoint their epoch state there, and a restarted server
-	// re-enqueues every record that was pending or interrupted when the
-	// previous process died — resuming mid-run jobs from their last
-	// snapshot. Empty disables durability (no files, no overhead).
-	// Durable jobs snapshot at every IRSA iteration boundary.
+	// gets an atomically persisted JSON record under StateDir, and a
+	// restarted server re-enqueues every record that was pending or
+	// interrupted when the previous process stopped, re-running each
+	// from scratch under a fresh deadline (the engine is deterministic,
+	// so the re-run returns the same bits). Empty disables durability
+	// (no files, no overhead).
 	StateDir string
 	// Brownout enables deadline-aware fidelity degradation: when the
 	// admission queue would shed a request, or a job's remaining
@@ -161,8 +161,8 @@ type jobOutcome struct {
 }
 
 // job is one admitted request traveling through the queue. id and rec
-// are set only in durable mode; cancel lets Drain interrupt the job so
-// its engine writes a final snapshot inside the shutdown budget.
+// are set only in durable mode; cancel lets Drain interrupt the job
+// inside the shutdown budget.
 type job struct {
 	req    *Request
 	ctx    context.Context
@@ -199,7 +199,7 @@ type Server struct {
 
 	// store and active exist only in durable mode: the job store under
 	// Config.StateDir and the cancel functions of admitted jobs (Drain
-	// cancels them so engines checkpoint and exit inside the budget).
+	// cancels them so engines exit inside the budget).
 	store    *jobStore
 	activeMu sync.Mutex
 	active   map[string]context.CancelFunc
@@ -515,15 +515,6 @@ func (s *Server) serveJob(j *job) {
 		return
 	}
 	req := j.req
-	if j.rec != nil {
-		// Durable job: hand the runner its checkpoint location and last
-		// known progress through serve-internal request fields. The
-		// request is copied so the caller's value stays untouched.
-		durable := *req
-		durable.CheckpointPath = s.store.checkpointPath(j.id)
-		durable.LastProgress = j.rec.Progress
-		req = &durable
-	}
 	now := s.cfg.Now()
 	br := s.breakerFor(req.modelKey())
 	adm := br.Allow(now)
@@ -665,36 +656,29 @@ func (s *Server) account(rec *JobRecord, p plan, res *Result, err error) {
 	}
 }
 
-// record persists a durable job's terminal (or recoverable) state. The
-// disposition decides the checkpoint's fate:
+// record persists a durable job's terminal (or recoverable) state:
 //
 //   - success, deadline, non-drain cancel, plain failure → terminal
-//     record; the checkpoint is deleted (nothing will resume it).
-//   - injected crash (guard.ErrCrash), cancellation during drain, or a
-//     drain that closed the server before the job ran → the record goes
-//     interrupted and the checkpoint stays: this is simulated/real
-//     process death, and the next server resumes it.
-//   - breaker-worthy failure → the record is parked with its checkpoint
-//     kept for inspection; it is not retried automatically, because the
-//     failure charged the model's breaker and retrying a parked job
-//     would hammer a suspect model from the recovery path.
+//     record.
+//   - cancellation during drain, or a drain that closed the server
+//     before the job ran → the record goes interrupted, and the next
+//     server re-runs it from scratch.
+//   - breaker-worthy failure → the record is parked; it is not retried
+//     automatically, because the failure charged the model's breaker
+//     and retrying a parked job would hammer a suspect model from the
+//     recovery path.
 func (s *Server) record(rec *JobRecord, res *Result, err error) {
-	if res != nil && res.Iterations > rec.Progress {
-		rec.Progress = res.Iterations
-	}
 	rec.Error = ""
 	if err != nil {
 		rec.Error = err.Error()
 	}
-	keepCheckpoint := false
 	switch {
 	case err == nil:
 		rec.Status = JobCompleted
 		rec.Result = res
-	case errors.Is(err, guard.ErrCrash), errors.Is(err, ErrDraining),
+	case errors.Is(err, ErrDraining),
 		errors.Is(err, guard.ErrCanceled) && s.draining.Load():
 		rec.Status = JobInterrupted
-		keepCheckpoint = true
 		s.met.interrupted.Inc()
 	case errors.Is(err, guard.ErrCanceled):
 		rec.Status = JobCanceled
@@ -702,7 +686,6 @@ func (s *Server) record(rec *JobRecord, res *Result, err error) {
 		rec.Status = JobDeadline
 	case breakerWorthy(err):
 		rec.Status = JobParked
-		keepCheckpoint = true
 		s.met.parked.Inc()
 		// A parked dead letter still carries a reduced-fidelity answer:
 		// the analytic estimate needs no model, so GET /jobs/{id} shows
@@ -715,9 +698,6 @@ func (s *Server) record(rec *JobRecord, res *Result, err error) {
 		}
 	default:
 		rec.Status = JobFailed
-	}
-	if !keepCheckpoint {
-		s.store.removeCheckpoint(rec.ID)
 	}
 	// A failed record write loses durability, not correctness: the
 	// in-memory outcome still reaches the submitter.
@@ -823,11 +803,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Unlock()
 	if s.store != nil {
 		// Durable mode: interrupt every admitted job now. Each running
-		// engine finishes its in-flight iteration, persists a final
-		// snapshot, and returns guard.ErrCanceled; record sees draining
-		// and marks the record interrupted, so the next process resumes
-		// exactly where this one stopped — all inside the drain budget
-		// instead of waiting out long runs.
+		// engine stops within one device inference and returns
+		// guard.ErrCanceled; record sees draining and marks the record
+		// interrupted, so the next process re-runs it — all inside the
+		// drain budget instead of waiting out long runs.
 		s.activeMu.Lock()
 		cancels := make([]context.CancelFunc, 0, len(s.active))
 		for _, cancel := range s.active {

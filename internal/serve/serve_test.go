@@ -330,6 +330,13 @@ func TestDrainWaitsForInFlightAndRefusesNew(t *testing.T) {
 	if submitErr != nil {
 		t.Fatalf("in-flight job must complete during drain: %v", submitErr)
 	}
+	// The refused submit took admission's early return under the drain
+	// read lock; a second Drain takes the write lock and must get it.
+	withTimeout(t, "drain lock after a refused submit", func() {
+		if err := s.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestWorkerSurvivesRunnerPanic(t *testing.T) {

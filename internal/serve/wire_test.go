@@ -129,7 +129,7 @@ func TestAppendResultMatchesMarshal(t *testing.T) {
 		ElapsedMs: 0.125, Attempts: 1}
 
 	// Every omitempty field, set and unset.
-	for mask := 0; mask < 1<<6; mask++ {
+	for mask := 0; mask < 1<<5; mask++ {
 		res := base
 		if mask&1 != 0 {
 			res.Fidelity = "exact"
@@ -145,9 +145,6 @@ func TestAppendResultMatchesMarshal(t *testing.T) {
 		}
 		if mask&16 != 0 {
 			res.DegradedReason = "breaker open: shard panic"
-		}
-		if mask&32 != 0 {
-			res.ResumedFrom = 9
 		}
 		checkResultEncoding(t, &res)
 	}
@@ -205,7 +202,7 @@ func TestAppendResultMatchesMarshal(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		res := base
 		res.Scenario, res.Mode, res.DegradedReason = randString(), randString(), randString()
-		res.Deliveries, res.ResumedFrom = r.Int()-r.Int(), r.Intn(3)
+		res.Deliveries, res.DegradedDevices = r.Int()-r.Int(), r.Intn(3)
 		for _, p := range []*float64{&res.MeanRTTUs, &res.P99RTTUs, &res.ElapsedMs} {
 			if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
 				*p = f

@@ -65,7 +65,6 @@ func TestKernelsZeroSteadyStateAllocs(t *testing.T) {
 		{"MatMulInto", func() { tensor.MatMulInto(dst, a, b) }},
 		{"MatMulPackedInto", func() { tensor.MatMulPackedInto(dst, a, p) }},
 		{"MatMulPackedBiasActInto", func() { tensor.MatMulPackedBiasActInto(dst, a, p, bias, tensor.ActTanh) }},
-		{"MatMulBiasActInto", func() { tensor.MatMulBiasActInto(dst, a, b, bias, tensor.ActTanh) }},
 		{"MatMulTInto", func() { tensor.MatMulTInto(dstT, a, a) }},
 		{"AddVecMatInto", func() { tensor.AddVecMatInto(acc, h, b) }},
 		{"PackFrom reuse", func() { p.PackFrom(b) }},

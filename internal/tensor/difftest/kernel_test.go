@@ -166,21 +166,20 @@ func checkMatMulFamily(t *testing.T, r *rng.Rand, m, k, n int, spice bool) {
 	vp.PackCols(make([]float64, tensor.PackedLen(k, n)), embed(b, 4, 6), 4, n)
 	checkBlock("context via PackCols", &vp, want)
 
-	// Fused bias+activation, packed and unpacked, every activation kind.
+	// Fused bias+activation, every activation kind, with a bias and
+	// with none (nil bias means no bias).
 	bias := tensor.New(1, n)
 	fillRand(r, bias, spice)
-	for _, act := range []tensor.ActKind{tensor.ActNone, tensor.ActTanh} {
-		wantBA := tensor.New(m, n)
-		RefMatMul(wantBA, a, b)
-		RefBiasAct(wantBA, bias, act)
+	for _, bi := range []*tensor.Matrix{bias, nil} {
+		for _, act := range []tensor.ActKind{tensor.ActNone, tensor.ActTanh} {
+			wantBA := tensor.New(m, n)
+			RefMatMul(wantBA, a, b)
+			RefBiasAct(wantBA, bi, act)
 
-		gotBA := tensor.New(m, n)
-		tensor.MatMulBiasActInto(gotBA, a, b, bias, act)
-		bitsEqualMat(t, fmt.Sprintf("MatMulBiasActInto(act=%d)", act), gotBA, wantBA)
-
-		gotBA.Zero()
-		tensor.MatMulPackedBiasActInto(gotBA, a, p, bias, act)
-		bitsEqualMat(t, fmt.Sprintf("MatMulPackedBiasActInto(act=%d)", act), gotBA, wantBA)
+			gotBA := tensor.New(m, n)
+			tensor.MatMulPackedBiasActInto(gotBA, a, p, bi, act)
+			bitsEqualMat(t, fmt.Sprintf("MatMulPackedBiasActInto(act=%d, bias=%t)", act, bi != nil), gotBA, wantBA)
+		}
 	}
 
 	// The beta=1 LSTM recurrence row update.

@@ -28,7 +28,7 @@ func checkNoAlias(op string, dst, a, b *Matrix) {
 	}
 }
 
-// ActKind selects the fused activation of MatMulBiasActInto.
+// ActKind selects the fused activation of MatMulPackedBiasActInto.
 type ActKind uint8
 
 // Fused activation kinds.
@@ -96,8 +96,10 @@ func MatMulPackedColsInto(dst *Matrix, dc int, a *Matrix, ac int, p *Packed) {
 	}
 }
 
-// MatMulPackedBiasActInto is MatMulBiasActInto with a packed weight
-// matrix: dst = act(a × w + bias). bias may be nil.
+// MatMulPackedBiasActInto computes dst = act(a × w + bias) with a packed
+// weight matrix, the fused time-distributed dense forward: one pass adds
+// the 1×Out bias to each output row of the matmul and applies the
+// activation — no intermediate matrices. bias may be nil (no bias).
 func MatMulPackedBiasActInto(dst, a *Matrix, p *Packed, bias *Matrix, act ActKind) {
 	if a.Cols != p.K {
 		panic("tensor: MatMulPackedBiasActInto shapes " + shapeStr(a) + " and packed " + dimStr(p.K, p.N))
@@ -182,33 +184,5 @@ func MatMulTInto(dst, a, b *Matrix) {
 			}
 			orow[j] = sum
 		}
-	}
-}
-
-// MatMulBiasActInto computes dst = act(a × w + bias), the fused
-// time-distributed dense forward: one pass sets each output row from
-// the matmul accumulation, adds the 1×Out bias, and applies the
-// activation — no intermediate matrices. bias may be nil (no bias).
-// dst must not alias a or w.
-func MatMulBiasActInto(dst, a, w, bias *Matrix, act ActKind) {
-	if a.Cols != w.Rows {
-		panic(shapeErr("MatMulBiasActInto", a, w))
-	}
-	if dst.Rows != a.Rows || dst.Cols != w.Cols {
-		panic(shapeErr("MatMulBiasActInto dst", dst, w))
-	}
-	if bias != nil && (bias.Rows != 1 || bias.Cols != w.Cols) {
-		panic(shapeErr("MatMulBiasActInto bias", bias, w))
-	}
-	checkNoAlias("MatMulBiasActInto", dst, a, w)
-	matMulDirect(dst, a, w)
-	for i := 0; i < a.Rows; i++ {
-		orow := dst.Row(i)
-		if bias != nil {
-			for j, bv := range bias.Data {
-				orow[j] += bv
-			}
-		}
-		applyAct(orow, act)
 	}
 }

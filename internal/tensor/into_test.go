@@ -60,46 +60,6 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	}
 }
 
-// TestMatMulBiasActIntoMatchesUnfused checks the fused dense forward
-// against the unfused MatMul + bias-broadcast + activation pipeline for
-// every activation kind. Fusion is per-element, so bits must match.
-func TestMatMulBiasActIntoMatchesUnfused(t *testing.T) {
-	r := rng.New(3)
-	acts := []struct {
-		kind ActKind
-		f    func(float64) float64
-	}{
-		{ActNone, func(v float64) float64 { return v }},
-		{ActTanh, math.Tanh},
-	}
-	for _, s := range kernelShapes {
-		x := sparseMat(r, s.n, s.k)
-		w := sparseMat(r, s.k, s.m)
-		bias := sparseMat(r, 1, s.m)
-		for _, ac := range acts {
-			want := MatMul(x, w)
-			for i := 0; i < want.Rows; i++ {
-				row := want.Row(i)
-				for j := range row {
-					row[j] += bias.Data[j]
-				}
-			}
-			want.Apply(ac.f)
-
-			got := New(s.n, s.m)
-			MatMulBiasActInto(got, x, w, bias, ac.kind)
-			bitsEqual(t, "MatMulBiasActInto", got, want)
-
-			// nil bias must mean "no bias", not a zero add.
-			noBias := MatMul(x, w)
-			noBias.Apply(ac.f)
-			got2 := New(s.n, s.m)
-			MatMulBiasActInto(got2, x, w, nil, ac.kind)
-			bitsEqual(t, "MatMulBiasActInto(nil bias)", got2, noBias)
-		}
-	}
-}
-
 // TestIntoAliasingSafe: the element-wise slice kernels document dst == x
 // as safe; prove it.
 func TestIntoAliasingSafe(t *testing.T) {
@@ -129,7 +89,6 @@ func TestIntoAliasingRejected(t *testing.T) {
 		{"MatMulInto dst==a", func() { MatMulInto(sq, sq, other) }},
 		{"MatMulInto dst==b", func() { MatMulInto(sq, other, sq) }},
 		{"MatMulTInto dst==a", func() { MatMulTInto(sq, sq, other) }},
-		{"MatMulBiasActInto dst==a", func() { MatMulBiasActInto(sq, sq, other, nil, ActNone) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
