@@ -54,9 +54,11 @@ metrics-smoke:
 # an intentional semantic change with:
 #   go test -run TestGoldenTraces -update-golden .
 # It also replays the routing/calibration/analytic bit-identity fixture
-# (testdata/golden/routing_bits.json, TestRoutingBitsFixture).
+# (testdata/golden/routing_bits.json, TestRoutingBitsFixture) and the
+# per-switch accuracy gate (testdata/golden/device_gates.json,
+# TestDeviceAccuracyGates; regenerate with -update-golden likewise).
 golden:
-	$(GO) test -run 'TestGoldenTraces|TestRoutingBitsFixture' -count=1 .
+	$(GO) test -run 'TestGoldenTraces|TestRoutingBitsFixture|TestDeviceAccuracyGates' -count=1 .
 
 # analytic-gates bounds the degradation ladder's analytic tier against
 # the DES ground truth on every golden scenario (thresholds committed

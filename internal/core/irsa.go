@@ -463,9 +463,12 @@ func propagate(pkts []*packet) float64 {
 
 // inferDevice recomputes the sojourn of every packet traversal of one
 // device from the current arrival estimates: exact FIFO serialization
-// for host egresses, PTM inference per egress port for switches. A
-// switch without a usable model (nil here = degraded) runs the exact
-// serialization fallback on every egress port.
+// for host egresses, PTM inference per egress port for switches. On a
+// switch, a packet that finds its egress port idle gets exactly its
+// transmission time, as under serialization, and the model runs no DNN
+// window whose packets all do (ptm.PredictDevice). A switch without a
+// usable model (nil here = degraded) runs the exact serialization
+// fallback on every egress port.
 func (s *Sim) inferDevice(dev int, plan *devicePlan, pkts []*packet,
 	model DeviceModel, replicas map[DeviceModel]DeviceModel) {
 

@@ -224,6 +224,68 @@ func TestPredictDeviceReusesUnchangedWindows(t *testing.T) {
 		}, func(*PTM, []PortStream, []PortStream) int { return 0 })
 	})
 	t.Run("hit-miss-hit-prefix", prefixFillsOnlyRunWindows)
+	t.Run("idle-and-burst", idleAndBurstAlternate)
+	t.Run("backlog-blind-scaler", skippedWindowIsNeverSupplied)
+}
+
+// idleAndBurstAlternate: one port alternates between a stream on which
+// every packet finds the port idle and the same stream with a busy
+// burst. The idle calls run no window. A burst call runs the windows
+// that consume the burst when the call before it did not run them (the
+// first call, or an idle one, which records no output), and none when
+// it repeats the call before. Every call gives a fresh PortStream's
+// bits.
+func idleAndBurstAlternate(t *testing.T) {
+	p := sessionModel(t)
+	idle, burst := spacedStream(200, 0, 0), spacedStream(200, 100, 12)
+	busy := busyWindows(p, burst, des.FIFO, 10e9)
+	ports := []PortStream{{RateBps: 10e9}}
+	for call, c := range []struct {
+		stream []PacketIn
+		want   int
+	}{{idle, 0}, {burst, busy}, {idle, 0}, {burst, busy}, {burst, 0}} {
+		ports[0].Stream = c.stream
+		if ran := predictCounting(p, ports, des.FIFO); ran != c.want {
+			t.Errorf("call %d ran %d windows, want %d", call, ran, c.want)
+		}
+		checkOuts(t, fmt.Sprintf("call %d", call), ports, freshOuts(p, ports, des.FIFO))
+	}
+}
+
+// skippedWindowIsNeverSupplied: with a scaler that maps both backlog
+// columns to 0, a window's feature rows do not show whether its packets
+// find the port idle. Call a runs every window. Call b skips the idle
+// window that reads row 95 and, running the busy final window, records
+// its rows. Call c has call b's rows there, but a burst at the start
+// leaves a backlog that lasts, so the window is busy: it must run, as
+// the memo holds call a's output for it, not one for these rows.
+func skippedWindowIsNeverSupplied(t *testing.T) {
+	p := sessionModel(t)
+	p.Feat.Max[5], p.Feat.Max[6] = 0, 0
+	const n, gap = 100, 1.001 * 8e-7 // 1 000 bytes at 10 Gb/s take 0.8 µs
+	stream := func(burst bool, inPort95 int) []PacketIn {
+		s := make([]PacketIn, n)
+		for i := range s {
+			s[i] = PacketIn{Arrive: float64(i) * gap, Size: 1000}
+			if burst && i < 40 {
+				s[i].Arrive = 40*gap - float64(40-i)*1e-9
+			}
+			if i > 96 { // busy in every call: only the final window reads it
+				s[i].Arrive = 96*gap + float64(i-96)*1e-9
+			}
+		}
+		s[95].InPort = inPort95
+		return s
+	}
+	ports := []PortStream{{RateBps: 10e9}}
+	for _, c := range []struct {
+		name   string
+		stream []PacketIn
+	}{{"a", stream(true, 1)}, {"b", stream(false, 0)}, {"c", stream(true, 0)}} {
+		ports[0].Stream = c.stream
+		p.PredictDevice(ports, des.FIFO)
+		checkOuts(t, "call "+c.name, ports, freshOuts(p, ports, des.FIFO))
+	}
 }
 
 // prefixFillsOnlyRunWindows: on one port whose second call runs

@@ -316,13 +316,16 @@ func TestPredictStreamClamp(t *testing.T) {
 		p.Feat.Max[i] = 1
 	}
 	// Force wildly negative residual predictions: output must clamp to
-	// the transmission time.
+	// the transmission time. The second packet finds the port busy, so
+	// the network is asked for it.
 	p.TargetMin, p.TargetMax = -100, -99
-	stream := []PacketIn{{Arrive: 0, Size: 1000}}
+	stream := []PacketIn{{Arrive: 0, Size: 1000}, {Arrive: 0, Size: 1000}}
 	out := p.PredictStream(stream, des.FIFO, 1e9, 1)
 	tx := float64(1000*8) / 1e9
-	if out[0] < tx {
-		t.Fatalf("clamp failed: %v < %v", out[0], tx)
+	for i, v := range out {
+		if v < tx {
+			t.Fatalf("clamp failed on packet %d: %v < %v", i, v, tx)
+		}
 	}
 }
 

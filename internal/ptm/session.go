@@ -38,8 +38,9 @@ type session struct {
 	preDone int           // end of the last prefix rows filled; rows a skipped window alone reads stay unfilled
 
 	// windowsRun counts the windows this session has actually inferred
-	// (a window a port memo supplies is not counted); WindowsRun reads
-	// it, so tests see that reuse happens.
+	// (a window a port memo supplies, or one skipped because all its
+	// consumed packets find the port idle, is not counted); WindowsRun
+	// reads it, so tests see that reuse and skipping happen.
 	windowsRun int
 
 	// Quantized-backend scratch (allocated only when the model runs
@@ -131,7 +132,10 @@ func (p *PTM) predictInto(s *session, m *portMemo, dst []float64, stream []Packe
 // their predictions into dst. The network is asked only for the rows a
 // chunk is consumed for — its interior [Lo, Hi), cut at the stream end
 // — which is what makes an interior window cost half a window's
-// attention and head. A non-nil m (single-threaded exact path only,
+// attention and head. A chunk whose consumed packets all find the port
+// idle is not run on either backend: consumePred would overwrite every
+// output it gave with the packet's transmission time, so its tx is
+// written directly. A non-nil m (single-threaded exact path only,
 // after m.begin) supplies the raw outputs of every window whose input
 // rows are unchanged since the port's last call, and records the raw
 // outputs of every window that runs.
@@ -140,6 +144,13 @@ func (p *PTM) inferChunks(s, src *session, m *portMemo, dst []float64, w, stride
 	for i := w; i < len(src.chunks); i += stride {
 		ck := src.chunks[i]
 		lo, hi := ck.Lo, min(ck.Hi, n-ck.Start)
+		if idle(src.backlog[ck.Start+lo : ck.Start+hi]) {
+			copy(dst[ck.Start+lo:ck.Start+hi], src.tx[ck.Start+lo:ck.Start+hi])
+			if m != nil {
+				m.raw[ck.Start+lo] = math.NaN() // no output recorded: never supply one
+			}
+			continue
+		}
 		if p.qnet != nil {
 			// Opt-in quantized backend: same windows, same consume
 			// logic, its own per-window int8/float32 network.
@@ -158,7 +169,7 @@ func (p *PTM) inferChunks(s, src *session, m *portMemo, dst []float64, w, stride
 			continue
 		}
 		end := min(n, ck.Start+p.TimeSteps)
-		if m != nil && m.unchanged(src.feats, ck.Start, end) {
+		if m != nil && m.unchanged(src.feats, ck.Start, end) && !math.IsNaN(m.raw[ck.Start+lo]) {
 			for pos := ck.Start + lo; pos < ck.Start+hi; pos++ {
 				p.consumePred(dst, m.raw[pos], pos, src.tx, src.backlog)
 			}
@@ -180,12 +191,31 @@ func (p *PTM) inferChunks(s, src *session, m *portMemo, dst []float64, w, stride
 	}
 }
 
+// idle reports whether every arrival of a run found its egress port
+// idle, given their backlogs. featurizeFlat clamps the backlog at 0, so
+// a busy arrival is one whose backlog is positive.
+func idle(backlog []float64) bool {
+	for _, b := range backlog {
+		if b > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // consumePred maps one raw network output to a sojourn time: clamp to
 // the modest extrapolation range (unseen-load generalization, Fig. 9,
 // without runaway tails), SEC-correct in residual space, unscale, and
 // invert the target transform against the packet's deterministic
-// backlog and transmission time.
+// backlog and transmission time. A packet that finds the port idle
+// leaves after exactly its transmission time, whatever v says: every
+// discipline the DES models is work-conserving and non-preemptive, so
+// an idle port starts the packet at once and its target is exactly 0.
 func (p *PTM) consumePred(dst []float64, v float64, pos int, tx, backlog []float64) {
+	if backlog[pos] <= 0 {
+		dst[pos] = tx[pos]
+		return
+	}
 	if v < -0.1 {
 		v = -0.1
 	}
@@ -205,9 +235,10 @@ func (p *PTM) getSession() *session {
 }
 
 // WindowsRun returns how many DNN windows p's prediction paths have
-// run on its own session; a window a PortStream's memo supplied is not
-// counted. It reads the session unguarded, so call it only while p is
-// not predicting.
+// run on its own session. A window a PortStream's memo supplied is not
+// counted, nor is one not run because every packet it is consumed for
+// finds the port idle. It reads the session unguarded, so call it only
+// while p is not predicting.
 func (p *PTM) WindowsRun() int {
 	if p.sess == nil {
 		return 0
@@ -225,7 +256,9 @@ func (p *PTM) WindowsRun() int {
 // length, model network, window shape, discipline and line rate are
 // bit-identical to that call's takes its recorded outputs instead of
 // running; they then go through this call's clamp, SEC and target
-// inverse, so the sojourns are the bits a fresh PortStream gets. Pass
+// inverse, so the sojourns are the bits a fresh PortStream gets. A
+// window skipped because its consumed packets all find the port idle
+// records no output, and the memo never supplies one for it. Pass
 // the same PortStream for the same port on every call (an IRSA sweep
 // per call) to get that reuse, or a fresh one to get none. The memo
 // assumes the network's weights do not change between two calls on one
@@ -310,9 +343,11 @@ func (m *portMemo) unchanged(feats []float64, start, end int) bool {
 // device in a single batched call: all ports' windows run through one
 // session (one arena, one window matrix, shared flat buffers) instead
 // of a PredictStream round-trip per port. Each port's predictions land
-// in ports[i].Out. On the exact backend a port skips every window whose
-// inputs are unchanged since its previous call (see PortStream). Not
-// goroutine-safe.
+// in ports[i].Out. A packet that finds its port idle gets exactly its
+// transmission time, and a window whose consumed packets all do is not
+// run, on either backend. On the exact backend a port also skips every
+// window whose inputs are unchanged since its previous call (see
+// PortStream). Not goroutine-safe.
 func (p *PTM) PredictDevice(ports []PortStream, kind des.SchedKind) {
 	s := p.getSession()
 	for i := range ports {

@@ -252,3 +252,135 @@ func TestCloneDoesNotShareSession(t *testing.T) {
 		t.Fatal("WithoutSEC shared the inference session")
 	}
 }
+
+// spacedStream returns n packets of 1 000 bytes spaced 10 µs apart, so
+// that at 10 Gb/s (0.8 µs each) every packet finds the port idle, except
+// that the burst packets [at, at+burst) arrive 0.1 µs apart: all of them
+// but the first find it busy.
+func spacedStream(n, at, burst int) []PacketIn {
+	stream := make([]PacketIn, n)
+	tm := 0.0
+	for i := range stream {
+		if i > at && i < at+burst {
+			tm += 1e-7
+		} else {
+			tm += 1e-5
+		}
+		stream[i] = PacketIn{Arrive: tm, Size: 1000, InPort: i % 8, Class: i % 3, Weight: 1}
+	}
+	return stream
+}
+
+// busyWindows counts the chunks of a stream whose consumed packets
+// include one that finds the port busy, from the allocating Featurize
+// path's backlog: the windows a prediction must run.
+func busyWindows(p *PTM, stream []PacketIn, kind des.SchedKind, rateBps float64) int {
+	_, aux := Featurize(stream, kind, p.NumPorts, rateBps)
+	busy := 0
+	for _, ck := range Chunks(len(stream), p.TimeSteps, p.Margin) {
+		for pos := ck.Start + ck.Lo; pos < min(len(stream), ck.Start+ck.Hi); pos++ {
+			if aux.Backlog[pos] > 0 {
+				busy++
+				break
+			}
+		}
+	}
+	return busy
+}
+
+// TestIdleArrivalsLeaveAfterTx: under every discipline, on both
+// backends, through PredictStream (one worker and three) and through
+// PredictDevice, every packet that finds its port idle gets exactly its
+// transmission time, bit for bit.
+func TestIdleArrivalsLeaveAfterTx(t *testing.T) {
+	stream := testStream(150, 41)
+	for _, quant := range []bool{false, true} {
+		for _, kind := range []des.SchedKind{des.FIFO, des.SP, des.WRR, des.DRR, des.WFQ} {
+			p := sessionModel(t)
+			if quant {
+				if err := p.WithQuantized(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, aux := Featurize(stream, kind, p.NumPorts, 10e9)
+			ports := []PortStream{{Stream: stream, RateBps: 10e9}}
+			p.PredictDevice(ports, kind)
+			for _, c := range []struct {
+				path string
+				out  []float64
+			}{
+				{"PredictDevice", ports[0].Out},
+				{"PredictStream(workers=1)", p.PredictStream(stream, kind, 10e9, 1)},
+				{"PredictStream(workers=3)", p.PredictStream(stream, kind, 10e9, 3)},
+			} {
+				idle := 0
+				for i, b := range aux.Backlog {
+					if b > 0 {
+						continue
+					}
+					idle++
+					if math.Float64bits(c.out[i]) != math.Float64bits(aux.Tx[i]) {
+						t.Fatalf("kind %d, quantized=%v, %s: idle packet %d got %v, want its tx %v",
+							kind, quant, c.path, i, c.out[i], aux.Tx[i])
+					}
+				}
+				if idle == 0 || idle == len(stream) {
+					t.Fatalf("%d of %d packets find the port idle; want some, not all", idle, len(stream))
+				}
+			}
+		}
+	}
+}
+
+// TestIdleWindowsDoNotRun: on both backends, a stream spaced so that
+// every packet finds the port idle runs no window, through
+// PredictStream and through a first and a second PredictDevice call;
+// one busy burst inside it runs exactly the windows that consume a
+// packet of the burst, and a second call on the same streams runs none
+// on the exact backend (its memo) and the same ones again on the
+// quantized one (no memo).
+func TestIdleWindowsDoNotRun(t *testing.T) {
+	const kind, rate = des.WFQ, 10e9
+	for _, quant := range []bool{false, true} {
+		p := sessionModel(t)
+		if quant {
+			if err := p.WithQuantized(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spaced := spacedStream(200, 0, 0)
+		if w := busyWindows(p, spaced, kind, rate); w != 0 {
+			t.Fatalf("the spaced stream has %d busy windows", w)
+		}
+		before := p.WindowsRun()
+		out := p.PredictStream(spaced, kind, rate, 1)
+		if ran := p.WindowsRun() - before; ran != 0 {
+			t.Errorf("quantized=%v: PredictStream on an idle stream ran %d windows", quant, ran)
+		}
+		sojournsBitsEqual(t, "idle stream", out, forwardReference(p, spaced, kind, rate))
+		ports := []PortStream{{Stream: spaced, RateBps: rate}}
+		for call := 1; call <= 2; call++ {
+			if ran := predictCounting(p, ports, kind); ran != 0 {
+				t.Errorf("quantized=%v: PredictDevice call %d on an idle stream ran %d windows", quant, call, ran)
+			}
+		}
+
+		burst := spacedStream(200, 100, 12)
+		want := busyWindows(p, burst, kind, rate)
+		if all := len(Chunks(len(burst), p.TimeSteps, p.Margin)); want == 0 || want == all {
+			t.Fatalf("the burst is consumed by %d of %d windows; want some, not all", want, all)
+		}
+		ports = []PortStream{{Stream: burst, RateBps: rate}}
+		if ran := predictCounting(p, ports, kind); ran != want {
+			t.Errorf("quantized=%v: the burst ran %d windows, want %d", quant, ran, want)
+		}
+		sojournsBitsEqual(t, "burst", ports[0].Out, forwardReference(p, burst, kind, rate))
+		again := want
+		if !quant {
+			again = 0
+		}
+		if ran := predictCounting(p, ports, kind); ran != again {
+			t.Errorf("quantized=%v: a second call on the burst ran %d windows, want %d", quant, ran, again)
+		}
+	}
+}
