@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for `make fuzz`; raise for longer local campaigns.
 FUZZTIME ?= 15s
 
-.PHONY: build test race vet lint check purego golden analytic-gates paper-gates bench-smoke metrics-smoke fuzz
+.PHONY: build test race vet lint reach check purego golden analytic-gates paper-gates bench-smoke metrics-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -29,13 +29,29 @@ vet:
 lint:
 	$(GO) run ./cmd/dqnlint -tests .
 
-# check is the CI gate: go vet, the repo's own analyzers, the full
-# suite under the race detector (the shard fan-out and DLib are the
-# concurrency-bearing paths it watches), the kernel suites on the
-# portable build, the golden-trace determinism digests, the
-# analytic-tier and paper-table accuracy gates, the /metrics consistency
-# smoke, and the repository benchmark smoke.
-check: vet lint race purego golden analytic-gates paper-gates metrics-smoke bench-smoke
+# reach fails when an internal package is linked into no command, no
+# example, not the benchmark and not the root package: code that nothing
+# runs is deleted, not kept (DESIGN.md §11). The one exception is
+# internal/tensor/difftest: its reference kernels are what the kernel
+# difftests compare the packed, asm and vector kernels against, so only
+# tests import it.
+reach:
+	@set -e; \
+	deps=$$($(GO) list -deps ./cmd/... ./examples/... ./benchmark .); \
+	all=$$($(GO) list ./internal/...); \
+	left=$$(printf '%s\n' "$$all" | grep -vxF -e "$$deps" -e deepqueuenet/internal/tensor/difftest) || [ $$? -eq 1 ]; \
+	if [ -n "$$left" ]; then \
+		echo "reach: no command, example, benchmark or root package imports:" >&2; \
+		echo "$$left" >&2; exit 1; \
+	fi
+
+# check is the CI gate: go vet, the repo's own analyzers, the
+# reachability of every internal package, the full suite under the race
+# detector (the shard fan-out and DLib are the concurrency-bearing paths
+# it watches), the kernel suites on the portable build, the golden-trace
+# determinism digests, the analytic-tier and paper-table accuracy gates,
+# the /metrics consistency smoke, and the repository benchmark smoke.
+check: vet lint reach race purego golden analytic-gates paper-gates metrics-smoke bench-smoke
 
 # purego runs the kernel-bearing packages on the portable build, where
 # the assembly and vector kernels are not compiled in at all; the

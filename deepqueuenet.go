@@ -15,7 +15,7 @@
 //   - a packet-level discrete event simulator (ground truth + training
 //     traces) with FIFO/SP/WRR/DRR/WFQ schedulers,
 //   - traffic generation (Poisson, On-Off, MAP with fitting, synthetic
-//     BC-pAug89/Anarchy-like traces, pcap replay),
+//     BC-pAug89/Anarchy-like traces),
 //   - topology builders (Line, torus, FatTree, Abilene, GÉANT),
 //   - the PTM training pipeline (DUtil) with SEC error correction,
 //   - the DeepQueueNet engine (DLib, SInit, SRun/IRSA),

@@ -6,8 +6,27 @@ import (
 	"deepqueuenet/internal/des"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/topo"
-	"deepqueuenet/internal/traffic"
 )
+
+// arrivalList emits its gap/size pairs in order. A cyclic list starts
+// over; any other then returns a gap past the end of any run.
+type arrivalList struct {
+	gaps   []float64
+	sizes  []int
+	cyclic bool
+	pos    int
+}
+
+func (a *arrivalList) NextArrival() (float64, int) {
+	if a.pos == len(a.gaps) {
+		if !a.cyclic {
+			return 1e30, 0
+		}
+		a.pos = 0
+	}
+	a.pos++
+	return a.gaps[a.pos-1], a.sizes[a.pos-1]
+}
 
 // tinyModel builds an untrained PTM adequate for structural tests.
 func tinyModel(ports int) *ptm.PTM {
@@ -45,7 +64,7 @@ func lineSim(t *testing.T, cfg Config) (*Sim, []int) {
 func TestGenPacketsRespectsStop(t *testing.T) {
 	sim, hosts := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}})
 	sim.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[2],
-		Gen:  traffic.NewReplay([]float64{1e-5, 1e-5, 1e-5, 1e-5}, []int{100, 100, 100, 100}, true),
+		Gen:  &arrivalList{gaps: []float64{1e-5, 1e-5, 1e-5, 1e-5}, sizes: []int{100, 100, 100, 100}, cyclic: true},
 		Stop: 2.5e-5})
 	pkts, err := sim.genPackets(1)
 	if err != nil {
@@ -65,12 +84,12 @@ func TestGenPacketsRespectsStop(t *testing.T) {
 func TestGenPacketsEchoDoublesHops(t *testing.T) {
 	simNo, hosts := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}})
 	simNo.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[2],
-		Gen: traffic.NewReplay([]float64{1e-6}, []int{100}, false)})
+		Gen: &arrivalList{gaps: []float64{1e-6}, sizes: []int{100}}})
 	pktsNo, _ := simNo.genPackets(1)
 
 	simEcho, hostsE := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}, Echo: true})
 	simEcho.AddFlow(FlowSpec{FlowID: 1, Src: hostsE[0], Dst: hostsE[2],
-		Gen: traffic.NewReplay([]float64{1e-6}, []int{100}, false)})
+		Gen: &arrivalList{gaps: []float64{1e-6}, sizes: []int{100}}})
 	pktsEcho, _ := simEcho.genPackets(1)
 
 	if len(pktsNo) != 1 || len(pktsEcho) != 1 {
@@ -87,7 +106,7 @@ func TestGenPacketsEchoDoublesHops(t *testing.T) {
 func TestResultOneWayAndRTTDeliveries(t *testing.T) {
 	sim, hosts := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}, Echo: true})
 	sim.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[2],
-		Gen: traffic.NewReplay([]float64{1e-6}, []int{100}, false)})
+		Gen: &arrivalList{gaps: []float64{1e-6}, sizes: []int{100}}})
 	res, err := sim.Run(0.001)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +147,7 @@ func TestDampingClampedToValidRange(t *testing.T) {
 	// Damping > 1 must behave as 1 (pure updates) without error.
 	sim, hosts := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}, Damping: 5})
 	sim.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[2],
-		Gen: traffic.NewReplay([]float64{1e-6}, []int{100}, false)})
+		Gen: &arrivalList{gaps: []float64{1e-6}, sizes: []int{100}}})
 	if _, err := sim.Run(0.001); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/topo"
-	"deepqueuenet/internal/traffic"
 )
 
 // panicModel is a DeviceModel that explodes on first use.
@@ -108,7 +107,7 @@ func nanModel(ports int) *ptm.PTM {
 
 func addTestFlow(sim *Sim, hosts []int) {
 	sim.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[2],
-		Gen: traffic.NewReplay([]float64{1e-6, 1e-6, 1e-6, 1e-6}, []int{100, 200, 100, 200}, true)})
+		Gen: &arrivalList{gaps: []float64{1e-6, 1e-6, 1e-6, 1e-6}, sizes: []int{100, 200, 100, 200}, cyclic: true}})
 }
 
 func TestShardPanicIsolated(t *testing.T) {
@@ -173,7 +172,7 @@ func TestCancellationStopsWithinOneIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[7],
-		Gen: traffic.NewReplay([]float64{1e-6, 1e-6, 1e-6, 1e-6}, []int{100, 200, 100, 200}, true)})
+		Gen: &arrivalList{gaps: []float64{1e-6, 1e-6, 1e-6, 1e-6}, sizes: []int{100, 200, 100, 200}, cyclic: true}})
 	res, err := sim.RunContext(ctx, 0.001)
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("want guard.ErrCanceled, got %v", err)
@@ -363,7 +362,7 @@ func TestDeterministicDeliveryOrder(t *testing.T) {
 		sim, hosts := lineSim(t, Config{Sched: des.SchedConfig{Kind: des.FIFO}, Echo: true, Shards: 4})
 		// Two flows with identical timing force RecvTime ties.
 		sim.AddFlow(FlowSpec{FlowID: 1, Src: hosts[0], Dst: hosts[2],
-			Gen: traffic.NewReplay([]float64{1e-6, 1e-6, 1e-6}, []int{100, 100, 100}, true)})
+			Gen: &arrivalList{gaps: []float64{1e-6, 1e-6, 1e-6}, sizes: []int{100, 100, 100}, cyclic: true}})
 		res, err := sim.Run(0.001)
 		if err != nil {
 			t.Fatal(err)

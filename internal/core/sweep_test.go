@@ -13,7 +13,6 @@ import (
 	"deepqueuenet/internal/guard"
 	"deepqueuenet/internal/ptm"
 	"deepqueuenet/internal/topo"
-	"deepqueuenet/internal/traffic"
 )
 
 // workerCounts are the worker counts the sweep tests run at; an odd one
@@ -41,7 +40,7 @@ func line8Sim(t *testing.T, cfg Config) *Sim {
 	}
 	for i, d := range defs {
 		sim.AddFlow(FlowSpec{FlowID: d.FlowID, Src: d.Src, Dst: d.Dst,
-			Gen: traffic.NewReplay([]float64{1e-6, 2e-6, 1e-6}, []int{100 * (i + 1), 300, 200}, true)})
+			Gen: &arrivalList{gaps: []float64{1e-6, 2e-6, 1e-6}, sizes: []int{100 * (i + 1), 300, 200}, cyclic: true}})
 	}
 	return sim
 }

@@ -2,8 +2,8 @@ package des
 
 // ArrivalSource produces a flow's packet arrivals: each call returns the
 // gap to the next packet (seconds) and that packet's size in bytes.
-// internal/traffic implements this interface for Poisson, On-Off, MAP,
-// and trace-replay processes.
+// internal/traffic implements this interface for Poisson, On-Off, MAP
+// and the synthetic stand-ins for the paper's captured traces.
 type ArrivalSource interface {
 	NextArrival() (gap float64, size int)
 }

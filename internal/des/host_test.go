@@ -4,8 +4,23 @@ import (
 	"testing"
 
 	"deepqueuenet/internal/topo"
-	"deepqueuenet/internal/traffic"
 )
+
+// arrivalList emits its gap/size pairs once, then a gap past the end of
+// any run.
+type arrivalList struct {
+	gaps  []float64
+	sizes []int
+}
+
+func (a *arrivalList) NextArrival() (float64, int) {
+	if len(a.gaps) == 0 {
+		return 1e30, 0
+	}
+	g, s := a.gaps[0], a.sizes[0]
+	a.gaps, a.sizes = a.gaps[1:], a.sizes[1:]
+	return g, s
+}
 
 func TestHostStrayCounting(t *testing.T) {
 	sim := NewSimulator()
@@ -91,17 +106,15 @@ func TestBuildRejectsMultiPortHost(t *testing.T) {
 }
 
 func TestHostEgressSerializesBursts(t *testing.T) {
-	// Replay emits 3 back-to-back packets; the egress must space them by
+	// The source emits 3 back-to-back packets; the egress must space them by
 	// one transmission time each on the wire.
 	g := topo.Star(2, topo.LinkParams{RateBps: 1e9, Delay: 0})
 	hosts := g.Hosts()
 	flows := []topo.FlowDef{{FlowID: 1, Src: hosts[0], Dst: hosts[1]}}
 	rt, _ := g.Route(flows)
 	net := Build(g, rt, NetConfig{Sched: SchedConfig{Kind: FIFO}})
-	gaps := []float64{1e-6, 0, 0}
-	sizes := []int{1000, 1000, 1000}
 	net.AddFlow(hosts[0], Flow{FlowID: 1, Dst: hosts[1],
-		Source: traffic.NewReplay(gaps, sizes, false)})
+		Source: &arrivalList{gaps: []float64{1e-6, 0, 0}, sizes: []int{1000, 1000, 1000}}})
 	net.Run(1)
 
 	sw := g.Switches()[0]

@@ -31,7 +31,7 @@ func TestSinglePacketLatency(t *testing.T) {
 	//   + 3 propagation delays of 1 µs.
 	net, _ := buildLineNet(t, 2, false, SchedConfig{Kind: FIFO})
 	hosts := net.Graph.Hosts()
-	gen := traffic.NewReplay([]float64{0.001}, []int{1000}, false)
+	gen := &arrivalList{gaps: []float64{0.001}, sizes: []int{1000}}
 	net.AddFlow(hosts[0], Flow{FlowID: 1, Dst: hosts[1], Source: gen})
 	net.Run(1)
 
@@ -52,7 +52,7 @@ func TestSinglePacketLatency(t *testing.T) {
 func TestEchoRTTIsTwiceOneWay(t *testing.T) {
 	net, _ := buildLineNet(t, 3, true, SchedConfig{Kind: FIFO})
 	hosts := net.Graph.Hosts()
-	gen := traffic.NewReplay([]float64{0.001}, []int{500}, false)
+	gen := &arrivalList{gaps: []float64{0.001}, sizes: []int{500}}
 	net.AddFlow(hosts[0], Flow{FlowID: 1, Dst: hosts[2], Source: gen})
 	net.Run(1)
 

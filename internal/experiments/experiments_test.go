@@ -139,16 +139,41 @@ func TestScenarioCalibration(t *testing.T) {
 	}
 }
 
+// permutationFlows is the one flow pattern every scenario uses: on each
+// named topology it must give every host exactly one flow out and one
+// flow in, never to itself, with flow IDs 1..n, and the flows must route.
 func TestPermutationFlowsNoSelfFlows(t *testing.T) {
-	g := topo.FatTree(topo.FatTree16, topo.DefaultLAN)
-	for seed := uint64(0); seed < 20; seed++ {
-		flows := permutationFlows(g, seed)
-		if len(flows) != 16 {
-			t.Fatalf("%d flows", len(flows))
+	for _, name := range []string{"line4", "torus3x3", "fattree16", "fattree64", "fattree128",
+		"abilene", "geant", "star5", "dumbbell3", "leafspine4x2x8"} {
+		g, err := TopoByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, f := range flows {
-			if f.Src == f.Dst {
-				t.Fatalf("seed %d: self flow %+v", seed, f)
+		hosts := g.Hosts()
+		for seed := uint64(0); seed < 20; seed++ {
+			flows := permutationFlows(g, seed)
+			if len(flows) != len(hosts) {
+				t.Fatalf("%s seed %d: %d flows for %d hosts", name, seed, len(flows), len(hosts))
+			}
+			out, in := map[int]int{}, map[int]int{}
+			for i, f := range flows {
+				if f.FlowID != i+1 {
+					t.Fatalf("%s seed %d: flow %d has ID %d", name, seed, i, f.FlowID)
+				}
+				if f.Src == f.Dst {
+					t.Fatalf("%s seed %d: self flow %+v", name, seed, f)
+				}
+				out[f.Src]++
+				in[f.Dst]++
+			}
+			for _, h := range hosts {
+				if out[h] != 1 || in[h] != 1 {
+					t.Fatalf("%s seed %d: host %d sends %d and receives %d flows, want 1 and 1",
+						name, seed, h, out[h], in[h])
+				}
+			}
+			if _, err := g.Route(flows); err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package traffic implements the paper's traffic generation utilities
 // (TGUtil): Poisson, On-Off, and MAP arrival processes, packet-size
-// models, replay of captured traces, synthetic stand-ins for the
-// BC-pAug89 and Anarchy public traces, and MAP fitting (Appendix A).
+// models, synthetic stand-ins for the BC-pAug89 and Anarchy public
+// traces, and MAP fitting (Appendix A).
 //
 // Every generator implements des.ArrivalSource: NextArrival returns the
 // gap to the next packet and its size in bytes.
@@ -118,36 +118,4 @@ func (o *OnOff) NextArrival() (float64, int) {
 		o.slotEnd = 0
 		o.on = false
 	}
-}
-
-// Replay replays a finite gap/size trace. When Cyclic is set it loops
-// forever; otherwise it emits +Inf gaps once exhausted (no more
-// arrivals).
-type Replay struct {
-	Gaps   []float64
-	SizesB []int
-	Cyclic bool
-	pos    int
-}
-
-// NewReplay builds a replay generator; gaps and sizes must have equal
-// length.
-func NewReplay(gaps []float64, sizes []int, cyclic bool) *Replay {
-	if len(gaps) != len(sizes) || len(gaps) == 0 {
-		panic("traffic: replay gaps/sizes mismatch or empty")
-	}
-	return &Replay{Gaps: gaps, SizesB: sizes, Cyclic: cyclic}
-}
-
-// NextArrival implements Generator.
-func (t *Replay) NextArrival() (float64, int) {
-	if t.pos >= len(t.Gaps) {
-		if !t.Cyclic {
-			return 1e30, 0 // effectively never
-		}
-		t.pos = 0
-	}
-	g, s := t.Gaps[t.pos], t.SizesB[t.pos]
-	t.pos++
-	return g, s
 }

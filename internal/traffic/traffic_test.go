@@ -1,12 +1,10 @@
 package traffic
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"deepqueuenet/internal/metrics"
-	"deepqueuenet/internal/pcap"
 	"deepqueuenet/internal/rng"
 )
 
@@ -273,25 +271,6 @@ func TestAnarchyLikeCalibration(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	g := NewReplay([]float64{1, 2}, []int{10, 20}, false)
-	if gap, size := g.NextArrival(); gap != 1 || size != 10 {
-		t.Fatal("replay first")
-	}
-	if gap, size := g.NextArrival(); gap != 2 || size != 20 {
-		t.Fatal("replay second")
-	}
-	if gap, _ := g.NextArrival(); gap < 1e29 {
-		t.Fatal("exhausted non-cyclic replay should stop")
-	}
-	c := NewReplay([]float64{1}, []int{5}, true)
-	for i := 0; i < 5; i++ {
-		if gap, size := c.NextArrival(); gap != 1 || size != 5 {
-			t.Fatal("cyclic replay")
-		}
-	}
-}
-
 func TestSizeModels(t *testing.T) {
 	r := rng.New(10)
 	u := &UniformSize{Lo: 100, Hi: 200, R: r}
@@ -329,39 +308,6 @@ func TestNewGeneratorAllModelsCalibrated(t *testing.T) {
 		if math.Abs(pps-want)/want > tol {
 			t.Fatalf("%v rate %v, want %v", m, pps, want)
 		}
-	}
-}
-
-func TestFromPCAP(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := pcap.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []pcap.Record{
-		{Time: 0.0, OrigLen: 100, Data: []byte{1}},
-		{Time: 0.001, OrigLen: 200, Data: []byte{2}},
-		{Time: 0.004, OrigLen: 300, Data: []byte{3}},
-	}
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := FromPCAP(bytes.NewReader(buf.Bytes()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gap, size := g.NextArrival()
-	if gap != 0 || size != 100 {
-		t.Fatalf("first arrival %v %d", gap, size)
-	}
-	gap, size = g.NextArrival()
-	if math.Abs(gap-0.001) > 2e-6 || size != 200 {
-		t.Fatalf("second arrival %v %d", gap, size)
-	}
-	if _, err := FromPCAP(bytes.NewReader([]byte("junk header....")), false); err == nil {
-		t.Fatal("garbage pcap accepted")
 	}
 }
 
