@@ -12,23 +12,26 @@ import (
 // network IO, dynamic callbacks) may run while a lock is held. The
 // "snapshot under the lock, operate after Unlock" rule that keeps
 // GaugeFuncs out of the registry lock becomes a compile-time fact
-// instead of a review checklist item. Both are defects that neither the
-// race detector nor the serving suites see unless a test happens to
-// deadlock on them; a lock copied by value is left to go vet's
-// copylocks check.
+// instead of a review checklist item. A statically called module
+// function or method is followed into its body, transitively: a helper
+// that blocks is reported at the call made under the lock, as "calls
+// X, which does Y". Both are defects that neither the race detector nor
+// the serving suites see unless a test happens to deadlock on them; a
+// lock copied by value is left to go vet's copylocks check.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
 	Run:  runLockSafe,
 }
 
 func runLockSafe(pass *Pass) {
+	calls := &blockingCallees{graph: pass.Ctx.Graph(), memo: map[*types.Func]string{}}
 	for _, file := range pass.Pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := &lockWalker{pass: pass, info: pass.Pkg.Info}
+			w := &lockWalker{pass: pass, info: pass.Pkg.Info, calls: calls}
 			st := newLockState()
 			w.stmt(st, fd.Body)
 			w.checkExit(st, fd.Body.End())
@@ -110,14 +113,15 @@ func mergeLockStates(states []*lockState) *lockState {
 }
 
 type lockWalker struct {
-	pass *Pass
-	info *types.Info
+	pass  *Pass
+	info  *types.Info
+	calls *blockingCallees
 }
 
 // mutexOp classifies a call as a lock or unlock on a sync.Mutex /
 // sync.RWMutex receiver, returning a stable key for the mutex
 // expression ("r.mu", "r.mu#r" for the read side).
-func (w *lockWalker) mutexOp(call *ast.CallExpr) (key, op string, ok bool) {
+func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
 	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false
@@ -128,7 +132,7 @@ func (w *lockWalker) mutexOp(call *ast.CallExpr) (key, op string, ok bool) {
 	default:
 		return "", "", false
 	}
-	fn, isFn := w.info.Uses[sel.Sel].(*types.Func)
+	fn, isFn := info.Uses[sel.Sel].(*types.Func)
 	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", "", false
 	}
@@ -156,7 +160,7 @@ func (w *lockWalker) stmt(st *lockState, s ast.Stmt) {
 		}
 	case *ast.ExprStmt:
 		if call, ok := unparen(s.X).(*ast.CallExpr); ok {
-			if key, op, ok := w.mutexOp(call); ok {
+			if key, op, ok := mutexOp(w.info, call); ok {
 				if op == "lock" {
 					st.held[key] = &heldLock{pos: call.Pos()}
 				} else {
@@ -285,7 +289,7 @@ func hasDefaultClause(body *ast.BlockStmt) bool {
 // deferStmt records deferred unlocks (directly or through a literal).
 func (w *lockWalker) deferStmt(st *lockState, d *ast.DeferStmt) {
 	markUnlock := func(call *ast.CallExpr) {
-		if key, op, ok := w.mutexOp(call); ok && op == "unlock" {
+		if key, op, ok := mutexOp(w.info, call); ok && op == "unlock" {
 			if li := st.held[key]; li != nil {
 				li.deferred = true
 			}
@@ -333,12 +337,17 @@ func (w *lockWalker) blockingScan(st *lockState, node ast.Node) {
 				w.reportBlocking(st, n.Pos(), "channel receive")
 			}
 		case *ast.CallExpr:
-			if _, _, ok := w.mutexOp(n); ok {
+			if _, _, ok := mutexOp(w.info, n); ok {
 				return true
 			}
-			if reason := w.blockingCall(n); reason != "" {
+			if reason := blockingCall(w.info, n); reason != "" {
 				w.reportBlocking(st, n.Pos(), reason)
 				return true
+			}
+			if fn := calleeFunc(w.info, n); fn != nil {
+				if does := w.calls.of(fn); does != "" {
+					w.reportBlocking(st, n.Pos(), "calls "+funcDisplay(fn)+", which "+does)
+				}
 			}
 		}
 		return true
@@ -349,16 +358,16 @@ func (w *lockWalker) blockingScan(st *lockState, node ast.Node) {
 // waits, file/network IO, io-interface writes, or a dynamic call
 // through a function value (a user callback the analyzer cannot see
 // into).
-func (w *lockWalker) blockingCall(call *ast.CallExpr) string {
-	if isBuiltinCall(w.info, call) || isPanicCall(w.info, call) {
+func blockingCall(info *types.Info, call *ast.CallExpr) string {
+	if isBuiltinCall(info, call) || isPanicCall(info, call) {
 		return ""
 	}
-	fn := calleeFunc(w.info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		if _, ok := unparen(call.Fun).(*ast.FuncLit); ok {
 			return "" // immediately-invoked literal: body walked in place
 		}
-		if tv, ok := w.info.Types[unparen(call.Fun)]; ok {
+		if tv, ok := info.Types[unparen(call.Fun)]; ok {
 			if _, isSig := tv.Type.Underlying().(*types.Signature); isSig {
 				return "dynamic call through a function value (user callback)"
 			}
@@ -399,6 +408,103 @@ func (w *lockWalker) blockingCall(call *ast.CallExpr) string {
 		return "io interface call"
 	}
 	return ""
+}
+
+// blockingCallees answers, for each module function with a body,
+// whether calling it blocks: its body, or a function it calls
+// statically, transitively, does one of the operations that blockingScan
+// reports. One instance serves one package's pass.
+type blockingCallees struct {
+	graph *CallGraph
+	memo  map[*types.Func]string // "" also while fn is being scanned, so a cycle adds nothing
+}
+
+// of returns what calling fn does that blocks, as "does <operation>"
+// or "calls <function>, which …" along the first blocking chain in
+// source order, or "" when nothing in it blocks or fn has no body in
+// the module (a stdlib function, an interface method).
+func (b *blockingCallees) of(fn *types.Func) string {
+	fn = fn.Origin()
+	if does, ok := b.memo[fn]; ok {
+		return does
+	}
+	b.memo[fn] = ""
+	decl := b.graph.Decl[fn]
+	if decl == nil {
+		return ""
+	}
+	does := b.scan(b.graph.PkgOf[fn].Info, decl.Body)
+	b.memo[fn] = does
+	return does
+}
+
+// scan returns the first blocking operation of body in source order,
+// as of describes it. Function literals and go statements are skipped,
+// as in blockingScan: they do not run on the caller's frame.
+func (b *blockingCallees) scan(info *types.Info, body ast.Node) string {
+	does := ""
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		if does != "" {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt:
+			return false
+		case *ast.SendStmt:
+			does = "does channel send"
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				does = "does channel receive"
+			}
+		case *ast.RangeStmt:
+			if tv, ok := info.Types[n.X]; ok {
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					does = "does range over channel"
+				}
+			}
+		case *ast.SelectStmt:
+			if !hasDefaultClause(n.Body) {
+				does = "does select without default"
+				return false
+			}
+			// A select with a default does not wait: its comm clauses
+			// are its own non-blocking tries, only their bodies count.
+			for _, c := range n.Body.List {
+				for _, s := range c.(*ast.CommClause).Body {
+					ast.Inspect(s, visit)
+				}
+			}
+			return false
+		case *ast.CallExpr:
+			if _, _, ok := mutexOp(info, n); ok {
+				return true
+			}
+			if reason := blockingCall(info, n); reason != "" {
+				does = "does " + reason
+			} else if fn := calleeFunc(info, n); fn != nil {
+				if inner := b.of(fn); inner != "" {
+					does = "calls " + funcDisplay(fn) + ", which " + inner
+				}
+			}
+		}
+		return does == ""
+	}
+	ast.Inspect(body, visit)
+	return does
+}
+
+// funcDisplay names a function as a diagnostic shows it:
+// "atomicfile.WriteFile", "(*plane.Metrics).observeFlush".
+func funcDisplay(fn *types.Func) string {
+	qual := func(p *types.Package) string { return p.Name() }
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		return "(" + types.TypeString(recv.Type(), qual) + ")." + fn.Name()
+	}
+	if fn.Pkg() == nil {
+		return fn.Name()
+	}
+	return fn.Pkg().Name() + "." + fn.Name()
 }
 
 var osBlockingFuncs = map[string]bool{

@@ -226,6 +226,7 @@ func TestPredictDeviceReusesUnchangedWindows(t *testing.T) {
 	t.Run("hit-miss-hit-prefix", prefixFillsOnlyRunWindows)
 	t.Run("idle-and-burst", idleAndBurstAlternate)
 	t.Run("backlog-blind-scaler", skippedWindowIsNeverSupplied)
+	t.Run("backlog-blind-scaler-partial", partialWindowIsNeverSupplied)
 }
 
 // idleAndBurstAlternate: one port alternates between a stream on which
@@ -286,6 +287,77 @@ func skippedWindowIsNeverSupplied(t *testing.T) {
 		p.PredictDevice(ports, des.FIFO)
 		checkOuts(t, "call "+c.name, ports, freshOuts(p, ports, des.FIFO))
 	}
+}
+
+// partialWindowIsNeverSupplied: with the backlog-blind scaler of
+// skippedWindowIsNeverSupplied, a window that runs computes outputs
+// only for its busy span, and a later call with the same feature rows
+// but a wider busy span must run it again. Call a makes packets 68–69
+// and 74 on busy, so the windows consuming [56, 72) and [72, 88) run
+// for [68, 70) and [74, 88), and the final one for all it consumes.
+// Call b moves packets 1–39 up against packet 40 and keeps every later
+// arrival time, so only rows 1–40 change: the burst leaves a backlog
+// that outlasts the stream, so both windows are busy from their first
+// consumed row. They must run; the final window, busy over the same
+// rows in both calls, must not.
+func partialWindowIsNeverSupplied(t *testing.T) {
+	p := sessionModel(t)
+	p.Feat.Max[5], p.Feat.Max[6] = 0, 0
+	const n, gap = 100, 1.001 * 8e-7 // 1 000 bytes at 10 Gb/s take 0.8 µs
+	stream := func(burst bool) []PacketIn {
+		s := make([]PacketIn, n)
+		tm := 0.0
+		for i := range s {
+			switch {
+			case i == 68, i == 69, i >= 74:
+				tm += 1e-9
+			case i >= 70 && i < 74:
+				tm += 3e-6 // drains call a's two-packet burst, not call b's
+			case i > 0:
+				tm += gap
+			}
+			s[i] = PacketIn{Arrive: tm, Size: 1000}
+		}
+		if burst { // the same arrival times from packet 40 on
+			for i := 1; i < 40; i++ {
+				s[i].Arrive = s[40].Arrive - float64(40-i)*1e-9
+			}
+		}
+		return s
+	}
+	if ck := Chunks(n, p.TimeSteps, p.Margin); len(ck) != 6 || ck[3].Start+ck[3].Lo != 56 || ck[4].Start+ck[4].Hi != 88 {
+		t.Fatalf("tiling %v; the test assumes windows consuming [56, 72) and [72, 88)", ck)
+	}
+	a, b := stream(false), stream(true)
+	for _, c := range []struct {
+		stream     []PacketIn
+		busy, idle []int
+	}{
+		{a, []int{68, 69, 74, 99}, []int{56, 67, 70, 73}},
+		{b, []int{41, 56, 70, 73, 99}, nil},
+	} {
+		_, aux := Featurize(c.stream, des.FIFO, p.NumPorts, 10e9)
+		for _, pos := range c.busy {
+			if aux.Backlog[pos] <= 0 {
+				t.Fatalf("packet %d finds the port idle; want busy", pos)
+			}
+		}
+		for _, pos := range c.idle {
+			if aux.Backlog[pos] > 0 {
+				t.Fatalf("packet %d finds the port busy; want idle", pos)
+			}
+		}
+	}
+	ports := []PortStream{{Stream: a, RateBps: 10e9}}
+	if ran := predictCounting(p, ports, des.FIFO); ran != 3 { // [56, 72), [72, 88), [88, 100)
+		t.Errorf("call a ran %d windows, want 3", ran)
+	}
+	checkOuts(t, "call a", ports, freshOuts(p, ports, des.FIFO))
+	ports[0].Stream = b
+	if ran := predictCounting(p, ports, des.FIFO); ran != 5 { // all but [88, 100)
+		t.Errorf("call b ran %d windows, want 5", ran)
+	}
+	checkOuts(t, "call b", ports, freshOuts(p, ports, des.FIFO))
 }
 
 // prefixFillsOnlyRunWindows: on one port whose second call runs

@@ -129,25 +129,31 @@ func (p *PTM) predictInto(s *session, m *portMemo, dst []float64, stream []Packe
 // inferChunks runs chunks w, w+stride, … of the stream windowed in src
 // through s's window scratch (s == src on the single-threaded paths; a
 // chunk-parallel worker reads the shared src and owns s) and consumes
-// their predictions into dst. The network is asked only for the rows a
-// chunk is consumed for — its interior [Lo, Hi), cut at the stream end
-// — which is what makes an interior window cost half a window's
-// attention and head. A chunk whose consumed packets all find the port
-// idle is not run on either backend: consumePred would overwrite every
-// output it gave with the packet's transmission time, so its tx is
-// written directly. A non-nil m (single-threaded exact path only,
-// after m.begin) supplies the raw outputs of every window whose input
-// rows are unchanged since the port's last call, and records the raw
-// outputs of every window that runs.
+// their predictions into dst. Only a packet that finds the port busy
+// needs the network (consumePred gives every other one its
+// transmission time), so on the exact backend a chunk asks the network
+// only for its busy span: the rows from the first to the last busy
+// position of its consumed range [Lo, Hi), cut at the stream end. The
+// attention queries, softmax and head then cost those rows alone; the
+// BLSTMs and the keys still see the whole window. A chunk with no busy
+// position is not run on either backend, and the quantized backend
+// asks for the whole consumed range. A non-nil m (single-threaded
+// exact path only, after m.begin) supplies the raw outputs of a window
+// whose input rows are unchanged since the port's last call when it
+// holds one for every position that is busy in this call, and records
+// the raw outputs of every window that runs: NaN at each consumed
+// position a window did not compute, so an output is never supplied
+// for a packet it was not computed for.
 func (p *PTM) inferChunks(s, src *session, m *portMemo, dst []float64, w, stride int) {
 	n := len(dst)
 	for i := w; i < len(src.chunks); i += stride {
 		ck := src.chunks[i]
-		lo, hi := ck.Lo, min(ck.Hi, n-ck.Start)
-		if idle(src.backlog[ck.Start+lo : ck.Start+hi]) {
-			copy(dst[ck.Start+lo:ck.Start+hi], src.tx[ck.Start+lo:ck.Start+hi])
+		lo, hi := ck.Start+ck.Lo, ck.Start+min(ck.Hi, n-ck.Start) // consumed positions
+		blo, bhi := busySpan(src.backlog, lo, hi)
+		if blo == bhi {
+			copy(dst[lo:hi], src.tx[lo:hi])
 			if m != nil {
-				m.raw[ck.Start+lo] = math.NaN() // no output recorded: never supply one
+				m.unrecorded(lo, hi)
 			}
 			continue
 		}
@@ -161,16 +167,16 @@ func (p *PTM) inferChunks(s, src *session, m *portMemo, dst []float64, w, stride
 				}
 			}
 			s.farena.Reset()
-			y := p.qnet.Infer(s.fx, lo, hi, s.farena)
+			y := p.qnet.Infer(s.fx, lo-ck.Start, hi-ck.Start, s.farena)
 			s.windowsRun++
 			for t := 0; t < y.Rows; t++ {
-				p.consumePred(dst, y.At(t, 0), ck.Start+lo+t, src.tx, src.backlog)
+				p.consumePred(dst, y.At(t, 0), lo+t, src.tx, src.backlog)
 			}
 			continue
 		}
 		end := min(n, ck.Start+p.TimeSteps)
-		if m != nil && m.unchanged(src.feats, ck.Start, end) && !math.IsNaN(m.raw[ck.Start+lo]) {
-			for pos := ck.Start + lo; pos < ck.Start+hi; pos++ {
+		if m != nil && m.unchanged(src.feats, ck.Start, end) && m.holds(src.backlog, blo, bhi) {
+			for pos := lo; pos < hi; pos++ {
 				p.consumePred(dst, m.raw[pos], pos, src.tx, src.backlog)
 			}
 			continue
@@ -179,28 +185,40 @@ func (p *PTM) inferChunks(s, src *session, m *portMemo, dst []float64, w, stride
 		if s == src {
 			p.prefixTo(s, ck.Start, end)
 		}
-		y := p.Net.InferWindow(&src.preM, ck.Start, p.TimeSteps, lo, hi, s.arena, s.packs)
+		y := p.Net.InferWindow(&src.preM, ck.Start, p.TimeSteps, blo-ck.Start, bhi-ck.Start, s.arena, s.packs)
 		s.windowsRun++
+		copy(dst[lo:blo], src.tx[lo:blo])
+		copy(dst[bhi:hi], src.tx[bhi:hi])
+		if m != nil {
+			m.unrecorded(lo, hi)
+		}
 		for t := 0; t < y.Rows; t++ {
 			v := y.At(t, 0)
 			if m != nil {
-				m.raw[ck.Start+lo+t] = v
+				m.raw[blo+t] = v
 			}
-			p.consumePred(dst, v, ck.Start+lo+t, src.tx, src.backlog)
+			p.consumePred(dst, v, blo+t, src.tx, src.backlog)
 		}
 	}
 }
 
-// idle reports whether every arrival of a run found its egress port
-// idle, given their backlogs. featurizeFlat clamps the backlog at 0, so
-// a busy arrival is one whose backlog is positive.
-func idle(backlog []float64) bool {
-	for _, b := range backlog {
-		if b > 0 {
-			return false
-		}
+// busySpan returns [first, last+1) of the positions in [lo, hi) whose
+// arrival finds its egress port busy, or an empty span (lo, lo) when
+// there is none. featurizeFlat clamps the backlog at 0, so a busy
+// arrival is one whose backlog is positive.
+func busySpan(backlog []float64, lo, hi int) (int, int) {
+	first := lo
+	for first < hi && backlog[first] <= 0 {
+		first++
 	}
-	return true
+	if first == hi {
+		return lo, lo
+	}
+	last := hi - 1
+	for backlog[last] <= 0 {
+		last--
+	}
+	return first, last + 1
 }
 
 // consumePred maps one raw network output to a sojourn time: clamp to
@@ -211,6 +229,8 @@ func idle(backlog []float64) bool {
 // leaves after exactly its transmission time, whatever v says: every
 // discipline the DES models is work-conserving and non-preemptive, so
 // an idle port starts the packet at once and its target is exactly 0.
+// That is why inferChunks asks the network only for a window's busy
+// span: no output it leaves out could reach dst.
 func (p *PTM) consumePred(dst []float64, v float64, pos int, tx, backlog []float64) {
 	if backlog[pos] <= 0 {
 		dst[pos] = tx[pos]
@@ -237,8 +257,11 @@ func (p *PTM) getSession() *session {
 // WindowsRun returns how many DNN windows p's prediction paths have
 // run on its own session. A window a PortStream's memo supplied is not
 // counted, nor is one not run because every packet it is consumed for
-// finds the port idle. It reads the session unguarded, so call it only
-// while p is not predicting.
+// finds the port idle. A window counts once whatever part of its
+// consumed rows it asked the network for (its busy span), so the count
+// does not move when the rows asked for shrink; the time per window
+// does. It reads the session unguarded, so call it only while p is not
+// predicting.
 func (p *PTM) WindowsRun() int {
 	if p.sess == nil {
 		return 0
@@ -252,13 +275,18 @@ func (p *PTM) WindowsRun() int {
 //
 // A PortStream also remembers its last PredictDevice call on the exact
 // backend: the scaled feature rows every window read and the raw
-// network output of every position. A window whose input rows, stream
-// length, model network, window shape, discipline and line rate are
-// bit-identical to that call's takes its recorded outputs instead of
-// running; they then go through this call's clamp, SEC and target
-// inverse, so the sojourns are the bits a fresh PortStream gets. A
-// window skipped because its consumed packets all find the port idle
-// records no output, and the memo never supplies one for it. Pass
+// network output of every position a window computed. A window whose
+// input rows, stream length, model network, window shape, discipline
+// and line rate are bit-identical to that call's takes its recorded
+// outputs instead of running, provided it recorded one for every
+// position that is busy in this call; they then go through this call's
+// clamp, SEC and target inverse, so the sojourns are the bits a fresh
+// PortStream gets. A window computes outputs only for its busy span,
+// and a window whose consumed packets all find the port idle computes
+// none: every consumed position it did not compute is recorded as NaN,
+// so the memo never supplies an output for a packet it was not
+// computed for (a backlog-blind scaler can keep the rows while the
+// busy positions move). Pass
 // the same PortStream for the same port on every call (an IRSA sweep
 // per call) to get that reuse, or a fresh one to get none. The memo
 // assumes the network's weights do not change between two calls on one
@@ -283,7 +311,7 @@ type portMemo struct {
 	key   memoKey
 	buf   []float64 // backs feats and raw
 	feats []float64 // n × NumFeatures scaled feature rows the windows read
-	raw   []float64 // n raw network outputs, by consumed position
+	raw   []float64 // n raw network outputs by consumed position, NaN where none was computed
 
 	// Per-call comparison state: rows [0, scan) are compared (and
 	// copied in where they differed); dirty is the last that differed.
@@ -337,6 +365,25 @@ func (m *portMemo) unchanged(feats []float64, start, end int) bool {
 	}
 	m.scan = max(m.scan, end)
 	return m.dirty < start
+}
+
+// unrecorded marks consumed positions [lo, hi) as holding no output:
+// the window that consumes them did not compute one there.
+func (m *portMemo) unrecorded(lo, hi int) {
+	for pos := lo; pos < hi; pos++ {
+		m.raw[pos] = math.NaN()
+	}
+}
+
+// holds reports whether the memo records an output for every busy
+// position in [lo, hi), given this call's backlogs.
+func (m *portMemo) holds(backlog []float64, lo, hi int) bool {
+	for pos := lo; pos < hi; pos++ {
+		if backlog[pos] > 0 && math.IsNaN(m.raw[pos]) {
+			return false
+		}
+	}
+	return true
 }
 
 // PredictDevice predicts sojourn times for every egress port of one

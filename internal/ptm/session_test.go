@@ -104,15 +104,68 @@ type referenceModel struct {
 	load func() *PTM
 }
 
+// burstStream returns n FIFO packets of 1 000 bytes in which exactly
+// the positions busy names find a 10 Gb/s port busy: a busy packet
+// arrives 0.1 µs after the one before it (whose transmission takes
+// 0.8 µs), any other 100 µs after it, long after every burst here has
+// drained. Position 0 always finds the port idle.
+func burstStream(n int, busy func(pos int) bool) []PacketIn {
+	stream := make([]PacketIn, n)
+	tm := 0.0
+	for i := range stream {
+		if i > 0 && busy(i) {
+			tm += 1e-7
+		} else {
+			tm += 1e-4
+		}
+		stream[i] = PacketIn{Arrive: tm, Size: 1000, InPort: i % 8, Class: i % 3, Weight: 1}
+	}
+	return stream
+}
+
+// partialWindowStreams are FIFO streams over which the windows that run
+// ask the network for part of their consumed rows: in every chunk's
+// consumed range the busy rows sit only at its left edge, only at its
+// right edge, in one single row, or fill it (every packet but the
+// first is busy).
+func partialWindowStreams(p *PTM, n int) []struct {
+	name string
+	busy func(pos int) bool
+} {
+	chunks := Chunks(n, p.TimeSteps, p.Margin)
+	in := func(f func(pos, lo, hi int) bool) func(int) bool {
+		return func(pos int) bool {
+			for _, ck := range chunks {
+				lo, hi := ck.Start+ck.Lo, ck.Start+min(ck.Hi, n-ck.Start)
+				if pos >= lo && pos < hi {
+					return f(pos, lo, hi)
+				}
+			}
+			return false
+		}
+	}
+	return []struct {
+		name string
+		busy func(pos int) bool
+	}{
+		{"left-edge", in(func(pos, lo, _ int) bool { return pos < lo+3 })},
+		{"right-edge", in(func(pos, _, hi int) bool { return pos >= hi-3 })},
+		{"single-row", in(func(pos, lo, hi int) bool { return pos == (lo+hi)/2 })},
+		{"all-rows", func(int) bool { return true }},
+	}
+}
+
 // TestPredictStreamMatchesForwardReference: both prediction paths —
 // the session path, which computes each stream's prefix once and runs
 // every window from it, and the chunk-parallel path — ask the network
-// only for the rows they consume and must still produce the
-// reference's sojourns bit for bit, exact and quantized, at every
-// stream length from one packet to past three windows (short streams,
-// the anchored final chunk, every Lo/Hi the tiling produces), on every
-// reference architecture. Lengths run downwards so stale-buffer reuse
-// would be caught.
+// only for the rows they need and must still produce the reference's
+// sojourns bit for bit, exact and quantized, at every stream length
+// from one packet to past three windows (short streams, the anchored
+// final chunk, every Lo/Hi the tiling produces), on every reference
+// architecture. Lengths run downwards so stale-buffer reuse would be
+// caught. FIFO streams whose busy rows sit at a window's left edge,
+// at its right edge, in one row or in all of them hold the busy-span
+// cut to the reference through PredictStream and PredictDevice.
 func TestPredictStreamMatchesForwardReference(t *testing.T) {
 	for _, m := range referenceModels(t) {
 		for _, quant := range []bool{false, true} {
@@ -130,6 +183,25 @@ func TestPredictStreamMatchesForwardReference(t *testing.T) {
 					got := p.PredictStream(stream, des.WFQ, 10e9, workers)
 					sojournsBitsEqual(t, fmt.Sprintf("%s PredictStream(workers=%d)", label, workers), got, want)
 				}
+			}
+			n := 3*p.TimeSteps + 5
+			for _, c := range partialWindowStreams(p, n) {
+				stream := burstStream(n, c.busy)
+				_, aux := Featurize(stream, des.FIFO, p.NumPorts, 10e9)
+				for pos, b := range aux.Backlog {
+					if (b > 0) != (pos > 0 && c.busy(pos)) {
+						t.Fatalf("%s: packet %d has backlog %v, want busy=%v", c.name, pos, b, c.busy(pos))
+					}
+				}
+				want := forwardReference(p, stream, des.FIFO, 10e9)
+				label := fmt.Sprintf("%s quant=%v %s", m.name, quant, c.name)
+				for _, workers := range []int{1, 3} {
+					got := p.PredictStream(stream, des.FIFO, 10e9, workers)
+					sojournsBitsEqual(t, fmt.Sprintf("%s PredictStream(workers=%d)", label, workers), got, want)
+				}
+				ports := []PortStream{{Stream: stream, RateBps: 10e9}}
+				p.PredictDevice(ports, des.FIFO)
+				sojournsBitsEqual(t, label+" PredictDevice", ports[0].Out, want)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"deepqueuenet/internal/guard"
+	"deepqueuenet/internal/obs"
 )
 
 // BreakerState is the circuit-breaker state machine position.
@@ -95,21 +96,20 @@ type Breaker struct {
 	opens   uint64 // total times this breaker has opened
 	lastErr error
 
-	// onTransition, when set, observes every state change. It runs under
-	// the breaker's mutex and must not call back into the breaker or
-	// block (the serve layer wires pre-registered metric counters here).
-	onTransition func(from, to BreakerState)
+	// transitions counts state changes by destination state when set
+	// (the serve layer's pre-registered metric counters). They are
+	// atomic, so counting under the breaker's mutex never blocks.
+	transitions [3]*obs.Counter
 }
 
-// setState moves the state machine, notifying the transition hook.
+// setState moves the state machine, counting the transition.
 func (b *Breaker) setState(to BreakerState) {
-	from := b.state
-	if from == to {
+	if b.state == to {
 		return
 	}
 	b.state = to
-	if b.onTransition != nil {
-		b.onTransition(from, to)
+	if c := b.transitions[to]; c != nil {
+		c.Inc()
 	}
 }
 

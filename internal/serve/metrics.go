@@ -118,14 +118,14 @@ func (m *serverMetrics) httpRequest(path string, code int) {
 	c.Inc()
 }
 
-// breakerMetrics registers one breaker's series and returns the
-// transition hook for NewBreaker. Counters are pre-created here so the
-// hook — which runs under the breaker's mutex — never touches the
-// registry lock. path is a Server.breakers slot key, so the label's
-// cardinality is bounded by maxWireKeys (breakers past the bound share
-// one breaker, hence one series).
-func (m *serverMetrics) breakerMetrics(path string, b *Breaker) func(from, to BreakerState) {
-	trans := map[BreakerState]*obs.Counter{}
+// breakerMetrics registers one breaker's series and returns its
+// transition counters, indexed by destination state. They are created
+// here so that counting a transition, under the breaker's mutex, never
+// touches the registry lock. path is a Server.breakers slot key, so the
+// label's cardinality is bounded by maxWireKeys (breakers past the
+// bound share one breaker, hence one series).
+func (m *serverMetrics) breakerMetrics(path string, b *Breaker) [3]*obs.Counter {
+	var trans [3]*obs.Counter
 	for _, st := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
 		trans[st] = m.reg.Counter("dqn_breaker_transitions_total",
 			"circuit-breaker state transitions by destination state",
@@ -133,5 +133,5 @@ func (m *serverMetrics) breakerMetrics(path string, b *Breaker) func(from, to Br
 	}
 	m.reg.GaugeFunc("dqn_breaker_state", "breaker position (0 closed, 1 open, 2 half-open)",
 		func() float64 { return float64(b.State()) }, obs.L("path", path))
-	return func(_, to BreakerState) { trans[to].Inc() }
+	return trans
 }

@@ -748,7 +748,7 @@ func breakerWorthy(err error) bool {
 func (s *Server) breakerFor(key string) *Breaker {
 	return s.breakers.get(key, func(slot string) *Breaker {
 		b := NewBreaker(slot, s.cfg.Breaker)
-		b.onTransition = s.met.breakerMetrics(slot, b)
+		b.transitions = s.met.breakerMetrics(slot, b)
 		return b
 	})
 }
